@@ -156,37 +156,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, table
 
 
-def _parse_config_value(action: argparse.Action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return isinstance(action, argparse._StoreTrueAction)
-        if low in ("0", "false", "no", "off"):
-            return not isinstance(action, argparse._StoreTrueAction)
-        raise ConfigError(f"cannot read boolean from {raw!r}")
-    if action.type is not None:
-        try:
-            value = action.type(raw)
-        except ValueError as e:
-            raise ConfigError(f"bad value {raw!r} for {action.dest}: {e}") from None
-    else:
-        value = raw
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"{value!r} not one of {sorted(action.choices)}")
-    return value
-
-
-def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
-    options: dict[str, argparse.Action] = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                name = opt[2:]
-                options[name] = action
-                options[name.replace("-", "_")] = action
-    overrides: dict[str, object] = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+    """One --key=value token per key=value line of a config file."""
+    tokens = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -196,11 +169,27 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
         key = key.strip()
         if key in ("config", "help", "version"):
             raise ConfigError(f"{path}:{lineno}: {key!r} cannot be set from a config file")
-        action = options.get(key) or options.get(key.replace("-", "_"))
-        if action is None:
+        option = "--" + key.replace("_", "-")
+        # exact names only: argparse would also take unique prefixes
+        if option not in subparser._option_string_actions:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        overrides[action.dest] = _parse_config_value(action, raw.strip())
-    return overrides
+        tokens.append(f"{option}={raw.strip()}")
+    return tokens
+
+
+def _splice_config(argv: list[str], table: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """Put the --config file's tokens right after the subcommand.
+
+    Flags typed on the command line come later, so they win over the file.
+    """
+    if not argv or argv[0] not in table:
+        return argv
+    scout = argparse.ArgumentParser(prog=f"uavgrid {argv[0]}", add_help=False)
+    scout.add_argument("--config")
+    path = scout.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    return [argv[0], *_config_tokens(path, table[argv[0]]), *argv[1:]]
 
 
 def _build_city(args) -> CityModel:
@@ -471,6 +460,8 @@ def _cmd_contour(args) -> int:
 def _cmd_validate(args) -> int:
     from .oracle import validation_sweep
 
+    if args.max_outliers < 0:
+        raise ConfigError("--max-outliers cannot be negative")
     results = validation_sweep(
         cases=args.cases,
         n=args.n_draws,
@@ -514,39 +505,11 @@ _COMMANDS = {
 }
 
 
-def _scout(argv: list[str]) -> tuple[str | None, str | None]:
-    # find the subcommand and --config before real parsing, so a config file
-    # can satisfy options argparse considers required
-    command = None
-    config = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if command is None and tok in _COMMANDS:
-            command = tok
-        if tok == "--config" and i + 1 < len(argv):
-            config = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            config = tok.split("=", 1)[1]
-        i += 1
-    return command, config
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, table = build_parser()
     try:
-        command, config_path = _scout(argv)
-        if config_path is not None and command in table:
-            sub = table[command]
-            overrides = _load_config(config_path, sub)
-            for action in sub._actions:
-                if action.dest in overrides:
-                    action.required = False
-            sub.set_defaults(**overrides)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_config(argv, table))
         return _COMMANDS[args.command](args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2

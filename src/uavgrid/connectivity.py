@@ -76,12 +76,17 @@ class ScenarioConfig:
     envelope: SamplingEnvelope | None = None
 
     def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ValueError("need n_realizations >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.workers < 1 or self.chunk_size < 1:
-            raise ValueError("workers and chunk_size must be >= 1")
+        check_run(self.n_realizations, self.seed, self.workers, self.chunk_size)
+
+
+def check_run(n_realizations: int, seed: int, workers: int, chunk_size: int) -> None:
+    """Reject run parameters no Monte Carlo run can use (ValueError)."""
+    if n_realizations < 1:
+        raise ValueError("need n_realizations >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    if workers < 1 or chunk_size < 1:
+        raise ValueError("workers and chunk_size must be >= 1")
 
 
 def conditional_connectivity(
@@ -137,18 +142,43 @@ def _segment_products(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scenario_chunk_scores(args):
-    (envelope, seed, start, stop, city, h_uav, h_v, lambda_uav, d_max, placements) = args
+def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, lambda_values,
+                  height_values, placements):
+    """Connectivity scores of realizations [start, stop), cell by cell.
+
+    Yields ((placement index, density index, height index), scores) with one
+    score 1 - prod(1 - p_LoS) per realization.  Links are scored once per
+    (height, placement); a density keeps the points whose mark lies below its
+    fraction of the envelope cap, so points above the largest fraction in the
+    call are never scored.
+    """
     d, phi, mark, counts = _draw_chunk(envelope, seed, start, stop)
-    keep = (mark < lambda_uav / envelope.lambda_cap) & (d <= d_max)
-    ridx = np.repeat(np.arange(counts.size), counts)[keep]
-    d, phi = d[keep], phi[keep]
-    kept_counts = np.bincount(ridx, minlength=counts.size)
-    scores = {}
-    for placement in placements:
-        p = los_probability_batch(d, phi, h_uav, h_v, city, placement)
-        scores[placement] = 1.0 - _segment_products(1.0 - p, kept_counts)
-    return scores
+    m = counts.size
+    fracs = [lam / envelope.lambda_cap for lam in lambda_values]
+    keep = mark < max(fracs)
+    ridx = np.repeat(np.arange(m), counts)[keep]
+    d, phi, mark = d[keep], phi[keep], mark[keep]
+    for j, h in enumerate(height_values):
+        dz = h - h_v
+        hmask = d <= math.sqrt(r_max * r_max - dz * dz)
+        d_h, phi_h, mark_h, ridx_h = d[hmask], phi[hmask], mark[hmask], ridx[hmask]
+        for ip, placement in enumerate(placements):
+            factors = 1.0 - los_probability_batch(d_h, phi_h, h, h_v, city, placement)
+            for i, frac in enumerate(fracs):
+                lmask = mark_h < frac
+                seg_counts = np.bincount(ridx_h[lmask], minlength=m)
+                yield (ip, i, j), 1.0 - _segment_products(factors[lmask], seg_counts)
+
+
+# Module-level so the process pool can pickle them; the grid reduces inside
+# the worker, so only per-cell counts travel back.
+def _chunk_score_arrays(task):
+    return dict(_chunk_scores(*task))
+
+
+def _chunk_outage_counts(task):
+    *spec, gamma_th = task
+    return {cell: np.count_nonzero(scores <= gamma_th) for cell, scores in _chunk_scores(*spec)}
 
 
 def _map_tasks(fn, tasks, workers):
@@ -177,14 +207,14 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     if radio.lambda_uav > envelope.lambda_cap or d_max > envelope.d_cap:
         raise InvalidGeometryError("scenario exceeds its sampling envelope")
     tasks = [
-        (envelope, config.seed, start, stop, config.city, radio.h_uav, radio.h_v,
-         radio.lambda_uav, d_max, placements)
+        (envelope, config.seed, start, stop, config.city, radio.h_v, radio.r_max,
+         [radio.lambda_uav], [radio.h_uav], placements)
         for start, stop in _chunk_bounds(n, config.chunk_size)
     ]
-    chunks = _map_tasks(_scenario_chunk_scores, tasks, config.workers)
+    chunks = _map_tasks(_chunk_score_arrays, tasks, config.workers)
     result = {}
-    for pl in placements:
-        samples = np.sort(np.concatenate([c[pl] for c in chunks]))
+    for ip, pl in enumerate(placements):
+        samples = np.sort(np.concatenate([c[ip, 0, 0] for c in chunks]))
         result[pl] = EmpiricalDistribution(samples, n, config.seed)
     return result
 
@@ -218,29 +248,6 @@ def outage(distribution, gamma_th: float) -> float:
     return float(distribution.evaluate(gamma_th))
 
 
-def _grid_chunk_counts(args):
-    (envelope, seed, start, stop, city, h_v, r_max, lambda_values, height_values,
-     gamma_th, placements) = args
-    d, phi, mark, counts = _draw_chunk(envelope, seed, start, stop)
-    m = counts.size
-    ridx = np.repeat(np.arange(m), counts)
-    fracs = np.asarray(lambda_values) / envelope.lambda_cap
-    out = np.zeros((len(placements), len(lambda_values), len(height_values)), dtype=np.int64)
-    for j, h in enumerate(height_values):
-        dz = h - h_v
-        d_max = math.sqrt(r_max * r_max - dz * dz)
-        hmask = d <= d_max
-        d_h, phi_h, mark_h, ridx_h = d[hmask], phi[hmask], mark[hmask], ridx[hmask]
-        for ip, placement in enumerate(placements):
-            factors = 1.0 - los_probability_batch(d_h, phi_h, h, h_v, city, placement)
-            for i, frac in enumerate(fracs):
-                lmask = mark_h < frac
-                seg_counts = np.bincount(ridx_h[lmask], minlength=m)
-                pc = 1.0 - _segment_products(factors[lmask], seg_counts)
-                out[ip, i, j] = np.count_nonzero(pc <= gamma_th)
-    return out
-
-
 def outage_grid(
     city: CityModel,
     r_max: float,
@@ -263,6 +270,7 @@ def outage_grid(
     estimate_distribution / mixture_cdf / outage pipeline returns for the same
     envelope, seed and n.
     """
+    check_run(n_realizations, seed, workers, chunk_size)
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError("gamma_th must lie in [0, 1]")
     lambda_values = [float(v) for v in lambda_values]
@@ -288,13 +296,13 @@ def outage_grid(
     placements = placement_mode.placements
     tasks = [
         (envelope, seed, start, stop, city, h_v, r_max, lambda_values, height_values,
-         gamma_th, placements)
+         placements, gamma_th)
         for start, stop in _chunk_bounds(n_realizations, chunk_size)
     ]
-    chunks = _map_tasks(_grid_chunk_counts, tasks, workers)
-    totals = np.zeros_like(chunks[0])
-    for c in chunks:
-        totals += c
+    totals = np.zeros((len(placements), len(lambda_values), len(height_values)), dtype=np.int64)
+    for chunk in _map_tasks(_chunk_outage_counts, tasks, workers):
+        for cell, count in chunk.items():
+            totals[cell] += count
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import CityModel, HeightDistribution
 
@@ -44,10 +43,6 @@ class Placement(enum.Enum):
 class Axis(enum.Enum):
     X = "x"
     Y = "y"
-
-
-class DegenerateAxisError(ValueError):
-    """Critical height requested along an axis the path never advances on."""
 
 
 @dataclass(frozen=True)
@@ -147,14 +142,6 @@ def corner_factor(
     return float(heights.cdf(h0))
 
 
-def axis_critical_height(link: LinkGeometry, z: float, axis: Axis) -> float:
-    """Altitude of the ray above the point at coordinate z along an axis."""
-    zeta = link.d * (link.cos_phi if axis is Axis.X else link.sin_phi)
-    if zeta == 0.0:
-        raise DegenerateAxisError(f"path does not advance along {axis.name}")
-    return z * link.delta_h / zeta + link.h_v
-
-
 def integration_limits(
     link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
 ) -> tuple[float, float]:
@@ -221,6 +208,8 @@ def axis_factor_quadrature(
     absolute tolerance on the integral (and a fortiori on the exponent, since
     lambda_s < 1).
     """
+    from scipy.integrate import quad
+
     za, zb = integration_limits(link, city, axis, placement)
     if not za < zb:
         return 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import DEFAULT_CHUNK, PlacementMode, outage_grid
+from .connectivity import DEFAULT_CHUNK, PlacementMode, check_run, outage_grid
 from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,6 +80,7 @@ def optimize_height(
     pass and every refinement evaluation, so refinement can only improve on
     the grid answer; ties go to the lower altitude.
     """
+    check_run(n_realizations, seed, workers, chunk_size)
     if not h_v < search.h_lo < search.h_hi < h_v + r_max:
         raise InfeasibleSearchError(
             f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"

@@ -163,6 +163,10 @@ def validation_sweep(
     uses the binomial standard error at the closed-form rate, which stays
     meaningful when the empirical rate saturates at 0 or 1.
     """
+    if cases < 1:
+        raise ValueError("need cases >= 1")
+    if not 0.0 < z_limit < math.inf:
+        raise ValueError("z_limit must be positive and finite")
     rng = np.random.default_rng(seed)
     names = sorted(PRESETS)
     placements = (Placement.INTERSECTION, Placement.STREET)

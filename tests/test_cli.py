@@ -214,3 +214,72 @@ def test_shared_envelope_couples_cli_runs(capsys):
     fa = [float(l.split(",")[3]) for l in out_a.strip().split("\n")[1:]]
     fb = [float(l.split(",")[3]) for l in out_b.strip().split("\n")[1:]]
     assert all(x <= y for x, y in zip(fa, fb))
+
+
+URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--preset", "urban", "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--n-realizations", "0"],
+        ["contour", *URBAN_ARGS, "--lambda-lo", "5", "--lambda-hi", "10", "--h-lo", "50",
+         "--h-hi", "100", "--seed", "-1"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
+         "--seed", str(2**64)],
+        ["outage-curve", *URBAN_ARGS, "--lambda-uav", "20", "--h-lo", "50", "--h-hi", "100",
+         "--workers", "0"],
+    ],
+    ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0"],
+)
+def test_bad_run_parameters_exit_2(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--cases", "-1"], ["--max-outliers", "-1"], ["--z-limit", "nan"]],
+    ids=["cases", "max-outliers", "z-limit"],
+)
+def test_validate_rejects_bad_input(args, capsys):
+    code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _base_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=urban\nlambda-uav=20\nh_uav=100\nn-realizations=300\nseed=11\n")
+    return cfg
+
+
+def test_config_flag_before_file_wins(tmp_path, capsys):
+    cfg = _base_config(tmp_path)
+    code, out, _ = run_cli(["distribution", "--seed", "12", "--config", str(cfg)], capsys)
+    code2, out2, _ = run_cli(
+        ["distribution", "--preset", "urban", "--lambda-uav", "20", "--h-uav", "100",
+         "--n-realizations", "300", "--seed", "12"], capsys)
+    assert code == 0 and code2 == 0
+    assert out == out2
+
+
+def test_config_equals_form(tmp_path, capsys):
+    cfg = _base_config(tmp_path)
+    code, out, _ = run_cli(["distribution", f"--config={cfg}"], capsys)
+    code2, out2, _ = run_cli(["distribution", "--config", str(cfg)], capsys)
+    assert code == 0 and code2 == 0
+    assert out == out2
+
+
+@pytest.mark.parametrize("line", ["seed=abc", "preset=nowhere", "help=1"])
+def test_config_bad_line_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"lambda-uav=20\nh-uav=100\n{line}\n")
+    code, _, err = run_cli(["distribution", "--preset", "urban", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "error:" in err

@@ -74,10 +74,10 @@ def test_empirical_distribution_evaluate():
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=10, workers=0)
+    for bad in ({"n_realizations": 0}, {"workers": 0}, {"chunk_size": 0},
+                {"seed": -1}, {"seed": 2**64}):
+        with pytest.raises(ValueError):
+            ScenarioConfig(city=URBAN, radio=RADIO, **{"n_realizations": 10, **bad})
 
 
 def test_estimate_matches_scalar_pipeline():
@@ -171,12 +171,16 @@ def test_outage_threshold_validation():
 
 def test_outage_grid_matches_distribution_pipeline():
     n = 500
-    env = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
-    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=6, envelope=env))
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
-    grid = outage_grid(URBAN, 250.0, 10.0, [RADIO.lambda_uav], [100.0], 0.8, n, 6, envelope=env)
-    assert grid.shape == (1, 1)
-    assert grid[0, 0] == outage(mix, 0.8)
+    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
+    # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
+    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=ground_range(RADIO) + 20.0)
+    for env in (tight, loose):
+        dists = estimate_distribution(
+            ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=6, envelope=env))
+        mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
+        grid = outage_grid(URBAN, 250.0, 10.0, [RADIO.lambda_uav], [100.0], 0.8, n, 6, envelope=env)
+        assert grid.shape == (1, 1)
+        assert grid[0, 0] == outage(mix, 0.8)
 
 
 def test_outage_grid_worker_invariance():
@@ -196,3 +200,7 @@ def test_outage_grid_validates_inputs():
         outage_grid(URBAN, 250.0, 10.0, [1e-5], [300.0], 0.8, 10, 0)
     with pytest.raises(ValueError):
         outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 1.5, 10, 0)
+    for n, seed, extra in ((0, 0, {}), (10, -1, {}), (10, 2**64, {}),
+                           (10, 0, {"workers": 0}), (10, 0, {"chunk_size": 0})):
+        with pytest.raises(ValueError):
+            outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)

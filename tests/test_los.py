@@ -7,10 +7,8 @@ from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
     UNBOUNDED,
     Axis,
-    DegenerateAxisError,
     LinkGeometry,
     Placement,
-    axis_critical_height,
     axis_factor,
     axis_factor_quadrature,
     corner_critical_height,
@@ -79,15 +77,6 @@ def test_corner_factor_saturates():
     assert corner_factor(low, 13.0, 13.0, URBAN.heights) == 0.0
     high = LinkGeometry(d=10.0, phi=0.25 * math.pi, h_uav=200.0, h_v=10.0)
     assert corner_factor(high, 13.0, 13.0, URBAN.heights) == 1.0
-
-
-def test_axis_critical_height():
-    lk = LinkGeometry(d=100.0, phi=0.0, h_uav=100.0, h_v=10.0)
-    assert axis_critical_height(lk, 50.0, Axis.X) == pytest.approx(55.0, rel=1e-15)
-    assert axis_critical_height(lk, 0.0, Axis.X) == 10.0
-    assert axis_critical_height(lk, 100.0, Axis.X) == pytest.approx(100.0)
-    with pytest.raises(DegenerateAxisError):
-        axis_critical_height(lk, 1.0, Axis.Y)
 
 
 def test_integration_limits_intersection():

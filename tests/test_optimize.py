@@ -50,6 +50,9 @@ def test_infeasible_window():
 def test_zero_density_returns_search_floor():
     spec = HeightSearchSpec(h_lo=60.0, h_hi=120.0)
     assert optimize_height(URBAN, 250.0, 10.0, 0.0, spec, n_realizations=100, seed=0) == (60.0, 1.0)
+    # run parameters are checked before the zero-density shortcut
+    with pytest.raises(ValueError):
+        optimize_height(URBAN, 250.0, 10.0, 0.0, spec, n_realizations=0, seed=0)
 
 
 def test_monotone_outage_puts_optimum_at_floor():
