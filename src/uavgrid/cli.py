@@ -9,6 +9,7 @@ configuration or geometry.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -48,6 +49,13 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent options."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors reach main as one-line ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_city_options(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("city")
     g.add_argument("--preset", choices=sorted(PRESETS), help="named city model")
@@ -60,11 +68,18 @@ def _add_city_options(p: argparse.ArgumentParser) -> None:
     g.add_argument("--building-h-max", type=float, help="max building height, m (default 1.5*mu_h)")
 
 
-def _add_scenario_options(p: argparse.ArgumentParser, placement: bool = True) -> None:
+def _add_scenario_options(
+    p: argparse.ArgumentParser,
+    placement: bool = True,
+    envelope: bool = True,
+    gamma_th: bool = True,
+) -> None:
+    # a command gets only the flags it reads, so a flag it would ignore is an error
     g = p.add_argument_group("scenario")
     g.add_argument("--r-max", type=float, default=250.0, help="max 3D link range, m")
     g.add_argument("--h-v", type=float, default=10.0, help="vehicle antenna height, m")
-    g.add_argument("--gamma-th", type=float, default=0.8, help="connectivity threshold")
+    if gamma_th:
+        g.add_argument("--gamma-th", type=float, default=0.8, help="connectivity threshold")
     g.add_argument("--n-realizations", type=int, default=100_000, help="Monte Carlo realizations")
     g.add_argument("--seed", type=int, default=0, help="base seed of the run")
     g.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -75,8 +90,9 @@ def _add_scenario_options(p: argparse.ArgumentParser, placement: bool = True) ->
             default=PlacementMode.MIXTURE.value,
             help="vehicle placement mode",
         )
-    g.add_argument("--lambda-cap", type=float, help="envelope density cap, per km2")
-    g.add_argument("--d-cap", type=float, help="envelope disk radius cap, m")
+    if envelope:
+        g.add_argument("--lambda-cap", type=float, help="envelope density cap, per km2")
+        g.add_argument("--d-cap", type=float, help="envelope disk radius cap, m")
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -87,7 +103,7 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uavgrid",
         description="LoS connectivity of UAV swarms over grid cities",
     )
@@ -100,7 +116,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--h-uav", type=float, required=True, help="UAV altitude, m")
     p.add_argument("--gamma-step", type=float, default=0.01, help="gamma grid step")
     _add_city_options(p)
-    _add_scenario_options(p, placement=False)
+    _add_scenario_options(p, placement=False, gamma_th=False)
     _add_output_options(p)
     table["distribution"] = p
 
@@ -121,7 +137,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--grid-step", type=float, default=5.0, help="coarse grid step, m")
     p.add_argument("--refine-tol", type=float, default=1.0, help="refinement tolerance, m")
     _add_city_options(p)
-    _add_scenario_options(p)
+    # optimize_height sizes its own envelope to the search window
+    _add_scenario_options(p, envelope=False)
     _add_output_options(p)
     table["optimize"] = p
 
@@ -184,7 +201,7 @@ def _splice_config(argv: list[str], table: dict[str, argparse.ArgumentParser]) -
     """
     if not argv or argv[0] not in table:
         return argv
-    scout = argparse.ArgumentParser(prog=f"uavgrid {argv[0]}", add_help=False)
+    scout = _Parser(prog=f"uavgrid {argv[0]}", add_help=False)
     scout.add_argument("--config")
     path = scout.parse_known_args(argv[1:])[0].config
     if path is None:
@@ -233,7 +250,9 @@ def _build_envelope(args, lambda_uav: float, d_max: float) -> SamplingEnvelope |
     return SamplingEnvelope(lambda_cap=lambda_cap, d_cap=d_cap)
 
 
+@functools.cache
 def _revision() -> str:
+    """The checkout's git revision, resolved once per process; "unknown" if git fails."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -242,7 +261,7 @@ def _revision() -> str:
             text=True,
             timeout=10,
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 

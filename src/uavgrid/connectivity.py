@@ -5,6 +5,21 @@ range.  Realizations are scored in fixed-size chunks; every realization owns
 a counter-based substream keyed by (seed, realization index), so results do
 not depend on chunking, worker count, or evaluation order, and scenarios that
 share a sampling envelope see nested constellations (see geometry).
+
+One chunk scorer serves both pipelines.  An envelope point joins density
+fraction f of the envelope cap when its uniform mark is below f, so with each
+realization's points sorted by mark every density sees a prefix of the row.
+The scorer takes exact running products of the link factors 1 - p_LoS along
+each row.  Every factor lies in [0, 1] and rounding is monotone, so the
+survival product never rises along a row and the score 1 - P never falls:
+each (realization, height, placement) crosses the threshold gamma_th at most
+once.  Its crossing mark, the mark of the first link with 1 - P > gamma_th
+(+inf if there is none), settles every density at once: fraction f is in
+outage exactly when the crossing mark is >= f.  outage_grid counts the whole
+density axis with one sort and one searchsorted per (height, placement), and
+its outage cannot rise with density, by construction rather than on average.
+estimate_distribution reads each row's last running product, so a grid cell
+equals the distribution pipeline's outage bit for bit.
 """
 
 from __future__ import annotations
@@ -132,53 +147,91 @@ def _draw_chunk(envelope, seed, start, stop):
     )
 
 
-def _segment_products(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-segment products of a flat array split by counts; empty segments -> 1."""
-    out = np.ones(counts.shape[0])
-    nonzero = counts > 0
-    if values.size:
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        out[nonzero] = np.multiply.reduceat(values, starts[nonzero])
-    return out
+def _chunk_layout(envelope, seed, start, stop, frac_top):
+    """Points of realizations [start, stop) with mark below frac_top, by mark.
 
-
-def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, lambda_values,
-                  height_values, placements):
-    """Connectivity scores of realizations [start, stop), cell by cell.
-
-    Yields ((placement index, density index, height index), scores) with one
-    score 1 - prod(1 - p_LoS) per realization.  Links are scored once per
-    (height, placement); a density keeps the points whose mark lies below its
-    fraction of the envelope cap, so points above the largest fraction in the
-    call are never scored.
+    The points are laid out as a realization x rank array, each row sorted by
+    mark and padded at the end.  Returns (d, phi, slot, marks): d, phi and
+    slot (the flat index of each point in the layout) list the points in
+    (realization, mark) order, and marks holds the laid-out marks, +inf in
+    padding.
     """
     d, phi, mark, counts = _draw_chunk(envelope, seed, start, stop)
     m = counts.size
-    fracs = [lam / envelope.lambda_cap for lam in lambda_values]
-    keep = mark < max(fracs)
+    keep = mark < frac_top
     ridx = np.repeat(np.arange(m), counts)[keep]
     d, phi, mark = d[keep], phi[keep], mark[keep]
+    kept = np.bincount(ridx, minlength=m)
+    width = max(int(kept.max(initial=0)), 1)
+    row_start = np.repeat(np.cumsum(kept) - kept, kept)
+    slot = ridx * width + np.arange(ridx.size) - row_start
+    marks = np.full((m, width), np.inf)
+    marks.reshape(-1)[slot] = mark
+    # A stable sort of each row keeps equal marks in draw order and the
+    # padding last, so a row's points still fill its first ranks.
+    order = np.argsort(marks, axis=1, kind="stable")
+    marks = np.take_along_axis(marks, order, axis=1)
+    src = row_start + order.reshape(-1)[slot]
+    return d[src], phi[src], slot, marks
+
+
+def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, frac_top, height_values,
+                  placements):
+    """Running survival products of realizations [start, stop): the one chunk scorer.
+
+    Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
+    layout (see _chunk_layout), with 1.0 for padding and for points outside
+    the height's ground disk, and np.multiply.accumulate takes the exact
+    sequential running product P along each row.  A height mask keeps the
+    (realization, mark) order and multiplying by 1.0 is exact, so entry k of
+    a row is the realization's survival at every density whose fraction
+    admits its first k + 1 marks and no more, and the last entry is its
+    survival at frac_top: estimate_distribution scores 1 - P[:, -1].
+
+    No factor exceeds 1 and rounding is monotone, so P never rises along a
+    row and the score 1 - P crosses gamma_th at most once, at the row's
+    crossing mark.  outage_grid counts density fraction f in outage exactly
+    when that mark is >= f.  A higher density only lengthens the prefix it
+    sees, so outage cannot rise with density, whatever the draw.
+
+    Yields (placement index, height index, marks, survival), both of shape
+    (realizations, ranks).  survival is one buffer, overwritten by the next
+    step, so reduce it before advancing the generator.
+    """
+    d, phi, slot, marks = _chunk_layout(envelope, seed, start, stop, frac_top)
+    survival = np.empty(marks.shape)
+    flat = survival.reshape(-1)
     for j, h in enumerate(height_values):
         dz = h - h_v
         hmask = d <= math.sqrt(r_max * r_max - dz * dz)
-        d_h, phi_h, mark_h, ridx_h = d[hmask], phi[hmask], mark[hmask], ridx[hmask]
+        d_h, phi_h, slot_h = d[hmask], phi[hmask], slot[hmask]
         for ip, placement in enumerate(placements):
             factors = 1.0 - los_probability_batch(d_h, phi_h, h, h_v, city, placement)
-            for i, frac in enumerate(fracs):
-                lmask = mark_h < frac
-                seg_counts = np.bincount(ridx_h[lmask], minlength=m)
-                yield (ip, i, j), 1.0 - _segment_products(factors[lmask], seg_counts)
+            flat.fill(1.0)
+            flat[slot_h] = factors
+            np.multiply.accumulate(survival, axis=1, out=survival)
+            yield ip, j, marks, survival
 
 
-# Module-level so the process pool can pickle them; the grid reduces inside
-# the worker, so only per-cell counts travel back.
+# Module-level so the process pool can pickle them; each reduces inside the
+# worker, so only per-realization scores or per-cell counts travel back.
 def _chunk_score_arrays(task):
-    return dict(_chunk_scores(*task))
+    """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
+    return np.stack([1.0 - survival[:, -1] for _, _, _, survival in _chunk_scores(*task)])
 
 
 def _chunk_outage_counts(task):
-    *spec, gamma_th = task
-    return {cell: np.count_nonzero(scores <= gamma_th) for cell, scores in _chunk_scores(*spec)}
+    """Realizations in outage per (placement, density, height) cell."""
+    *spec, fracs, gamma_th = task
+    height_values, placements = spec[-2], spec[-1]
+    counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
+    for ip, j, marks, survival in _chunk_scores(*spec):
+        # 1 - survival never falls along a row, so the smallest mark past the
+        # threshold is the crossing mark; fraction f is in outage iff it is >= f
+        crossing = np.min(marks, axis=1, where=1.0 - survival > gamma_th, initial=np.inf)
+        crossing.sort()
+        counts[ip, :, j] = crossing.size - np.searchsorted(crossing, fracs)
+    return counts
 
 
 def _map_tasks(fn, tasks, workers):
@@ -206,15 +259,16 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
         envelope = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=d_max)
     if radio.lambda_uav > envelope.lambda_cap or d_max > envelope.d_cap:
         raise InvalidGeometryError("scenario exceeds its sampling envelope")
+    frac = radio.lambda_uav / envelope.lambda_cap
     tasks = [
-        (envelope, config.seed, start, stop, config.city, radio.h_v, radio.r_max,
-         [radio.lambda_uav], [radio.h_uav], placements)
+        (envelope, config.seed, start, stop, config.city, radio.h_v, radio.r_max, frac,
+         [radio.h_uav], placements)
         for start, stop in _chunk_bounds(n, config.chunk_size)
     ]
     chunks = _map_tasks(_chunk_score_arrays, tasks, config.workers)
     result = {}
     for ip, pl in enumerate(placements):
-        samples = np.sort(np.concatenate([c[ip, 0, 0] for c in chunks]))
+        samples = np.sort(np.concatenate([c[ip] for c in chunks]))
         result[pl] = EmpiricalDistribution(samples, n, config.seed)
     return result
 
@@ -294,15 +348,13 @@ def outage_grid(
         raise InvalidGeometryError("grid exceeds its sampling envelope")
 
     placements = placement_mode.placements
+    fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
     tasks = [
-        (envelope, seed, start, stop, city, h_v, r_max, lambda_values, height_values,
-         placements, gamma_th)
+        (envelope, seed, start, stop, city, h_v, r_max, fracs.max(), height_values,
+         placements, fracs, gamma_th)
         for start, stop in _chunk_bounds(n_realizations, chunk_size)
     ]
-    totals = np.zeros((len(placements), len(lambda_values), len(height_values)), dtype=np.int64)
-    for chunk in _map_tasks(_chunk_outage_counts, tasks, workers):
-        for cell, count in chunk.items():
-            totals[cell] += count
+    totals = sum(_map_tasks(_chunk_outage_counts, tasks, workers))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

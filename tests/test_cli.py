@@ -204,6 +204,33 @@ def test_structured_format(capsys):
     assert [float(r[3]) for r in csv_rows] == [row[3] for row in doc["rows"]]
 
 
+def test_structured_revision_survives_git_timeout(monkeypatch, capsys):
+    import subprocess
+
+    from uavgrid import cli
+
+    calls = []
+
+    def hung_git(cmd, **kwargs):
+        calls.append(cmd)
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(cli.subprocess, "run", hung_git)
+    cli._revision.cache_clear()
+    args = ["distribution", "--preset", "urban", "--lambda-uav", "20", "--h-uav", "100",
+            "--n-realizations", "50", "--format", "structured"]
+    try:
+        first = run_cli(args, capsys)
+        second = run_cli(args, capsys)
+    finally:
+        cli._revision.cache_clear()
+    for code, out, err in (first, second):
+        assert code == 0
+        assert json.loads(out)["revision"] == "unknown"
+        assert "Traceback" not in err
+    assert len(calls) == 1  # resolved once per process
+
+
 def test_shared_envelope_couples_cli_runs(capsys):
     """Two ranges under one point envelope: the longer range dominates."""
     common = ["distribution", "--preset", "urban", "--lambda-uav", "20", "--h-uav", "100",
@@ -230,8 +257,16 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--seed", str(2**64)],
         ["outage-curve", *URBAN_ARGS, "--lambda-uav", "20", "--h-lo", "50", "--h-hi", "100",
          "--workers", "0"],
+        # flags a command would ignore are not registered for it
+        ["optimize", *URBAN_ARGS, "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--lambda-cap", "90"],
+        ["optimize", *URBAN_ARGS, "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--d-cap", "400"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
+         "--gamma-th", "0.3"],
     ],
-    ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0"],
+    ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0",
+         "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th"],
 )
 def test_bad_run_parameters_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

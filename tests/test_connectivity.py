@@ -171,24 +171,35 @@ def test_outage_threshold_validation():
 
 def test_outage_grid_matches_distribution_pipeline():
     n = 500
+    heights = [100.0, 160.0]
     tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
     loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=ground_range(RADIO) + 20.0)
     for env in (tight, loose):
-        dists = estimate_distribution(
-            ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=6, envelope=env))
-        mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
-        grid = outage_grid(URBAN, 250.0, 10.0, [RADIO.lambda_uav], [100.0], 0.8, n, 6, envelope=env)
-        assert grid.shape == (1, 1)
-        assert grid[0, 0] == outage(mix, 0.8)
+        # zero, interior and the envelope's own cap: empty, partial and full mark prefixes
+        lams = [0.0, 0.4 * env.lambda_cap, env.lambda_cap]
+        mixes = {}
+        for i, lam in enumerate(lams):
+            for j, h in enumerate(heights):
+                radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=lam)
+                dists = estimate_distribution(
+                    ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=6, envelope=env))
+                mixes[i, j] = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
+        for gamma_th in (0.0, 0.8, 1.0):
+            grid = outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th, n, 6, envelope=env)
+            assert grid.shape == (len(lams), len(heights))
+            for (i, j), mix in mixes.items():
+                assert grid[i, j] == outage(mix, gamma_th), (env, i, j, gamma_th)
 
 
 def test_outage_grid_worker_invariance():
-    lam = [10e-6, 25e-6]
     hts = [80.0, 140.0]
-    a = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, 2000, 5)
-    b = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, 2000, 5, workers=2, chunk_size=333)
-    assert np.array_equal(a, b)
+    # the last case leaves most realizations, and so most one-realization
+    # chunks, without a single envelope point
+    for lam, n, chunk_size in (([10e-6, 25e-6], 2000, 333), ([1e-6, 3e-6], 400, 1)):
+        a = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5)
+        b = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5, workers=2, chunk_size=chunk_size)
+        assert np.array_equal(a, b)
 
 
 def test_outage_grid_validates_inputs():
