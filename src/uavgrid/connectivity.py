@@ -27,7 +27,8 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,23 +119,30 @@ def conditional_connectivity(
     return 1.0 - survival
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # one counter-based stream per realization; (seed, index) is the whole key
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
 def _draw_chunk(envelope, seed, start, stop):
-    """Envelope points for realizations [start, stop): flat arrays + counts."""
+    """Envelope points for realizations [start, stop): flat arrays + counts.
+
+    Realization i draws from a Philox stream keyed by (seed, i), from counter
+    0.  Philox is counter-based, so its key and counter fix the stream: one
+    bit generator whose key, counter and buffer are reset before each
+    realization gives exactly what a fresh Philox(key=(seed, i)) would,
+    without seeding a new generator per realization.
+    """
+    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, empty buffer, has_uint32 0
+    key = state["state"]["key"]
     m = stop - start
     counts = np.zeros(m, dtype=np.int64)
     parts_d, parts_phi, parts_mark = [], [], []
     for j, index in enumerate(range(start, stop)):
-        d, phi, mark = sample_envelope_points(envelope, _substream(seed, index))
+        key[1] = index
+        bit_generator.state = state
+        d, phi, mark = sample_envelope_points(envelope, rng)
         counts[j] = d.shape[0]
         parts_d.append(d)
         parts_phi.append(phi)
@@ -147,15 +155,23 @@ def _draw_chunk(envelope, seed, start, stop):
     )
 
 
-def _chunk_layout(envelope, seed, start, stop, frac_top):
-    """Points of realizations [start, stop) with mark below frac_top, by mark.
+class ChunkLayout(NamedTuple):
+    """One chunk's points with mark below frac_top, laid out by mark.
 
     The points are laid out as a realization x rank array, each row sorted by
-    mark and padded at the end.  Returns (d, phi, slot, marks): d, phi and
-    slot (the flat index of each point in the layout) list the points in
-    (realization, mark) order, and marks holds the laid-out marks, +inf in
-    padding.
+    mark and padded at the end.  d, phi and slot (the flat index of each point
+    in the layout) list the points in (realization, mark) order, and marks
+    holds the laid-out marks, +inf in padding.
     """
+
+    d: np.ndarray
+    phi: np.ndarray
+    slot: np.ndarray
+    marks: np.ndarray
+
+
+def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
+    """Draw realizations [start, stop) and lay out their points below frac_top."""
     d, phi, mark, counts = _draw_chunk(envelope, seed, start, stop)
     m = counts.size
     keep = mark < frac_top
@@ -172,21 +188,60 @@ def _chunk_layout(envelope, seed, start, stop, frac_top):
     order = np.argsort(marks, axis=1, kind="stable")
     marks = np.take_along_axis(marks, order, axis=1)
     src = row_start + order.reshape(-1)[slot]
-    return d[src], phi[src], slot, marks
+    return ChunkLayout(d[src], phi[src], slot, marks)
 
 
-def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, frac_top, height_values,
-                  placements):
-    """Running survival products of realizations [start, stop): the one chunk scorer.
+def _layout_of(source) -> ChunkLayout:
+    """A chunk's layout: source itself, or drawn from its (envelope, seed, start, stop,
+    frac_top) key."""
+    return source if isinstance(source, ChunkLayout) else _chunk_layout(*source)
+
+
+@dataclass(frozen=True, eq=False)
+class EnvelopeDraw:
+    """Envelope realizations [0, n_realizations), drawn and laid out once.
+
+    Holds the layout of every chunk of chunk_size realizations, as an
+    outage_grid call with the same envelope, seed, n_realizations, chunk_size
+    and top density fraction frac_top would draw them.  A call given the draw
+    scores these layouts instead of drawing its own, so a search that probes
+    many heights pays for sampling once and gets the same cells bit for bit.
+    workers > 1 draws the chunks in a process pool.
+    """
+
+    envelope: SamplingEnvelope
+    seed: int
+    n_realizations: int
+    chunk_size: int
+    frac_top: float
+    workers: InitVar[int] = 1
+    layouts: tuple[ChunkLayout, ...] = field(init=False, repr=False)
+
+    def __post_init__(self, workers):
+        check_run(self.n_realizations, self.seed, workers, self.chunk_size)
+        if not 0.0 <= self.frac_top <= 1.0:
+            raise ValueError("frac_top must lie in [0, 1]")
+        keys = [(self.envelope, self.seed, start, stop, self.frac_top)
+                for start, stop in _chunk_bounds(self.n_realizations, self.chunk_size)]
+        object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
+
+    @property
+    def key(self) -> tuple:
+        return (self.envelope, self.seed, self.n_realizations, self.chunk_size, self.frac_top)
+
+
+def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
+    """Running survival products of one chunk's realizations: the one chunk scorer.
 
     Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
-    layout (see _chunk_layout), with 1.0 for padding and for points outside
+    layout (see ChunkLayout), with 1.0 for padding and for points outside
     the height's ground disk, and np.multiply.accumulate takes the exact
     sequential running product P along each row.  A height mask keeps the
     (realization, mark) order and multiplying by 1.0 is exact, so entry k of
     a row is the realization's survival at every density whose fraction
     admits its first k + 1 marks and no more, and the last entry is its
-    survival at frac_top: estimate_distribution scores 1 - P[:, -1].
+    survival at the layout's frac_top: estimate_distribution scores
+    1 - P[:, -1].
 
     No factor exceeds 1 and rounding is monotone, so P never rises along a
     row and the score 1 - P crosses gamma_th at most once, at the row's
@@ -198,7 +253,7 @@ def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, frac_top, heigh
     (realizations, ranks).  survival is one buffer, overwritten by the next
     step, so reduce it before advancing the generator.
     """
-    d, phi, slot, marks = _chunk_layout(envelope, seed, start, stop, frac_top)
+    d, phi, slot, marks = layout
     survival = np.empty(marks.shape)
     flat = survival.reshape(-1)
     for j, h in enumerate(height_values):
@@ -214,18 +269,21 @@ def _chunk_scores(envelope, seed, start, stop, city, h_v, r_max, frac_top, heigh
 
 
 # Module-level so the process pool can pickle them; each reduces inside the
-# worker, so only per-realization scores or per-cell counts travel back.
+# worker, so only per-realization scores or per-cell counts travel back.  A
+# task's first item is its chunk's layout or the key to draw it from.
 def _chunk_score_arrays(task):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
-    return np.stack([1.0 - survival[:, -1] for _, _, _, survival in _chunk_scores(*task)])
+    source, *spec = task
+    scores = _chunk_scores(_layout_of(source), *spec)
+    return np.stack([1.0 - survival[:, -1] for _, _, _, survival in scores])
 
 
 def _chunk_outage_counts(task):
     """Realizations in outage per (placement, density, height) cell."""
-    *spec, fracs, gamma_th = task
+    source, *spec, fracs, gamma_th = task
     height_values, placements = spec[-2], spec[-1]
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
-    for ip, j, marks, survival in _chunk_scores(*spec):
+    for ip, j, marks, survival in _chunk_scores(_layout_of(source), *spec):
         # 1 - survival never falls along a row, so the smallest mark past the
         # threshold is the crossing mark; fraction f is in outage iff it is >= f
         crossing = np.min(marks, axis=1, where=1.0 - survival > gamma_th, initial=np.inf)
@@ -261,7 +319,7 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
         raise InvalidGeometryError("scenario exceeds its sampling envelope")
     frac = radio.lambda_uav / envelope.lambda_cap
     tasks = [
-        (envelope, config.seed, start, stop, config.city, radio.h_v, radio.r_max, frac,
+        ((envelope, config.seed, start, stop, frac), config.city, radio.h_v, radio.r_max,
          [radio.h_uav], placements)
         for start, stop in _chunk_bounds(n, config.chunk_size)
     ]
@@ -315,6 +373,7 @@ def outage_grid(
     envelope: SamplingEnvelope | None = None,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
+    draw: EnvelopeDraw | None = None,
 ) -> np.ndarray:
     """Outage probability over a (density, altitude) grid with shared draws.
 
@@ -323,6 +382,10 @@ def outage_grid(
     can only add UAVs to a realization.  Cell values equal what the
     estimate_distribution / mixture_cdf / outage pipeline returns for the same
     envelope, seed and n.
+
+    With a draw, the cells are scored on its layouts, and its key must match
+    this call (ValueError otherwise); without one, each chunk is drawn, scored
+    and dropped in turn.
     """
     check_run(n_realizations, seed, workers, chunk_size)
     if not 0.0 <= gamma_th <= 1.0:
@@ -331,8 +394,8 @@ def outage_grid(
     height_values = [float(h) for h in height_values]
     if not lambda_values or not height_values:
         raise ValueError("grid axes cannot be empty")
-    if min(lambda_values) < 0.0:
-        raise InvalidGeometryError("densities cannot be negative")
+    if not all(0.0 <= lam < math.inf for lam in lambda_values):
+        raise InvalidGeometryError("densities must be finite and non-negative")
     for h in height_values:
         if not h_v < h < h_v + r_max:
             raise InvalidGeometryError(
@@ -349,11 +412,17 @@ def outage_grid(
 
     placements = placement_mode.placements
     fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-    tasks = [
-        (envelope, seed, start, stop, city, h_v, r_max, fracs.max(), height_values,
-         placements, fracs, gamma_th)
-        for start, stop in _chunk_bounds(n_realizations, chunk_size)
-    ]
+    frac_top = float(fracs.max())
+    if draw is None:
+        sources = [(envelope, seed, start, stop, frac_top)
+                   for start, stop in _chunk_bounds(n_realizations, chunk_size)]
+    elif draw.key != (envelope, seed, n_realizations, chunk_size, frac_top):
+        raise ValueError("the envelope draw does not match this grid's envelope, seed, "
+                         "n_realizations, chunk_size or top density")
+    else:
+        sources = draw.layouts
+    tasks = [(source, city, h_v, r_max, height_values, placements, fracs, gamma_th)
+             for source in sources]
     totals = sum(_map_tasks(_chunk_outage_counts, tasks, workers))
 
     n = n_realizations

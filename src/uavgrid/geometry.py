@@ -27,9 +27,9 @@ class HeightDistribution:
     h_max: float
 
     def __post_init__(self):
-        if not 0.0 <= self.h_min < self.h_max:
+        if not 0.0 <= self.h_min < self.h_max < math.inf:
             raise InvalidGeometryError(
-                f"need 0 <= h_min < h_max, got [{self.h_min}, {self.h_max}]"
+                f"need 0 <= h_min < h_max < inf, got [{self.h_min}, {self.h_max}]"
             )
 
     @property
@@ -70,10 +70,11 @@ class CityModel:
     heights: HeightDistribution
 
     def __post_init__(self):
-        if min(self.mu_s, self.mu_b, self.mu_H) <= 0.0:
-            raise InvalidGeometryError("mu_s, mu_b, mu_H must be positive")
-        if self.w_v < 0.0 or self.w_h < 0.0:
-            raise InvalidGeometryError("street widths cannot be negative")
+        # comparisons written so that NaN fails them
+        if not all(0.0 < v < math.inf for v in (self.mu_s, self.mu_b, self.mu_H)):
+            raise InvalidGeometryError("mu_s, mu_b, mu_H must be positive and finite")
+        if not (0.0 <= self.w_v < math.inf and 0.0 <= self.w_h < math.inf):
+            raise InvalidGeometryError("street widths must be finite and non-negative")
 
     @property
     def lambda_s(self) -> float:
@@ -116,6 +117,8 @@ class RadioParams:
     lambda_uav: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.r_max, self.h_uav, self.h_v, self.lambda_uav)):
+            raise InvalidGeometryError("radio parameters must be finite")
         if self.h_v < 0.0 or self.h_uav < self.h_v:
             raise InvalidGeometryError("need h_uav >= h_v >= 0")
         if self.lambda_uav < 0.0:
@@ -161,8 +164,8 @@ class SamplingEnvelope:
     d_cap: float
 
     def __post_init__(self):
-        if self.lambda_cap <= 0.0 or self.d_cap <= 0.0:
-            raise InvalidGeometryError("envelope caps must be positive")
+        if not (0.0 < self.lambda_cap < math.inf and 0.0 < self.d_cap < math.inf):
+            raise InvalidGeometryError("envelope caps must be positive and finite")
 
     @property
     def mean_count(self) -> float:

@@ -4,8 +4,9 @@ Raising a UAV swarm trades coverage radius against blockage: low altitudes
 see far along the ground but graze rooftops, high altitudes clear buildings
 but shrink the ground disk.  The outage-vs-altitude curve therefore has an
 interior minimum, located here by a coarse grid pass plus golden-section
-refinement.  All evaluations for one search share a sampling envelope, so the
-comparisons the search relies on are between coupled estimates.
+refinement.  All evaluations for one search score one envelope draw, so the
+comparisons the search relies on are between coupled estimates, and the
+realizations are sampled once per search rather than once per probe.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import DEFAULT_CHUNK, PlacementMode, check_run, outage_grid
+from .connectivity import DEFAULT_CHUNK, EnvelopeDraw, PlacementMode, check_run, outage_grid
 from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -36,10 +37,10 @@ class HeightSearchSpec:
     gamma_th: float = 0.8
 
     def __post_init__(self):
-        if self.grid_step <= 0.0 or self.refine_tol <= 0.0:
-            raise ValueError("grid_step and refine_tol must be positive")
-        if not self.h_lo < self.h_hi:
-            raise ValueError("need h_lo < h_hi")
+        if not (0.0 < self.grid_step < math.inf and 0.0 < self.refine_tol < math.inf):
+            raise ValueError("grid_step and refine_tol must be positive and finite")
+        if not -math.inf < self.h_lo < self.h_hi < math.inf:
+            raise ValueError("need finite h_lo < h_hi")
         if not 0.0 <= self.gamma_th <= 1.0:
             raise ValueError("gamma_th must lie in [0, 1]")
 
@@ -50,10 +51,10 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     Values are rounded to 10 decimals so grids built from decimal steps carry
     clean coordinates instead of accumulated float noise.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if hi < lo:
-        raise ValueError("need lo <= hi")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("need finite lo <= hi")
     n = int(math.floor((hi - lo) / step + 1e-9))
     vals = [round(lo + k * step, 10) for k in range(n + 1)]
     if vals[-1] < hi - 1e-9 * max(1.0, abs(hi)):
@@ -85,8 +86,8 @@ def optimize_height(
         raise InfeasibleSearchError(
             f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"
         )
-    if lambda_uav < 0.0:
-        raise InvalidGeometryError("lambda_uav cannot be negative")
+    if not 0.0 <= lambda_uav < math.inf:
+        raise InvalidGeometryError("lambda_uav must be finite and non-negative")
 
     grid = grid_points(search.h_lo, search.h_hi, search.grid_step)
     if lambda_uav == 0.0:
@@ -96,6 +97,8 @@ def optimize_height(
     # widest disk occurs at the lowest altitude; one envelope covers the search
     d_cap = math.sqrt(r_max * r_max - (grid[0] - h_v) ** 2)
     envelope = SamplingEnvelope(lambda_cap=lambda_uav, d_cap=d_cap)
+    draw = EnvelopeDraw(envelope, seed, n_realizations, chunk_size,
+                        lambda_uav / envelope.lambda_cap, workers=workers)
 
     def evaluate(hs: list[float]) -> np.ndarray:
         return outage_grid(
@@ -111,6 +114,7 @@ def optimize_height(
             envelope=envelope,
             workers=workers,
             chunk_size=chunk_size,
+            draw=draw,
         )[0]
 
     cache = dict(zip(grid, (float(v) for v in evaluate(grid))))

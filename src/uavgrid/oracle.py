@@ -132,6 +132,10 @@ def empirical_los_probability(
     return p_hat, se
 
 
+# smallest r_max that leaves validation_sweep an altitude window, sqrt(20**2 + 1**2)
+_R_MAX_FLOOR = math.hypot(20.0, 1.0)
+
+
 @dataclass(frozen=True)
 class ValidationCase:
     """One randomized closed-form-vs-explicit comparison."""
@@ -167,6 +171,11 @@ def validation_sweep(
         raise ValueError("need cases >= 1")
     if not 0.0 < z_limit < math.inf:
         raise ValueError("z_limit must be positive and finite")
+    if not 0.0 <= h_v < math.inf:
+        raise ValueError("h_v must be finite and >= 0")
+    # altitudes are drawn from (h_v + 1, h_cap): sqrt(r_max**2 - 20**2) must exceed 1
+    if not _R_MAX_FLOOR < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above {_R_MAX_FLOOR:.4g} m")
     rng = np.random.default_rng(seed)
     names = sorted(PRESETS)
     placements = (Placement.INTERSECTION, Placement.STREET)

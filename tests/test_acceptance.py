@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage_grid
 from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope
@@ -57,6 +58,7 @@ def test_acceptance_2_closed_form_matches_quadrature():
             f"max rel err {worst:.3e} over 10000 parameter sets, {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_acceptance_3_min_density_anchor():
     t0 = time.time()
     lam = [v * 1e-6 for v in range(5, 51)]
@@ -75,6 +77,7 @@ def test_acceptance_3_min_density_anchor():
             f"{dt:.0f}s of 1800s budget")
 
 
+@pytest.mark.slow
 def test_acceptance_4_figure_orderings():
     t0 = time.time()
     n = 100_000

@@ -264,9 +264,21 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--d-cap", "400"],
         ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
          "--gamma-th", "0.3"],
+        # NaN fails every ordered comparison, so each guard must be written to catch it
+        ["optimize", *URBAN_ARGS, "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--refine-tol", "nan"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100", "--w-v", "nan"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "nan", "--h-uav", "100"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100", "--d-cap", "nan"],
+        ["optimize", *URBAN_ARGS, "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--grid-step", "nan"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
+         "--gamma-step", "nan"],
     ],
     ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0",
-         "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th"],
+         "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th",
+         "refine-tol-nan", "w-v-nan", "lambda-uav-nan", "d-cap-nan", "grid-step-nan",
+         "gamma-step-nan"],
 )
 def test_bad_run_parameters_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -277,8 +289,11 @@ def test_bad_run_parameters_exit_2(args, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--cases", "-1"], ["--max-outliers", "-1"], ["--z-limit", "nan"]],
-    ids=["cases", "max-outliers", "z-limit"],
+    [["--cases", "-1"], ["--max-outliers", "-1"], ["--z-limit", "nan"],
+     ["--r-max", "nan"], ["--r-max", "inf"], ["--r-max", "20"], ["--h-v", "nan"],
+     ["--h-v", "-1"]],
+    ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
+         "h-v-nan", "h-v-negative"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

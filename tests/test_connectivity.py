@@ -3,8 +3,9 @@ import pytest
 
 from uavgrid.connectivity import (
     EmpiricalDistribution,
+    EnvelopeDraw,
     ScenarioConfig,
-    _substream,
+    _draw_chunk,
     conditional_connectivity,
     estimate_distribution,
     mixture_cdf,
@@ -18,6 +19,7 @@ from uavgrid.geometry import (
     RadioParams,
     SamplingEnvelope,
     ground_range,
+    sample_envelope_points,
     sample_realization,
 )
 from uavgrid.los import LinkGeometry, Placement, los_probability
@@ -80,6 +82,11 @@ def test_scenario_config_validation():
             ScenarioConfig(city=URBAN, radio=RADIO, **{"n_realizations": 10, **bad})
 
 
+def _fresh_stream(seed, index):
+    # the reference construction: a new generator per realization
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 def test_estimate_matches_scalar_pipeline():
     """The chunked batch estimator reproduces the per-realization loop."""
     n = 256
@@ -88,12 +95,27 @@ def test_estimate_matches_scalar_pipeline():
     env = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
     scores = {pl: [] for pl in (Placement.INTERSECTION, Placement.STREET)}
     for i in range(n):
-        real = sample_realization(RADIO, _substream(42, i), env)
+        real = sample_realization(RADIO, _fresh_stream(42, i), env)
         for pl in scores:
             scores[pl].append(conditional_connectivity(real, URBAN, RADIO, pl))
     for pl, dist in dists.items():
         assert dist.n == n
         np.testing.assert_allclose(np.sort(scores[pl]), dist.samples, rtol=1e-12, atol=1e-13)
+
+
+def test_chunk_stream_matches_fresh_generators():
+    """One reset Philox per chunk draws what a fresh generator per realization does."""
+    # about 1.4 points per realization, so some realizations have none
+    env = SamplingEnvelope(lambda_cap=8e-6, d_cap=240.0)
+    want = [sample_envelope_points(env, _fresh_stream(31, i)) for i in range(50)]
+    assert any(w[0].size == 0 for w in want) and any(w[0].size > 1 for w in want)
+    for chunk in (1, 7, 50):
+        parts = [_draw_chunk(env, 31, s, min(s + chunk, 50)) for s in range(0, 50, chunk)]
+        counts = np.concatenate([p[3] for p in parts])
+        assert counts.tolist() == [w[0].size for w in want]
+        for k in range(3):
+            got = np.concatenate([p[k] for p in parts])
+            assert np.array_equal(got, np.concatenate([w[k] for w in want])), (chunk, k)
 
 
 def test_zero_density_distribution_is_degenerate():
@@ -215,3 +237,34 @@ def test_outage_grid_validates_inputs():
                            (10, 0, {"workers": 0}), (10, 0, {"chunk_size": 0})):
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
+
+
+def test_outage_grid_scores_a_shared_draw():
+    env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
+    lams, hts = [10e-6, 25e-6], [80.0, 140.0]
+    draw = EnvelopeDraw(env, 5, 700, 256, 1.0)
+    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, chunk_size=256)
+    for workers in (1, 2):
+        shared = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env,
+                             chunk_size=256, workers=workers, draw=draw)
+        assert np.array_equal(shared, fresh)
+    pooled = EnvelopeDraw(env, 5, 700, 256, 1.0, workers=2)
+    assert np.array_equal(
+        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, chunk_size=256,
+                    draw=pooled), fresh)
+    # a draw answers only the call it was drawn for
+    mismatched = (
+        {"n_realizations": 600}, {"seed": 6}, {"chunk_size": 128},
+        {"envelope": SamplingEnvelope(lambda_cap=30e-6, d_cap=240.0)},
+        {"lambda_values": [10e-6]},
+    )
+    for change in mismatched:
+        call = {"lambda_values": lams, "height_values": hts, "gamma_th": 0.8,
+                "n_realizations": 700, "seed": 5, "envelope": env, "chunk_size": 256, **change}
+        with pytest.raises(ValueError):
+            outage_grid(URBAN, 250.0, 10.0, draw=draw, **call)
+    for bad in ({"frac_top": 1.5}, {"frac_top": float("nan")}, {"n_realizations": 0},
+                {"seed": -1}, {"chunk_size": 0}):
+        with pytest.raises(ValueError):
+            EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10,
+                            "chunk_size": 4, "frac_top": 1.0, **bad})

@@ -25,6 +25,9 @@ def test_height_distribution_validation():
         HeightDistribution(5.0, 5.0)
     with pytest.raises(InvalidGeometryError):
         HeightDistribution(7.0, 5.0)
+    for bad in ((math.nan, 5.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(InvalidGeometryError):
+            HeightDistribution(*bad)
 
 
 def test_height_distribution_cdf_ramp():
@@ -46,6 +49,11 @@ def test_city_model_validation_and_intensity():
         CityModel(mu_s=0.0, mu_b=45.0, mu_H=19.0, w_v=13.0, w_h=13.0, heights=heights)
     with pytest.raises(InvalidGeometryError):
         CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=-1.0, w_h=13.0, heights=heights)
+    good = {"mu_s": 13.0, "mu_b": 45.0, "mu_H": 19.0, "w_v": 13.0, "w_h": 13.0}
+    for key in good:
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidGeometryError):
+                CityModel(**{**good, key: value}, heights=heights)
     assert PRESETS["urban"].lambda_s == pytest.approx(1.0 / 58.0)
 
 
@@ -77,6 +85,11 @@ def test_radio_params_validation():
         RadioParams(r_max=80.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
     with pytest.raises(InvalidGeometryError):
         RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=-1.0)
+    good = {"r_max": 250.0, "h_uav": 100.0, "h_v": 10.0, "lambda_uav": 20e-6}
+    for key in good:
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidGeometryError):
+                RadioParams(**{**good, key: value})
     # equal heights are allowed, the serving disk then has the full radius
     r = RadioParams(r_max=100.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
     assert ground_range(r) == 100.0
@@ -115,6 +128,9 @@ def test_envelope_validation():
         SamplingEnvelope(lambda_cap=0.0, d_cap=100.0)
     with pytest.raises(InvalidGeometryError):
         SamplingEnvelope(lambda_cap=1e-5, d_cap=0.0)
+    for bad in ((math.nan, 100.0), (1e-5, math.nan), (math.inf, 100.0), (1e-5, math.inf)):
+        with pytest.raises(InvalidGeometryError):
+            SamplingEnvelope(*bad)
 
 
 def test_restrict_rejects_uncovered_scenarios():

@@ -28,6 +28,10 @@ def test_grid_points():
         grid_points(1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         grid_points(0.0, 1.0, 0.0)
+    for lo, hi, step in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.1),
+                         (0.0, math.inf, 0.1)):
+        with pytest.raises(ValueError):
+            grid_points(lo, hi, step)
 
 
 def test_search_spec_validation():
@@ -39,6 +43,10 @@ def test_search_spec_validation():
         HeightSearchSpec(h_lo=50.0, h_hi=100.0, refine_tol=0.0)
     with pytest.raises(ValueError):
         HeightSearchSpec(h_lo=50.0, h_hi=100.0, gamma_th=1.5)
+    for bad in ({"grid_step": math.nan}, {"refine_tol": math.nan}, {"refine_tol": math.inf},
+                {"h_hi": math.inf}, {"h_lo": math.nan}):
+        with pytest.raises(ValueError):
+            HeightSearchSpec(**{"h_lo": 50.0, "h_hi": 100.0, **bad})
 
 
 def test_infeasible_window():
@@ -78,6 +86,26 @@ def test_optimize_self_consistency():
     env = SamplingEnvelope(30e-6, math.sqrt(250.0 ** 2 - (120.0 - 10.0) ** 2))
     cell = outage_grid(URBAN, 250.0, 10.0, [30e-6], [h], spec.gamma_th, 4000, 12, envelope=env)
     assert cell[0, 0] == out
+
+
+def test_optimize_draws_each_realization_once(monkeypatch):
+    import uavgrid.connectivity as connectivity
+
+    calls = []
+    real = connectivity.sample_envelope_points
+
+    def counted(envelope, rng):
+        calls.append(None)
+        return real(envelope, rng)
+
+    monkeypatch.setattr(connectivity, "sample_envelope_points", counted)
+    # the grid pass plus golden-section probes all score one draw
+    spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=20.0)
+    serial = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4)
+    assert len(calls) == 300
+    pooled = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4,
+                             workers=2, chunk_size=97)
+    assert pooled == serial
 
 
 def test_optimal_height_decreases_with_density():
