@@ -42,7 +42,7 @@ from .geometry import (
     intersection_weight,
     sample_envelope_points,
 )
-from .los import LinkGeometry, Placement, los_probability, los_probability_batch
+from .los import Placement, los_probability_batch
 
 DEFAULT_CHUNK = 8192
 
@@ -112,11 +112,8 @@ def conditional_connectivity(
     placement: Placement,
 ) -> float:
     """Connectivity level of one constellation: 1 - prod(1 - p_LoS)."""
-    survival = 1.0
-    for d, phi in zip(realization.d, realization.phi):
-        link = LinkGeometry(d=float(d), phi=float(phi), h_uav=radio.h_uav, h_v=radio.h_v)
-        survival *= 1.0 - los_probability(link, city, placement)
-    return 1.0 - survival
+    p = los_probability_batch(realization.d, realization.phi, radio.h_uav, radio.h_v, city, placement)
+    return 1.0 - float(np.prod(1.0 - p))
 
 
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:

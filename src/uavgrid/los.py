@@ -1,4 +1,4 @@
-"""Closed-form line-of-sight probability for a single vehicle-to-UAV link.
+"""Closed-form line-of-sight probability for vehicle-to-UAV links.
 
 The vehicle sits where two axis-aligned streets meet (or mid-block on one of
 them); buildings fill the blocks.  Three independent events can cut the ray:
@@ -18,6 +18,13 @@ clearance point.
 
 All angles fold into the first quadrant: the grid is mirror-symmetric about
 both axes, each axis keeping its own street width.
+
+One kernel evaluates the closed form over arrays of links.
+los_probability_batch folds raw azimuths into it; los_probability,
+corner_critical_height, corner_factor, integration_limits and axis_factor are
+views of it on one-element arrays, so a link scores the same bits either way.
+axis_factor_quadrature integrates the survival numerically instead and stays
+an independent check of the kernel's ramp integral.
 """
 
 from __future__ import annotations
@@ -62,12 +69,15 @@ class LinkGeometry:
     sin_phi: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 0.0:
-            raise ValueError("d cannot be negative")
-        if self.h_v < 0.0:
-            raise ValueError("h_v cannot be negative")
-        if self.h_uav <= self.h_v:
-            raise ValueError("need h_uav > h_v for a link above the vehicle")
+        # comparisons written so that NaN fails them
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError("d must be finite and >= 0")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
+        if not 0.0 <= self.h_v < math.inf:
+            raise ValueError("h_v must be finite and >= 0")
+        if not self.h_v < self.h_uav < math.inf:
+            raise ValueError("need finite h_uav > h_v for a link above the vehicle")
         c = abs(math.cos(self.phi))
         s = abs(math.sin(self.phi))
         object.__setattr__(self, "cos_phi", c)
@@ -90,26 +100,84 @@ def effective_widths(city: CityModel, placement: Placement) -> tuple[float, floa
     return city.w_v, city.w_h
 
 
-def _clearance_x(c: float, s: float, w_v: float, w_h: float) -> float:
-    # x coordinate where the ray leaves the open cross of the two streets: its
-    # own street bounds x directly, the crossing street bounds y and projects
-    # onto x through the direction.  A zero width contributes nothing (the
-    # guard also avoids 0*inf at axis-parallel angles).
-    za = 0.5 * w_v
-    if w_h > 0.0:
-        if s == 0.0:
-            return UNBOUNDED
-        za = max(za, 0.5 * w_h * c / s)
-    return za
+# A path with no advance along an axis divides by zero there; the inf that
+# results is the right limit (an unreachable clearance or corner, a vertical
+# ray), and the products it leaves in unused branches are discarded.
+_IEEE_LIMITS = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _clearance_y(c: float, s: float, w_v: float, w_h: float) -> float:
-    za = 0.5 * w_h
-    if w_v > 0.0:
-        if c == 0.0:
-            return UNBOUNDED
-        za = max(za, 0.5 * w_v * s / c)
-    return za
+@_IEEE_LIMITS
+def _geometry(d, c, s, delta_h, h_v, w_v, w_h):
+    """The kernel's geometry stage over arrays of links.
+
+    d is the ground distance and c, s the absolute cosine and sine of the
+    azimuth.  Returns (za_x, zb_x, za_y, zb_y, h0): per axis the gap clearance
+    za and the UAV's ground coordinate zb, which bound the building sides that
+    could block the ray, and the height h0 the near-corner building must
+    exceed to block it (UNBOUNDED when the ray never meets the corner).
+    """
+    if not delta_h > 0.0:
+        raise ValueError("need h_uav > h_v for links above the vehicle")
+    # An axis's own street bounds its clearance directly; the other street
+    # bounds the other coordinate and projects through the direction (inf on
+    # a path parallel to it).  A zero width contributes nothing.
+    za_x = np.maximum(0.5 * w_v, 0.5 * w_h * c / s) if w_h > 0.0 else np.full_like(c, 0.5 * w_v)
+    za_y = np.maximum(0.5 * w_h, 0.5 * w_v * s / c) if w_v > 0.0 else np.full_like(c, 0.5 * w_h)
+    zb_x = d * c
+    zb_y = d * s
+    # The ray meets the corner where it clears the x gap; with both widths
+    # zero the corner stands at the vehicle itself and h0 is h_v.
+    h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
+    return za_x, zb_x, za_y, zb_y, h0
+
+
+@_IEEE_LIMITS
+def _axis_ramp(za, zb, delta_h, h_v, heights, lambda_s):
+    """Survival of one axis's building sides: exp(-lambda_s * survivor length).
+
+    The survivor length integrates P(side taller than the ray) over (za, zb).
+    The ray altitude is linear in z, so that probability is 1 until the ray
+    passes h_min, ramps linearly down, and is 0 once the ray clears h_max.
+    An empty interval (za >= zb) has length 0 and so factor 1.
+    """
+    slope = delta_h / zb
+    z1 = (heights.h_min - h_v) / slope
+    z2 = (heights.h_max - h_v) / slope
+    len_full = np.maximum(np.minimum(zb, z1) - za, 0.0)
+    lo = np.maximum(za, z1)
+    hi = np.minimum(zb, z2)
+    len_ramp = hi - lo
+    g_lo = slope * (z2 - lo) / heights.span
+    g_hi = slope * (z2 - hi) / heights.span
+    length = np.where(len_ramp > 0.0, len_full + 0.5 * (g_lo + g_hi) * len_ramp, len_full)
+    return np.exp(-lambda_s * length)
+
+
+def _kernel(d, c, s, delta_h, h_v, city, placement):
+    """The closed form over arrays of links: (corner, x axis, y axis) survivals."""
+    za_x, zb_x, za_y, zb_y, h0 = _geometry(d, c, s, delta_h, h_v, *effective_widths(city, placement))
+    heights, lambda_s = city.heights, city.lambda_s
+    return (
+        heights.cdf(h0),
+        _axis_ramp(za_x, zb_x, delta_h, h_v, heights, lambda_s),
+        _axis_ramp(za_y, zb_y, delta_h, h_v, heights, lambda_s),
+    )
+
+
+def _one(link: LinkGeometry):
+    # the kernel's leading (d, c, s, delta_h, h_v) arguments for one link
+    return (np.array([link.d]), np.array([link.cos_phi]), np.array([link.sin_phi]),
+            link.delta_h, link.h_v)
+
+
+def _link_limits(link: LinkGeometry, w_v: float, w_h: float):
+    """One link's corner height and both axis intervals from one geometry pass.
+
+    Returns (h0, (za_x, zb_x), (za_y, zb_y)); see corner_critical_height and
+    integration_limits for what each means.
+    """
+    za_x, zb_x, za_y, zb_y, h0 = (float(v[0]) for v in _geometry(*_one(link), w_v, w_h))
+    return h0, (za_x, zb_x), (za_y, zb_y)
 
 
 def corner_critical_height(link: LinkGeometry, w_v: float, w_h: float) -> float:
@@ -121,25 +189,14 @@ def corner_critical_height(link: LinkGeometry, w_v: float, w_h: float) -> float:
     corner cannot block.  With both widths zero the corner stands at the
     vehicle itself and the critical height is h_v.
     """
-    reach = _clearance_x(link.cos_phi, link.sin_phi, w_v, w_h)
-    if reach == 0.0:
-        return link.h_v
-    if reach == UNBOUNDED:
-        return UNBOUNDED
-    den = link.d * link.cos_phi
-    if den == 0.0:
-        return UNBOUNDED
-    return reach * link.delta_h / den + link.h_v
+    return _link_limits(link, w_v, w_h)[0]
 
 
 def corner_factor(
     link: LinkGeometry, w_v: float, w_h: float, heights: HeightDistribution
 ) -> float:
     """Probability the near-corner building is short enough to miss the ray."""
-    h0 = corner_critical_height(link, w_v, w_h)
-    if h0 == UNBOUNDED:
-        return 1.0
-    return float(heights.cdf(h0))
+    return float(heights.cdf(corner_critical_height(link, w_v, w_h)))
 
 
 def integration_limits(
@@ -151,48 +208,16 @@ def integration_limits(
     ground position.  An empty interval (za >= zb) means no side on this axis
     can interfere and the survival factor is 1.
     """
-    w_v, w_h = effective_widths(city, placement)
-    if axis is Axis.X:
-        za = _clearance_x(link.cos_phi, link.sin_phi, w_v, w_h)
-        zb = link.d * link.cos_phi
-    else:
-        za = _clearance_y(link.cos_phi, link.sin_phi, w_v, w_h)
-        zb = link.d * link.sin_phi
-    return za, zb
-
-
-def _survivor_length(
-    za: float, zb: float, zeta: float, delta_h: float, h_v: float, heights: HeightDistribution
-) -> float:
-    # Integral over (za, zb) of P(side taller than the ray).  The ray altitude
-    # is linear in z, so the survival probability is 1 until the ray passes
-    # h_min, ramps linearly down, and is 0 once the ray clears h_max.
-    slope = delta_h / zeta
-    z1 = (heights.h_min - h_v) / slope
-    z2 = (heights.h_max - h_v) / slope
-    len_full = min(zb, z1) - za
-    if len_full < 0.0:
-        len_full = 0.0
-    lo = max(za, z1)
-    hi = min(zb, z2)
-    len_ramp = hi - lo
-    if len_ramp <= 0.0:
-        return len_full
-    g_lo = slope * (z2 - lo) / heights.span
-    g_hi = slope * (z2 - hi) / heights.span
-    return len_full + 0.5 * (g_lo + g_hi) * len_ramp
+    _, x, y = _link_limits(link, *effective_widths(city, placement))
+    return x if axis is Axis.X else y
 
 
 def axis_factor(
     link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
 ) -> float:
     """Probability no building side on this axis blocks the ray (closed form)."""
-    za, zb = integration_limits(link, city, axis, placement)
-    if not za < zb:
-        return 1.0
-    zeta = zb  # upper limit equals the projected path length on this axis
-    length = _survivor_length(za, zb, zeta, link.delta_h, link.h_v, city.heights)
-    return math.exp(-city.lambda_s * length)
+    _, fx, fy = _kernel(*_one(link), city, placement)
+    return float((fx if axis is Axis.X else fy)[0])
 
 
 def axis_factor_quadrature(
@@ -234,27 +259,8 @@ def axis_factor_quadrature(
 
 def los_probability(link: LinkGeometry, city: CityModel, placement: Placement) -> float:
     """Per-link LoS probability: corner survival times both axis survivals."""
-    w_v, w_h = effective_widths(city, placement)
-    p = corner_factor(link, w_v, w_h, city.heights)
-    p *= axis_factor(link, city, Axis.X, placement)
-    p *= axis_factor(link, city, Axis.Y, placement)
-    return p
-
-
-def _axis_factor_batch(za, zb, delta_h, h_v, heights, lambda_s):
-    valid = za < zb
-    slope = np.where(zb > 0.0, delta_h / np.where(zb > 0.0, zb, 1.0), np.inf)
-    z1 = (heights.h_min - h_v) / slope
-    z2 = (heights.h_max - h_v) / slope
-    len_full = np.minimum(zb, z1) - za
-    len_full = np.where(len_full < 0.0, 0.0, len_full)
-    lo = np.maximum(za, z1)
-    hi = np.minimum(zb, z2)
-    len_ramp = hi - lo
-    g_lo = slope * (z2 - lo) / heights.span
-    g_hi = slope * (z2 - hi) / heights.span
-    length = np.where(len_ramp > 0.0, len_full + 0.5 * (g_lo + g_hi) * len_ramp, len_full)
-    return np.where(valid, np.exp(-lambda_s * np.where(valid, length, 0.0)), 1.0)
+    corner, fx, fy = _kernel(*_one(link), city, placement)
+    return float((corner * fx * fy)[0])
 
 
 def los_probability_batch(
@@ -265,39 +271,11 @@ def los_probability_batch(
     city: CityModel,
     placement: Placement,
 ) -> np.ndarray:
-    """Vectorized los_probability over parallel arrays of distance and azimuth.
+    """los_probability over parallel arrays of distance and azimuth.
 
     Angles may be raw (unfolded); the absolute trig values implement the same
     quadrant folding as LinkGeometry.
     """
-    w_v, w_h = effective_widths(city, placement)
-    heights = city.heights
     d = np.asarray(d, dtype=float)
-    c = np.abs(np.cos(phi))
-    s = np.abs(np.sin(phi))
-    delta_h = h_uav - h_v
-    if delta_h <= 0.0:
-        raise ValueError("need h_uav > h_v for links above the vehicle")
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # per-axis gap clearance, matching _clearance_x/_clearance_y
-        za_x = np.full_like(d, 0.5 * w_v)
-        if w_h > 0.0:
-            za_x = np.maximum(za_x, np.where(s > 0.0, 0.5 * w_h * c / np.where(s > 0.0, s, 1.0), np.inf))
-        za_y = np.full_like(d, 0.5 * w_h)
-        if w_v > 0.0:
-            za_y = np.maximum(za_y, np.where(c > 0.0, 0.5 * w_v * s / np.where(c > 0.0, c, 1.0), np.inf))
-
-        zb_x = d * c
-        zb_y = d * s
-
-        # corner survival
-        den = zb_x
-        finite = np.isfinite(za_x) & (den > 0.0)
-        h0 = np.where(finite, za_x * delta_h / np.where(den > 0.0, den, 1.0) + h_v, np.inf)
-        h0 = np.where(za_x == 0.0, h_v, h0)
-        corner = np.clip((h0 - heights.h_min) / heights.span, 0.0, 1.0)
-
-        fx = _axis_factor_batch(za_x, zb_x, delta_h, h_v, heights, city.lambda_s)
-        fy = _axis_factor_batch(za_y, zb_y, delta_h, h_v, heights, city.lambda_s)
+    corner, fx, fy = _kernel(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)), h_uav - h_v, h_v, city, placement)
     return corner * fx * fy

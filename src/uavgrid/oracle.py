@@ -3,8 +3,10 @@
 Instead of integrating, draw the street crossings on each axis as actual
 Poisson points with iid uniform heights, draw the corner building, and test
 the ray against every obstacle.  Slow but assumption-free past the shared
-geometric primitives; the closed forms must agree with it to Monte Carlo
-precision.
+geometric primitives: the corner height and the two axis intervals, taken
+from one pass of the closed-form kernel's geometry stage per link.  The
+survival factors are not shared, and the closed form must agree with the
+traced rays to Monte Carlo precision.
 """
 
 from __future__ import annotations
@@ -15,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CityModel, PRESETS, RadioParams, ground_range
-from .los import (
-    Axis,
-    LinkGeometry,
-    Placement,
-    UNBOUNDED,
-    corner_critical_height,
-    effective_widths,
-    integration_limits,
-    los_probability,
-)
+from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 
 @dataclass(frozen=True)
@@ -59,15 +52,13 @@ def link_blocked(
     placement: Placement,
 ) -> bool:
     """Trace the ray through one explicit city draw."""
-    w_v, w_h = effective_widths(city, placement)
-    h0 = corner_critical_height(link, w_v, w_h)
-    if h0 != UNBOUNDED and draw.corner_height > h0:
+    h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
+    if draw.corner_height > h0:
         return True
-    for axis, pos, height in (
-        (Axis.X, draw.x_pos, draw.x_height),
-        (Axis.Y, draw.y_pos, draw.y_height),
+    for (za, zb), pos, height in (
+        (limits_x, draw.x_pos, draw.x_height),
+        (limits_y, draw.y_pos, draw.y_height),
     ):
-        za, zb = integration_limits(link, city, axis, placement)
         if not za < zb:
             continue
         zeta = zb
@@ -78,13 +69,6 @@ def link_blocked(
         if np.any(height[inside] > crit):
             return True
     return False
-
-
-def _axis_extent(link: LinkGeometry, city: CityModel, axis: Axis) -> float:
-    # cover every position that could matter for either placement, plus one
-    # mean period of slack past the path end
-    zb = link.d * (link.cos_phi if axis is Axis.X else link.sin_phi)
-    return zb + city.mu_s + city.mu_b
 
 
 def empirical_los_probability(
@@ -101,19 +85,15 @@ def empirical_los_probability(
     """
     if n <= 0:
         raise ValueError("need n >= 1")
-    w_v, w_h = effective_widths(city, placement)
-    extent_x = _axis_extent(link, city, Axis.X)
-    extent_y = _axis_extent(link, city, Axis.Y)
+    h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
 
-    blocked = np.zeros(n, dtype=bool)
+    # an unbounded h0 blocks nothing
+    blocked = city.heights.sample(rng, n) > h0
 
-    h0 = corner_critical_height(link, w_v, w_h)
-    corner_heights = city.heights.sample(rng, n)
-    if h0 != UNBOUNDED:
-        blocked |= corner_heights > h0
-
-    for axis, extent in ((Axis.X, extent_x), (Axis.Y, extent_y)):
-        za, zb = integration_limits(link, city, axis, placement)
+    for za, zb in (limits_x, limits_y):
+        # every position that could matter for either placement, plus one
+        # mean period of slack past the path end
+        extent = zb + city.mu_s + city.mu_b
         counts = rng.poisson(city.lambda_s * extent, n)
         total = int(counts.sum())
         pos = rng.uniform(0.0, extent, total)

@@ -29,6 +29,15 @@ def test_link_geometry_validation():
         LinkGeometry(d=10.0, phi=0.0, h_uav=10.0, h_v=10.0)
     with pytest.raises(ValueError):
         LinkGeometry(d=10.0, phi=0.0, h_uav=5.0, h_v=-1.0)
+    # non-finite links fail closed instead of scoring nan or raising elsewhere
+    for bad in ({"d": math.nan}, {"d": math.inf}, {"phi": math.nan}, {"phi": math.inf},
+                {"h_uav": math.nan}, {"h_uav": math.inf}, {"h_v": math.nan}, {"h_v": math.inf}):
+        with pytest.raises(ValueError):
+            LinkGeometry(**{"d": 10.0, "phi": 0.0, "h_uav": 100.0, "h_v": 10.0, **bad})
+    d, phi = np.array([10.0]), np.array([0.3])
+    for h_uav, h_v in ((10.0, 10.0), (math.nan, 10.0), (100.0, math.nan)):
+        with pytest.raises(ValueError):
+            los_probability_batch(d, phi, h_uav, h_v, URBAN, Placement.STREET)
 
 
 def test_link_geometry_folds_angles():
@@ -178,16 +187,28 @@ def test_street_equals_intersection_beyond_diagonal():
     assert los_probability(lk, URBAN, Placement.STREET) == los_probability(lk, URBAN, Placement.INTERSECTION)
 
 
+def _quadrature_reference(d, phi, h_uav, city, pl):
+    # corner survival times both axis survivals, each axis integrated by quad
+    w_v, w_h = effective_widths(city, pl)
+    want = []
+    for a, b in zip(d, phi):
+        lk = LinkGeometry(d=float(a), phi=float(b), h_uav=h_uav, h_v=10.0)
+        want.append(corner_factor(lk, w_v, w_h, city.heights)
+                    * axis_factor_quadrature(lk, city, Axis.X, pl)
+                    * axis_factor_quadrature(lk, city, Axis.Y, pl))
+    return want
+
+
 def test_batch_matches_scalar():
+    """The batch kernel against per-link quadrature of both axis integrals."""
     rng = np.random.default_rng(11)
     d = rng.uniform(0.0, 240.0, 400)
     phi = rng.uniform(0.0, 2.0 * math.pi, 400)
     for city in PRESETS.values():
         for pl in (Placement.INTERSECTION, Placement.STREET):
             got = los_probability_batch(d, phi, 120.0, 10.0, city, pl)
-            want = [los_probability(LinkGeometry(d=float(a), phi=float(b), h_uav=120.0, h_v=10.0), city, pl)
-                    for a, b in zip(d, phi)]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            want = _quadrature_reference(d, phi, 120.0, city, pl)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_batch_handles_degenerate_links():
@@ -195,9 +216,21 @@ def test_batch_handles_degenerate_links():
     phi = np.array([0.0, 0.5 * math.pi, 0.25 * math.pi, 1.0])
     for pl in (Placement.INTERSECTION, Placement.STREET):
         got = los_probability_batch(d, phi, 100.0, 10.0, URBAN, pl)
-        want = [los_probability(LinkGeometry(d=float(a), phi=float(b), h_uav=100.0, h_v=10.0), URBAN, pl)
-                for a, b in zip(d, phi)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        want = _quadrature_reference(d, phi, 100.0, URBAN, pl)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert np.all((0.0 <= got) & (got <= 1.0))
     # a UAV straight overhead is always visible
     assert los_probability_batch(np.zeros(1), np.ones(1), 100.0, 10.0, URBAN, Placement.STREET)[0] == 1.0
+
+
+def test_scalar_is_the_batch_kernel_bit_for_bit():
+    rng = np.random.default_rng(17)
+    d = rng.uniform(0.0, 240.0, 300)
+    phi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 300)
+    h_uav = rng.uniform(11.0, 250.0, 300)
+    for city in PRESETS.values():
+        for pl in (Placement.INTERSECTION, Placement.STREET):
+            for a, b, h in zip(d, phi, h_uav):
+                lk = LinkGeometry(d=float(a), phi=float(b), h_uav=float(h), h_v=10.0)
+                batch = los_probability_batch(np.array([a]), np.array([b]), float(h), 10.0, city, pl)[0]
+                assert los_probability(lk, city, pl) == batch
