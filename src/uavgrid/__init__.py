@@ -11,15 +11,12 @@ from .geometry import (
     CityModel,
     HeightDistribution,
     InvalidGeometryError,
-    NetworkRealization,
     PRESETS,
     RadioParams,
     SamplingEnvelope,
     ground_range,
     intersection_weight,
-    restrict,
     sample_envelope_points,
-    sample_realization,
 )
 from .los import (
     Axis,
@@ -36,11 +33,8 @@ from .los import (
     los_probability_batch,
 )
 from .oracle import (
-    ExplicitCityDraw,
     ValidationCase,
     empirical_los_probability,
-    link_blocked,
-    sample_city,
     validation_sweep,
 )
 from .connectivity import (
@@ -48,7 +42,6 @@ from .connectivity import (
     MixtureCDF,
     PlacementMode,
     ScenarioConfig,
-    conditional_connectivity,
     estimate_distribution,
     mixture_cdf,
     outage,
@@ -70,14 +63,12 @@ __all__ = [
     "CityModel",
     "ContourGrid",
     "EmpiricalDistribution",
-    "ExplicitCityDraw",
     "HeightDistribution",
     "HeightSearchSpec",
     "InfeasibleSearchError",
     "InvalidGeometryError",
     "LinkGeometry",
     "MixtureCDF",
-    "NetworkRealization",
     "PRESETS",
     "Placement",
     "PlacementMode",
@@ -88,7 +79,6 @@ __all__ = [
     "ValidationCase",
     "axis_factor",
     "axis_factor_quadrature",
-    "conditional_connectivity",
     "corner_critical_height",
     "corner_factor",
     "effective_widths",
@@ -98,7 +88,6 @@ __all__ = [
     "ground_range",
     "integration_limits",
     "intersection_weight",
-    "link_blocked",
     "los_probability",
     "los_probability_batch",
     "min_density_for_outage",
@@ -106,10 +95,7 @@ __all__ = [
     "optimize_height",
     "outage",
     "outage_grid",
-    "restrict",
-    "sample_city",
     "sample_envelope_points",
-    "sample_realization",
     "sweep_contour",
     "validation_sweep",
 ]

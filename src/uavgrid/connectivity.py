@@ -35,7 +35,6 @@ import numpy as np
 from .geometry import (
     CityModel,
     InvalidGeometryError,
-    NetworkRealization,
     RadioParams,
     SamplingEnvelope,
     ground_range,
@@ -103,17 +102,6 @@ def check_run(n_realizations: int, seed: int, workers: int, chunk_size: int) -> 
         raise ValueError("seed must lie in [0, 2**64)")
     if workers < 1 or chunk_size < 1:
         raise ValueError("workers and chunk_size must be >= 1")
-
-
-def conditional_connectivity(
-    realization: NetworkRealization,
-    city: CityModel,
-    radio: RadioParams,
-    placement: Placement,
-) -> float:
-    """Connectivity level of one constellation: 1 - prod(1 - p_LoS)."""
-    p = los_probability_batch(realization.d, realization.phi, radio.h_uav, radio.h_v, city, placement)
-    return 1.0 - float(np.prod(1.0 - p))
 
 
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
@@ -292,7 +280,8 @@ def _chunk_outage_counts(task):
 def _map_tasks(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-started pool starts all of its processes at once: start no idle ones
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 

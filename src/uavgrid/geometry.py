@@ -137,17 +137,6 @@ def ground_range(radio: RadioParams) -> float:
 
 
 @dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled constellation: ground distances and azimuths, sorted by d."""
-
-    d: np.ndarray
-    phi: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.d.shape[0])
-
-
-@dataclass(frozen=True)
 class SamplingEnvelope:
     """Superset point process that concrete scenarios are carved out of.
 
@@ -183,40 +172,3 @@ def sample_envelope_points(
     mark = u[:, 2]
     order = np.argsort(d, kind="stable")
     return d[order], phi[order], mark[order]
-
-
-def restrict(
-    d: np.ndarray,
-    phi: np.ndarray,
-    mark: np.ndarray,
-    envelope: SamplingEnvelope,
-    lambda_uav: float,
-    d_max: float,
-) -> NetworkRealization:
-    """Carve the scenario (lambda_uav, d_max) out of an envelope draw."""
-    if lambda_uav > envelope.lambda_cap:
-        raise InvalidGeometryError("lambda_uav exceeds the envelope cap")
-    if d_max > envelope.d_cap:
-        raise InvalidGeometryError("d_max exceeds the envelope cap")
-    keep = (mark < lambda_uav / envelope.lambda_cap) & (d <= d_max)
-    return NetworkRealization(d=d[keep], phi=phi[keep])
-
-
-def sample_realization(
-    radio: RadioParams,
-    rng: np.random.Generator,
-    envelope: SamplingEnvelope | None = None,
-) -> NetworkRealization:
-    """Sample one UAV constellation inside the ground disk.
-
-    With an explicit envelope the draw consumes the envelope's uniform stream
-    and keeps the subset matching this scenario; without one, a tight envelope
-    is built so that every candidate is kept.
-    """
-    d_max = ground_range(radio)
-    if envelope is None:
-        if radio.lambda_uav == 0.0:
-            return NetworkRealization(d=np.empty(0), phi=np.empty(0))
-        envelope = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=d_max)
-    d, phi, mark = sample_envelope_points(envelope, rng)
-    return restrict(d, phi, mark, envelope, radio.lambda_uav, d_max)

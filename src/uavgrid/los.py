@@ -274,8 +274,14 @@ def los_probability_batch(
     """los_probability over parallel arrays of distance and azimuth.
 
     Angles may be raw (unfolded); the absolute trig values implement the same
-    quadrant folding as LinkGeometry.
+    quadrant folding as LinkGeometry, and the arrays must pass its checks:
+    finite d >= 0 and finite phi (ValueError otherwise).
     """
     d = np.asarray(d, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    # min and max carry NaN through, and comparisons written so that NaN fails them
+    if not (0.0 <= d.min(initial=0.0) and d.max(initial=0.0) < math.inf
+            and -math.inf < phi.min(initial=0.0) and phi.max(initial=0.0) < math.inf):
+        raise ValueError("links need finite d >= 0 and finite phi")
     corner, fx, fy = _kernel(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)), h_uav - h_v, h_v, city, placement)
     return corner * fx * fy

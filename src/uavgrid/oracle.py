@@ -20,57 +20,6 @@ from .geometry import CityModel, PRESETS, RadioParams, ground_range
 from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 
-@dataclass(frozen=True)
-class ExplicitCityDraw:
-    """One explicit city: side positions and heights per axis, corner height."""
-
-    x_pos: np.ndarray
-    x_height: np.ndarray
-    y_pos: np.ndarray
-    y_height: np.ndarray
-    corner_height: float
-
-
-def sample_city(
-    city: CityModel, extent_x: float, extent_y: float, rng: np.random.Generator
-) -> ExplicitCityDraw:
-    """Draw building sides over [0, extent] on each axis plus the corner."""
-    nx = rng.poisson(city.lambda_s * extent_x)
-    x_pos = rng.uniform(0.0, extent_x, nx)
-    x_height = city.heights.sample(rng, nx)
-    ny = rng.poisson(city.lambda_s * extent_y)
-    y_pos = rng.uniform(0.0, extent_y, ny)
-    y_height = city.heights.sample(rng, ny)
-    corner = float(city.heights.sample(rng, 1)[0])
-    return ExplicitCityDraw(x_pos, x_height, y_pos, y_height, corner)
-
-
-def link_blocked(
-    draw: ExplicitCityDraw,
-    link: LinkGeometry,
-    city: CityModel,
-    placement: Placement,
-) -> bool:
-    """Trace the ray through one explicit city draw."""
-    h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
-    if draw.corner_height > h0:
-        return True
-    for (za, zb), pos, height in (
-        (limits_x, draw.x_pos, draw.x_height),
-        (limits_y, draw.y_pos, draw.y_height),
-    ):
-        if not za < zb:
-            continue
-        zeta = zb
-        inside = (pos > za) & (pos < zb)
-        if not inside.any():
-            continue
-        crit = pos[inside] * link.delta_h / zeta + link.h_v
-        if np.any(height[inside] > crit):
-            return True
-    return False
-
-
 def empirical_los_probability(
     link: LinkGeometry,
     city: CityModel,
@@ -81,7 +30,8 @@ def empirical_los_probability(
     """Estimate the LoS probability by tracing n independent city draws.
 
     Returns (p_hat, standard error).  Vectorized over draws; semantics match
-    tracing sample_city draws through link_blocked one at a time.
+    tracing one explicit city draw at a time, as the scalar tracer in
+    tests/test_oracle.py does.
     """
     if n <= 0:
         raise ValueError("need n >= 1")

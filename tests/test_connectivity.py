@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import (
+    ChunkLayout,
     EmpiricalDistribution,
     EnvelopeDraw,
     ScenarioConfig,
+    _chunk_score_arrays,
     _draw_chunk,
-    conditional_connectivity,
+    _map_tasks,
     estimate_distribution,
     mixture_cdf,
     outage,
@@ -15,52 +18,66 @@ from uavgrid.connectivity import (
 from uavgrid.geometry import (
     PRESETS,
     InvalidGeometryError,
-    NetworkRealization,
     RadioParams,
     SamplingEnvelope,
     ground_range,
     sample_envelope_points,
-    sample_realization,
 )
-from uavgrid.los import LinkGeometry, Placement, los_probability
+from uavgrid.los import LinkGeometry, Placement, los_probability, los_probability_batch
 
 URBAN = PRESETS["urban"]
 RADIO = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
+PLACEMENTS = (Placement.INTERSECTION, Placement.STREET)
 
 
-def _realization(pairs):
-    return NetworkRealization(
-        d=np.array([p[0] for p in pairs], dtype=float),
-        phi=np.array([p[1] for p in pairs], dtype=float),
-    )
+def _layout(*rows):
+    """A hand-built chunk layout: one realization per row of (d, phi) links, in mark order."""
+    width = max([len(row) for row in rows] + [1])
+    marks = np.full((len(rows), width), np.inf)
+    d, phi, slot = [], [], []
+    for i, row in enumerate(rows):
+        for k, (dk, phik) in enumerate(row):
+            d.append(dk)
+            phi.append(phik)
+            slot.append(i * width + k)
+            marks[i, k] = (k + 1) / (width + 1)
+    return ChunkLayout(np.array(d, dtype=float), np.array(phi, dtype=float),
+                       np.array(slot, dtype=np.int64), marks)
+
+
+def _scores(*rows):
+    """Connectivity 1 - prod(1 - p_LoS) of each row under RADIO, per placement in PLACEMENTS."""
+    return _chunk_score_arrays((_layout(*rows), URBAN, RADIO.h_v, RADIO.r_max, [RADIO.h_uav], PLACEMENTS))
+
+
+def _p(d, phi, placement):
+    return los_probability(LinkGeometry(d=d, phi=phi, h_uav=100.0, h_v=10.0), URBAN, placement)
 
 
 def test_conditional_connectivity_empty_is_zero():
-    assert conditional_connectivity(_realization([]), URBAN, RADIO, Placement.INTERSECTION) == 0.0
+    assert np.array_equal(_scores([]), np.zeros((2, 1)))
 
 
 def test_conditional_connectivity_single_uav():
-    real = _realization([(150.0, 1.0)])
-    lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
-    for pl in (Placement.INTERSECTION, Placement.STREET):
-        assert conditional_connectivity(real, URBAN, RADIO, pl) == pytest.approx(
-            los_probability(lk, URBAN, pl), rel=1e-15)
+    got = _scores([(150.0, 1.0)])
+    for ip, pl in enumerate(PLACEMENTS):
+        assert got[ip, 0] == pytest.approx(_p(150.0, 1.0, pl), rel=1e-15)
 
 
 def test_conditional_connectivity_two_uav_product():
     pairs = [(150.0, 1.0), (90.0, 0.4)]
-    ps = [los_probability(LinkGeometry(d=d, phi=phi, h_uav=100.0, h_v=10.0), URBAN, Placement.INTERSECTION)
-          for d, phi in pairs]
-    want = 1.0 - (1.0 - ps[0]) * (1.0 - ps[1])
-    got = conditional_connectivity(_realization(pairs), URBAN, RADIO, Placement.INTERSECTION)
-    assert got == pytest.approx(want, rel=1e-15)
+    got = _scores(pairs)
+    for ip, pl in enumerate(PLACEMENTS):
+        ps = [_p(d, phi, pl) for d, phi in pairs]
+        want = 1.0 - (1.0 - ps[0]) * (1.0 - ps[1])
+        assert got[ip, 0] == pytest.approx(want, rel=1e-15)
 
 
 def test_adding_a_uav_never_hurts():
     base = [(150.0, 1.0), (90.0, 0.4)]
-    a = conditional_connectivity(_realization(base), URBAN, RADIO, Placement.INTERSECTION)
-    b = conditional_connectivity(_realization(base + [(60.0, 2.5)]), URBAN, RADIO, Placement.INTERSECTION)
-    assert b >= a
+    # realizations of one chunk, scored side by side
+    a, b = _scores(base, base + [(60.0, 2.5)]).T
+    assert np.all(b >= a)
 
 
 def test_empirical_distribution_evaluate():
@@ -88,19 +105,26 @@ def _fresh_stream(seed, index):
 
 
 def test_estimate_matches_scalar_pipeline():
-    """The chunked batch estimator reproduces the per-realization loop."""
+    """The chunked batch estimator reproduces a per-realization loop."""
     n = 256
-    cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, chunk_size=100)
-    dists = estimate_distribution(cfg)
-    env = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
-    scores = {pl: [] for pl in (Placement.INTERSECTION, Placement.STREET)}
-    for i in range(n):
-        real = sample_realization(RADIO, _fresh_stream(42, i), env)
-        for pl in scores:
-            scores[pl].append(conditional_connectivity(real, URBAN, RADIO, pl))
-    for pl, dist in dists.items():
-        assert dist.n == n
-        np.testing.assert_allclose(np.sort(scores[pl]), dist.samples, rtol=1e-12, atol=1e-13)
+    d_max = ground_range(RADIO)
+    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
+    # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
+    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
+    for env in (tight, loose):
+        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, chunk_size=100,
+                             envelope=env)
+        dists = estimate_distribution(cfg)
+        scores = {pl: [] for pl in PLACEMENTS}
+        for i in range(n):
+            d, phi, mark = sample_envelope_points(env, _fresh_stream(42, i))
+            keep = (mark < RADIO.lambda_uav / env.lambda_cap) & (d <= d_max)
+            for pl in scores:
+                p = los_probability_batch(d[keep], phi[keep], RADIO.h_uav, RADIO.h_v, URBAN, pl)
+                scores[pl].append(1.0 - np.prod(1.0 - p))
+        for pl, dist in dists.items():
+            assert dist.n == n
+            np.testing.assert_allclose(np.sort(scores[pl]), dist.samples, rtol=1e-12, atol=1e-13)
 
 
 def test_chunk_stream_matches_fresh_generators():
@@ -164,10 +188,23 @@ def test_nesting_in_density_and_range():
 
 
 def test_envelope_must_cover_scenario():
-    env = SamplingEnvelope(lambda_cap=10e-6, d_cap=ground_range(RADIO))
-    cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=10, seed=0, envelope=env)
-    with pytest.raises(InvalidGeometryError):
-        estimate_distribution(cfg)
+    """A scenario is carved out of its envelope, so both caps must cover it."""
+    env = SamplingEnvelope(lambda_cap=10e-6, d_cap=200.0)
+    over_lambda = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
+    over_range = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=10e-6)
+    assert ground_range(over_range) > env.d_cap
+    for radio in (over_lambda, over_range):
+        cfg = ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0, envelope=env)
+        with pytest.raises(InvalidGeometryError):
+            estimate_distribution(cfg)
+        with pytest.raises(InvalidGeometryError):
+            outage_grid(URBAN, radio.r_max, radio.h_v, [radio.lambda_uav], [radio.h_uav], 0.8, 10, 0,
+                        envelope=env)
+    # at the caps themselves the scenario is covered
+    at_caps = SamplingEnvelope(lambda_cap=10e-6, d_cap=ground_range(over_range))
+    estimate_distribution(ScenarioConfig(city=URBAN, radio=over_range, n_realizations=10, seed=0,
+                                         envelope=at_caps))
+    outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, envelope=at_caps)
 
 
 def test_mixture_weight_and_ordering():
@@ -268,3 +305,34 @@ def test_outage_grid_scores_a_shared_draw():
         with pytest.raises(ValueError):
             EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10,
                             "chunk_size": 4, "frac_top": 1.0, **bad})
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(connectivity, "ProcessPoolExecutor", RecordingPool)
+    assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    # three chunks of 1000 realizations ask for three processes at most
+    outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64, chunk_size=1000)
+    estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=5,
+                                         workers=2, chunk_size=1000))
+    assert sizes == [3, 3, 2]
+    # a single task or a single worker never builds a pool
+    _map_tasks(abs, [-1], 64)
+    _map_tasks(abs, [-1, 2], 1)
+    assert sizes == [3, 3, 2]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavgrid.connectivity import ScenarioConfig, _chunk_layout, estimate_distribution
 from uavgrid.geometry import (
     PRESETS,
     CityModel,
@@ -12,9 +13,7 @@ from uavgrid.geometry import (
     SamplingEnvelope,
     ground_range,
     intersection_weight,
-    restrict,
     sample_envelope_points,
-    sample_realization,
 )
 
 
@@ -99,18 +98,27 @@ def test_ground_range_value(radio):
     assert ground_range(radio) == pytest.approx(233.23807579381202, rel=1e-15)
 
 
-def test_sample_realization_empty_at_zero_density(rng):
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
-    assert len(sample_realization(radio, rng)) == 0
+def _tight(radio):
+    # the envelope at the scenario's own caps keeps every point it draws
+    return SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio))
+
+
+def test_sample_realization_empty_at_zero_density():
+    # zero density is mark fraction 0 of any envelope, which no mark is below
+    env = SamplingEnvelope(lambda_cap=20e-6, d_cap=233.0)
+    layout = _chunk_layout(env, 1234, 0, 50, 0.0)
+    assert layout.d.size == 0 and layout.slot.size == 0
+    assert np.all(np.isinf(layout.marks))
 
 
 def test_sample_realization_properties(radio, rng):
     d_max = ground_range(radio)
     for _ in range(20):
-        real = sample_realization(radio, rng)
-        assert np.all(np.diff(real.d) >= 0.0)
-        assert np.all(real.d <= d_max)
-        assert np.all((0.0 <= real.phi) & (real.phi < 2.0 * math.pi))
+        d, phi, mark = sample_envelope_points(_tight(radio), rng)
+        assert np.all(np.diff(d) >= 0.0)
+        assert np.all(d <= d_max)
+        assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
+        assert np.all((0.0 <= mark) & (mark < 1.0))
 
 
 def test_mean_count_matches_intensity(radio):
@@ -118,7 +126,7 @@ def test_mean_count_matches_intensity(radio):
     n = 20_000
     mean = 20e-6 * math.pi * ground_range(radio) ** 2
     assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
-    counts = [len(sample_realization(radio, rng)) for _ in range(n)]
+    counts = [sample_envelope_points(_tight(radio), rng)[0].size for _ in range(n)]
     # 3 sigma band for the sample mean of a Poisson count
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
@@ -133,37 +141,30 @@ def test_envelope_validation():
             SamplingEnvelope(*bad)
 
 
-def test_restrict_rejects_uncovered_scenarios():
-    env = SamplingEnvelope(lambda_cap=1e-5, d_cap=100.0)
-    d, phi, mark = sample_envelope_points(env, np.random.default_rng(0))
-    with pytest.raises(InvalidGeometryError):
-        restrict(d, phi, mark, env, 2e-5, 100.0)
-    with pytest.raises(InvalidGeometryError):
-        restrict(d, phi, mark, env, 1e-5, 101.0)
-
-
 def test_restrict_nesting():
-    """Thinning to a smaller density or radius keeps a subset of the points."""
+    """Carving a smaller density out of one envelope draw keeps a prefix of each row."""
     env = SamplingEnvelope(lambda_cap=4e-5, d_cap=200.0)
-    d, phi, mark = sample_envelope_points(env, np.random.default_rng(7))
-    big = restrict(d, phi, mark, env, 4e-5, 200.0)
-    small_lam = restrict(d, phi, mark, env, 1e-5, 200.0)
-    small_d = restrict(d, phi, mark, env, 4e-5, 120.0)
-    assert len(big.d) == len(d)
-    assert set(small_lam.d) <= set(big.d)
-    assert set(small_d.d) <= set(big.d)
-    assert np.all(small_d.d <= 120.0)
+    big = _chunk_layout(env, 7, 0, 64, 1.0)
+    small = _chunk_layout(env, 7, 0, 64, 0.25)
+    assert 0 < small.d.size < big.d.size
+    assert set(small.d) <= set(big.d)
+    # every row keeps its marks below 0.25, lowest first, and nothing else
+    width = small.marks.shape[1]
+    assert np.array_equal(small.marks, np.where(big.marks[:, :width] < 0.25, big.marks[:, :width], np.inf))
+    assert np.all(big.marks[:, width:] >= 0.25)
 
 
 def test_envelope_path_matches_direct_sampling(radio):
-    # an envelope at the scenario's own caps draws the identical realization
-    env = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio))
-    a = sample_realization(radio, np.random.default_rng(42))
-    b = sample_realization(radio, np.random.default_rng(42), env)
-    assert np.array_equal(a.d, b.d) and np.array_equal(a.phi, b.phi)
+    # an envelope at the scenario's own caps draws the identical realizations
+    direct = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
+                                                  seed=42))
+    carved = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
+                                                  seed=42, envelope=_tight(radio)))
+    for pl in direct:
+        assert np.array_equal(direct[pl].samples, carved[pl].samples)
 
 
 def test_same_seed_reproduces(radio):
-    a = sample_realization(radio, np.random.default_rng(5))
-    b = sample_realization(radio, np.random.default_rng(5))
-    assert np.array_equal(a.d, b.d) and np.array_equal(a.phi, b.phi)
+    a = sample_envelope_points(_tight(radio), np.random.default_rng(5))
+    b = sample_envelope_points(_tight(radio), np.random.default_rng(5))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -38,6 +38,16 @@ def test_link_geometry_validation():
     for h_uav, h_v in ((10.0, 10.0), (math.nan, 10.0), (100.0, math.nan)):
         with pytest.raises(ValueError):
             los_probability_batch(d, phi, h_uav, h_v, URBAN, Placement.STREET)
+    # the batch arrays pass LinkGeometry's checks too, alone or among good links
+    bad_links = [([math.nan], [0.3]), ([-50.0], [0.3]), ([math.inf], [0.3]), ([50.0], [math.inf]),
+                 ([50.0], [math.nan]), ([50.0], [-math.inf]),
+                 ([math.nan, -50.0, 50.0], [0.3, 0.3, math.inf]), ([50.0, -1e-300], [0.3, 0.3])]
+    for bad_d, bad_phi in bad_links:
+        for pl in (Placement.INTERSECTION, Placement.STREET):
+            with pytest.raises(ValueError):
+                los_probability_batch(np.array(bad_d), np.array(bad_phi), 100.0, 10.0, URBAN, pl)
+    empty = los_probability_batch(np.empty(0), np.empty(0), 100.0, 10.0, URBAN, Placement.STREET)
+    assert empty.shape == (0,)
 
 
 def test_link_geometry_folds_angles():

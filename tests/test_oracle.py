@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -7,18 +8,70 @@ from uavgrid.los import (
     Axis,
     LinkGeometry,
     Placement,
+    _link_limits,
     corner_critical_height,
+    effective_widths,
     integration_limits,
 )
-from uavgrid.oracle import (
-    ExplicitCityDraw,
-    empirical_los_probability,
-    link_blocked,
-    sample_city,
-    validation_sweep,
-)
+from uavgrid.oracle import empirical_los_probability, validation_sweep
 
 URBAN = PRESETS["urban"]
+
+
+# The scalar tracer: one explicit city per call, one ray at a time.  It is the
+# plain-loop reference that empirical_los_probability's vectorized count must
+# reproduce (test_empirical_matches_plain_loop).
+
+
+@dataclass(frozen=True)
+class ExplicitCityDraw:
+    """One explicit city: side positions and heights per axis, corner height."""
+
+    x_pos: np.ndarray
+    x_height: np.ndarray
+    y_pos: np.ndarray
+    y_height: np.ndarray
+    corner_height: float
+
+
+def sample_city(
+    city: CityModel, extent_x: float, extent_y: float, rng: np.random.Generator
+) -> ExplicitCityDraw:
+    """Draw building sides over [0, extent] on each axis plus the corner."""
+    nx = rng.poisson(city.lambda_s * extent_x)
+    x_pos = rng.uniform(0.0, extent_x, nx)
+    x_height = city.heights.sample(rng, nx)
+    ny = rng.poisson(city.lambda_s * extent_y)
+    y_pos = rng.uniform(0.0, extent_y, ny)
+    y_height = city.heights.sample(rng, ny)
+    corner = float(city.heights.sample(rng, 1)[0])
+    return ExplicitCityDraw(x_pos, x_height, y_pos, y_height, corner)
+
+
+def link_blocked(
+    draw: ExplicitCityDraw,
+    link: LinkGeometry,
+    city: CityModel,
+    placement: Placement,
+) -> bool:
+    """Trace the ray through one explicit city draw."""
+    h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
+    if draw.corner_height > h0:
+        return True
+    for (za, zb), pos, height in (
+        (limits_x, draw.x_pos, draw.x_height),
+        (limits_y, draw.y_pos, draw.y_height),
+    ):
+        if not za < zb:
+            continue
+        zeta = zb
+        inside = (pos > za) & (pos < zb)
+        if not inside.any():
+            continue
+        crit = pos[inside] * link.delta_h / zeta + link.h_v
+        if np.any(height[inside] > crit):
+            return True
+    return False
 
 
 def _draw(x=(), y=(), corner=0.0):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavgrid.connectivity import ScenarioConfig, conditional_connectivity, estimate_distribution
-from uavgrid.geometry import PRESETS, NetworkRealization, RadioParams, ground_range, sample_realization
+from uavgrid.connectivity import ChunkLayout, ScenarioConfig, _chunk_score_arrays, estimate_distribution
+from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, los_probability
 
 URBAN = PRESETS["urban"]
@@ -80,21 +80,34 @@ def test_monotone_in_altitude_1000_pairs():
         assert p2 >= p1 - 1e-12
 
 
+def _one_realization(pairs):
+    # a one-row chunk layout holding the (d, phi) links in mark order
+    width = max(len(pairs), 1)
+    marks = np.full((1, width), np.inf)
+    marks[0, :len(pairs)] = np.arange(1, len(pairs) + 1) / (width + 1)
+    return ChunkLayout(np.array([p[0] for p in pairs], dtype=float),
+                       np.array([p[1] for p in pairs], dtype=float),
+                       np.arange(len(pairs), dtype=np.int64), marks)
+
+
+def _connectivity(pairs, radio, placements):
+    task = (_one_realization(pairs), URBAN, radio.h_v, radio.r_max, [radio.h_uav], placements)
+    return _chunk_score_arrays(task)[:, 0]
+
+
 def test_empty_realization_scores_zero():
-    real = NetworkRealization(d=np.empty(0), phi=np.empty(0))
     radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=1e-5)
-    for pl in (Placement.INTERSECTION, Placement.STREET):
-        assert conditional_connectivity(real, URBAN, radio, pl) == 0.0
+    placements = (Placement.INTERSECTION, Placement.STREET)
+    assert np.array_equal(_connectivity([], radio, placements), [0.0, 0.0])
 
 
 def test_two_uav_union_rule():
     radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=1e-5)
     pairs = [(120.0, 0.8), (200.0, 2.2)]
-    real = NetworkRealization(d=np.array([p[0] for p in pairs]), phi=np.array([p[1] for p in pairs]))
     ps = [los_probability(LinkGeometry(d=d, phi=phi, h_uav=100.0, h_v=10.0), URBAN, Placement.STREET)
           for d, phi in pairs]
     want = 1.0 - (1.0 - ps[0]) * (1.0 - ps[1])
-    assert conditional_connectivity(real, URBAN, radio, Placement.STREET) == pytest.approx(want, rel=1e-15)
+    assert _connectivity(pairs, radio, (Placement.STREET,))[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_poisson_count_statistic():
@@ -102,7 +115,8 @@ def test_poisson_count_statistic():
     rng = np.random.default_rng(99)
     n = 20_000
     mean = radio.lambda_uav * math.pi * ground_range(radio) ** 2
-    counts = [len(sample_realization(radio, rng)) for _ in range(n)]
+    tight = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio))
+    counts = [sample_envelope_points(tight, rng)[0].size for _ in range(n)]
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
 
