@@ -141,6 +141,19 @@ def test_envelope_validation():
             SamplingEnvelope(*bad)
 
 
+def test_restrict_rejects_uncovered_scenarios(radio):
+    """A scenario is carved out of one envelope draw only where the envelope covers it."""
+    env = _tight(radio)
+    denser = RadioParams(r_max=radio.r_max, h_uav=radio.h_uav, h_v=radio.h_v, lambda_uav=2.0 * radio.lambda_uav)
+    short = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio) - 1.0)
+    for scenario, envelope in ((denser, env), (radio, short)):
+        with pytest.raises(InvalidGeometryError):
+            estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=scenario, n_realizations=10,
+                                                 seed=0, envelope=envelope))
+    estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=10, seed=0,
+                                         envelope=env))
+
+
 def test_restrict_nesting():
     """Carving a smaller density out of one envelope draw keeps a prefix of each row."""
     env = SamplingEnvelope(lambda_cap=4e-5, d_cap=200.0)
