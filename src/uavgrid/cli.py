@@ -343,6 +343,8 @@ def _cmd_distribution(args) -> int:
 
 
 def _check_height_window(heights: list[float], h_v: float, r_max: float) -> None:
+    if not 0.0 <= h_v < math.inf:
+        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
     if not (h_v < heights[0] and heights[-1] < h_v + r_max):
         raise InvalidGeometryError(
             f"altitudes [{heights[0]}, {heights[-1]}] outside the feasible range "

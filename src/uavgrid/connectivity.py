@@ -144,20 +144,29 @@ class ChunkLayout(NamedTuple):
     """One chunk's points with mark below frac_top, laid out by mark.
 
     The points are laid out as a realization x rank array, each row sorted by
-    mark and padded at the end.  d, phi and slot (the flat index of each point
-    in the layout) list the points in (realization, mark) order, and marks
-    holds the laid-out marks, +inf in padding.
+    mark and padded at the end; marks holds the laid-out marks, +inf in
+    padding.  d, cos_phi, sin_phi and slot (the flat index of each point in
+    the layout) list the points by ascending distance, so every ground disk
+    is a prefix of them.  cos_phi and sin_phi are the folded direction
+    cosines |cos phi|, |sin phi| of the drawn azimuths, computed once per
+    draw rather than once per scored height.  Only _lay_out builds a layout, and
+    the arrays are shared by every height scored on it: read them, never
+    write them.
     """
 
     d: np.ndarray
-    phi: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
     slot: np.ndarray
     marks: np.ndarray
 
 
-def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
-    """Draw realizations [start, stop) and lay out their points below frac_top."""
-    d, phi, mark, counts = _draw_chunk(envelope, seed, start, stop)
+def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
+    """Lay out the drawn points with mark below frac_top.
+
+    d, phi and mark list the points realization by realization, counts[i]
+    of them for realization i, as _draw_chunk returns them.
+    """
     m = counts.size
     keep = mark < frac_top
     ridx = np.repeat(np.arange(m), counts)[keep]
@@ -173,7 +182,15 @@ def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
     order = np.argsort(marks, axis=1, kind="stable")
     marks = np.take_along_axis(marks, order, axis=1)
     src = row_start + order.reshape(-1)[slot]
-    return ChunkLayout(d[src], phi[src], slot, marks)
+    by_distance = np.argsort(d[src], kind="stable")
+    src, slot = src[by_distance], slot[by_distance]
+    phi = phi[src]
+    return ChunkLayout(d[src], np.abs(np.cos(phi)), np.abs(np.sin(phi)), slot, marks)
+
+
+def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
+    """Draw realizations [start, stop) and lay out their points below frac_top."""
+    return _lay_out(*_draw_chunk(envelope, seed, start, stop), frac_top)
 
 
 def _layout_of(source) -> ChunkLayout:
@@ -221,8 +238,10 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
     Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
     layout (see ChunkLayout), with 1.0 for padding and for points outside
     the height's ground disk, and np.multiply.accumulate takes the exact
-    sequential running product P along each row.  A height mask keeps the
-    (realization, mark) order and multiplying by 1.0 is exact, so entry k of
+    sequential running product P along each row.  A height's disk is the
+    prefix of the distance-ordered points with d <= its ground range; the
+    slots put each factor at its (realization, mark) place whatever the
+    listing order, and multiplying by 1.0 is exact, so entry k of
     a row is the realization's survival at every density whose fraction
     admits its first k + 1 marks and no more, and the last entry is its
     survival at the layout's frac_top: estimate_distribution scores
@@ -238,15 +257,16 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
     (realizations, ranks).  survival is one buffer, overwritten by the next
     step, so reduce it before advancing the generator.
     """
-    d, phi, slot, marks = layout
+    d, cos_phi, sin_phi, slot, marks = layout
     survival = np.empty(marks.shape)
     flat = survival.reshape(-1)
     for j, h in enumerate(height_values):
         dz = h - h_v
-        hmask = d <= math.sqrt(r_max * r_max - dz * dz)
-        d_h, phi_h, slot_h = d[hmask], phi[hmask], slot[hmask]
+        k = int(np.searchsorted(d, math.sqrt(r_max * r_max - dz * dz), side="right"))
+        d_h, c_h, s_h, slot_h = d[:k], cos_phi[:k], sin_phi[:k], slot[:k]
         for ip, placement in enumerate(placements):
-            factors = 1.0 - los_probability_batch(d_h, phi_h, h, h_v, city, placement)
+            factors = los_probability_batch(d_h, c_h, s_h, h, h_v, city, placement)
+            np.subtract(1.0, factors, out=factors)
             flat.fill(1.0)
             flat[slot_h] = factors
             np.multiply.accumulate(survival, axis=1, out=survival)
@@ -382,6 +402,8 @@ def outage_grid(
         raise ValueError("grid axes cannot be empty")
     if not all(0.0 <= lam < math.inf for lam in lambda_values):
         raise InvalidGeometryError("densities must be finite and non-negative")
+    if not 0.0 <= h_v < math.inf:
+        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
     for h in height_values:
         if not h_v < h < h_v + r_max:
             raise InvalidGeometryError(

@@ -19,12 +19,16 @@ clearance point.
 All angles fold into the first quadrant: the grid is mirror-symmetric about
 both axes, each axis keeping its own street width.
 
-One kernel evaluates the closed form over arrays of links.
-los_probability_batch folds raw azimuths into it; los_probability,
-corner_critical_height, corner_factor, integration_limits and axis_factor are
-views of it on one-element arrays, so a link scores the same bits either way.
-axis_factor_quadrature integrates the survival numerically instead and stays
-an independent check of the kernel's ramp integral.
+One kernel evaluates the closed form over arrays of links given by distance
+and folded direction cosines |cos phi|, |sin phi|.  The fold happens where
+angles are born, not in the kernel: LinkGeometry folds one link, and the
+Monte Carlo chunk layout folds each drawn point once, however many heights
+and placements score it.  los_probability_batch takes the folded arrays;
+los_probability, corner_critical_height, corner_factor, integration_limits
+and axis_factor are views of the kernel on one-element arrays, so a link
+scores the same bits either way.  axis_factor_quadrature integrates the
+survival numerically instead and stays an independent check of the kernel's
+ramp integral.
 """
 
 from __future__ import annotations
@@ -139,18 +143,32 @@ def _axis_ramp(za, zb, delta_h, h_v, heights, lambda_s):
     The ray altitude is linear in z, so that probability is 1 until the ray
     passes h_min, ramps linearly down, and is 0 once the ray clears h_max.
     An empty interval (za >= zb) has length 0 and so factor 1.
+
+    The temporaries are reused in place, in the operation order of
+    len_full + 0.5 * (g_lo + g_hi) * len_ramp with g = slope * (z2 - z) / span;
+    za and zb are never written.
     """
     slope = delta_h / zb
     z1 = (heights.h_min - h_v) / slope
     z2 = (heights.h_max - h_v) / slope
-    len_full = np.maximum(np.minimum(zb, z1) - za, 0.0)
     lo = np.maximum(za, z1)
     hi = np.minimum(zb, z2)
     len_ramp = hi - lo
-    g_lo = slope * (z2 - lo) / heights.span
-    g_hi = slope * (z2 - hi) / heights.span
-    length = np.where(len_ramp > 0.0, len_full + 0.5 * (g_lo + g_hi) * len_ramp, len_full)
-    return np.exp(-lambda_s * length)
+    length = np.minimum(zb, z1, out=z1)
+    length -= za
+    np.maximum(length, 0.0, out=length)  # len_full
+    g_lo = np.subtract(z2, lo, out=lo)
+    g_lo *= slope
+    g_lo /= heights.span
+    g_hi = np.subtract(z2, hi, out=hi)
+    g_hi *= slope
+    g_hi /= heights.span
+    g_lo += g_hi
+    g_lo *= 0.5
+    g_lo *= len_ramp
+    np.add(length, g_lo, out=length, where=len_ramp > 0.0)
+    length *= -lambda_s
+    return np.exp(length, out=length)
 
 
 def _kernel(d, c, s, delta_h, h_v, city, placement):
@@ -265,23 +283,35 @@ def los_probability(link: LinkGeometry, city: CityModel, placement: Placement) -
 
 def los_probability_batch(
     d: np.ndarray,
-    phi: np.ndarray,
+    cos_phi: np.ndarray,
+    sin_phi: np.ndarray,
     h_uav: float,
     h_v: float,
     city: CityModel,
     placement: Placement,
 ) -> np.ndarray:
-    """los_probability over parallel arrays of distance and azimuth.
+    """los_probability over parallel arrays of links.
 
-    Angles may be raw (unfolded); the absolute trig values implement the same
-    quadrant folding as LinkGeometry, and the arrays must pass its checks:
-    finite d >= 0 and finite phi (ValueError otherwise).
+    d is the ground distance and cos_phi, sin_phi the absolute cosine and
+    sine of the azimuth, folded as LinkGeometry folds them, e.g.
+    np.abs(np.cos(phi)).  The arguments must pass LinkGeometry's checks:
+    finite d >= 0, both cosines in [0, 1], finite h_v >= 0 and finite
+    h_uav > h_v (ValueError otherwise).
     """
     d = np.asarray(d, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    c = np.asarray(cos_phi, dtype=float)
+    s = np.asarray(sin_phi, dtype=float)
     # min and max carry NaN through, and comparisons written so that NaN fails them
     if not (0.0 <= d.min(initial=0.0) and d.max(initial=0.0) < math.inf
-            and -math.inf < phi.min(initial=0.0) and phi.max(initial=0.0) < math.inf):
-        raise ValueError("links need finite d >= 0 and finite phi")
-    corner, fx, fy = _kernel(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)), h_uav - h_v, h_v, city, placement)
-    return corner * fx * fy
+            and 0.0 <= c.min(initial=0.0) and c.max(initial=0.0) <= 1.0
+            and 0.0 <= s.min(initial=0.0) and s.max(initial=0.0) <= 1.0):
+        raise ValueError("links need finite d >= 0 and cos_phi, sin_phi in [0, 1]")
+    if not 0.0 <= h_v < math.inf:
+        raise ValueError("h_v must be finite and >= 0")
+    if not h_v < h_uav < math.inf:
+        raise ValueError("need finite h_uav > h_v for links above the vehicle")
+    corner, fx, fy = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
+    # fx is the kernel's own temporary; (corner * fx) * fy as in los_probability
+    p = np.multiply(corner, fx, out=fx)
+    p *= fy
+    return p

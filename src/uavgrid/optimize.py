@@ -82,6 +82,8 @@ def optimize_height(
     the grid answer; ties go to the lower altitude.
     """
     check_run(n_realizations, seed, workers, chunk_size)
+    if not 0.0 <= h_v < math.inf:
+        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
     if not h_v < search.h_lo < search.h_hi < h_v + r_max:
         raise InfeasibleSearchError(
             f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"

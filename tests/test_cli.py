@@ -274,11 +274,16 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--grid-step", "nan"],
         ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
          "--gamma-step", "nan"],
+        # a vehicle below the ground plane has no meaning, and would score certain LoS
+        ["contour", *URBAN_ARGS, "--h-v", "-5", "--lambda-lo", "10", "--lambda-hi", "20",
+         "--lambda-step", "10", "--h-lo", "50", "--h-hi", "100", "--h-step", "50"],
+        ["optimize", *URBAN_ARGS, "--h-v", "-5", "--lambda-uav", "30", "--h-lo", "50",
+         "--h-hi", "200"],
     ],
     ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0",
          "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th",
          "refine-tol-nan", "w-v-nan", "lambda-uav-nan", "d-cap-nan", "grid-step-nan",
-         "gamma-step-nan"],
+         "gamma-step-nan", "contour-h-v-negative", "optimize-h-v-negative"],
 )
 def test_bad_run_parameters_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import (
-    ChunkLayout,
     EmpiricalDistribution,
     EnvelopeDraw,
     ScenarioConfig,
     _chunk_score_arrays,
     _draw_chunk,
+    _lay_out,
     _map_tasks,
     estimate_distribution,
     mixture_cdf,
@@ -31,18 +33,11 @@ PLACEMENTS = (Placement.INTERSECTION, Placement.STREET)
 
 
 def _layout(*rows):
-    """A hand-built chunk layout: one realization per row of (d, phi) links, in mark order."""
+    """The chunk layout of hand-given realizations: one row of (d, phi) links each, in mark order."""
     width = max([len(row) for row in rows] + [1])
-    marks = np.full((len(rows), width), np.inf)
-    d, phi, slot = [], [], []
-    for i, row in enumerate(rows):
-        for k, (dk, phik) in enumerate(row):
-            d.append(dk)
-            phi.append(phik)
-            slot.append(i * width + k)
-            marks[i, k] = (k + 1) / (width + 1)
-    return ChunkLayout(np.array(d, dtype=float), np.array(phi, dtype=float),
-                       np.array(slot, dtype=np.int64), marks)
+    links = [(d, phi, (k + 1) / (width + 1)) for row in rows for k, (d, phi) in enumerate(row)]
+    d, phi, mark = np.array(links, dtype=float).reshape(-1, 3).T
+    return _lay_out(d, phi, mark, np.array([len(row) for row in rows]), 1.0)
 
 
 def _scores(*rows):
@@ -119,12 +114,53 @@ def test_estimate_matches_scalar_pipeline():
         for i in range(n):
             d, phi, mark = sample_envelope_points(env, _fresh_stream(42, i))
             keep = (mark < RADIO.lambda_uav / env.lambda_cap) & (d <= d_max)
+            # the layout row's order: by mark, equal marks in draw order
+            order = np.argsort(mark[keep], kind="stable")
+            d, phi = d[keep][order], phi[keep][order]
             for pl in scores:
-                p = los_probability_batch(d[keep], phi[keep], RADIO.h_uav, RADIO.h_v, URBAN, pl)
-                scores[pl].append(1.0 - np.prod(1.0 - p))
+                p = los_probability_batch(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)),
+                                          RADIO.h_uav, RADIO.h_v, URBAN, pl)
+                survival = 1.0
+                for f in 1.0 - p:
+                    survival *= f
+                scores[pl].append(1.0 - survival)
         for pl, dist in dists.items():
             assert dist.n == n
-            np.testing.assert_allclose(np.sort(scores[pl]), dist.samples, rtol=1e-12, atol=1e-13)
+            assert np.array_equal(np.sort(scores[pl]), dist.samples)
+
+
+def test_layout_lists_points_by_distance_with_folded_cosines():
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
+    d, phi, mark, counts = _draw_chunk(env, 3, 0, 64)
+    layout = _lay_out(d, phi, mark, counts, 0.6)
+    assert np.all(np.diff(layout.d) >= 0.0)
+    # each listed point is the drawn point at its slot's (realization, mark)
+    width = layout.marks.shape[1]
+    ridx = np.repeat(np.arange(counts.size), counts)
+    drawn = {(int(i), float(m)): (dk, pk) for i, m, dk, pk in zip(ridx, mark, d, phi) if m < 0.6}
+    listed = [(int(s) // width, float(layout.marks.flat[s])) for s in layout.slot]
+    assert 0 < len(drawn) == len(set(listed)) == len(listed) and set(listed) == set(drawn)
+    want = np.array([drawn[key] for key in listed])
+    assert np.array_equal(layout.d, want[:, 0])
+    assert np.array_equal(layout.cos_phi, np.abs(np.cos(want[:, 1])))
+    assert np.array_equal(layout.sin_phi, np.abs(np.sin(want[:, 1])))
+    # scoring shares the layout across heights and placements and never writes it
+    kept = [a.copy() for a in layout]
+    _chunk_score_arrays((layout, URBAN, RADIO.h_v, RADIO.r_max, [60.0, 140.0], PLACEMENTS))
+    assert all(np.array_equal(a, b) for a, b in zip(layout, kept))
+
+
+def test_height_prefix_is_the_disk_mask():
+    dz = RADIO.h_uav - RADIO.h_v
+    r_h = math.sqrt(RADIO.r_max * RADIO.r_max - dz * dz)  # as the scorer computes it
+    past = float(np.nextafter(r_h, math.inf))
+    # a link exactly on the disk edge, one just past it, and two at equal distance
+    layout = _layout([(past, 0.3), (120.0, 1.0), (r_h, 0.3)], [(120.0, 2.0)], [(past, 0.3)], [(r_h, 0.3)])
+    k = np.searchsorted(layout.d, r_h, side="right")
+    assert sorted(layout.slot[:k]) == sorted(layout.slot[layout.d <= r_h])
+    assert k == 4 and r_h in layout.d[:k] and past not in layout.d[:k]
+    scores = _scores([(past, 0.3)], [(r_h, 0.3)])
+    assert np.all(scores[:, 0] == 0.0) and np.all(scores[:, 1] > 0.0)
 
 
 def test_chunk_stream_matches_fresh_generators():
@@ -270,6 +306,10 @@ def test_outage_grid_validates_inputs():
         outage_grid(URBAN, 250.0, 10.0, [1e-5], [300.0], 0.8, 10, 0)
     with pytest.raises(ValueError):
         outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 1.5, 10, 0)
+    # the vehicle stands on the ground or above it: h_v < 0 would score certain LoS
+    for h_v in (-5.0, math.nan, math.inf):
+        with pytest.raises(InvalidGeometryError):
+            outage_grid(URBAN, 250.0, h_v, [1e-5], [100.0], 0.8, 10, 0)
     for n, seed, extra in ((0, 0, {}), (10, -1, {}), (10, 2**64, {}),
                            (10, 0, {"workers": 0}), (10, 0, {"chunk_size": 0})):
         with pytest.raises(ValueError):

@@ -34,19 +34,29 @@ def test_link_geometry_validation():
                 {"h_uav": math.nan}, {"h_uav": math.inf}, {"h_v": math.nan}, {"h_v": math.inf}):
         with pytest.raises(ValueError):
             LinkGeometry(**{"d": 10.0, "phi": 0.0, "h_uav": 100.0, "h_v": 10.0, **bad})
-    d, phi = np.array([10.0]), np.array([0.3])
-    for h_uav, h_v in ((10.0, 10.0), (math.nan, 10.0), (100.0, math.nan)):
+    d, c, s = np.array([10.0]), np.array([0.8]), np.array([0.6])
+    for h_uav, h_v in ((10.0, 10.0), (math.nan, 10.0), (100.0, math.nan), (math.inf, 10.0),
+                       (100.0, -5.0), (100.0, math.inf)):
         with pytest.raises(ValueError):
-            los_probability_batch(d, phi, h_uav, h_v, URBAN, Placement.STREET)
-    # the batch arrays pass LinkGeometry's checks too, alone or among good links
-    bad_links = [([math.nan], [0.3]), ([-50.0], [0.3]), ([math.inf], [0.3]), ([50.0], [math.inf]),
-                 ([50.0], [math.nan]), ([50.0], [-math.inf]),
-                 ([math.nan, -50.0, 50.0], [0.3, 0.3, math.inf]), ([50.0, -1e-300], [0.3, 0.3])]
-    for bad_d, bad_phi in bad_links:
+            los_probability_batch(d, c, s, h_uav, h_v, URBAN, Placement.STREET)
+    # the raw-azimuth signature is gone: an old positional call cannot mis-score
+    with pytest.raises(TypeError):
+        los_probability_batch(d, np.array([0.3]), 100.0, 10.0, URBAN, Placement.STREET)
+    # the batch arrays pass LinkGeometry's checks too, alone or among good links;
+    # the direction cosines must already be folded into [0, 1]
+    bad_links = [([math.nan], [0.8], [0.6]), ([-50.0], [0.8], [0.6]), ([math.inf], [0.8], [0.6]),
+                 ([math.nan, -50.0, 50.0], [0.8, 0.8, 0.8], [0.6, 0.6, 0.6]),
+                 ([50.0, -1e-300], [0.8, 0.8], [0.6, 0.6])]
+    for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5):
+        bad_links += [([50.0], [bad], [0.6]), ([50.0], [0.8], [bad]),
+                      ([50.0, 50.0], [0.8, bad], [0.6, 0.6]), ([50.0, 50.0], [0.8, 0.8], [bad, 0.6])]
+    for bad_d, bad_c, bad_s in bad_links:
         for pl in (Placement.INTERSECTION, Placement.STREET):
             with pytest.raises(ValueError):
-                los_probability_batch(np.array(bad_d), np.array(bad_phi), 100.0, 10.0, URBAN, pl)
-    empty = los_probability_batch(np.empty(0), np.empty(0), 100.0, 10.0, URBAN, Placement.STREET)
+                los_probability_batch(np.array(bad_d), np.array(bad_c), np.array(bad_s),
+                                      100.0, 10.0, URBAN, pl)
+    empty = los_probability_batch(np.empty(0), np.empty(0), np.empty(0), 100.0, 10.0, URBAN,
+                                  Placement.STREET)
     assert empty.shape == (0,)
 
 
@@ -209,6 +219,12 @@ def _quadrature_reference(d, phi, h_uav, city, pl):
     return want
 
 
+def _batch(d, phi, h_uav, city, pl):
+    # the batch kernel on raw azimuths, folded by numpy as the chunk layout folds them
+    phi = np.asarray(phi, dtype=float)
+    return los_probability_batch(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)), h_uav, 10.0, city, pl)
+
+
 def test_batch_matches_scalar():
     """The batch kernel against per-link quadrature of both axis integrals."""
     rng = np.random.default_rng(11)
@@ -216,7 +232,7 @@ def test_batch_matches_scalar():
     phi = rng.uniform(0.0, 2.0 * math.pi, 400)
     for city in PRESETS.values():
         for pl in (Placement.INTERSECTION, Placement.STREET):
-            got = los_probability_batch(d, phi, 120.0, 10.0, city, pl)
+            got = _batch(d, phi, 120.0, city, pl)
             want = _quadrature_reference(d, phi, 120.0, city, pl)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -225,12 +241,12 @@ def test_batch_handles_degenerate_links():
     d = np.array([50.0, 50.0, 50.0, 0.0])
     phi = np.array([0.0, 0.5 * math.pi, 0.25 * math.pi, 1.0])
     for pl in (Placement.INTERSECTION, Placement.STREET):
-        got = los_probability_batch(d, phi, 100.0, 10.0, URBAN, pl)
+        got = _batch(d, phi, 100.0, URBAN, pl)
         want = _quadrature_reference(d, phi, 100.0, URBAN, pl)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert np.all((0.0 <= got) & (got <= 1.0))
     # a UAV straight overhead is always visible
-    assert los_probability_batch(np.zeros(1), np.ones(1), 100.0, 10.0, URBAN, Placement.STREET)[0] == 1.0
+    assert _batch(np.zeros(1), np.ones(1), 100.0, URBAN, Placement.STREET)[0] == 1.0
 
 
 def test_scalar_is_the_batch_kernel_bit_for_bit():
@@ -242,5 +258,5 @@ def test_scalar_is_the_batch_kernel_bit_for_bit():
         for pl in (Placement.INTERSECTION, Placement.STREET):
             for a, b, h in zip(d, phi, h_uav):
                 lk = LinkGeometry(d=float(a), phi=float(b), h_uav=float(h), h_v=10.0)
-                batch = los_probability_batch(np.array([a]), np.array([b]), float(h), 10.0, city, pl)[0]
+                batch = _batch(np.array([a]), np.array([b]), float(h), city, pl)[0]
                 assert los_probability(lk, city, pl) == batch

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uavgrid.connectivity import outage_grid
-from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, SamplingEnvelope
+from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError, SamplingEnvelope
 from uavgrid.optimize import (
     ContourGrid,
     HeightSearchSpec,
@@ -53,6 +53,9 @@ def test_infeasible_window():
     spec = HeightSearchSpec(h_lo=200.0, h_hi=240.0)
     with pytest.raises(InfeasibleSearchError):
         optimize_height(URBAN, 150.0, 10.0, 20e-6, spec, n_realizations=100, seed=0)
+    for h_v in (-5.0, math.nan):
+        with pytest.raises(InvalidGeometryError):
+            optimize_height(URBAN, 250.0, h_v, 20e-6, spec, n_realizations=100, seed=0)
 
 
 def test_zero_density_returns_search_floor():

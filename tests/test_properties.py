@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavgrid.connectivity import ChunkLayout, ScenarioConfig, _chunk_score_arrays, estimate_distribution
+from uavgrid.connectivity import ScenarioConfig, _chunk_score_arrays, _lay_out, estimate_distribution
 from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, los_probability
 
@@ -81,13 +81,9 @@ def test_monotone_in_altitude_1000_pairs():
 
 
 def _one_realization(pairs):
-    # a one-row chunk layout holding the (d, phi) links in mark order
-    width = max(len(pairs), 1)
-    marks = np.full((1, width), np.inf)
-    marks[0, :len(pairs)] = np.arange(1, len(pairs) + 1) / (width + 1)
-    return ChunkLayout(np.array([p[0] for p in pairs], dtype=float),
-                       np.array([p[1] for p in pairs], dtype=float),
-                       np.arange(len(pairs), dtype=np.int64), marks)
+    # the one-row chunk layout of the (d, phi) links, given in mark order
+    d, phi = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return _lay_out(d, phi, np.arange(1, len(pairs) + 1) / (len(pairs) + 1), np.array([len(pairs)]), 1.0)
 
 
 def _connectivity(pairs, radio, placements):
