@@ -307,6 +307,7 @@ def _cmd_distribution(args) -> int:
     if radio.h_uav <= radio.h_v:
         raise InvalidGeometryError("need h_uav > h_v")
     envelope = _build_envelope(args, lam, ground_range(radio))
+    gammas = grid_points(0.0, 1.0, args.gamma_step)
     config = ScenarioConfig(
         city=city,
         radio=radio,
@@ -318,7 +319,6 @@ def _cmd_distribution(args) -> int:
     )
     dists = estimate_distribution(config)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
-    gammas = grid_points(0.0, 1.0, args.gamma_step)
     rows = [
         [
             g,
@@ -427,6 +427,8 @@ def _cmd_contour(args) -> int:
     lambdas_km2 = grid_points(args.lambda_lo, args.lambda_hi, args.lambda_step)
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
     _check_height_window(heights, args.h_v, args.r_max)
+    if args.target_outage is not None and not 0.0 <= args.target_outage <= 1.0:
+        raise ValueError("--target-outage must lie in [0, 1]")
     grid = sweep_contour(
         city,
         args.r_max,

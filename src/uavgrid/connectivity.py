@@ -121,14 +121,12 @@ def _draw_chunk(envelope, seed, start, stop):
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, empty buffer, has_uint32 0
     key = state["state"]["key"]
-    m = stop - start
-    counts = np.zeros(m, dtype=np.int64)
-    parts_d, parts_phi, parts_mark = [], [], []
-    for j, index in enumerate(range(start, stop)):
+    counts, parts_d, parts_phi, parts_mark = [], [], [], []
+    for index in range(start, stop):
         key[1] = index
         bit_generator.state = state
         d, phi, mark = sample_envelope_points(envelope, rng)
-        counts[j] = d.shape[0]
+        counts.append(d.size)
         parts_d.append(d)
         parts_phi.append(phi)
         parts_mark.append(mark)
@@ -136,7 +134,7 @@ def _draw_chunk(envelope, seed, start, stop):
         np.concatenate(parts_d) if parts_d else np.empty(0),
         np.concatenate(parts_phi) if parts_phi else np.empty(0),
         np.concatenate(parts_mark) if parts_mark else np.empty(0),
-        counts,
+        np.array(counts, dtype=np.int64),
     )
 
 
@@ -165,7 +163,10 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     """Lay out the drawn points with mark below frac_top.
 
     d, phi and mark list the points realization by realization, counts[i]
-    of them for realization i, as _draw_chunk returns them.
+    of them for realization i, as _draw_chunk returns them.  These are the
+    only sorts of a draw: each row by mark, then the points by distance, so
+    the order within a realization matters only between exactly equal marks,
+    which keep it.
     """
     m = counts.size
     keep = mark < frac_top

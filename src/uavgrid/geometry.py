@@ -164,11 +164,12 @@ class SamplingEnvelope:
 def sample_envelope_points(
     envelope: SamplingEnvelope, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one envelope realization: (d, phi, mark) sorted by distance."""
+    """Draw one envelope realization: (d, phi, mark) in draw order.
+
+    Point k is row k of the uniforms drawn after the Poisson count; nothing
+    is sorted here, because the chunk layout sorts.  The three arrays are
+    fresh, so none of them keeps the (n, 3) block of uniforms alive.
+    """
     n = rng.poisson(envelope.mean_count)
     u = rng.random((n, 3))
-    d = envelope.d_cap * np.sqrt(u[:, 0])
-    phi = TWO_PI * u[:, 1]
-    mark = u[:, 2]
-    order = np.argsort(d, kind="stable")
-    return d[order], phi[order], mark[order]
+    return envelope.d_cap * np.sqrt(u[:, 0]), TWO_PI * u[:, 1], u[:, 2].copy()

@@ -45,19 +45,34 @@ class HeightSearchSpec:
             raise ValueError("gamma_th must lie in [0, 1]")
 
 
+# The most points grid_points builds, far above any grid the commands use.
+MAX_GRID_POINTS = 10**6
+
+
 def grid_points(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid from lo towards hi; hi is appended if the step misses it.
 
     Values are rounded to 10 decimals so grids built from decimal steps carry
-    clean coordinates instead of accumulated float noise.
+    clean coordinates instead of accumulated float noise.  A step that would
+    give more than MAX_GRID_POINTS points raises ValueError before any point
+    is built.
     """
     if not 0.0 < step < math.inf:
         raise ValueError("step must be positive and finite")
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError("need finite lo <= hi")
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step + 1e-9
+    # points lo + k * step for k = 0..n, then hi if they miss it; n is capped so
+    # that a span too long to build, or infinite, is counted and refused below
+    n = int(span) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
+    misses_hi = round(lo + n * step, 10) < hi - 1e-9 * max(1.0, abs(hi))
+    if n + 1 + misses_hi > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a step of {step:g} gives more than {MAX_GRID_POINTS} grid points "
+            f"from {lo:g} to {hi:g}"
+        )
     vals = [round(lo + k * step, 10) for k in range(n + 1)]
-    if vals[-1] < hi - 1e-9 * max(1.0, abs(hi)):
+    if misses_hi:
         vals.append(round(hi, 10))
     return vals
 

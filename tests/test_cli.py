@@ -96,6 +96,22 @@ def test_contour_output_and_target_report(capsys):
     assert "min density 10 per km2" in err
 
 
+@pytest.mark.parametrize("target", ["1.5", "nan", "-0.1"])
+def test_contour_checks_target_outage_before_the_run(target, capsys, monkeypatch):
+    from uavgrid import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the grid ran before --target-outage was checked")
+
+    monkeypatch.setattr(cli, "sweep_contour", no_run)
+    code, out, err = run_cli(
+        ["contour", "--preset", "urban", "--lambda-lo", "10", "--lambda-hi", "20",
+         "--lambda-step", "10", "--h-lo", "100", "--h-hi", "150", "--h-step", "50",
+         "--n-realizations", "800", "--target-outage", target], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "target-outage" in err
+
+
 def test_validate_cli_pass(capsys):
     code, out, err = run_cli(["validate", "--cases", "4", "--n-draws", "3000", "--seed", "3"], capsys)
     assert code == 0
@@ -279,11 +295,19 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--lambda-step", "10", "--h-lo", "50", "--h-hi", "100", "--h-step", "50"],
         ["optimize", *URBAN_ARGS, "--h-v", "-5", "--lambda-uav", "30", "--h-lo", "50",
          "--h-hi", "200"],
+        # about 2e9 grid points: refused before any point is built
+        ["optimize", "--preset", "urban", "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250",
+         "--n-realizations", "300", "--grid-step", "1e-7"],
+        ["contour", *URBAN_ARGS, "--lambda-lo", "10", "--lambda-hi", "20",
+         "--lambda-step", "1e-8", "--h-lo", "50", "--h-hi", "100"],
+        ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
+         "--gamma-step", "1e-9"],
     ],
     ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0",
          "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th",
          "refine-tol-nan", "w-v-nan", "lambda-uav-nan", "d-cap-nan", "grid-step-nan",
-         "gamma-step-nan", "contour-h-v-negative", "optimize-h-v-negative"],
+         "gamma-step-nan", "contour-h-v-negative", "optimize-h-v-negative",
+         "grid-step-oversized", "lambda-step-oversized", "gamma-step-oversized"],
 )
 def test_bad_run_parameters_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

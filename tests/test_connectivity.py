@@ -150,6 +150,20 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
     assert all(np.array_equal(a, b) for a, b in zip(layout, kept))
 
 
+def test_layout_ignores_the_draw_order_of_distinct_marks():
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
+    d, phi, mark, counts = _draw_chunk(env, 5, 0, 64)
+    rows = np.split(np.arange(d.size), np.cumsum(counts)[:-1])
+    assert all(np.unique(mark[row]).size == row.size for row in rows)
+    shuffle = np.random.default_rng(8)
+    perm = np.concatenate([shuffle.permutation(row) for row in rows])
+    assert not np.array_equal(perm, np.arange(d.size))
+    for frac_top in (0.6, 1.0):
+        want = _lay_out(d, phi, mark, counts, frac_top)
+        got = _lay_out(d[perm], phi[perm], mark[perm], counts, frac_top)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_height_prefix_is_the_disk_mask():
     dz = RADIO.h_uav - RADIO.h_v
     r_h = math.sqrt(RADIO.r_max * RADIO.r_max - dz * dz)  # as the scorer computes it

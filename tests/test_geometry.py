@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -113,9 +114,15 @@ def test_sample_realization_empty_at_zero_density():
 
 def test_sample_realization_properties(radio, rng):
     d_max = ground_range(radio)
+    env = _tight(radio)
     for _ in range(20):
-        d, phi, mark = sample_envelope_points(_tight(radio), rng)
-        assert np.all(np.diff(d) >= 0.0)
+        twin = copy.deepcopy(rng)
+        d, phi, mark = sample_envelope_points(env, rng)
+        # draw order: point k is row k of the uniforms drawn after the count
+        u = twin.random((twin.poisson(env.mean_count), 3))
+        assert np.array_equal(d, env.d_cap * np.sqrt(u[:, 0]))
+        assert np.array_equal(phi, 2.0 * math.pi * u[:, 1])
+        assert np.array_equal(mark, u[:, 2]) and mark.flags.owndata
         assert np.all(d <= d_max)
         assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
         assert np.all((0.0 <= mark) & (mark < 1.0))

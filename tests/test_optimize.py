@@ -7,6 +7,7 @@ from uavgrid.connectivity import outage_grid
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError, SamplingEnvelope
 from uavgrid.optimize import (
     ContourGrid,
+    MAX_GRID_POINTS,
     HeightSearchSpec,
     InfeasibleSearchError,
     grid_points,
@@ -31,6 +32,15 @@ def test_grid_points():
     for lo, hi, step in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.1),
                          (0.0, math.inf, 0.1)):
         with pytest.raises(ValueError):
+            grid_points(lo, hi, step)
+
+
+def test_grid_points_refuses_oversized_grids():
+    assert len(grid_points(0.0, 999_998.5, 1.0)) == MAX_GRID_POINTS == 10**6  # hi appended
+    # 10**6 + 1 points, without and with an appended hi; 2e9 points; overflowing spans
+    for lo, hi, step in ((0.0, 1.0, 1e-6), (0.0, 999_999.5, 1.0), (50.0, 250.0, 1e-7),
+                         (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)):
+        with pytest.raises(ValueError, match="grid points"):
             grid_points(lo, hi, step)
 
 
