@@ -296,10 +296,6 @@ def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
         Path(args.output).write_text(text)
 
 
-def _placement_mode(args) -> PlacementMode:
-    return PlacementMode(getattr(args, "placement", PlacementMode.MIXTURE.value))
-
-
 def _cmd_distribution(args) -> int:
     city = _build_city(args)
     lam = args.lambda_uav * PER_KM2
@@ -311,7 +307,6 @@ def _cmd_distribution(args) -> int:
     config = ScenarioConfig(
         city=city,
         radio=radio,
-        placement_mode=PlacementMode.MIXTURE,
         n_realizations=args.n_realizations,
         seed=args.seed,
         workers=args.workers,
@@ -368,7 +363,7 @@ def _cmd_outage_curve(args) -> int:
         args.gamma_th,
         args.n_realizations,
         args.seed,
-        placement_mode=_placement_mode(args),
+        placement_mode=PlacementMode(args.placement),
         envelope=envelope,
         workers=args.workers,
     )[0]
@@ -405,7 +400,7 @@ def _cmd_optimize(args) -> int:
         search,
         n_realizations=args.n_realizations,
         seed=args.seed,
-        placement_mode=_placement_mode(args),
+        placement_mode=PlacementMode(args.placement),
         workers=args.workers,
     )
     _emit(
@@ -438,7 +433,7 @@ def _cmd_contour(args) -> int:
         args.gamma_th,
         n_realizations=args.n_realizations,
         seed=args.seed,
-        placement_mode=_placement_mode(args),
+        placement_mode=PlacementMode(args.placement),
         envelope=_build_envelope(
             args,
             max(lambdas_km2) * PER_KM2,

@@ -43,7 +43,8 @@ from .geometry import (
 )
 from .los import Placement, los_probability_batch
 
-DEFAULT_CHUNK = 8192
+# Realizations per chunk; results do not depend on it (see the module docstring).
+CHUNK_SIZE = 8192
 
 
 class PlacementMode(enum.Enum):
@@ -65,12 +66,10 @@ class EmpiricalDistribution:
     """CDF of connectivity scores from n Monte Carlo realizations."""
 
     samples: np.ndarray  # sorted ascending
-    n: int
-    seed: int
 
-    def __post_init__(self):
-        if self.samples.shape != (self.n,):
-            raise ValueError("sample count does not match n")
+    @property
+    def n(self) -> int:
+        return self.samples.size
 
     def evaluate(self, gamma):
         """Right-continuous empirical CDF: fraction of samples <= gamma."""
@@ -83,29 +82,27 @@ class ScenarioConfig:
 
     city: CityModel
     radio: RadioParams
-    placement_mode: PlacementMode = PlacementMode.MIXTURE
     n_realizations: int = 100_000
     seed: int = 0
     workers: int = 1
-    chunk_size: int = DEFAULT_CHUNK
     envelope: SamplingEnvelope | None = None
 
     def __post_init__(self):
-        check_run(self.n_realizations, self.seed, self.workers, self.chunk_size)
+        check_run(self.n_realizations, self.seed, self.workers)
 
 
-def check_run(n_realizations: int, seed: int, workers: int, chunk_size: int) -> None:
+def check_run(n_realizations: int, seed: int, workers: int) -> None:
     """Reject run parameters no Monte Carlo run can use (ValueError)."""
     if n_realizations < 1:
         raise ValueError("need n_realizations >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-    if workers < 1 or chunk_size < 1:
-        raise ValueError("workers and chunk_size must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
-def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+def _chunk_bounds(n: int) -> list[tuple[int, int]]:
+    return [(s, min(s + CHUNK_SIZE, n)) for s in range(0, n, CHUNK_SIZE)]
 
 
 def _draw_chunk(envelope, seed, start, stop):
@@ -204,33 +201,30 @@ def _layout_of(source) -> ChunkLayout:
 class EnvelopeDraw:
     """Envelope realizations [0, n_realizations), drawn and laid out once.
 
-    Holds the layout of every chunk of chunk_size realizations, as an
-    outage_grid call with the same envelope, seed, n_realizations, chunk_size
-    and top density fraction frac_top would draw them.  A call given the draw
-    scores these layouts instead of drawing its own, so a search that probes
-    many heights pays for sampling once and gets the same cells bit for bit.
-    workers > 1 draws the chunks in a process pool.
+    Holds the layout of every chunk of the whole envelope: every drawn point,
+    whatever its mark.  An outage_grid call with the same envelope, seed and
+    n_realizations scores these layouts instead of drawing its own, at any
+    densities the envelope covers: a point above a density's fraction only
+    extends a row past the marks that density sees, so the cells match a
+    fresh draw bit for bit, and a search that probes many heights pays for
+    sampling once.  workers > 1 draws the chunks in a process pool.
     """
 
     envelope: SamplingEnvelope
     seed: int
     n_realizations: int
-    chunk_size: int
-    frac_top: float
     workers: InitVar[int] = 1
     layouts: tuple[ChunkLayout, ...] = field(init=False, repr=False)
 
     def __post_init__(self, workers):
-        check_run(self.n_realizations, self.seed, workers, self.chunk_size)
-        if not 0.0 <= self.frac_top <= 1.0:
-            raise ValueError("frac_top must lie in [0, 1]")
-        keys = [(self.envelope, self.seed, start, stop, self.frac_top)
-                for start, stop in _chunk_bounds(self.n_realizations, self.chunk_size)]
+        check_run(self.n_realizations, self.seed, workers)
+        keys = [(self.envelope, self.seed, start, stop, 1.0)
+                for start, stop in _chunk_bounds(self.n_realizations)]
         object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
 
     @property
     def key(self) -> tuple:
-        return (self.envelope, self.seed, self.n_realizations, self.chunk_size, self.frac_top)
+        return (self.envelope, self.seed, self.n_realizations)
 
 
 def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
@@ -307,17 +301,16 @@ def _map_tasks(fn, tasks, workers):
 
 
 def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDistribution]:
-    """Estimate the connectivity CDF, one distribution per placement scored.
+    """Estimate the connectivity CDF, one distribution per placement.
 
-    Mixture mode scores both placements on the same constellations, so the
-    two distributions (and anything derived from both) are coupled draws.
+    Both placements are scored on the same constellations, so the two
+    distributions (and anything derived from both) are coupled draws.
     """
     radio = config.radio
-    placements = config.placement_mode.placements
+    placements = PlacementMode.MIXTURE.placements
     n = config.n_realizations
     if radio.lambda_uav == 0.0:
-        zeros = np.zeros(n)
-        return {pl: EmpiricalDistribution(zeros.copy(), n, config.seed) for pl in placements}
+        return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
     d_max = ground_range(radio)
     envelope = config.envelope
     if envelope is None:
@@ -328,13 +321,13 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     tasks = [
         ((envelope, config.seed, start, stop, frac), config.city, radio.h_v, radio.r_max,
          [radio.h_uav], placements)
-        for start, stop in _chunk_bounds(n, config.chunk_size)
+        for start, stop in _chunk_bounds(n)
     ]
     chunks = _map_tasks(_chunk_score_arrays, tasks, config.workers)
     result = {}
     for ip, pl in enumerate(placements):
         samples = np.sort(np.concatenate([c[ip] for c in chunks]))
-        result[pl] = EmpiricalDistribution(samples, n, config.seed)
+        result[pl] = EmpiricalDistribution(samples)
     return result
 
 
@@ -379,7 +372,6 @@ def outage_grid(
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
     envelope: SamplingEnvelope | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
     draw: EnvelopeDraw | None = None,
 ) -> np.ndarray:
     """Outage probability over a (density, altitude) grid with shared draws.
@@ -388,13 +380,14 @@ def outage_grid(
     comparisons across cells are exact: more density or a nested ground disk
     can only add UAVs to a realization.  Cell values equal what the
     estimate_distribution / mixture_cdf / outage pipeline returns for the same
-    envelope, seed and n.
+    envelope, seed and n.  With every density 0 and no envelope nothing is
+    drawn: every realization is in outage in every cell.
 
-    With a draw, the cells are scored on its layouts, and its key must match
-    this call (ValueError otherwise); without one, each chunk is drawn, scored
-    and dropped in turn.
+    With a draw, the cells are scored on its layouts, and its key must be this
+    call's (envelope, seed, n_realizations) (ValueError otherwise); without
+    one, each chunk is drawn, scored and dropped in turn.
     """
-    check_run(n_realizations, seed, workers, chunk_size)
+    check_run(n_realizations, seed, workers)
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError("gamma_th must lie in [0, 1]")
     lambda_values = [float(v) for v in lambda_values]
@@ -412,27 +405,26 @@ def outage_grid(
             )
     lam_top = max(lambda_values)
     d_top = math.sqrt(r_max * r_max - (min(height_values) - h_v) ** 2)
-    if envelope is None:
-        if lam_top == 0.0:
-            raise InvalidGeometryError("need a positive density to build an envelope")
-        envelope = SamplingEnvelope(lambda_cap=lam_top, d_cap=d_top)
-    if lam_top > envelope.lambda_cap or d_top > envelope.d_cap:
-        raise InvalidGeometryError("grid exceeds its sampling envelope")
-
     placements = placement_mode.placements
-    fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-    frac_top = float(fracs.max())
-    if draw is None:
-        sources = [(envelope, seed, start, stop, frac_top)
-                   for start, stop in _chunk_bounds(n_realizations, chunk_size)]
-    elif draw.key != (envelope, seed, n_realizations, chunk_size, frac_top):
-        raise ValueError("the envelope draw does not match this grid's envelope, seed, "
-                         "n_realizations, chunk_size or top density")
+    if envelope is None and lam_top == 0.0:
+        totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
     else:
-        sources = draw.layouts
-    tasks = [(source, city, h_v, r_max, height_values, placements, fracs, gamma_th)
-             for source in sources]
-    totals = sum(_map_tasks(_chunk_outage_counts, tasks, workers))
+        if envelope is None:
+            envelope = SamplingEnvelope(lambda_cap=lam_top, d_cap=d_top)
+        if lam_top > envelope.lambda_cap or d_top > envelope.d_cap:
+            raise InvalidGeometryError("grid exceeds its sampling envelope")
+        fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
+        if draw is None:
+            sources = [(envelope, seed, start, stop, float(fracs.max()))
+                       for start, stop in _chunk_bounds(n_realizations)]
+        elif draw.key != (envelope, seed, n_realizations):
+            raise ValueError("the envelope draw does not match this grid's envelope, seed "
+                             "or n_realizations")
+        else:
+            sources = draw.layouts
+        tasks = [(source, city, h_v, r_max, height_values, placements, fracs, gamma_th)
+                 for source in sources]
+        totals = sum(_map_tasks(_chunk_outage_counts, tasks, workers))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

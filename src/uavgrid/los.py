@@ -42,6 +42,9 @@ import numpy as np
 from .geometry import CityModel, HeightDistribution
 
 UNBOUNDED = math.inf
+# Absolute tolerance of axis_factor_quadrature's integral (and a fortiori of
+# its exponent, since lambda_s < 1).
+QUADRATURE_TOL = 1e-12
 
 
 class Placement(enum.Enum):
@@ -243,13 +246,10 @@ def axis_factor_quadrature(
     city: CityModel,
     axis: Axis,
     placement: Placement,
-    tol: float = 1e-12,
 ) -> float:
     """Same factor via adaptive quadrature of the survival integrand.
 
-    Independent of the piecewise closed form; used to validate it.  tol is an
-    absolute tolerance on the integral (and a fortiori on the exponent, since
-    lambda_s < 1).
+    Independent of the piecewise closed form; used to validate it.
     """
     from scipy.integrate import quad
 
@@ -269,9 +269,8 @@ def axis_factor_quadrature(
         (heights.h_max - h_v) / slope,
     ]
     interior = [p for p in kinks if za < p < zb]
-    val, _ = quad(
-        integrand, za, zb, points=interior or None, epsabs=tol, epsrel=1e-13, limit=200
-    )
+    val, _ = quad(integrand, za, zb, points=interior or None, epsabs=QUADRATURE_TOL,
+                  epsrel=1e-13, limit=200)
     return math.exp(-city.lambda_s * val)
 
 

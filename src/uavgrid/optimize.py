@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import DEFAULT_CHUNK, EnvelopeDraw, PlacementMode, check_run, outage_grid
+from .connectivity import EnvelopeDraw, PlacementMode, check_run, outage_grid
 from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,16 +87,18 @@ def optimize_height(
     seed: int = 0,
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[float, float]:
     """Altitude minimizing the outage probability at search.gamma_th.
 
     Returns (h_star, outage_star), where outage_star is the Monte Carlo
     estimate at h_star itself.  The winner is the best height among the grid
     pass and every refinement evaluation, so refinement can only improve on
-    the grid answer; ties go to the lower altitude.
+    the grid answer; ties go to the lower altitude.  Refinement stops at
+    search.refine_tol, or sooner once a new probe can no longer land strictly
+    inside the bracket, as happens when refine_tol is below the float spacing
+    of the heights.
     """
-    check_run(n_realizations, seed, workers, chunk_size)
+    check_run(n_realizations, seed, workers)
     if not 0.0 <= h_v < math.inf:
         raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
     if not h_v < search.h_lo < search.h_hi < h_v + r_max:
@@ -114,8 +116,7 @@ def optimize_height(
     # widest disk occurs at the lowest altitude; one envelope covers the search
     d_cap = math.sqrt(r_max * r_max - (grid[0] - h_v) ** 2)
     envelope = SamplingEnvelope(lambda_cap=lambda_uav, d_cap=d_cap)
-    draw = EnvelopeDraw(envelope, seed, n_realizations, chunk_size,
-                        lambda_uav / envelope.lambda_cap, workers=workers)
+    draw = EnvelopeDraw(envelope, seed, n_realizations, workers=workers)
 
     def evaluate(hs: list[float]) -> np.ndarray:
         return outage_grid(
@@ -130,7 +131,6 @@ def optimize_height(
             placement_mode=placement_mode,
             envelope=envelope,
             workers=workers,
-            chunk_size=chunk_size,
             draw=draw,
         )[0]
 
@@ -152,13 +152,17 @@ def optimize_height(
         fc, fd = f(c), f(d)
         while b - a > search.refine_tol:
             if fc <= fd:
+                probe = d - GOLDEN * (d - a)  # the new c of the bracket [a, d]
+                if not a < probe < c:
+                    break
                 b, d, fd = d, c, fc
-                c = b - GOLDEN * (b - a)
-                fc = f(c)
+                c, fc = probe, f(probe)
             else:
+                probe = c + GOLDEN * (b - c)  # the new d of the bracket [c, b]
+                if not d < probe < b:
+                    break
                 a, c, fc = c, d, fd
-                d = a + GOLDEN * (b - a)
-                fd = f(d)
+                d, fd = probe, f(probe)
 
     outage_star, h_star = min((v, h) for h, v in cache.items())
     return h_star, outage_star
@@ -191,7 +195,6 @@ def sweep_contour(
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
     envelope: SamplingEnvelope | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> ContourGrid:
     """Score every (density, altitude) cell on shared constellation draws.
 
@@ -217,7 +220,6 @@ def sweep_contour(
         placement_mode=placement_mode,
         envelope=envelope,
         workers=workers,
-        chunk_size=chunk_size,
     )
     return ContourGrid(lambda_axis, height_axis, values, gamma_th)
 

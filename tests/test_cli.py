@@ -63,6 +63,30 @@ def test_outage_curve_matches_distribution_at_shared_height(capsys):
     row08 = next(l for l in out2.strip().split("\n")[1:] if l.startswith("0.8,"))
     # same seed and same envelope caps: the two commands agree exactly
     assert float(row08.split(",")[3]) == float(lines[1].split(",")[1])
+    code3, out3, _ = run_cli(
+        ["outage-curve", "--preset", "urban", "--lambda-uav", "20", "--h-lo", "100",
+         "--h-hi", "110", "--h-step", "10", "--n-realizations", "1500", "--seed", "3",
+         "--placement", "street-only"], capsys)
+    assert code3 == 0
+    # a single placement's curve is that placement's column, not the mixture
+    street = float(out3.strip().split("\n")[1].split(",")[1])
+    assert street == float(row08.split(",")[2]) != float(row08.split(",")[3])
+
+
+def test_zero_density_is_outage_one_in_every_grid_command(capsys):
+    grid = ["--preset", "urban", "--h-lo", "100", "--h-hi", "150", "--h-step", "50",
+            "--n-realizations", "200", "--seed", "4"]
+    code, zero_only, _ = run_cli(["contour", *grid, "--lambda-lo", "0", "--lambda-hi", "0"], capsys)
+    assert code == 0
+    code2, out2, _ = run_cli(["contour", *grid, "--lambda-lo", "0", "--lambda-hi", "10",
+                              "--lambda-step", "10"], capsys)
+    assert code2 == 0
+    zero_rows = [l for l in out2.strip().split("\n")[1:] if l.startswith("0.0,")]
+    assert zero_only.strip().split("\n")[1:] == zero_rows and len(zero_rows) == 2
+    code3, curve, _ = run_cli(["outage-curve", *grid, "--lambda-uav", "0"], capsys)
+    assert code3 == 0
+    assert [l.split(",")[1] for l in curve.strip().split("\n")[1:]] == \
+        [l.split(",")[2] for l in zero_rows]
 
 
 def test_optimize_matches_api(capsys):

@@ -7,6 +7,7 @@ import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import (
     EmpiricalDistribution,
     EnvelopeDraw,
+    PlacementMode,
     ScenarioConfig,
     _chunk_score_arrays,
     _draw_chunk,
@@ -23,6 +24,7 @@ from uavgrid.geometry import (
     RadioParams,
     SamplingEnvelope,
     ground_range,
+    intersection_weight,
     sample_envelope_points,
 )
 from uavgrid.los import LinkGeometry, Placement, los_probability, los_probability_batch
@@ -76,20 +78,18 @@ def test_adding_a_uav_never_hurts():
 
 
 def test_empirical_distribution_evaluate():
-    dist = EmpiricalDistribution(samples=np.array([0.2, 0.4, 0.4, 0.8]), n=4, seed=0)
+    dist = EmpiricalDistribution(samples=np.array([0.2, 0.4, 0.4, 0.8]))
+    assert dist.n == 4
     assert dist.evaluate(0.1) == 0.0
     assert dist.evaluate(0.2) == 0.25
     assert dist.evaluate(0.39999) == 0.25
     assert dist.evaluate(0.4) == 0.75
     assert dist.evaluate(1.0) == 1.0
     np.testing.assert_allclose(dist.evaluate(np.array([0.2, 0.5])), [0.25, 0.75])
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(samples=np.zeros(3), n=4, seed=0)
 
 
 def test_scenario_config_validation():
-    for bad in ({"n_realizations": 0}, {"workers": 0}, {"chunk_size": 0},
-                {"seed": -1}, {"seed": 2**64}):
+    for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ValueError):
             ScenarioConfig(city=URBAN, radio=RADIO, **{"n_realizations": 10, **bad})
 
@@ -99,16 +99,16 @@ def _fresh_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def test_estimate_matches_scalar_pipeline():
+def test_estimate_matches_scalar_pipeline(monkeypatch):
     """The chunked batch estimator reproduces a per-realization loop."""
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 100)
     n = 256
     d_max = ground_range(RADIO)
     tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
     loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
     for env in (tight, loose):
-        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, chunk_size=100,
-                             envelope=env)
+        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, envelope=env)
         dists = estimate_distribution(cfg)
         scores = {pl: [] for pl in PLACEMENTS}
         for i in range(n):
@@ -201,10 +201,11 @@ def test_zero_density_distribution_is_degenerate():
         assert outage(dist, 0.8) == 1.0
 
 
-def test_chunking_and_workers_do_not_change_samples():
+def test_chunking_and_workers_do_not_change_samples(monkeypatch):
     a = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9))
-    b = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9, chunk_size=257))
     c = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9, workers=2))
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 257)
+    b = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9))
     for pl in a:
         assert np.array_equal(a[pl].samples, b[pl].samples)
         assert np.array_equal(a[pl].samples, c[pl].samples)
@@ -269,7 +270,7 @@ def test_mixture_weight_and_ordering():
 
 
 def test_outage_threshold_validation():
-    dist = EmpiricalDistribution(samples=np.array([0.5]), n=1, seed=0)
+    dist = EmpiricalDistribution(samples=np.array([0.5]))
     assert outage(dist, 0.5) == 1.0
     assert outage(dist, 0.49) == 0.0
     with pytest.raises(ValueError):
@@ -287,27 +288,38 @@ def test_outage_grid_matches_distribution_pipeline():
     for env in (tight, loose):
         # zero, interior and the envelope's own cap: empty, partial and full mark prefixes
         lams = [0.0, 0.4 * env.lambda_cap, env.lambda_cap]
-        mixes = {}
+        cells = {}
         for i, lam in enumerate(lams):
             for j, h in enumerate(heights):
                 radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=lam)
-                dists = estimate_distribution(
+                cells[i, j] = estimate_distribution(
                     ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=6, envelope=env))
-                mixes[i, j] = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
+        w = intersection_weight(URBAN)
         for gamma_th in (0.0, 0.8, 1.0):
             grid = outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th, n, 6, envelope=env)
             assert grid.shape == (len(lams), len(heights))
-            for (i, j), mix in mixes.items():
+            single = {mode.placements[0]: outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th,
+                                                      n, 6, placement_mode=mode, envelope=env)
+                      for mode in (PlacementMode.INTERSECTION_ONLY, PlacementMode.STREET_ONLY)}
+            # the mixture blends the two single-placement grids with the same arithmetic
+            assert np.array_equal(grid, w * single[Placement.INTERSECTION]
+                                  + (1.0 - w) * single[Placement.STREET])
+            for (i, j), dists in cells.items():
+                mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
                 assert grid[i, j] == outage(mix, gamma_th), (env, i, j, gamma_th)
+                for placement, values in single.items():
+                    assert values[i, j] == outage(dists[placement], gamma_th), (env, placement, i, j)
 
 
-def test_outage_grid_worker_invariance():
+def test_outage_grid_worker_invariance(monkeypatch):
     hts = [80.0, 140.0]
     # the last case leaves most realizations, and so most one-realization
     # chunks, without a single envelope point
     for lam, n, chunk_size in (([10e-6, 25e-6], 2000, 333), ([1e-6, 3e-6], 400, 1)):
         a = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5)
-        b = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5, workers=2, chunk_size=chunk_size)
+        with monkeypatch.context() as m:
+            m.setattr(connectivity, "CHUNK_SIZE", chunk_size)
+            b = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5, workers=2)
         assert np.array_equal(a, b)
 
 
@@ -324,41 +336,42 @@ def test_outage_grid_validates_inputs():
     for h_v in (-5.0, math.nan, math.inf):
         with pytest.raises(InvalidGeometryError):
             outage_grid(URBAN, 250.0, h_v, [1e-5], [100.0], 0.8, 10, 0)
-    for n, seed, extra in ((0, 0, {}), (10, -1, {}), (10, 2**64, {}),
-                           (10, 0, {"workers": 0}), (10, 0, {"chunk_size": 0})):
+    for n, seed, extra in ((0, 0, {}), (10, -1, {}), (10, 2**64, {}), (10, 0, {"workers": 0})):
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
 
 
-def test_outage_grid_scores_a_shared_draw():
+def test_outage_grid_scores_a_shared_draw(monkeypatch):
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
     env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
     lams, hts = [10e-6, 25e-6], [80.0, 140.0]
-    draw = EnvelopeDraw(env, 5, 700, 256, 1.0)
-    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, chunk_size=256)
+    draw = EnvelopeDraw(env, 5, 700)
+    assert draw.key == (env, 5, 700) and len(draw.layouts) == 3
+    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env)
     for workers in (1, 2):
         shared = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env,
-                             chunk_size=256, workers=workers, draw=draw)
+                             workers=workers, draw=draw)
         assert np.array_equal(shared, fresh)
-    pooled = EnvelopeDraw(env, 5, 700, 256, 1.0, workers=2)
+    pooled = EnvelopeDraw(env, 5, 700, workers=2)
     assert np.array_equal(
-        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, chunk_size=256,
-                    draw=pooled), fresh)
-    # a draw answers only the call it was drawn for
+        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, draw=pooled), fresh)
+    # the whole-envelope draw answers densities below the envelope's cap too
+    low = outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, envelope=env)
+    assert np.array_equal(
+        outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, envelope=env, draw=draw), low)
+    # a draw answers only the envelope, seed and n_realizations it was drawn for
     mismatched = (
-        {"n_realizations": 600}, {"seed": 6}, {"chunk_size": 128},
+        {"n_realizations": 600}, {"seed": 6},
         {"envelope": SamplingEnvelope(lambda_cap=30e-6, d_cap=240.0)},
-        {"lambda_values": [10e-6]},
     )
     for change in mismatched:
         call = {"lambda_values": lams, "height_values": hts, "gamma_th": 0.8,
-                "n_realizations": 700, "seed": 5, "envelope": env, "chunk_size": 256, **change}
+                "n_realizations": 700, "seed": 5, "envelope": env, **change}
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, draw=draw, **call)
-    for bad in ({"frac_top": 1.5}, {"frac_top": float("nan")}, {"n_realizations": 0},
-                {"seed": -1}, {"chunk_size": 0}):
+    for bad in ({"n_realizations": 0}, {"seed": -1}):
         with pytest.raises(ValueError):
-            EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10,
-                            "chunk_size": 4, "frac_top": 1.0, **bad})
+            EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10, **bad})
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -380,11 +393,12 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(connectivity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1000)
     assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
     # three chunks of 1000 realizations ask for three processes at most
-    outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64, chunk_size=1000)
+    outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64)
     estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=5,
-                                         workers=2, chunk_size=1000))
+                                         workers=2))
     assert sizes == [3, 3, 2]
     # a single task or a single worker never builds a pool
     _map_tasks(abs, [-1], 64)

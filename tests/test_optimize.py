@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavgrid.connectivity as connectivity
+import uavgrid.optimize as optimize
 from uavgrid.connectivity import outage_grid
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError, SamplingEnvelope
 from uavgrid.optimize import (
@@ -102,8 +108,6 @@ def test_optimize_self_consistency():
 
 
 def test_optimize_draws_each_realization_once(monkeypatch):
-    import uavgrid.connectivity as connectivity
-
     calls = []
     real = connectivity.sample_envelope_points
 
@@ -116,9 +120,44 @@ def test_optimize_draws_each_realization_once(monkeypatch):
     spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=20.0)
     serial = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4)
     assert len(calls) == 300
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 97)
     pooled = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4,
-                             workers=2, chunk_size=97)
+                             workers=2)
     assert pooled == serial
+
+
+def test_refinement_ends_below_the_float_spacing(monkeypatch):
+    """A refine_tol no bracket can reach stops the search instead of looping forever."""
+    # a search that never ends reprobes cached heights without calling the grid,
+    # so its first run is a child process that a timeout can end
+    src = str(Path(optimize.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavgrid", "optimize", "--preset", "urban", "--lambda-uav", "30",
+         "--h-lo", "50", "--h-hi", "250", "--n-realizations", "300", "--refine-tol", "1e-300"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = []
+    real = optimize.outage_grid
+
+    def bounded(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 500:
+            raise AssertionError("the golden-section refinement does not end")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "outage_grid", bounded)
+    search = {"h_lo": 50.0, "h_hi": 250.0}
+    h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, HeightSearchSpec(**search, refine_tol=1e-300),
+                             n_realizations=300, seed=0)
+    assert len(calls) < 500
+    assert proc.stdout.split("\n")[1] == f"{h!r},{out!r}"
+    # the search went at least as far as a reachable tolerance, so it did no worse
+    coarse = optimize_height(URBAN, 250.0, 10.0, 30e-6, HeightSearchSpec(**search, refine_tol=1e-6),
+                             n_realizations=300, seed=0)
+    assert 50.0 <= h <= 250.0 and out <= coarse[1]
 
 
 def test_optimal_height_decreases_with_density():

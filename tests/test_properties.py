@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import ScenarioConfig, _chunk_score_arrays, _lay_out, estimate_distribution
 from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, los_probability
@@ -116,10 +117,11 @@ def test_poisson_count_statistic():
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
 
-def test_worker_invariance_is_byte_exact():
+def test_worker_invariance_is_byte_exact(monkeypatch):
     radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
     a = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1500, seed=31))
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 191)
     b = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1500, seed=31,
-                                             workers=2, chunk_size=191))
+                                             workers=2))
     for pl in a:
         assert np.array_equal(a[pl].samples, b[pl].samples)
