@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +29,6 @@ from .geometry import (
     InvalidGeometryError,
     PRESETS,
     RadioParams,
-    SamplingEnvelope,
-    ground_range,
 )
 from .los import Placement
 from .optimize import (
@@ -242,12 +239,10 @@ def _build_city(args) -> CityModel:
     )
 
 
-def _build_envelope(args, lambda_uav: float, d_max: float) -> SamplingEnvelope | None:
-    if args.lambda_cap is None and args.d_cap is None:
-        return None
-    lambda_cap = args.lambda_cap * PER_KM2 if args.lambda_cap is not None else lambda_uav
-    d_cap = args.d_cap if args.d_cap is not None else d_max
-    return SamplingEnvelope(lambda_cap=lambda_cap, d_cap=d_cap)
+def _envelope_caps(args) -> dict:
+    """--lambda-cap (per m2) and --d-cap as the API's lambda_cap and d_cap."""
+    lambda_cap = None if args.lambda_cap is None else args.lambda_cap * PER_KM2
+    return {"lambda_cap": lambda_cap, "d_cap": args.d_cap}
 
 
 @functools.cache
@@ -300,9 +295,6 @@ def _cmd_distribution(args) -> int:
     city = _build_city(args)
     lam = args.lambda_uav * PER_KM2
     radio = RadioParams(r_max=args.r_max, h_uav=args.h_uav, h_v=args.h_v, lambda_uav=lam)
-    if radio.h_uav <= radio.h_v:
-        raise InvalidGeometryError("need h_uav > h_v")
-    envelope = _build_envelope(args, lam, ground_range(radio))
     gammas = grid_points(0.0, 1.0, args.gamma_step)
     config = ScenarioConfig(
         city=city,
@@ -310,7 +302,7 @@ def _cmd_distribution(args) -> int:
         n_realizations=args.n_realizations,
         seed=args.seed,
         workers=args.workers,
-        envelope=envelope,
+        **_envelope_caps(args),
     )
     dists = estimate_distribution(config)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
@@ -337,23 +329,10 @@ def _cmd_distribution(args) -> int:
     return 0
 
 
-def _check_height_window(heights: list[float], h_v: float, r_max: float) -> None:
-    if not 0.0 <= h_v < math.inf:
-        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
-    if not (h_v < heights[0] and heights[-1] < h_v + r_max):
-        raise InvalidGeometryError(
-            f"altitudes [{heights[0]}, {heights[-1]}] outside the feasible range "
-            f"({h_v}, {h_v + r_max})"
-        )
-
-
 def _cmd_outage_curve(args) -> int:
     city = _build_city(args)
     lam = args.lambda_uav * PER_KM2
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
-    _check_height_window(heights, args.h_v, args.r_max)
-    d_top = math.sqrt(args.r_max * args.r_max - (heights[0] - args.h_v) ** 2)
-    envelope = _build_envelope(args, lam, d_top)
     values = outage_grid(
         city,
         args.r_max,
@@ -364,8 +343,8 @@ def _cmd_outage_curve(args) -> int:
         args.n_realizations,
         args.seed,
         placement_mode=PlacementMode(args.placement),
-        envelope=envelope,
         workers=args.workers,
+        **_envelope_caps(args),
     )[0]
     rows = [[h, float(v)] for h, v in zip(heights, values)]
     _emit(
@@ -421,7 +400,6 @@ def _cmd_contour(args) -> int:
     city = _build_city(args)
     lambdas_km2 = grid_points(args.lambda_lo, args.lambda_hi, args.lambda_step)
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
-    _check_height_window(heights, args.h_v, args.r_max)
     if args.target_outage is not None and not 0.0 <= args.target_outage <= 1.0:
         raise ValueError("--target-outage must lie in [0, 1]")
     grid = sweep_contour(
@@ -434,12 +412,8 @@ def _cmd_contour(args) -> int:
         n_realizations=args.n_realizations,
         seed=args.seed,
         placement_mode=PlacementMode(args.placement),
-        envelope=_build_envelope(
-            args,
-            max(lambdas_km2) * PER_KM2,
-            math.sqrt(args.r_max * args.r_max - (heights[0] - args.h_v) ** 2),
-        ),
         workers=args.workers,
+        **_envelope_caps(args),
     )
     rows = [
         [lam_km2, h, float(grid.outage[i, j])]
@@ -533,4 +507,8 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     except (ConfigError, InvalidGeometryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # a run too large to allocate is bad input, not a validation failure
+        print(f"error: {str(e) or 'the run does not fit in memory'}", file=sys.stderr)
         return 2

@@ -78,14 +78,15 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one distribution estimate depends on."""
+    """Everything one distribution estimate depends on; the envelope caps as in outage_grid."""
 
     city: CityModel
     radio: RadioParams
     n_realizations: int = 100_000
     seed: int = 0
     workers: int = 1
-    envelope: SamplingEnvelope | None = None
+    lambda_cap: float | None = None
+    d_cap: float | None = None
 
     def __post_init__(self):
         check_run(self.n_realizations, self.seed, self.workers)
@@ -99,6 +100,23 @@ def check_run(n_realizations: int, seed: int, workers: int) -> None:
         raise ValueError("seed must lie in [0, 2**64)")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+
+
+def _carve(lambda_top, d_top, lambda_cap=None, d_cap=None) -> SamplingEnvelope | None:
+    """The envelope of a scenario whose top density is lambda_top and widest disk d_top.
+
+    A missing cap is the scenario's top.  Given caps must be positive, finite
+    and cover the scenario, at every density (InvalidGeometryError).  At top
+    density 0 there is nothing to draw: None.
+    """
+    for cap in (lambda_cap, d_cap):
+        if cap is not None and not 0.0 < cap < math.inf:
+            raise InvalidGeometryError("envelope caps must be positive and finite")
+    lambda_cap = lambda_top if lambda_cap is None else lambda_cap
+    d_cap = d_top if d_cap is None else d_cap
+    if lambda_top > lambda_cap or d_top > d_cap:
+        raise InvalidGeometryError("the scenario exceeds its sampling envelope")
+    return SamplingEnvelope(lambda_cap, d_cap) if lambda_top > 0.0 else None
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
@@ -256,8 +274,7 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
     survival = np.empty(marks.shape)
     flat = survival.reshape(-1)
     for j, h in enumerate(height_values):
-        dz = h - h_v
-        k = int(np.searchsorted(d, math.sqrt(r_max * r_max - dz * dz), side="right"))
+        k = int(np.searchsorted(d, ground_range(r_max, h, h_v), side="right"))
         d_h, c_h, s_h, slot_h = d[:k], cos_phi[:k], sin_phi[:k], slot[:k]
         for ip, placement in enumerate(placements):
             factors = los_probability_batch(d_h, c_h, s_h, h, h_v, city, placement)
@@ -304,19 +321,18 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     """Estimate the connectivity CDF, one distribution per placement.
 
     Both placements are scored on the same constellations, so the two
-    distributions (and anything derived from both) are coupled draws.
+    distributions (and anything derived from both) are coupled draws.  The
+    UAVs must fly above the vehicle (InvalidGeometryError otherwise).
     """
     radio = config.radio
+    if radio.h_uav <= radio.h_v:
+        raise InvalidGeometryError("need h_uav > h_v")
     placements = PlacementMode.MIXTURE.placements
     n = config.n_realizations
-    if radio.lambda_uav == 0.0:
-        return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
-    d_max = ground_range(radio)
-    envelope = config.envelope
+    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
+    envelope = _carve(radio.lambda_uav, d_max, config.lambda_cap, config.d_cap)
     if envelope is None:
-        envelope = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=d_max)
-    if radio.lambda_uav > envelope.lambda_cap or d_max > envelope.d_cap:
-        raise InvalidGeometryError("scenario exceeds its sampling envelope")
+        return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
     frac = radio.lambda_uav / envelope.lambda_cap
     tasks = [
         ((envelope, config.seed, start, stop, frac), config.city, radio.h_v, radio.r_max,
@@ -370,7 +386,8 @@ def outage_grid(
     n_realizations: int,
     seed: int,
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
-    envelope: SamplingEnvelope | None = None,
+    lambda_cap: float | None = None,
+    d_cap: float | None = None,
     workers: int = 1,
     draw: EnvelopeDraw | None = None,
 ) -> np.ndarray:
@@ -378,14 +395,15 @@ def outage_grid(
 
     Every cell is scored on the same n_realizations envelope realizations, so
     comparisons across cells are exact: more density or a nested ground disk
-    can only add UAVs to a realization.  Cell values equal what the
-    estimate_distribution / mixture_cdf / outage pipeline returns for the same
-    envelope, seed and n.  With every density 0 and no envelope nothing is
-    drawn: every realization is in outage in every cell.
+    can only add UAVs to a realization.  The envelope's caps are lambda_cap
+    (per m2) and d_cap (m), by default the grid's top density and widest disk.
+    Cell values equal what the estimate_distribution / mixture_cdf / outage
+    pipeline returns for the same caps, seed and n.  With every density 0
+    nothing is drawn, whatever the caps: every realization is in outage.
 
     With a draw, the cells are scored on its layouts, and its key must be this
-    call's (envelope, seed, n_realizations) (ValueError otherwise); without
-    one, each chunk is drawn, scored and dropped in turn.
+    call's (envelope, seed, n_realizations) (ValueError otherwise) unless every
+    density is 0; without one, each chunk is drawn, scored and dropped in turn.
     """
     check_run(n_realizations, seed, workers)
     if not 0.0 <= gamma_th <= 1.0:
@@ -403,16 +421,12 @@ def outage_grid(
             raise InvalidGeometryError(
                 f"altitude {h} outside the feasible range ({h_v}, {h_v + r_max})"
             )
-    lam_top = max(lambda_values)
-    d_top = math.sqrt(r_max * r_max - (min(height_values) - h_v) ** 2)
+    envelope = _carve(max(lambda_values), ground_range(r_max, min(height_values), h_v),
+                      lambda_cap, d_cap)
     placements = placement_mode.placements
-    if envelope is None and lam_top == 0.0:
+    if envelope is None:
         totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
     else:
-        if envelope is None:
-            envelope = SamplingEnvelope(lambda_cap=lam_top, d_cap=d_top)
-        if lam_top > envelope.lambda_cap or d_top > envelope.d_cap:
-            raise InvalidGeometryError("grid exceeds its sampling envelope")
         fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
         if draw is None:
             sources = [(envelope, seed, start, stop, float(fracs.max()))

@@ -130,10 +130,13 @@ class RadioParams:
             )
 
 
-def ground_range(radio: RadioParams) -> float:
-    """Radius of the ground disk within 3D range of the vehicle."""
-    dz = radio.h_uav - radio.h_v
-    return math.sqrt(radio.r_max * radio.r_max - dz * dz)
+def ground_range(r_max: float, h_uav: float, h_v: float) -> float:
+    """Radius of the ground disk of UAVs at h_uav within 3D range r_max of a vehicle at h_v.
+
+    The package's one ground-range formula, so equal heights give equal disks bit for bit.
+    """
+    dz = h_uav - h_v
+    return math.sqrt(r_max * r_max - dz * dz)
 
 
 @dataclass(frozen=True)

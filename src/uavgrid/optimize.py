@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import EnvelopeDraw, PlacementMode, check_run, outage_grid
-from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope
+from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope, ground_range
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,9 +114,8 @@ def optimize_height(
         return grid[0], 1.0
 
     # widest disk occurs at the lowest altitude; one envelope covers the search
-    d_cap = math.sqrt(r_max * r_max - (grid[0] - h_v) ** 2)
-    envelope = SamplingEnvelope(lambda_cap=lambda_uav, d_cap=d_cap)
-    draw = EnvelopeDraw(envelope, seed, n_realizations, workers=workers)
+    d_cap = ground_range(r_max, grid[0], h_v)
+    draw = EnvelopeDraw(SamplingEnvelope(lambda_uav, d_cap), seed, n_realizations, workers=workers)
 
     def evaluate(hs: list[float]) -> np.ndarray:
         return outage_grid(
@@ -129,7 +128,7 @@ def optimize_height(
             n_realizations,
             seed,
             placement_mode=placement_mode,
-            envelope=envelope,
+            lambda_cap=lambda_uav, d_cap=d_cap,
             workers=workers,
             draw=draw,
         )[0]
@@ -193,13 +192,15 @@ def sweep_contour(
     n_realizations: int = 100_000,
     seed: int = 0,
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
-    envelope: SamplingEnvelope | None = None,
+    lambda_cap: float | None = None,
+    d_cap: float | None = None,
     workers: int = 1,
 ) -> ContourGrid:
     """Score every (density, altitude) cell on shared constellation draws.
 
     Sharing makes the grid monotone in density exactly, not just on average:
-    raising the density only adds UAVs to each realization.
+    raising the density only adds UAVs to each realization.  lambda_cap (per
+    m2) and d_cap (m) are the sampling envelope's caps, as in outage_grid.
     """
     lambda_axis = np.asarray([float(v) for v in lambda_axis])
     height_axis = np.asarray([float(v) for v in height_axis])
@@ -218,7 +219,7 @@ def sweep_contour(
         n_realizations,
         seed,
         placement_mode=placement_mode,
-        envelope=envelope,
+        lambda_cap=lambda_cap, d_cap=d_cap,
         workers=workers,
     )
     return ContourGrid(lambda_axis, height_axis, values, gamma_th)

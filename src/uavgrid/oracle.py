@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CityModel, PRESETS, RadioParams, ground_range
+from .geometry import CityModel, PRESETS, ground_range
 from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 
@@ -109,17 +109,16 @@ def validation_sweep(
     rng = np.random.default_rng(seed)
     names = sorted(PRESETS)
     placements = (Placement.INTERSECTION, Placement.STREET)
-    # keep ground_range comfortably above the 10 m lower bound on d
-    h_cap = h_v + math.sqrt(r_max * r_max - 20.0 * 20.0)
+    # keep the ground disk comfortably above the 10 m lower bound on d: it
+    # shrinks to 20 m at the offset sqrt(r_max**2 - 20**2)
+    h_cap = h_v + ground_range(r_max, 20.0, 0.0)
     results = []
     for k in range(cases):
         preset = names[k % len(names)]
         placement = placements[(k // len(names)) % 2]
         city = PRESETS[preset]
         h_uav = rng.uniform(h_v + 1.0, h_cap)
-        radio = RadioParams(r_max=r_max, h_uav=h_uav, h_v=h_v, lambda_uav=0.0)
-        d_max = ground_range(radio)
-        d = rng.uniform(10.0, d_max)
+        d = rng.uniform(10.0, ground_range(r_max, h_uav, h_v))
         phi = rng.uniform(0.0, 0.5 * math.pi)
         link = LinkGeometry(d=d, phi=phi, h_uav=h_uav, h_v=h_v)
         p = los_probability(link, city, placement)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage_grid
-from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope
+from uavgrid.geometry import PRESETS, RadioParams
 from uavgrid.los import Axis, LinkGeometry, Placement, axis_factor, axis_factor_quadrature
 from uavgrid.optimize import min_density_for_outage, sweep_contour
 from uavgrid.oracle import validation_sweep
@@ -99,10 +99,9 @@ def test_acceptance_4_figure_orderings():
     for name, city in PRESETS.items():
         curves = {}
         for r in (200.0, 300.0):
-            env = SamplingEnvelope(lambda_cap=20e-6, d_cap=d_cap)
             rad = RadioParams(r, 100.0, 10.0, 20e-6)
             ds = estimate_distribution(ScenarioConfig(city=city, radio=rad, n_realizations=n,
-                                                      seed=2, envelope=env))
+                                                      seed=2, lambda_cap=20e-6, d_cap=d_cap))
             curves[r] = mixture_cdf(ds[Placement.INTERSECTION], ds[Placement.STREET], city).evaluate(gammas)
         per_city[name] = curves
         checks.append((f"range ordering {name}", bool(np.all(curves[300.0] <= curves[200.0]))))
@@ -130,17 +129,17 @@ def test_acceptance_4_figure_orderings():
 
     # altitude curves have interior minima that move down as density grows
     hts = [float(h) for h in range(60, 241, 10)]
-    env = SamplingEnvelope(lambda_cap=30e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
-    rows = outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6, 30e-6], hts, 0.8, n, 3, envelope=env)
+    rows = outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6, 30e-6], hts, 0.8, n, 3,
+                       lambda_cap=30e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
     argmins = [int(np.argmin(r)) for r in rows]
     checks.append(("interior minima", all(0 < j < len(hts) - 1 for j in argmins)))
     checks.append(("optimal altitude decreases with density", argmins[0] > argmins[1] > argmins[2]))
 
     # outage at the per-density best altitude only improves with density
     lam2 = [v * 1e-6 for v in range(5, 51, 5)]
-    env2 = SamplingEnvelope(lambda_cap=50e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
     for name, city in PRESETS.items():
-        rows2 = outage_grid(city, 250.0, 10.0, lam2, hts, 0.8, n, 3, envelope=env2)
+        rows2 = outage_grid(city, 250.0, 10.0, lam2, hts, 0.8, n, 3,
+                            lambda_cap=50e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
         best = rows2.min(axis=1)
         checks.append((f"best outage non-increasing {name}", bool(np.all(np.diff(best) <= 0.0))))
 

@@ -89,6 +89,28 @@ def test_zero_density_is_outage_one_in_every_grid_command(capsys):
         [l.split(",")[2] for l in zero_rows]
 
 
+ZERO_DENSITY = {
+    "distribution": ["--lambda-uav", "0", "--h-uav", "100"],
+    "outage-curve": ["--lambda-uav", "0", "--h-lo", "100", "--h-hi", "100"],
+    "contour": ["--lambda-lo", "0", "--lambda-hi", "0", "--h-lo", "100", "--h-hi", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ZERO_DENSITY))
+def test_zero_density_checks_given_caps_in_every_command(command, capsys):
+    args = [command, "--preset", "urban", "--n-realizations", "50", *ZERO_DENSITY[command]]
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    # caps that cover the 233 m disk change nothing; the density cap defaults to 0
+    for caps in (["--d-cap", "300"], ["--lambda-cap", "10"],
+                 ["--lambda-cap", "10", "--d-cap", "300"]):
+        assert run_cli(args + caps, capsys)[:2] == (0, plain)
+    # a 50 m disk cap does not cover it, whatever the density
+    code, out, err = run_cli(args + ["--d-cap", "50"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_optimize_matches_api(capsys):
     code, out, _ = run_cli(
         ["optimize", "--preset", "urban", "--lambda-uav", "30",
@@ -326,12 +348,16 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--lambda-step", "1e-8", "--h-lo", "50", "--h-hi", "100"],
         ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
          "--gamma-step", "1e-9"],
+        # numpy refuses the allocation at once; density 0 keeps the run from chunking
+        ["distribution", "--preset", "urban", "--lambda-uav", "0", "--h-uav", "100",
+         "--n-realizations", "1000000000000000"],
     ],
     ids=["n-realizations-0", "seed-negative", "seed-2-64", "workers-0",
          "optimize-lambda-cap", "optimize-d-cap", "distribution-gamma-th",
          "refine-tol-nan", "w-v-nan", "lambda-uav-nan", "d-cap-nan", "grid-step-nan",
          "gamma-step-nan", "contour-h-v-negative", "optimize-h-v-negative",
-         "grid-step-oversized", "lambda-step-oversized", "gamma-step-oversized"],
+         "grid-step-oversized", "lambda-step-oversized", "gamma-step-oversized",
+         "n-realizations-out-of-memory"],
 )
 def test_bad_run_parameters_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -344,9 +370,9 @@ def test_bad_run_parameters_exit_2(args, capsys):
     "args",
     [["--cases", "-1"], ["--max-outliers", "-1"], ["--z-limit", "nan"],
      ["--r-max", "nan"], ["--r-max", "inf"], ["--r-max", "20"], ["--h-v", "nan"],
-     ["--h-v", "-1"]],
+     ["--h-v", "-1"], ["--cases", "1", "--n-draws", "1000000000000000"]],
     ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
-         "h-v-nan", "h-v-negative"],
+         "h-v-nan", "h-v-negative", "n-draws-out-of-memory"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

@@ -51,6 +51,11 @@ def _p(d, phi, placement):
     return los_probability(LinkGeometry(d=d, phi=phi, h_uav=100.0, h_v=10.0), URBAN, placement)
 
 
+def _caps(env):
+    """An envelope's caps as the lambda_cap and d_cap arguments."""
+    return {"lambda_cap": env.lambda_cap, "d_cap": env.d_cap}
+
+
 def test_conditional_connectivity_empty_is_zero():
     assert np.array_equal(_scores([]), np.zeros((2, 1)))
 
@@ -103,12 +108,12 @@ def test_estimate_matches_scalar_pipeline(monkeypatch):
     """The chunked batch estimator reproduces a per-realization loop."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 100)
     n = 256
-    d_max = ground_range(RADIO)
+    d_max = ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v)
     tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
     loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
     for env in (tight, loose):
-        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, envelope=env)
+        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, **_caps(env))
         dists = estimate_distribution(cfg)
         scores = {pl: [] for pl in PLACEMENTS}
         for i in range(n):
@@ -223,13 +228,13 @@ def test_intersection_placement_dominates():
 
 def test_nesting_in_density_and_range():
     """A shared envelope couples scenarios: more density or range only helps."""
-    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(RADIO))
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v))
     hi = ScenarioConfig(city=URBAN, radio=RadioParams(250.0, 100.0, 10.0, 40e-6),
-                        n_realizations=1500, seed=23, envelope=env)
+                        n_realizations=1500, seed=23, **_caps(env))
     lo = ScenarioConfig(city=URBAN, radio=RadioParams(250.0, 100.0, 10.0, 15e-6),
-                        n_realizations=1500, seed=23, envelope=env)
+                        n_realizations=1500, seed=23, **_caps(env))
     short = ScenarioConfig(city=URBAN, radio=RadioParams(200.0, 100.0, 10.0, 40e-6),
-                           n_realizations=1500, seed=23, envelope=env)
+                           n_realizations=1500, seed=23, **_caps(env))
     d_hi = estimate_distribution(hi)
     d_lo = estimate_distribution(lo)
     d_short = estimate_distribution(short)
@@ -243,19 +248,64 @@ def test_envelope_must_cover_scenario():
     env = SamplingEnvelope(lambda_cap=10e-6, d_cap=200.0)
     over_lambda = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
     over_range = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=10e-6)
-    assert ground_range(over_range) > env.d_cap
+    assert ground_range(over_range.r_max, over_range.h_uav, over_range.h_v) > env.d_cap
     for radio in (over_lambda, over_range):
-        cfg = ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0, envelope=env)
+        cfg = ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0, **_caps(env))
         with pytest.raises(InvalidGeometryError):
             estimate_distribution(cfg)
         with pytest.raises(InvalidGeometryError):
             outage_grid(URBAN, radio.r_max, radio.h_v, [radio.lambda_uav], [radio.h_uav], 0.8, 10, 0,
-                        envelope=env)
+                        **_caps(env))
     # at the caps themselves the scenario is covered
-    at_caps = SamplingEnvelope(lambda_cap=10e-6, d_cap=ground_range(over_range))
+    at_caps = SamplingEnvelope(lambda_cap=10e-6,
+                               d_cap=ground_range(over_range.r_max, over_range.h_uav, over_range.h_v))
     estimate_distribution(ScenarioConfig(city=URBAN, radio=over_range, n_realizations=10, seed=0,
-                                         envelope=at_caps))
-    outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, envelope=at_caps)
+                                         **_caps(at_caps)))
+    outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, **_caps(at_caps))
+
+
+def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
+    """At density 0 no realization has a UAV: nothing is drawn, whatever the caps."""
+    def no_draw(*args):
+        raise AssertionError("drew an envelope at density 0")
+
+    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    grid = outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 1000, 0, lambda_cap=10e-6)
+    assert np.array_equal(grid, [[1.0]])
+    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
+    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1000,
+                                                 seed=0, lambda_cap=10e-6, d_cap=300.0))
+    for dist in dists.values():
+        assert np.array_equal(dist.samples, np.zeros(1000))
+    # given caps are still checked: a 50 m disk cap does not cover the 233 m disk
+    for caps in ({"d_cap": 50.0}, {"lambda_cap": 0.0}, {"d_cap": math.nan}):
+        with pytest.raises(InvalidGeometryError):
+            outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 10, 0, **caps)
+        with pytest.raises(InvalidGeometryError):
+            estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=10,
+                                                 seed=0, **caps))
+    # the UAVs must fly above the vehicle at every density
+    level = RadioParams(r_max=250.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
+    with pytest.raises(InvalidGeometryError):
+        estimate_distribution(ScenarioConfig(city=URBAN, radio=level, n_realizations=10, seed=0))
+
+
+def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
+    """Without caps both pipelines carve the same envelope, bit for bit."""
+    seen = []
+
+    def record(envelope, *args):
+        seen.append(envelope)
+        return draw_chunk(envelope, *args)
+
+    draw_chunk = connectivity._draw_chunk
+    monkeypatch.setattr(connectivity, "_draw_chunk", record)
+    h = 105.97  # (h - h_v) ** 2 and dz * dz round one ulp apart here
+    outage_grid(URBAN, 250.0, 10.0, [20e-6], [h], 0.8, 10, 0)
+    radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=20e-6)
+    estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0))
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert seen[0].d_cap == ground_range(250.0, h, 10.0)
 
 
 def test_mixture_weight_and_ordering():
@@ -282,9 +332,10 @@ def test_outage_threshold_validation():
 def test_outage_grid_matches_distribution_pipeline():
     n = 500
     heights = [100.0, 160.0]
-    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=ground_range(RADIO))
+    d_max = ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v)
+    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
-    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=ground_range(RADIO) + 20.0)
+    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
     for env in (tight, loose):
         # zero, interior and the envelope's own cap: empty, partial and full mark prefixes
         lams = [0.0, 0.4 * env.lambda_cap, env.lambda_cap]
@@ -293,13 +344,13 @@ def test_outage_grid_matches_distribution_pipeline():
             for j, h in enumerate(heights):
                 radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=lam)
                 cells[i, j] = estimate_distribution(
-                    ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=6, envelope=env))
+                    ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=6, **_caps(env)))
         w = intersection_weight(URBAN)
         for gamma_th in (0.0, 0.8, 1.0):
-            grid = outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th, n, 6, envelope=env)
+            grid = outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th, n, 6, **_caps(env))
             assert grid.shape == (len(lams), len(heights))
             single = {mode.placements[0]: outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th,
-                                                      n, 6, placement_mode=mode, envelope=env)
+                                                      n, 6, placement_mode=mode, **_caps(env))
                       for mode in (PlacementMode.INTERSECTION_ONLY, PlacementMode.STREET_ONLY)}
             # the mixture blends the two single-placement grids with the same arithmetic
             assert np.array_equal(grid, w * single[Placement.INTERSECTION]
@@ -347,26 +398,26 @@ def test_outage_grid_scores_a_shared_draw(monkeypatch):
     lams, hts = [10e-6, 25e-6], [80.0, 140.0]
     draw = EnvelopeDraw(env, 5, 700)
     assert draw.key == (env, 5, 700) and len(draw.layouts) == 3
-    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env)
+    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env))
     for workers in (1, 2):
-        shared = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env,
+        shared = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env),
                              workers=workers, draw=draw)
         assert np.array_equal(shared, fresh)
     pooled = EnvelopeDraw(env, 5, 700, workers=2)
     assert np.array_equal(
-        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, envelope=env, draw=pooled), fresh)
+        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env), draw=pooled), fresh)
     # the whole-envelope draw answers densities below the envelope's cap too
-    low = outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, envelope=env)
+    low = outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, **_caps(env))
     assert np.array_equal(
-        outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, envelope=env, draw=draw), low)
+        outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, **_caps(env), draw=draw), low)
     # a draw answers only the envelope, seed and n_realizations it was drawn for
     mismatched = (
         {"n_realizations": 600}, {"seed": 6},
-        {"envelope": SamplingEnvelope(lambda_cap=30e-6, d_cap=240.0)},
+        {"lambda_cap": 30e-6},
     )
     for change in mismatched:
         call = {"lambda_values": lams, "height_values": hts, "gamma_th": 0.8,
-                "n_realizations": 700, "seed": 5, "envelope": env, **change}
+                "n_realizations": 700, "seed": 5, **_caps(env), **change}
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, draw=draw, **call)
     for bad in ({"n_realizations": 0}, {"seed": -1}):

@@ -92,16 +92,23 @@ def test_radio_params_validation():
                 RadioParams(**{**good, key: value})
     # equal heights are allowed, the serving disk then has the full radius
     r = RadioParams(r_max=100.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
-    assert ground_range(r) == 100.0
+    assert ground_range(r.r_max, r.h_uav, r.h_v) == 100.0
 
 
 def test_ground_range_value(radio):
-    assert ground_range(radio) == pytest.approx(233.23807579381202, rel=1e-15)
+    assert ground_range(radio.r_max, radio.h_uav, radio.h_v) == pytest.approx(233.23807579381202,
+                                                                          rel=1e-15)
 
 
 def _tight(radio):
     # the envelope at the scenario's own caps keeps every point it draws
-    return SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio))
+    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
+    return SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=d_max)
+
+
+def _caps(env):
+    """An envelope's caps as the lambda_cap and d_cap arguments."""
+    return {"lambda_cap": env.lambda_cap, "d_cap": env.d_cap}
 
 
 def test_sample_realization_empty_at_zero_density():
@@ -113,7 +120,7 @@ def test_sample_realization_empty_at_zero_density():
 
 
 def test_sample_realization_properties(radio, rng):
-    d_max = ground_range(radio)
+    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
     env = _tight(radio)
     for _ in range(20):
         twin = copy.deepcopy(rng)
@@ -131,7 +138,7 @@ def test_sample_realization_properties(radio, rng):
 def test_mean_count_matches_intensity(radio):
     rng = np.random.default_rng(99)
     n = 20_000
-    mean = 20e-6 * math.pi * ground_range(radio) ** 2
+    mean = 20e-6 * math.pi * ground_range(radio.r_max, radio.h_uav, radio.h_v) ** 2
     assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
     counts = [sample_envelope_points(_tight(radio), rng)[0].size for _ in range(n)]
     # 3 sigma band for the sample mean of a Poisson count
@@ -152,13 +159,13 @@ def test_restrict_rejects_uncovered_scenarios(radio):
     """A scenario is carved out of one envelope draw only where the envelope covers it."""
     env = _tight(radio)
     denser = RadioParams(r_max=radio.r_max, h_uav=radio.h_uav, h_v=radio.h_v, lambda_uav=2.0 * radio.lambda_uav)
-    short = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio) - 1.0)
+    short = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=env.d_cap - 1.0)
     for scenario, envelope in ((denser, env), (radio, short)):
         with pytest.raises(InvalidGeometryError):
             estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=scenario, n_realizations=10,
-                                                 seed=0, envelope=envelope))
+                                                 seed=0, **_caps(envelope)))
     estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=10, seed=0,
-                                         envelope=env))
+                                         **_caps(env)))
 
 
 def test_restrict_nesting():
@@ -179,7 +186,7 @@ def test_envelope_path_matches_direct_sampling(radio):
     direct = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
                                                   seed=42))
     carved = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
-                                                  seed=42, envelope=_tight(radio)))
+                                                  seed=42, **_caps(_tight(radio))))
     for pl in direct:
         assert np.array_equal(direct[pl].samples, carved[pl].samples)
 

@@ -10,7 +10,7 @@ import pytest
 import uavgrid.connectivity as connectivity
 import uavgrid.optimize as optimize
 from uavgrid.connectivity import outage_grid
-from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError, SamplingEnvelope
+from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError
 from uavgrid.optimize import (
     ContourGrid,
     MAX_GRID_POINTS,
@@ -90,9 +90,8 @@ def test_monotone_outage_puts_optimum_at_floor():
     spec = HeightSearchSpec(h_lo=60.0, h_hi=160.0, grid_step=20.0)
     h, out = optimize_height(shrub, 250.0, 10.0, 15e-6, spec, n_realizations=3000, seed=1)
     assert h == 60.0
-    env = SamplingEnvelope(15e-6, math.sqrt(250.0 ** 2 - 50.0 ** 2))
     row = outage_grid(shrub, 250.0, 10.0, [15e-6], grid_points(60.0, 160.0, 20.0), 0.8,
-                      3000, 1, envelope=env)
+                      3000, 1, lambda_cap=15e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
     assert out == row[0, 0]
     assert np.all(np.diff(row[0]) >= 0.0)
 
@@ -102,8 +101,8 @@ def test_optimize_self_consistency():
     spec = HeightSearchSpec(h_lo=120.0, h_hi=180.0, grid_step=20.0, refine_tol=2.0)
     h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=4000, seed=12)
     assert 120.0 <= h <= 180.0
-    env = SamplingEnvelope(30e-6, math.sqrt(250.0 ** 2 - (120.0 - 10.0) ** 2))
-    cell = outage_grid(URBAN, 250.0, 10.0, [30e-6], [h], spec.gamma_th, 4000, 12, envelope=env)
+    cell = outage_grid(URBAN, 250.0, 10.0, [30e-6], [h], spec.gamma_th, 4000, 12,
+                       lambda_cap=30e-6, d_cap=math.sqrt(250.0 ** 2 - (120.0 - 10.0) ** 2))
     assert cell[0, 0] == out
 
 
