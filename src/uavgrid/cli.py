@@ -9,6 +9,7 @@ configuration or geometry.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import subprocess
@@ -23,13 +24,7 @@ from .connectivity import (
     mixture_cdf,
     outage_grid,
 )
-from .geometry import (
-    CityModel,
-    HeightDistribution,
-    InvalidGeometryError,
-    PRESETS,
-    RadioParams,
-)
+from .geometry import CityModel, InvalidGeometryError, PRESETS, RadioParams, _preset
 from .los import Placement
 from .optimize import (
     HeightSearchSpec,
@@ -212,37 +207,27 @@ def _build_city(args) -> CityModel:
         if any(explicit):
             raise ConfigError("give either --preset or explicit --mu-s/--mu-b/--mu-h, not both")
         city = PRESETS[args.preset]
+    elif all(explicit):
+        city = _preset(args.mu_h, args.mu_b, args.mu_s)
     else:
-        if not all(explicit):
-            raise ConfigError("an explicit city needs --mu-s, --mu-b and --mu-h")
-        mu_s, mu_b, mu_h = args.mu_s, args.mu_b, args.mu_h
-        city = CityModel(
-            mu_s=mu_s,
-            mu_b=mu_b,
-            mu_H=mu_h,
-            w_v=mu_s,
-            w_h=mu_s,
-            heights=HeightDistribution(0.5 * mu_h, 1.5 * mu_h),
-        )
-    heights = city.heights
-    if args.building_h_min is not None or args.building_h_max is not None:
-        h_min = args.building_h_min if args.building_h_min is not None else heights.h_min
-        h_max = args.building_h_max if args.building_h_max is not None else heights.h_max
-        heights = HeightDistribution(h_min, h_max)
-    return CityModel(
-        mu_s=city.mu_s,
-        mu_b=city.mu_b,
-        mu_H=city.mu_H,
-        w_v=args.w_v if args.w_v is not None else city.w_v,
-        w_h=args.w_h if args.w_h is not None else city.w_h,
-        heights=heights,
-    )
+        raise ConfigError("an explicit city needs --mu-s, --mu-b and --mu-h")
+    heights = _given(h_min=args.building_h_min, h_max=args.building_h_max)
+    return dataclasses.replace(city, heights=dataclasses.replace(city.heights, **heights),
+                               **_given(w_v=args.w_v, w_h=args.w_h))
 
 
-def _envelope_caps(args) -> dict:
-    """--lambda-cap (per m2) and --d-cap as the API's lambda_cap and d_cap."""
-    lambda_cap = None if args.lambda_cap is None else args.lambda_cap * PER_KM2
-    return {"lambda_cap": lambda_cap, "d_cap": args.d_cap}
+def _given(**flags) -> dict:
+    """The flags that were given (not None), as keywords."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+def _run(args) -> dict:
+    """The API's run keywords: n_realizations, seed, workers and any caps, lambda_cap per m2."""
+    run = {"n_realizations": args.n_realizations, "seed": args.seed, "workers": args.workers}
+    if "lambda_cap" in args:
+        lambda_cap = None if args.lambda_cap is None else args.lambda_cap * PER_KM2
+        run.update(lambda_cap=lambda_cap, d_cap=args.d_cap)
+    return run
 
 
 @functools.cache
@@ -296,15 +281,7 @@ def _cmd_distribution(args) -> int:
     lam = args.lambda_uav * PER_KM2
     radio = RadioParams(r_max=args.r_max, h_uav=args.h_uav, h_v=args.h_v, lambda_uav=lam)
     gammas = grid_points(0.0, 1.0, args.gamma_step)
-    config = ScenarioConfig(
-        city=city,
-        radio=radio,
-        n_realizations=args.n_realizations,
-        seed=args.seed,
-        workers=args.workers,
-        **_envelope_caps(args),
-    )
-    dists = estimate_distribution(config)
+    dists = estimate_distribution(ScenarioConfig(city=city, radio=radio, **_run(args)))
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
     rows = [
         [
@@ -340,11 +317,8 @@ def _cmd_outage_curve(args) -> int:
         [lam],
         heights,
         args.gamma_th,
-        args.n_realizations,
-        args.seed,
         placement_mode=PlacementMode(args.placement),
-        workers=args.workers,
-        **_envelope_caps(args),
+        **_run(args),
     )[0]
     rows = [[h, float(v)] for h, v in zip(heights, values)]
     _emit(
@@ -377,10 +351,8 @@ def _cmd_optimize(args) -> int:
         args.h_v,
         lam,
         search,
-        n_realizations=args.n_realizations,
-        seed=args.seed,
         placement_mode=PlacementMode(args.placement),
-        workers=args.workers,
+        **_run(args),
     )
     _emit(
         args,
@@ -409,11 +381,8 @@ def _cmd_contour(args) -> int:
         [v * PER_KM2 for v in lambdas_km2],
         heights,
         args.gamma_th,
-        n_realizations=args.n_realizations,
-        seed=args.seed,
         placement_mode=PlacementMode(args.placement),
-        workers=args.workers,
-        **_envelope_caps(args),
+        **_run(args),
     )
     rows = [
         [lam_km2, h, float(grid.outage[i, j])]

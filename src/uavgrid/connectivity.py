@@ -92,31 +92,59 @@ class ScenarioConfig:
         check_run(self.n_realizations, self.seed, self.workers)
 
 
+# The most realizations a run takes, far above any run that can finish.
+MAX_REALIZATIONS = 10**9
+
+
 def check_run(n_realizations: int, seed: int, workers: int) -> None:
     """Reject run parameters no Monte Carlo run can use (ValueError)."""
-    if n_realizations < 1:
-        raise ValueError("need n_realizations >= 1")
+    if not 1 <= n_realizations <= MAX_REALIZATIONS:
+        raise ValueError(f"need 1 <= n_realizations <= {MAX_REALIZATIONS}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
 
-def _carve(lambda_top, d_top, lambda_cap=None, d_cap=None) -> SamplingEnvelope | None:
-    """The envelope of a scenario whose top density is lambda_top and widest disk d_top.
+def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=None):
+    """The one scenario rule: check a scenario and carve its sampling envelope.
 
-    A missing cap is the scenario's top.  Given caps must be positive, finite
-    and cover the scenario, at every density (InvalidGeometryError).  At top
-    density 0 there is nothing to draw: None.
+    Returns (lambda_values, height_values, envelope), the axes as float
+    lists.  An empty axis raises ValueError.  Densities must be finite and
+    >= 0, h_v finite and >= 0, r_max positive with a finite square, and
+    every altitude inside (h_v, h_v + r_max) (InvalidGeometryError).  A
+    missing cap is the scenario's top: its highest density, or the ground
+    range at its lowest altitude.  Given caps must be positive, finite and
+    cover the scenario, at every density (InvalidGeometryError).  At top
+    density 0 there is nothing to draw: the envelope is None.
     """
+    lambda_values = [float(v) for v in lambda_values]
+    height_values = [float(h) for h in height_values]
+    if not lambda_values or not height_values:
+        raise ValueError("grid axes cannot be empty")
+    if not all(0.0 <= lam < math.inf for lam in lambda_values):
+        raise InvalidGeometryError("densities must be finite and non-negative")
+    if not 0.0 <= h_v < math.inf:
+        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
+    # a finite r_max whose square overflows would give an infinite ground disk
+    if not (0.0 < r_max and r_max * r_max < math.inf):
+        raise InvalidGeometryError(f"r_max must be positive with a finite square, got {r_max}")
+    for h in height_values:
+        if not h_v < h < h_v + r_max:
+            raise InvalidGeometryError(
+                f"altitude {h} outside the feasible range ({h_v}, {h_v + r_max})"
+            )
     for cap in (lambda_cap, d_cap):
         if cap is not None and not 0.0 < cap < math.inf:
             raise InvalidGeometryError("envelope caps must be positive and finite")
+    lambda_top = max(lambda_values)
+    d_top = ground_range(r_max, min(height_values), h_v)
     lambda_cap = lambda_top if lambda_cap is None else lambda_cap
     d_cap = d_top if d_cap is None else d_cap
     if lambda_top > lambda_cap or d_top > d_cap:
         raise InvalidGeometryError("the scenario exceeds its sampling envelope")
-    return SamplingEnvelope(lambda_cap, d_cap) if lambda_top > 0.0 else None
+    envelope = SamplingEnvelope(lambda_cap, d_cap) if lambda_top > 0.0 else None
+    return lambda_values, height_values, envelope
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
@@ -322,15 +350,14 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
 
     Both placements are scored on the same constellations, so the two
     distributions (and anything derived from both) are coupled draws.  The
-    UAVs must fly above the vehicle (InvalidGeometryError otherwise).
+    scenario is checked and carved as one grid cell (see _scenario), so the
+    UAVs must fly above the vehicle.
     """
     radio = config.radio
-    if radio.h_uav <= radio.h_v:
-        raise InvalidGeometryError("need h_uav > h_v")
     placements = PlacementMode.MIXTURE.placements
     n = config.n_realizations
-    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
-    envelope = _carve(radio.lambda_uav, d_max, config.lambda_cap, config.d_cap)
+    _, _, envelope = _scenario(radio.r_max, radio.h_v, [radio.lambda_uav], [radio.h_uav],
+                               config.lambda_cap, config.d_cap)
     if envelope is None:
         return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
     frac = radio.lambda_uav / envelope.lambda_cap
@@ -347,6 +374,11 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     return result
 
 
+def _blend(w, a, b):
+    """The one placement blend, so mixture CDFs and mixture grids round alike."""
+    return w * a + (1.0 - w) * b
+
+
 @dataclass(frozen=True)
 class MixtureCDF:
     """Placement-weighted blend of the two conditional CDFs."""
@@ -356,9 +388,7 @@ class MixtureCDF:
     weight: float  # probability of the intersection placement
 
     def evaluate(self, gamma):
-        return self.weight * self.intersection.evaluate(gamma) + (
-            1.0 - self.weight
-        ) * self.street.evaluate(gamma)
+        return _blend(self.weight, self.intersection.evaluate(gamma), self.street.evaluate(gamma))
 
 
 def mixture_cdf(
@@ -408,21 +438,8 @@ def outage_grid(
     check_run(n_realizations, seed, workers)
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError("gamma_th must lie in [0, 1]")
-    lambda_values = [float(v) for v in lambda_values]
-    height_values = [float(h) for h in height_values]
-    if not lambda_values or not height_values:
-        raise ValueError("grid axes cannot be empty")
-    if not all(0.0 <= lam < math.inf for lam in lambda_values):
-        raise InvalidGeometryError("densities must be finite and non-negative")
-    if not 0.0 <= h_v < math.inf:
-        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
-    for h in height_values:
-        if not h_v < h < h_v + r_max:
-            raise InvalidGeometryError(
-                f"altitude {h} outside the feasible range ({h_v}, {h_v + r_max})"
-            )
-    envelope = _carve(max(lambda_values), ground_range(r_max, min(height_values), h_v),
-                      lambda_cap, d_cap)
+    lambda_values, height_values, envelope = _scenario(r_max, h_v, lambda_values, height_values,
+                                                       lambda_cap, d_cap)
     placements = placement_mode.placements
     if envelope is None:
         totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
@@ -442,6 +459,5 @@ def outage_grid(
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:
-        w = intersection_weight(city)
-        return w * (totals[0] / n) + (1.0 - w) * (totals[1] / n)
+        return _blend(intersection_weight(city), totals[0] / n, totals[1] / n)
     return totals[0] / n

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import EnvelopeDraw, PlacementMode, check_run, outage_grid
-from .geometry import CityModel, InvalidGeometryError, SamplingEnvelope, ground_range
+from .connectivity import EnvelopeDraw, PlacementMode, _scenario, check_run, outage_grid
+from .geometry import CityModel, InvalidGeometryError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -99,23 +99,17 @@ def optimize_height(
     of the heights.
     """
     check_run(n_realizations, seed, workers)
-    if not 0.0 <= h_v < math.inf:
-        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
     if not h_v < search.h_lo < search.h_hi < h_v + r_max:
         raise InfeasibleSearchError(
             f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"
         )
-    if not 0.0 <= lambda_uav < math.inf:
-        raise InvalidGeometryError("lambda_uav must be finite and non-negative")
-
     grid = grid_points(search.h_lo, search.h_hi, search.grid_step)
-    if lambda_uav == 0.0:
+    # the widest disk is at the lowest altitude, so one envelope covers the search
+    _, _, envelope = _scenario(r_max, h_v, [lambda_uav], grid)
+    if envelope is None:
         # no UAVs, outage 1 at every altitude; lowest height wins the tie
         return grid[0], 1.0
-
-    # widest disk occurs at the lowest altitude; one envelope covers the search
-    d_cap = ground_range(r_max, grid[0], h_v)
-    draw = EnvelopeDraw(SamplingEnvelope(lambda_uav, d_cap), seed, n_realizations, workers=workers)
+    draw = EnvelopeDraw(envelope, seed, n_realizations, workers=workers)
 
     def evaluate(hs: list[float]) -> np.ndarray:
         return outage_grid(
@@ -128,7 +122,7 @@ def optimize_height(
             n_realizations,
             seed,
             placement_mode=placement_mode,
-            lambda_cap=lambda_uav, d_cap=d_cap,
+            lambda_cap=envelope.lambda_cap, d_cap=envelope.d_cap,
             workers=workers,
             draw=draw,
         )[0]

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
 from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage
-from uavgrid.geometry import PRESETS, RadioParams
+from uavgrid.geometry import PRESETS, HeightDistribution, RadioParams
 from uavgrid.los import Placement
 from uavgrid.optimize import HeightSearchSpec, optimize_height
 
@@ -109,6 +111,46 @@ def test_zero_density_checks_given_caps_in_every_command(command, capsys):
     code, out, err = run_cli(args + ["--d-cap", "50"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# One scenario per Monte Carlo command, at a positive density.
+SCENARIO = {
+    "distribution": ["--lambda-uav", "10", "--h-uav", "50"],
+    "outage-curve": ["--lambda-uav", "10", "--h-lo", "50", "--h-hi", "60"],
+    "optimize": ["--lambda-uav", "10", "--h-lo", "50", "--h-hi", "60"],
+    "contour": ["--lambda-lo", "10", "--lambda-hi", "10", "--h-lo", "50", "--h-hi", "60"],
+}
+
+
+@pytest.mark.parametrize("r_max", ["inf", "0"])
+@pytest.mark.parametrize("command", sorted(SCENARIO))
+def test_zero_density_checks_r_max_in_every_command(command, r_max, capsys):
+    """Every command checks its scenario by one rule, even when nothing is drawn."""
+    zero = {**ZERO_DENSITY, "optimize": ["--lambda-uav", "0", "--h-lo", "100", "--h-hi", "150"]}
+    code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "50",
+                              *zero[command], "--r-max", r_max], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, blamed",
+    [(["--n-realizations", "1000000000000000"], "n_realizations"),
+     # the ground range of r_max = 1e300 overflows; no cap was given, so none is to blame
+     (["--r-max", "1e300"], "r_max")],
+    ids=["n-realizations-over-bound", "r-max-overflows"],
+)
+@pytest.mark.parametrize("command", sorted(SCENARIO))
+def test_bad_run_is_refused_before_drawing(command, flags, blamed, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew realizations of a refused run")
+
+    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "50",
+                              *SCENARIO[command], *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert blamed in err and "cap" not in err
 
 
 def test_optimize_matches_api(capsys):
@@ -245,6 +287,20 @@ def test_explicit_city_flags_reproduce_preset(capsys):
          "--lambda-uav", "20", "--h-uav", "100", "--n-realizations", "600", "--seed", "2"], capsys)
     assert code == 0 and code2 == 0
     assert out == out2
+    # overrides apply to the explicit city as to the API's
+    code3, out3, _ = run_cli(
+        ["distribution", "--mu-s", "13", "--mu-b", "45", "--mu-h", "19", "--w-v", "20",
+         "--building-h-max", "40", "--lambda-uav", "20", "--h-uav", "100",
+         "--n-realizations", "600", "--seed", "2"], capsys)
+    assert code3 == 0 and out3 != out
+    city = dataclasses.replace(PRESETS["urban"], w_v=20.0, heights=HeightDistribution(9.5, 40.0))
+    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20 * 1e-6)
+    dists = estimate_distribution(ScenarioConfig(city=city, radio=radio, n_realizations=600, seed=2))
+    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
+    row08 = next(l for l in out3.strip().split("\n")[1:] if l.startswith("0.8,"))
+    assert [float(v) for v in row08.split(",")[1:]] == [
+        outage(dists[Placement.INTERSECTION], 0.8), outage(dists[Placement.STREET], 0.8),
+        outage(mix, 0.8)]
 
 
 def test_structured_format(capsys):
@@ -348,7 +404,7 @@ URBAN_ARGS = ["--preset", "urban", "--n-realizations", "10"]
          "--lambda-step", "1e-8", "--h-lo", "50", "--h-hi", "100"],
         ["distribution", *URBAN_ARGS, "--lambda-uav", "20", "--h-uav", "100",
          "--gamma-step", "1e-9"],
-        # numpy refuses the allocation at once; density 0 keeps the run from chunking
+        # density 0 keeps the run from chunking; the bound on n refuses it before any allocation
         ["distribution", "--preset", "urban", "--lambda-uav", "0", "--h-uav", "100",
          "--n-realizations", "1000000000000000"],
     ],

@@ -387,7 +387,9 @@ def test_outage_grid_validates_inputs():
     for h_v in (-5.0, math.nan, math.inf):
         with pytest.raises(InvalidGeometryError):
             outage_grid(URBAN, 250.0, h_v, [1e-5], [100.0], 0.8, 10, 0)
-    for n, seed, extra in ((0, 0, {}), (10, -1, {}), (10, 2**64, {}), (10, 0, {"workers": 0})):
+    too_many = connectivity.MAX_REALIZATIONS + 1
+    for n, seed, extra in ((0, 0, {}), (too_many, 0, {}), (10, -1, {}), (10, 2**64, {}),
+                           (10, 0, {"workers": 0})):
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
 
