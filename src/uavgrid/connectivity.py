@@ -106,6 +106,13 @@ def check_run(n_realizations: int, seed: int, workers: int) -> None:
         raise ValueError("workers must be >= 1")
 
 
+# The most UAVs one realization draws on average (envelope mean_count): about
+# 5,000 per km2 on a 250 m disk.  A chunk holds all its realizations' points:
+# at the bound, a distribution run of one full chunk peaked 1.33 GB above its
+# start (maximum RSS, urban, 2-vCPU x86 VM).
+MAX_ENVELOPE_POINTS = 1000.0
+
+
 def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=None):
     """The one scenario rule: check a scenario and carve its sampling envelope.
 
@@ -115,8 +122,9 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
     every altitude inside (h_v, h_v + r_max) (InvalidGeometryError).  A
     missing cap is the scenario's top: its highest density, or the ground
     range at its lowest altitude.  Given caps must be positive, finite and
-    cover the scenario, at every density (InvalidGeometryError).  At top
-    density 0 there is nothing to draw: the envelope is None.
+    cover the scenario, at every density, and the envelope may draw at most
+    MAX_ENVELOPE_POINTS UAVs per realization on average (InvalidGeometryError).
+    At top density 0 there is nothing to draw: the envelope is None.
     """
     lambda_values = [float(v) for v in lambda_values]
     height_values = [float(h) for h in height_values]
@@ -143,7 +151,14 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
     d_cap = d_top if d_cap is None else d_cap
     if lambda_top > lambda_cap or d_top > d_cap:
         raise InvalidGeometryError("the scenario exceeds its sampling envelope")
-    envelope = SamplingEnvelope(lambda_cap, d_cap) if lambda_top > 0.0 else None
+    if lambda_top == 0.0:
+        return lambda_values, height_values, None
+    envelope = SamplingEnvelope(lambda_cap, d_cap)
+    if envelope.mean_count > MAX_ENVELOPE_POINTS:
+        raise InvalidGeometryError(
+            f"the sampling envelope draws {envelope.mean_count:.4g} UAVs per realization "
+            f"on average, above the bound of {MAX_ENVELOPE_POINTS:g}"
+        )
     return lambda_values, height_values, envelope
 
 

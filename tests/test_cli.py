@@ -153,6 +153,32 @@ def test_bad_run_is_refused_before_drawing(command, flags, blamed, capsys, monke
     assert blamed in err and "cap" not in err
 
 
+# Each scenario pushed to about 1.7e8 UAVs per realization, by its density or
+# by the density cap (optimize takes no caps).
+DENSE = [
+    ("distribution", ["--lambda-uav", "1e9"]),
+    ("outage-curve", ["--lambda-uav", "1e9"]),
+    ("optimize", ["--lambda-uav", "1e9"]),
+    ("contour", ["--lambda-lo", "1e9", "--lambda-hi", "1e9"]),
+    ("distribution", ["--lambda-cap", "1e9"]),
+    ("outage-curve", ["--lambda-cap", "1e9"]),
+    ("contour", ["--lambda-cap", "1e9"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", DENSE, ids=[f"{c}{f[0]}" for c, f in DENSE])
+def test_dense_envelope_is_refused_before_drawing(command, flags, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew realizations of a refused run")
+
+    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "50",
+                              *SCENARIO[command], *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UAVs per realization" in err
+
+
 def test_optimize_matches_api(capsys):
     code, out, _ = run_cli(
         ["optimize", "--preset", "urban", "--lambda-uav", "30",
@@ -426,9 +452,11 @@ def test_bad_run_parameters_exit_2(args, capsys):
     "args",
     [["--cases", "-1"], ["--max-outliers", "-1"], ["--z-limit", "nan"],
      ["--r-max", "nan"], ["--r-max", "inf"], ["--r-max", "20"], ["--h-v", "nan"],
-     ["--h-v", "-1"], ["--cases", "1", "--n-draws", "1000000000000000"]],
+     ["--h-v", "-1"], ["--cases", "1", "--n-draws", "1000000000000000"],
+     # one above oracle.MAX_DRAWS: refused before the case draws anything
+     ["--cases", "1", "--n-draws", "1000001"]],
     ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
-         "h-v-nan", "h-v-negative", "n-draws-out-of-memory"],
+         "h-v-nan", "h-v-negative", "n-draws-out-of-memory", "n-draws-over-bound"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

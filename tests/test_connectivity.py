@@ -264,6 +264,20 @@ def test_envelope_must_cover_scenario():
     outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, **_caps(at_caps))
 
 
+def test_envelope_mean_count_is_bounded():
+    """A realization draws at most MAX_ENVELOPE_POINTS UAVs on average, whichever cap sets it."""
+    d_top = ground_range(250.0, 100.0, 10.0)
+    lam = connectivity.MAX_ENVELOPE_POINTS / (math.pi * d_top * d_top)
+    below = 0.999 * lam
+    *_, envelope = connectivity._scenario(250.0, 10.0, [below], [100.0])
+    assert envelope.mean_count <= connectivity.MAX_ENVELOPE_POINTS
+    for densities, caps in (([1.01 * lam], {}),
+                            ([below], {"lambda_cap": 1.01 * lam}),
+                            ([below], {"d_cap": 1.01 * d_top})):
+        with pytest.raises(InvalidGeometryError, match="UAVs per realization"):
+            connectivity._scenario(250.0, 10.0, densities, [100.0], **caps)
+
+
 def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
     """At density 0 no realization has a UAV: nothing is drawn, whatever the caps."""
     def no_draw(*args):

@@ -2,6 +2,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
@@ -13,7 +14,7 @@ from uavgrid.los import (
     effective_widths,
     integration_limits,
 )
-from uavgrid.oracle import empirical_los_probability, validation_sweep
+from uavgrid.oracle import MAX_DRAWS, empirical_los_probability, validation_sweep
 
 URBAN = PRESETS["urban"]
 
@@ -145,6 +146,84 @@ def test_empirical_matches_plain_loop():
     assert abs(p_vec - p_loop) < 6.0 * se_comb
 
 
+def _bincount_reference(link, city, placement, n, rng):
+    """The earlier per-point reduction: full crit, a draw index per point, bincount.
+
+    Draws exactly what empirical_los_probability draws.  Returns (p_hat, se,
+    the number of draws with no sides on some axis).
+    """
+    h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
+    blocked = city.heights.sample(rng, n) > h0
+    sideless = np.zeros(n, dtype=bool)
+    for za, zb in (limits_x, limits_y):
+        extent = zb + city.mu_s + city.mu_b
+        counts = rng.poisson(city.lambda_s * extent, n)
+        total = int(counts.sum())
+        pos = rng.uniform(0.0, extent, total)
+        height = city.heights.sample(rng, total)
+        sideless |= counts == 0
+        if not za < zb:
+            continue
+        zeta = zb
+        inside = (pos > za) & (pos < zb)
+        crit = pos * link.delta_h / zeta + link.h_v
+        hit = inside & (height > crit)
+        ridx = np.repeat(np.arange(n), counts)
+        blocked |= np.bincount(ridx[hit], minlength=n) > 0
+    p_hat = float(1.0 - blocked.mean())
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), int(sideless.sum())
+
+
+SHRUB = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
+                  heights=HeightDistribution(2.0, 6.0))
+OBLIQUE = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
+# phi = 0: the ray never advances along y, so that axis interval is empty
+ALONG_X = LinkGeometry(d=120.0, phi=0.0, h_uav=120.0, h_v=10.0)
+
+
+# id -> (link, city, placement, n, seed)
+BIT_FOR_BIT = {
+    "intersection": (OBLIQUE, URBAN, Placement.INTERSECTION, 3000, 8),
+    "street": (OBLIQUE, URBAN, Placement.STREET, 3000, 8),
+    "empty-axis": (ALONG_X, URBAN, Placement.STREET, 3000, 5),
+    "shrub-nothing-hit": (OBLIQUE, SHRUB, Placement.INTERSECTION, 500, 2),
+    "n-1": (OBLIQUE, PRESETS["dense-urban"], Placement.STREET, 1, 3),
+    "sideless-draws": (LinkGeometry(d=60.0, phi=0.3, h_uav=40.0, h_v=10.0),
+                       PRESETS["dense-urban"], Placement.INTERSECTION, 2000, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIT_FOR_BIT))
+def test_empirical_matches_bincount_reference_bit_for_bit(case):
+    link, city, placement, n, seed = BIT_FOR_BIT[case]
+    rng = np.random.default_rng(seed)
+    got = empirical_los_probability(link, city, placement, n, rng)
+    ref_rng = np.random.default_rng(seed)
+    p_ref, se_ref, sideless = _bincount_reference(link, city, placement, n, ref_rng)
+    assert got == (p_ref, se_ref)
+    # same draws, in the same order: every later draw of a sweep is unchanged
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # each case covers what its id names
+    if case == "empty-axis":
+        _, _, (za_y, zb_y) = _link_limits(link, *effective_widths(city, placement))
+        assert not za_y < zb_y
+    elif case == "shrub-nothing-hit":
+        assert got == (1.0, 0.0)
+    elif case == "sideless-draws":
+        assert 0 < sideless < n and 0.0 < p_ref < 1.0
+
+
+def test_draws_over_the_bound_are_refused_before_drawing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for n in (0, MAX_DRAWS + 1):
+        with pytest.raises(ValueError, match="n_draws"):
+            empirical_los_probability(OBLIQUE, URBAN, Placement.INTERSECTION, n, rng)
+        with pytest.raises(ValueError, match="n_draws"):
+            validation_sweep(cases=1, n=n)
+    assert rng.bit_generator.state == state
+
+
 def test_empirical_street_dominates_on_shared_draws():
     # identical seeds give identical cities, so the ordering holds exactly
     lk = LinkGeometry(d=120.0, phi=0.4, h_uav=120.0, h_v=10.0)
@@ -154,10 +233,7 @@ def test_empirical_street_dominates_on_shared_draws():
 
 
 def test_empirical_saturates_when_buildings_cannot_reach():
-    shrub = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
-                      heights=HeightDistribution(2.0, 6.0))
-    lk = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
-    p, se = empirical_los_probability(lk, shrub, Placement.INTERSECTION, 2000, np.random.default_rng(2))
+    p, se = empirical_los_probability(OBLIQUE, SHRUB, Placement.INTERSECTION, 2000, np.random.default_rng(2))
     assert (p, se) == (1.0, 0.0)
 
 
