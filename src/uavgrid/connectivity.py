@@ -8,18 +8,22 @@ share a sampling envelope see nested constellations (see geometry).
 
 One chunk scorer serves both pipelines.  An envelope point joins density
 fraction f of the envelope cap when its uniform mark is below f, so with each
-realization's points sorted by mark every density sees a prefix of the row.
-The scorer takes exact running products of the link factors 1 - p_LoS along
-each row.  Every factor lies in [0, 1] and rounding is monotone, so the
-survival product never rises along a row and the score 1 - P never falls:
-each (realization, height, placement) crosses the threshold gamma_th at most
-once.  Its crossing mark, the mark of the first link with 1 - P > gamma_th
-(+inf if there is none), settles every density at once: fraction f is in
-outage exactly when the crossing mark is >= f.  outage_grid counts the whole
-density axis with one sort and one searchsorted per (height, placement), and
-its outage cannot rise with density, by construction rather than on average.
-estimate_distribution reads each row's last running product, so a grid cell
-equals the distribution pipeline's outage bit for bit.
+realization's points ranked by mark every density sees its first ranks.  The
+chunk is laid out rank-major, one row per rank and one column per
+realization, and the scorer takes exact running products of the link factors
+1 - p_LoS down each column, one vector multiply per rank.  Every factor lies
+in [0, 1] and rounding is monotone, so the survival product never rises down
+a column and the score 1 - P never falls: each (realization, height,
+placement) crosses the threshold gamma_th at most once.  Its crossing mark,
+the mark of the first link with 1 - P > gamma_th (+inf if there is none),
+settles every density at once: fraction f is in outage exactly when the
+crossing mark is >= f.  The ranks before the crossing are the ones still at
+or below the threshold, so their count is the crossing rank.  outage_grid
+counts the whole density axis with one sort and one searchsorted per
+(height, placement), and its outage cannot rise with density, by
+construction rather than on average.  estimate_distribution reads the last
+rank's running products, so a grid cell equals the distribution pipeline's
+outage bit for bit.
 """
 
 from __future__ import annotations
@@ -112,6 +116,12 @@ def check_run(n_realizations: int, seed: int, workers: int) -> None:
 # start (maximum RSS, urban, 2-vCPU x86 VM).
 MAX_ENVELOPE_POINTS = 1000.0
 
+# The most UAVs an EnvelopeDraw holds on average, n_realizations times the
+# envelope's mean_count.  Its layouts keep 41-56 bytes per held point (the
+# summed nbytes of a draw's layouts: 56 at 5.7 UAVs per realization, 41 at
+# 957), so a draw at the bound holds about 0.4-0.56 GB.
+MAX_HELD_POINTS = 10**7
+
 
 def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=None):
     """The one scenario rule: check a scenario and carve its sampling envelope.
@@ -199,15 +209,17 @@ def _draw_chunk(envelope, seed, start, stop):
 class ChunkLayout(NamedTuple):
     """One chunk's points with mark below frac_top, laid out by mark.
 
-    The points are laid out as a realization x rank array, each row sorted by
-    mark and padded at the end; marks holds the laid-out marks, +inf in
-    padding.  d, cos_phi, sin_phi and slot (the flat index of each point in
-    the layout) list the points by ascending distance, so every ground disk
-    is a prefix of them.  cos_phi and sin_phi are the folded direction
-    cosines |cos phi|, |sin phi| of the drawn azimuths, computed once per
-    draw rather than once per scored height.  Only _lay_out builds a layout, and
-    the arrays are shared by every height scored on it: read them, never
-    write them.
+    The points are laid out as a rank x realization array: realization i's
+    points fill column i from rank 0 in ascending mark order, and the column
+    is padded below them.  marks holds the laid-out marks, +inf in padding,
+    plus one more rank of +inf, the sentinel that stands for "never crosses"
+    (see _chunk_outage_counts).  d, cos_phi, sin_phi and slot (the flat index
+    rank * realizations + i of each point in the layout) list the points by
+    ascending distance, so every ground disk is a prefix of them.  cos_phi
+    and sin_phi are the folded direction cosines |cos phi|, |sin phi| of the
+    drawn azimuths, computed once per draw rather than once per scored
+    height.  Only _lay_out builds a layout, and the arrays are shared by
+    every height scored on it: read them, never write them.
     """
 
     d: np.ndarray
@@ -222,9 +234,11 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
 
     d, phi and mark list the points realization by realization, counts[i]
     of them for realization i, as _draw_chunk returns them.  These are the
-    only sorts of a draw: each row by mark, then the points by distance, so
-    the order within a realization matters only between exactly equal marks,
-    which keep it.
+    only sorts of a draw: each column by mark, then the points by distance,
+    so the order within a realization matters only between exactly equal
+    marks, which keep it.  Besides the sort's index, marks is the only array
+    of the layout's shape: it is filled in draw order, then overwritten in
+    mark order.
     """
     m = counts.size
     keep = mark < frac_top
@@ -232,15 +246,16 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     d, phi, mark = d[keep], phi[keep], mark[keep]
     kept = np.bincount(ridx, minlength=m)
     width = max(int(kept.max(initial=0)), 1)
-    row_start = np.repeat(np.cumsum(kept) - kept, kept)
-    slot = ridx * width + np.arange(ridx.size) - row_start
-    marks = np.full((m, width), np.inf)
-    marks.reshape(-1)[slot] = mark
-    # A stable sort of each row keeps equal marks in draw order and the
-    # padding last, so a row's points still fill its first ranks.
-    order = np.argsort(marks, axis=1, kind="stable")
-    marks = np.take_along_axis(marks, order, axis=1)
-    src = row_start + order.reshape(-1)[slot]
+    first = np.repeat(np.cumsum(kept) - kept, kept)
+    slot = (np.arange(ridx.size) - first) * m + ridx
+    marks = np.full((width + 1, m), np.inf)
+    flat = marks.reshape(-1)
+    flat[slot] = mark
+    # A stable sort of each realization's column keeps equal marks in draw
+    # order and the padding last, so its points still fill its first ranks:
+    # the slots stay, and only which point sits in each one changes.
+    src = first + np.argsort(marks, axis=0, kind="stable").reshape(-1)[slot]
+    flat[slot] = mark[src]
     by_distance = np.argsort(d[src], kind="stable")
     src, slot = src[by_distance], slot[by_distance]
     phi = phi[src]
@@ -266,9 +281,11 @@ class EnvelopeDraw:
     whatever its mark.  An outage_grid call with the same envelope, seed and
     n_realizations scores these layouts instead of drawing its own, at any
     densities the envelope covers: a point above a density's fraction only
-    extends a row past the marks that density sees, so the cells match a
+    extends a column past the ranks that density sees, so the cells match a
     fresh draw bit for bit, and a search that probes many heights pays for
-    sampling once.  workers > 1 draws the chunks in a process pool.
+    sampling once.  workers > 1 draws the chunks in a process pool.  A draw
+    may hold at most MAX_HELD_POINTS UAVs on average, checked before anything
+    is drawn (ValueError).
     """
 
     envelope: SamplingEnvelope
@@ -279,6 +296,11 @@ class EnvelopeDraw:
 
     def __post_init__(self, workers):
         check_run(self.n_realizations, self.seed, workers)
+        held = self.n_realizations * self.envelope.mean_count
+        if held > MAX_HELD_POINTS:
+            raise ValueError(f"the envelope draw would hold {held:.4g} UAVs on average "
+                             f"({self.n_realizations} realizations), above the bound of "
+                             f"{MAX_HELD_POINTS:g}")
         keys = [(self.envelope, self.seed, start, stop, 1.0)
                 for start, stop in _chunk_bounds(self.n_realizations)]
         object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
@@ -292,29 +314,32 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
     """Running survival products of one chunk's realizations: the one chunk scorer.
 
     Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
-    layout (see ChunkLayout), with 1.0 for padding and for points outside
-    the height's ground disk, and np.multiply.accumulate takes the exact
-    sequential running product P along each row.  A height's disk is the
-    prefix of the distance-ordered points with d <= its ground range; the
-    slots put each factor at its (realization, mark) place whatever the
-    listing order, and multiplying by 1.0 is exact, so entry k of
-    a row is the realization's survival at every density whose fraction
-    admits its first k + 1 marks and no more, and the last entry is its
-    survival at the layout's frac_top: estimate_distribution scores
-    1 - P[:, -1].
+    layout without its sentinel rank (see ChunkLayout), with 1.0 for padding
+    and for points outside the height's ground disk.  Then, rank by rank,
+    one vector multiply takes P[r] = P[r - 1] * P[r] for every realization
+    at once: the exact sequential running product down each column, in the
+    order a running product along the realization's marks takes.  A
+    height's disk is the prefix of the distance-ordered points with d <= its
+    ground range; the slots put each factor at its (rank, realization)
+    place whatever the listing order, and multiplying by 1.0 is exact, so
+    rank k of a column is the realization's survival at every density whose
+    fraction admits its first k + 1 marks and no more, and the last rank is
+    its survival at the layout's frac_top: estimate_distribution scores
+    1 - P[-1].
 
-    No factor exceeds 1 and rounding is monotone, so P never rises along a
-    row and the score 1 - P crosses gamma_th at most once, at the row's
-    crossing mark.  outage_grid counts density fraction f in outage exactly
-    when that mark is >= f.  A higher density only lengthens the prefix it
-    sees, so outage cannot rise with density, whatever the draw.
+    No factor exceeds 1 and rounding is monotone, so P never rises down a
+    column and the score 1 - P crosses gamma_th at most once, at the
+    column's crossing mark.  outage_grid counts density fraction f in outage
+    exactly when that mark is >= f.  A higher density only lengthens the
+    prefix it sees, so outage cannot rise with density, whatever the draw.
 
-    Yields (placement index, height index, marks, survival), both of shape
-    (realizations, ranks).  survival is one buffer, overwritten by the next
-    step, so reduce it before advancing the generator.
+    Yields (placement index, height index, survival); survival has the
+    shape of the layout's marks without the sentinel rank.  It is one
+    buffer, overwritten by the next step, so reduce it before advancing the
+    generator.
     """
     d, cos_phi, sin_phi, slot, marks = layout
-    survival = np.empty(marks.shape)
+    survival = np.empty((marks.shape[0] - 1, marks.shape[1]))
     flat = survival.reshape(-1)
     for j, h in enumerate(height_values):
         k = int(np.searchsorted(d, ground_range(r_max, h, h_v), side="right"))
@@ -324,8 +349,9 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
             np.subtract(1.0, factors, out=factors)
             flat.fill(1.0)
             flat[slot_h] = factors
-            np.multiply.accumulate(survival, axis=1, out=survival)
-            yield ip, j, marks, survival
+            for r in range(1, survival.shape[0]):
+                np.multiply(survival[r - 1], survival[r], out=survival[r])
+            yield ip, j, survival
 
 
 # Module-level so the process pool can pickle them; each reduces inside the
@@ -335,18 +361,22 @@ def _chunk_score_arrays(task):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
     source, *spec = task
     scores = _chunk_scores(_layout_of(source), *spec)
-    return np.stack([1.0 - survival[:, -1] for _, _, _, survival in scores])
+    return np.stack([1.0 - survival[-1] for _, _, survival in scores])
 
 
 def _chunk_outage_counts(task):
     """Realizations in outage per (placement, density, height) cell."""
     source, *spec, fracs, gamma_th = task
     height_values, placements = spec[-2], spec[-1]
+    layout = _layout_of(source)
+    marks, columns = layout.marks, np.arange(layout.marks.shape[1])
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
-    for ip, j, marks, survival in _chunk_scores(_layout_of(source), *spec):
-        # 1 - survival never falls along a row, so the smallest mark past the
-        # threshold is the crossing mark; fraction f is in outage iff it is >= f
-        crossing = np.min(marks, axis=1, where=1.0 - survival > gamma_th, initial=np.inf)
+    for ip, j, survival in _chunk_scores(layout, *spec):
+        # 1 - survival never falls along a column, so the ranks still at or
+        # below the threshold come first, and their count is the crossing
+        # rank: the sentinel rank where it never crosses.  Its mark is the
+        # crossing mark; fraction f is in outage iff that mark is >= f.
+        crossing = marks[np.count_nonzero(1.0 - survival <= gamma_th, axis=0), columns]
         crossing.sort()
         counts[ip, :, j] = crossing.size - np.searchsorted(crossing, fracs)
     return counts

@@ -25,6 +25,13 @@ from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_pr
 # The sides drawn per axis grow with d, so a larger r_max asks for more.
 MAX_DRAWS = 10**6
 
+# The most building sides a validation_sweep case may expect to draw, over
+# both axes, at the worst link any preset meets.  A case holds all its
+# sides at once, at most 19.4 bytes each at the peak (tracemalloc, every
+# preset, d = 249 m), so about 200 MB at the bound.  Every preset at
+# r_max = 250 m and n = MAX_DRAWS stays below it (suburban: 9.52e6).
+MAX_SIDES = 10**7
+
 
 def _check_draws(n: int) -> None:
     if not 1 <= n <= MAX_DRAWS:
@@ -108,7 +115,9 @@ def validation_sweep(
     Case parameters cover all presets and both placements; altitudes stay low
     enough that the ground disk keeps room for d > 10 m.  The pass decision
     uses the binomial standard error at the closed-form rate, which stays
-    meaningful when the empirical rate saturates at 0 or 1.
+    meaningful when the empirical rate saturates at 0 or 1.  Every argument
+    is checked before anything is drawn (ValueError), including n with r_max:
+    a case may expect at most MAX_SIDES building sides.
     """
     if cases < 1:
         raise ValueError("need cases >= 1")
@@ -120,6 +129,14 @@ def validation_sweep(
     # altitudes are drawn from (h_v + 1, h_cap): sqrt(r_max**2 - 20**2) must exceed 1
     if not _R_MAX_FLOOR < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above {_R_MAX_FLOOR:.4g} m")
+    # expected sides of n draws at the worst link any preset meets: an axis
+    # draws over zb + mu_s + mu_b at intensity lambda_s = 1 / (mu_s + mu_b),
+    # and zb_x + zb_y = d (|cos phi| + |sin phi|) is below sqrt(2) r_max
+    lambda_s = max(city.lambda_s for city in PRESETS.values())
+    sides = n * (2.0 + math.sqrt(2.0) * lambda_s * r_max)
+    if sides > MAX_SIDES:
+        raise ValueError(f"n_draws {n} at r_max {r_max:g} m may draw {sides:.3g} building sides "
+                         f"per case, above the bound of {MAX_SIDES:g}")
     rng = np.random.default_rng(seed)
     names = sorted(PRESETS)
     placements = (Placement.INTERSECTION, Placement.STREET)

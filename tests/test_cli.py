@@ -179,6 +179,19 @@ def test_dense_envelope_is_refused_before_drawing(command, flags, capsys, monkey
     assert "UAVs per realization" in err
 
 
+def test_held_envelope_draw_is_refused_before_drawing(capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew realizations of a refused run")
+
+    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    # about 957 UAVs per realization, under the per-realization bound, held 20000 times
+    code, out, err = run_cli(["optimize", "--preset", "urban", "--lambda-uav", "5000", "--h-lo", "50",
+                              "--h-hi", "60", "--n-realizations", "20000", "--workers", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "envelope draw would hold" in err
+
+
 def test_optimize_matches_api(capsys):
     code, out, _ = run_cli(
         ["optimize", "--preset", "urban", "--lambda-uav", "30",
@@ -454,9 +467,12 @@ def test_bad_run_parameters_exit_2(args, capsys):
      ["--r-max", "nan"], ["--r-max", "inf"], ["--r-max", "20"], ["--h-v", "nan"],
      ["--h-v", "-1"], ["--cases", "1", "--n-draws", "1000000000000000"],
      # one above oracle.MAX_DRAWS: refused before the case draws anything
-     ["--cases", "1", "--n-draws", "1000001"]],
+     ["--cases", "1", "--n-draws", "1000001"],
+     # expects about 3e9 building sides per case: refused before the case draws anything
+     ["--cases", "1", "--n-draws", "100000", "--r-max", "1e6"]],
     ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
-         "h-v-nan", "h-v-negative", "n-draws-out-of-memory", "n-draws-over-bound"],
+         "h-v-nan", "h-v-negative", "n-draws-out-of-memory", "n-draws-over-bound",
+         "sides-over-bound"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

@@ -9,6 +9,8 @@ from uavgrid.connectivity import (
     EnvelopeDraw,
     PlacementMode,
     ScenarioConfig,
+    _chunk_layout,
+    _chunk_outage_counts,
     _chunk_score_arrays,
     _draw_chunk,
     _lay_out,
@@ -140,10 +142,10 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
     layout = _lay_out(d, phi, mark, counts, 0.6)
     assert np.all(np.diff(layout.d) >= 0.0)
     # each listed point is the drawn point at its slot's (realization, mark)
-    width = layout.marks.shape[1]
+    realizations = layout.marks.shape[1]
     ridx = np.repeat(np.arange(counts.size), counts)
     drawn = {(int(i), float(m)): (dk, pk) for i, m, dk, pk in zip(ridx, mark, d, phi) if m < 0.6}
-    listed = [(int(s) // width, float(layout.marks.flat[s])) for s in layout.slot]
+    listed = [(int(s) % realizations, float(layout.marks.flat[s])) for s in layout.slot]
     assert 0 < len(drawn) == len(set(listed)) == len(listed) and set(listed) == set(drawn)
     want = np.array([drawn[key] for key in listed])
     assert np.array_equal(layout.d, want[:, 0])
@@ -180,6 +182,54 @@ def test_height_prefix_is_the_disk_mask():
     assert k == 4 and r_h in layout.d[:k] and past not in layout.d[:k]
     scores = _scores([(past, 0.3)], [(r_h, 0.3)])
     assert np.all(scores[:, 0] == 0.0) and np.all(scores[:, 1] > 0.0)
+
+
+def _row_major_reduction(layout, city, h_v, r_max, height_values, placements, fracs, gamma_th):
+    """The reference reduction: outage counts and scores of one chunk, computed on the
+    realization x rank transpose of its layout with np.multiply.accumulate along each
+    row and a where= min for each row's crossing mark."""
+    m = layout.marks.shape[1]
+    marks = layout.marks[:-1].T  # without the sentinel rank
+    width = marks.shape[1]
+    slot = (layout.slot % m) * width + layout.slot // m
+    counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
+    scores = []
+    for j, h in enumerate(height_values):
+        k = int(np.searchsorted(layout.d, ground_range(r_max, h, h_v), side="right"))
+        for ip, placement in enumerate(placements):
+            p = los_probability_batch(layout.d[:k], layout.cos_phi[:k], layout.sin_phi[:k],
+                                      h, h_v, city, placement)
+            survival = np.ones((m, width))
+            survival.reshape(-1)[slot[:k]] = 1.0 - p
+            np.multiply.accumulate(survival, axis=1, out=survival)
+            crossing = np.min(marks, axis=1, where=1.0 - survival > gamma_th, initial=np.inf)
+            counts[ip, :, j] = m - np.searchsorted(np.sort(crossing), fracs)
+            scores.append(1.0 - survival[:, -1])
+    return counts, np.stack(scores)
+
+
+def test_reduction_matches_row_major_reference_bit_for_bit():
+    tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(RADIO.r_max, 50.0, RADIO.h_v))
+    loose = SamplingEnvelope(lambda_cap=75e-6, d_cap=tight.d_cap + 20.0)
+    layouts = [_chunk_layout(env, seed, 0, 300, frac_top)
+               for seed in (1, 2, 3) for env, frac_top in ((tight, 1.0), (loose, 0.4))]
+    # width 1, realizations with no points, and no points at all
+    layouts += [_layout([], [(120.0, 0.3)], [], [(200.0, 1.1)]), _layout([], [])]
+    assert layouts[-2].marks.shape == (2, 4) and layouts[-1].d.size == 0
+    assert any(np.any(np.isinf(layout.marks[0])) for layout in layouts[:6])
+    fracs = np.array([0.0, 0.05, 0.2, 0.4, 0.55, 1.0])
+    for layout in layouts:
+        assert np.all(np.isinf(layout.marks[-1]))
+        # the last height's ground disk is narrower than the nearest point
+        near = float(layout.d.min(initial=100.0))
+        dz = math.sqrt(RADIO.r_max * RADIO.r_max - 0.25 * near * near)
+        heights = [50.0, 100.0, 180.0, RADIO.h_v + dz]
+        assert ground_range(RADIO.r_max, heights[-1], RADIO.h_v) < near
+        spec = (URBAN, RADIO.h_v, RADIO.r_max, heights, PLACEMENTS)
+        for gamma_th in (0.0, 0.8, 1.0):
+            counts, scores = _row_major_reduction(layout, *spec, fracs, gamma_th)
+            assert np.array_equal(_chunk_outage_counts((layout, *spec, fracs, gamma_th)), counts)
+        assert np.array_equal(_chunk_score_arrays((layout, *spec)), scores)
 
 
 def test_chunk_stream_matches_fresh_generators():

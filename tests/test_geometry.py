@@ -175,10 +175,10 @@ def test_restrict_nesting():
     small = _chunk_layout(env, 7, 0, 64, 0.25)
     assert 0 < small.d.size < big.d.size
     assert set(small.d) <= set(big.d)
-    # every row keeps its marks below 0.25, lowest first, and nothing else
-    width = small.marks.shape[1]
-    assert np.array_equal(small.marks, np.where(big.marks[:, :width] < 0.25, big.marks[:, :width], np.inf))
-    assert np.all(big.marks[:, width:] >= 0.25)
+    # every realization keeps its marks below 0.25, lowest first, and nothing else
+    ranks = small.marks.shape[0]
+    assert np.array_equal(small.marks, np.where(big.marks[:ranks] < 0.25, big.marks[:ranks], np.inf))
+    assert np.all(big.marks[ranks:] >= 0.25)
 
 
 def test_envelope_path_matches_direct_sampling(radio):

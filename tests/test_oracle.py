@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import uavgrid.oracle as oracle
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
     Axis,
@@ -222,6 +223,18 @@ def test_draws_over_the_bound_are_refused_before_drawing():
         with pytest.raises(ValueError, match="n_draws"):
             validation_sweep(cases=1, n=n)
     assert rng.bit_generator.state == state
+
+
+def test_sides_over_the_bound_are_refused_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a case of a refused sweep")
+
+    monkeypatch.setattr(oracle, "empirical_los_probability", no_draw)
+    with pytest.raises(ValueError, match="building sides"):
+        validation_sweep(cases=1, n=100_000, r_max=1e6)
+    # the bound on draws at the default r_max stays allowed
+    monkeypatch.setattr(oracle, "empirical_los_probability", lambda *args: (0.5, 0.0))
+    assert len(validation_sweep(cases=6, n=MAX_DRAWS, r_max=250.0)) == 6
 
 
 def test_empirical_street_dominates_on_shared_draws():
