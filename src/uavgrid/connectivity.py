@@ -1,8 +1,8 @@
 """Monte Carlo estimation of the connectivity distribution.
 
 A vehicle is connected at level p_c = 1 - prod(1 - p_LoS) over the UAVs in
-range.  Realizations are scored in fixed-size chunks; every realization owns
-a counter-based substream keyed by (seed, realization index), so results do
+range.  Realizations are scored in chunks; every realization owns a
+counter-based substream keyed by (seed, realization index), so results do
 not depend on chunking, worker count, or evaluation order, and scenarios that
 share a sampling envelope see nested constellations (see geometry).
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -49,6 +48,11 @@ from .los import Placement, los_probability_batch
 
 # Realizations per chunk; results do not depend on it (see the module docstring).
 CHUNK_SIZE = 8192
+
+# The most envelope points a chunk draws on average: a denser envelope gets
+# fewer realizations a chunk.  At 957 UAVs per realization, 8192 realizations
+# peaked at 1.3 GB and 1096 at 153 MB over the start (maximum RSS, urban).
+MAX_CHUNK_POINTS = 2**20
 
 
 class PlacementMode(enum.Enum):
@@ -172,8 +176,10 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
     return lambda_values, height_values, envelope
 
 
-def _chunk_bounds(n: int) -> list[tuple[int, int]]:
-    return [(s, min(s + CHUNK_SIZE, n)) for s in range(0, n, CHUNK_SIZE)]
+def _chunk_bounds(n: int, envelope: SamplingEnvelope) -> list[tuple[int, int]]:
+    """Chunks tiling [0, n): at most CHUNK_SIZE realizations and MAX_CHUNK_POINTS mean points."""
+    size = min(CHUNK_SIZE, max(1, int(MAX_CHUNK_POINTS / max(envelope.mean_count, 1.0))))
+    return [(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 def _draw_chunk(envelope, seed, start, stop):
@@ -302,7 +308,7 @@ class EnvelopeDraw:
                              f"({self.n_realizations} realizations), above the bound of "
                              f"{MAX_HELD_POINTS:g}")
         keys = [(self.envelope, self.seed, start, stop, 1.0)
-                for start, stop in _chunk_bounds(self.n_realizations)]
+                for start, stop in _chunk_bounds(self.n_realizations, self.envelope)]
         object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
 
     @property
@@ -385,6 +391,8 @@ def _chunk_outage_counts(task):
 def _map_tasks(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so a run that never opens a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # a fork-started pool starts all of its processes at once: start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
@@ -409,7 +417,7 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     tasks = [
         ((envelope, config.seed, start, stop, frac), config.city, radio.h_v, radio.r_max,
          [radio.h_uav], placements)
-        for start, stop in _chunk_bounds(n)
+        for start, stop in _chunk_bounds(n, envelope)
     ]
     chunks = _map_tasks(_chunk_score_arrays, tasks, config.workers)
     result = {}
@@ -492,7 +500,7 @@ def outage_grid(
         fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
         if draw is None:
             sources = [(envelope, seed, start, stop, float(fracs.max()))
-                       for start, stop in _chunk_bounds(n_realizations)]
+                       for start, stop in _chunk_bounds(n_realizations, envelope)]
         elif draw.key != (envelope, seed, n_realizations):
             raise ValueError("the envelope draw does not match this grid's envelope, seed "
                              "or n_realizations")

@@ -8,7 +8,9 @@ them); buildings fill the blocks.  Three independent events can cut the ray:
   * a building side perpendicular to the y axis.
 
 Each survival factor has a closed form under Poisson street crossings with
-iid uniform building heights, and the LoS probability is their product.
+iid uniform building heights, and the LoS probability is their product,
+corner * exp(-lambda_s * (L_x + L_y)): one exp per link of the two axes'
+survivor lengths, each taken in fractions of the path (see _survivor_length).
 
 The recurring geometric quantity is the "gap clearance" per axis: how far the
 ray travels (measured along that axis) before it leaves the open cross formed
@@ -25,10 +27,10 @@ angles are born, not in the kernel: LinkGeometry folds one link, and the
 Monte Carlo chunk layout folds each drawn point once, however many heights
 and placements score it.  los_probability_batch takes the folded arrays;
 los_probability, corner_critical_height, corner_factor, integration_limits
-and axis_factor are views of the kernel on one-element arrays, so a link
-scores the same bits either way.  axis_factor_quadrature integrates the
-survival numerically instead and stays an independent check of the kernel's
-ramp integral.
+and axis_factor (exp(-lambda_s * L) of one axis) are views of the kernel on
+one-element arrays, so a link scores the same bits either way.
+axis_factor_quadrature integrates the survival numerically instead and stays
+an independent check of the kernel's ramp integral.
 """
 
 from __future__ import annotations
@@ -139,50 +141,38 @@ def _geometry(d, c, s, delta_h, h_v, w_v, w_h):
 
 
 @_IEEE_LIMITS
-def _axis_ramp(za, zb, delta_h, h_v, heights, lambda_s):
-    """Survival of one axis's building sides: exp(-lambda_s * survivor length).
+def _survivor_length(za, zb, delta_h, h_v, heights):
+    """One axis's survivor length L = zb * F(za / zb), a new array; za and zb stay unwritten.
 
-    The survivor length integrates P(side taller than the ray) over (za, zb).
-    The ray altitude is linear in z, so that probability is 1 until the ray
-    passes h_min, ramps linearly down, and is 0 once the ray clears h_max.
-    An empty interval (za >= zb) has length 0 and so factor 1.
-
-    The temporaries are reused in place, in the operation order of
-    len_full + 0.5 * (g_lo + g_hi) * len_ramp with g = slope * (z2 - z) / span;
-    za and zb are never written.
+    At path fraction t = z / zb the ray is at h_v + delta_h * t, so a side
+    there is taller with probability S(t): 1 up to t1 = (h_min - h_v) / delta_h,
+    then a linear ramp to 0 at t2 = (h_max - h_v) / delta_h.  F integrates S
+    from t to 1: with lo, hi the knots clamped to [0, 1], m = max(hi - t, 0)
+    and e = min(m, hi - lo), F = m + e * (S(hi) - 1 + e / (2 * (t2 - t1))),
+    all terms in [-1, 1] however small delta_h.  If t >= 1 (an empty interval)
+    or t = 0 / 0 (no clearance, no advance; fmax drops the NaN), m = L = 0.
     """
-    slope = delta_h / zb
-    z1 = (heights.h_min - h_v) / slope
-    z2 = (heights.h_max - h_v) / slope
-    lo = np.maximum(za, z1)
-    hi = np.minimum(zb, z2)
-    len_ramp = hi - lo
-    length = np.minimum(zb, z1, out=z1)
-    length -= za
-    np.maximum(length, 0.0, out=length)  # len_full
-    g_lo = np.subtract(z2, lo, out=lo)
-    g_lo *= slope
-    g_lo /= heights.span
-    g_hi = np.subtract(z2, hi, out=hi)
-    g_hi *= slope
-    g_hi /= heights.span
-    g_lo += g_hi
-    g_lo *= 0.5
-    g_lo *= len_ramp
-    np.add(length, g_lo, out=length, where=len_ramp > 0.0)
-    length *= -lambda_s
-    return np.exp(length, out=length)
+    t1 = (heights.h_min - h_v) / delta_h
+    t2 = (heights.h_max - h_v) / delta_h
+    lo, hi = min(max(t1, 0.0), 1.0), min(max(t2, 0.0), 1.0)
+    m = np.divide(za, zb)
+    np.subtract(hi, m, out=m)
+    np.fmax(m, 0.0, out=m)
+    e = np.minimum(m, hi - lo)
+    length = np.multiply(e, 0.5 / (t2 - t1))
+    length += (t2 - hi) / (t2 - t1) - 1.0
+    length *= e
+    length += m
+    length *= zb
+    return length
 
 
 def _kernel(d, c, s, delta_h, h_v, city, placement):
-    """The closed form over arrays of links: (corner, x axis, y axis) survivals."""
+    """The closed form over arrays of links: (corner survival, L_x, L_y)."""
     za_x, zb_x, za_y, zb_y, h0 = _geometry(d, c, s, delta_h, h_v, *effective_widths(city, placement))
-    heights, lambda_s = city.heights, city.lambda_s
-    return (
-        heights.cdf(h0),
-        _axis_ramp(za_x, zb_x, delta_h, h_v, heights, lambda_s),
-        _axis_ramp(za_y, zb_y, delta_h, h_v, heights, lambda_s),
-    )
+    heights = city.heights
+    return (heights.cdf(h0), _survivor_length(za_x, zb_x, delta_h, h_v, heights),
+            _survivor_length(za_y, zb_y, delta_h, h_v, heights))
 
 
 def _one(link: LinkGeometry):
@@ -237,8 +227,8 @@ def axis_factor(
     link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
 ) -> float:
     """Probability no building side on this axis blocks the ray (closed form)."""
-    _, fx, fy = _kernel(*_one(link), city, placement)
-    return float((fx if axis is Axis.X else fy)[0])
+    _, len_x, len_y = _kernel(*_one(link), city, placement)
+    return float(np.exp(-city.lambda_s * (len_x if axis is Axis.X else len_y)[0]))
 
 
 def axis_factor_quadrature(
@@ -276,8 +266,8 @@ def axis_factor_quadrature(
 
 def los_probability(link: LinkGeometry, city: CityModel, placement: Placement) -> float:
     """Per-link LoS probability: corner survival times both axis survivals."""
-    corner, fx, fy = _kernel(*_one(link), city, placement)
-    return float((corner * fx * fy)[0])
+    d, c, s = _one(link)[:3]
+    return float(los_probability_batch(d, c, s, link.h_uav, link.h_v, city, placement)[0])
 
 
 def los_probability_batch(
@@ -309,8 +299,10 @@ def los_probability_batch(
         raise ValueError("h_v must be finite and >= 0")
     if not h_v < h_uav < math.inf:
         raise ValueError("need finite h_uav > h_v for links above the vehicle")
-    corner, fx, fy = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
-    # fx is the kernel's own temporary; (corner * fx) * fy as in los_probability
-    p = np.multiply(corner, fx, out=fx)
-    p *= fy
-    return p
+    corner, length, len_y = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
+    # one exp of the summed lengths: corner * exp(-lambda_s * (L_x + L_y))
+    length += len_y
+    length *= -city.lambda_s
+    np.exp(length, out=length)
+    length *= corner
+    return length

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from uavgrid.connectivity import (
     EnvelopeDraw,
     PlacementMode,
     ScenarioConfig,
+    _chunk_bounds,
     _chunk_layout,
     _chunk_outage_counts,
     _chunk_score_arrays,
@@ -509,7 +515,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(connectivity, "ProcessPoolExecutor", RecordingPool)
+    # _map_tasks imports the pool when it opens one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1000)
     assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
     # three chunks of 1000 realizations ask for three processes at most
@@ -521,3 +528,42 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     _map_tasks(abs, [-1], 64)
     _map_tasks(abs, [-1, 2], 1)
     assert sizes == [3, 3, 2]
+
+
+def test_dense_envelope_chunks_are_capped_by_points(monkeypatch):
+    thin = SamplingEnvelope(lambda_cap=50e-6, d_cap=245.0)
+    dense = SamplingEnvelope(lambda_cap=5000e-6, d_cap=245.0)
+    assert thin.mean_count * connectivity.CHUNK_SIZE <= connectivity.MAX_CHUNK_POINTS
+    assert _chunk_bounds(20000, thin) == [(0, 8192), (8192, 16384), (16384, 20000)]
+    for env, n in ((dense, 10000), (dense, 1), (SamplingEnvelope(1e-12, 1.0), 5)):
+        bounds = _chunk_bounds(n, env)
+        # the chunks tile [0, n) in order, and each stays under the point cap
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == n
+        for start, stop in bounds:
+            assert 1 <= stop - start <= connectivity.CHUNK_SIZE
+            assert (stop - start) * env.mean_count <= max(connectivity.MAX_CHUNK_POINTS,
+                                                          env.mean_count)
+    # the cell values do not depend on which cap sets the chunks
+    env = SamplingEnvelope(lambda_cap=2000e-6, d_cap=100.0)  # about 63 UAVs per realization
+    grid = ([20e-6, 100e-6, 2000e-6], [80.0, 120.0], 0.95, 300, 5)
+    with monkeypatch.context() as m:
+        m.setattr(connectivity, "MAX_CHUNK_POINTS", 1000)  # 15 realizations a chunk
+        assert len(_chunk_bounds(300, env)) == 20
+        by_points = outage_grid(URBAN, 120.0, 10.0, *grid, **_caps(env))
+    with monkeypatch.context() as m:
+        m.setattr(connectivity, "CHUNK_SIZE", 7)
+        by_count = outage_grid(URBAN, 120.0, 10.0, *grid, **_caps(env))
+    whole = outage_grid(URBAN, 120.0, 10.0, *grid, **_caps(env))
+    assert by_points.tobytes() == by_count.tobytes() == whole.tobytes()
+
+
+def test_a_one_worker_run_never_loads_multiprocessing():
+    # a fresh interpreter, as this test process may have loaded it already
+    src = str(Path(connectivity.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, uavgrid.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
     UNBOUNDED,
+    _geometry,
     Axis,
     LinkGeometry,
     Placement,
@@ -260,3 +261,103 @@ def test_scalar_is_the_batch_kernel_bit_for_bit():
                 lk = LinkGeometry(d=float(a), phi=float(b), h_uav=float(h), h_v=10.0)
                 batch = _batch(np.array([a]), np.array([b]), float(h), city, pl)[0]
                 assert los_probability(lk, city, pl) == batch
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _reference_axis_ramp(za, zb, delta_h, h_v, heights, lambda_s):
+    # the closed form's axis survival as it was first written, in z rather than
+    # path fractions: exp(-lambda_s * (len_full + 0.5 * (g_lo + g_hi) * len_ramp))
+    slope = delta_h / zb
+    z1 = (heights.h_min - h_v) / slope
+    z2 = (heights.h_max - h_v) / slope
+    lo = np.maximum(za, z1)
+    hi = np.minimum(zb, z2)
+    len_ramp = hi - lo
+    length = np.maximum(np.minimum(zb, z1) - za, 0.0)
+    g_lo = (z2 - lo) * slope / heights.span
+    g_hi = (z2 - hi) * slope / heights.span
+    ramp = 0.5 * (g_lo + g_hi) * len_ramp
+    np.add(length, ramp, out=length, where=len_ramp > 0.0)
+    return np.exp(-lambda_s * length)
+
+
+def _reference_los(d, c, s, h_uav, h_v, city, pl):
+    # corner survival times two separately exponentiated axis survivals
+    delta_h = h_uav - h_v
+    za_x, zb_x, za_y, zb_y, h0 = _geometry(d, c, s, delta_h, h_v, *effective_widths(city, pl))
+    return (city.heights.cdf(h0)
+            * _reference_axis_ramp(za_x, zb_x, delta_h, h_v, city.heights, city.lambda_s)
+            * _reference_axis_ramp(za_y, zb_y, delta_h, h_v, city.heights, city.lambda_s))
+
+
+def _links(rng, n, r_max):
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    return rng.uniform(0.0, r_max, n), np.abs(np.cos(phi)), np.abs(np.sin(phi))
+
+
+@pytest.mark.parametrize("h_v, h_hi", [
+    # the CLI's vehicle, inside the urban and suburban height ranges
+    (10.0, 260.0),
+    # a low vehicle under UAVs below every preset's h_min: every side blocks
+    (1.5, 5.0),
+    # a vehicle above every preset's h_max: no side blocks
+    (40.0, 290.0),
+])
+def test_batch_matches_reference_kernel(h_v, h_hi):
+    """The one-exp kernel against the two-exp reference, to rounding."""
+    rng = np.random.default_rng(23)
+    for city in PRESETS.values():
+        for pl in (Placement.INTERSECTION, Placement.STREET):
+            for h_uav in rng.uniform(h_v, h_hi, 20):
+                d, c, s = _links(rng, 1000, 250.0)
+                got = los_probability_batch(d, c, s, float(h_uav), h_v, city, pl)
+                np.testing.assert_allclose(got, _reference_los(d, c, s, h_uav, h_v, city, pl),
+                                           rtol=1e-13, atol=0.0)
+
+
+def test_batch_matches_reference_kernel_at_tiny_delta_h():
+    # Delta h = 1e-3 m puts the unclamped ramp knots hundreds of path lengths
+    # from the link, on either side of it
+    rng = np.random.default_rng(29)
+    for city in PRESETS.values():
+        for h_v in (1.5, 10.0, 20.0, 40.0):
+            for pl in (Placement.INTERSECTION, Placement.STREET):
+                d, c, s = _links(rng, 2000, 250.0)
+                got = los_probability_batch(d, c, s, h_v + 1e-3, h_v, city, pl)
+                np.testing.assert_allclose(got, _reference_los(d, c, s, h_v + 1e-3, h_v, city, pl),
+                                           rtol=1e-13, atol=0.0)
+
+
+def test_zero_width_city_has_no_nan():
+    """0 / 0 clearances (no street, no advance) score finite and block nothing."""
+    bare = CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=0.0, w_h=0.0,
+                     heights=HeightDistribution(9.5, 28.5))
+    d = np.array([0.0, 50.0, 50.0, 0.0])
+    c, s = np.array([0.6, 1.0, 0.0, 1.0]), np.array([0.8, 0.0, 1.0, 0.0])
+    for pl in (Placement.INTERSECTION, Placement.STREET):
+        p = los_probability_batch(d, c, s, 100.0, 10.0, bare, pl)
+        assert np.all(np.isfinite(p))
+        # overhead, the corner at the vehicle is the only obstacle
+        assert p[0] == p[3] == bare.heights.cdf(10.0)
+        for phi in (0.0, 0.5 * math.pi, 0.7):
+            overhead = LinkGeometry(d=0.0, phi=phi, h_uav=100.0, h_v=10.0)
+            for axis in (Axis.X, Axis.Y):
+                assert axis_factor(overhead, bare, axis, pl) == 1.0
+        # a path along one axis never advances along the other
+        along_x = LinkGeometry(d=50.0, phi=0.0, h_uav=100.0, h_v=10.0)
+        assert axis_factor(along_x, bare, Axis.Y, pl) == 1.0
+        assert axis_factor(along_x, bare, Axis.X, pl) < 1.0
+
+
+def test_ray_clearing_h_max_before_the_gap_is_exactly_clear():
+    # at 0.2 m per m of advance the ray clears h_max = 28.5 m 92.5 m out, before
+    # either gap clearance of a 200 m wide crossing
+    wide = CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=200.0, w_h=200.0,
+                     heights=HeightDistribution(9.5, 28.5))
+    lk = LinkGeometry(d=math.hypot(150.0, 150.0), phi=0.25 * math.pi, h_uav=10.0 + 0.2 * 212.0,
+                      h_v=10.0)
+    for axis in (Axis.X, Axis.Y):
+        za, zb = integration_limits(lk, wide, axis, Placement.INTERSECTION)
+        assert za < zb
+        assert axis_factor(lk, wide, axis, Placement.INTERSECTION) == 1.0
+    assert los_probability(lk, wide, Placement.INTERSECTION) == 1.0
