@@ -487,7 +487,9 @@ def outage_grid(
     With a draw, the cells are scored on its layouts, and its key must be this
     call's (envelope, seed, n_realizations) (ValueError otherwise) unless every
     density is 0; without one, each chunk is drawn, scored and dropped in turn.
+    placement_mode may be a PlacementMode or its value ("street-only").
     """
+    placement_mode = PlacementMode(placement_mode)
     check_run(n_realizations, seed, workers)
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError("gamma_th must lie in [0, 1]")

@@ -8,15 +8,15 @@ them); buildings fill the blocks.  Three independent events can cut the ray:
   * a building side perpendicular to the y axis.
 
 Each survival factor has a closed form under Poisson street crossings with
-iid uniform building heights, and the LoS probability is their product,
-corner * exp(-lambda_s * (L_x + L_y)): one exp per link of the two axes'
-survivor lengths, each taken in fractions of the path (see _survivor_length).
+iid uniform building heights, and the LoS probability is their product.
 
 The recurring geometric quantity is the "gap clearance" per axis: how far the
 ray travels (measured along that axis) before it leaves the open cross formed
 by the two streets at the vehicle.  Building sides closer than that cannot
 stand in the ray's way, and the corner building is first met exactly at the
-clearance point.
+clearance point.  The ray leaves the cross at one point, so both clearances
+sit at one path fraction t: one clearance fraction, one survivor integral F,
+and corner * exp(-lambda_s * (zb_x + zb_y) * F(t)), one exp per link.
 
 All angles fold into the first quadrant: the grid is mirror-symmetric about
 both axes, each axis keeping its own street width.
@@ -27,7 +27,7 @@ angles are born, not in the kernel: LinkGeometry folds one link, and the
 Monte Carlo chunk layout folds each drawn point once, however many heights
 and placements score it.  los_probability_batch takes the folded arrays;
 los_probability, corner_critical_height, corner_factor, integration_limits
-and axis_factor (exp(-lambda_s * L) of one axis) are views of the kernel on
+and axis_factor (exp(-lambda_s * zb * F(t)) of one axis) are views of the kernel on
 one-element arrays, so a link scores the same bits either way.
 axis_factor_quadrature integrates the survival numerically instead and stays
 an independent check of the kernel's ramp integral.
@@ -103,8 +103,9 @@ def effective_widths(city: CityModel, placement: Placement) -> tuple[float, floa
 
     Mid-block there is no crossing street at the vehicle, so the crossing
     width collapses to zero while the vehicle's own street keeps its width.
+    A placement's value ("street") counts as its member; others raise ValueError.
     """
-    if placement is Placement.STREET:
+    if Placement(placement) is Placement.STREET:
         return city.w_v, 0.0
     return city.w_v, city.w_h
 
@@ -113,6 +114,21 @@ def effective_widths(city: CityModel, placement: Placement) -> tuple[float, floa
 # results is the right limit (an unreachable clearance or corner, a vertical
 # ray), and the products it leaves in unused branches are discarded.
 _IEEE_LIMITS = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _corner(d, c, s, delta_h, h_v, w_v, w_h):
+    """(za_x, zb_x, h0): the x axis's gap clearance and ground coordinate, the corner height."""
+    if not delta_h > 0.0:
+        raise ValueError("need h_uav > h_v for links above the vehicle")
+    # An axis's own street bounds its clearance directly; the other street
+    # bounds the other coordinate and projects through the direction (inf on
+    # a path parallel to it).  A zero width contributes nothing.
+    za_x = np.maximum(0.5 * w_v, 0.5 * w_h * c / s) if w_h > 0.0 else np.full_like(c, 0.5 * w_v)
+    zb_x = d * c
+    # The ray meets the corner where it clears the x gap; with both widths
+    # zero the corner stands at the vehicle itself and h0 is h_v.
+    h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
+    return za_x, zb_x, h0
 
 
 @_IEEE_LIMITS
@@ -125,54 +141,47 @@ def _geometry(d, c, s, delta_h, h_v, w_v, w_h):
     could block the ray, and the height h0 the near-corner building must
     exceed to block it (UNBOUNDED when the ray never meets the corner).
     """
-    if not delta_h > 0.0:
-        raise ValueError("need h_uav > h_v for links above the vehicle")
-    # An axis's own street bounds its clearance directly; the other street
-    # bounds the other coordinate and projects through the direction (inf on
-    # a path parallel to it).  A zero width contributes nothing.
-    za_x = np.maximum(0.5 * w_v, 0.5 * w_h * c / s) if w_h > 0.0 else np.full_like(c, 0.5 * w_v)
+    za_x, zb_x, h0 = _corner(d, c, s, delta_h, h_v, w_v, w_h)
     za_y = np.maximum(0.5 * w_h, 0.5 * w_v * s / c) if w_v > 0.0 else np.full_like(c, 0.5 * w_h)
-    zb_x = d * c
-    zb_y = d * s
-    # The ray meets the corner where it clears the x gap; with both widths
-    # zero the corner stands at the vehicle itself and h0 is h_v.
-    h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
-    return za_x, zb_x, za_y, zb_y, h0
+    return za_x, zb_x, za_y, d * s, h0
 
 
-@_IEEE_LIMITS
-def _survivor_length(za, zb, delta_h, h_v, heights):
-    """One axis's survivor length L = zb * F(za / zb), a new array; za and zb stay unwritten.
+def _survivor_fraction(t, delta_h, h_v, heights):
+    """F(t), the one survivor integral (survivor length per metre of zb); overwrites t.
 
-    At path fraction t = z / zb the ray is at h_v + delta_h * t, so a side
-    there is taller with probability S(t): 1 up to t1 = (h_min - h_v) / delta_h,
-    then a linear ramp to 0 at t2 = (h_max - h_v) / delta_h.  F integrates S
-    from t to 1: with lo, hi the knots clamped to [0, 1], m = max(hi - t, 0)
-    and e = min(m, hi - lo), F = m + e * (S(hi) - 1 + e / (2 * (t2 - t1))),
-    all terms in [-1, 1] however small delta_h.  If t >= 1 (an empty interval)
-    or t = 0 / 0 (no clearance, no advance; fmax drops the NaN), m = L = 0.
+    At path fraction t the ray is at h_v + delta_h * t, so a side there is
+    taller with probability S(t): 1 up to t1 = (h_min - h_v) / delta_h, then a
+    linear ramp to 0 at t2 = (h_max - h_v) / delta_h.  F integrates S from t
+    to 1: with lo, hi the knots clamped to [0, 1], m = max(hi - t, 0) and
+    e = min(m, hi - lo), F = m + e * (S(hi) - 1 + e / (2 * (t2 - t1))), all
+    terms in [-1, 1] however small delta_h.  t >= 1 or NaN (fmax) gives F = 0.
     """
     t1 = (heights.h_min - h_v) / delta_h
     t2 = (heights.h_max - h_v) / delta_h
     lo, hi = min(max(t1, 0.0), 1.0), min(max(t2, 0.0), 1.0)
-    m = np.divide(za, zb)
-    np.subtract(hi, m, out=m)
+    m = np.subtract(hi, t, out=t)
     np.fmax(m, 0.0, out=m)
     e = np.minimum(m, hi - lo)
-    length = np.multiply(e, 0.5 / (t2 - t1))
-    length += (t2 - hi) / (t2 - t1) - 1.0
-    length *= e
-    length += m
-    length *= zb
-    return length
+    f = np.multiply(e, 0.5 / (t2 - t1))
+    f += (t2 - hi) / (t2 - t1) - 1.0
+    f *= e
+    f += m
+    return f
 
 
+@_IEEE_LIMITS
 def _kernel(d, c, s, delta_h, h_v, city, placement):
-    """The closed form over arrays of links: (corner survival, L_x, L_y)."""
-    za_x, zb_x, za_y, zb_y, h0 = _geometry(d, c, s, delta_h, h_v, *effective_widths(city, placement))
-    heights = city.heights
-    return (heights.cdf(h0), _survivor_length(za_x, zb_x, delta_h, h_v, heights),
-            _survivor_length(za_y, zb_y, delta_h, h_v, heights))
+    """The closed form over arrays of links: (corner survival, zb_x, zb_y, F(t))."""
+    w_v, w_h = effective_widths(city, placement)
+    za_x, zb_x, h0 = _corner(d, c, s, delta_h, h_v, w_v, w_h)
+    zb_y = d * s
+    # The one clearance fraction t = za_x / zb_x = za_y / zb_y: on x when w_v > 0
+    # (za_x >= w_v / 2, never 0 / 0), else w_h / (2 zb_y); no advance gives inf, F = 0.
+    if w_v > 0.0:
+        t = np.divide(za_x, zb_x, out=za_x)
+    else:
+        t = np.divide(0.5 * w_h, zb_y) if w_h > 0.0 else np.zeros_like(zb_y)
+    return city.heights.cdf(h0), zb_x, zb_y, _survivor_fraction(t, delta_h, h_v, city.heights)
 
 
 def _one(link: LinkGeometry):
@@ -227,8 +236,8 @@ def axis_factor(
     link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
 ) -> float:
     """Probability no building side on this axis blocks the ray (closed form)."""
-    _, len_x, len_y = _kernel(*_one(link), city, placement)
-    return float(np.exp(-city.lambda_s * (len_x if axis is Axis.X else len_y)[0]))
+    _, zb_x, zb_y, f = _kernel(*_one(link), city, placement)
+    return float(np.exp(-city.lambda_s * ((zb_x if axis is Axis.X else zb_y) * f)[0]))
 
 
 def axis_factor_quadrature(
@@ -299,9 +308,10 @@ def los_probability_batch(
         raise ValueError("h_v must be finite and >= 0")
     if not h_v < h_uav < math.inf:
         raise ValueError("need finite h_uav > h_v for links above the vehicle")
-    corner, length, len_y = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
-    # one exp of the summed lengths: corner * exp(-lambda_s * (L_x + L_y))
-    length += len_y
+    corner, length, zb_y, f = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
+    # one survivor integral for both axes: corner * exp(-lambda_s * (zb_x + zb_y) * F(t))
+    length += zb_y
+    length *= f
     length *= -city.lambda_s
     np.exp(length, out=length)
     length *= corner

@@ -96,8 +96,9 @@ def optimize_height(
     the grid answer; ties go to the lower altitude.  Refinement stops at
     search.refine_tol, or sooner once a new probe can no longer land strictly
     inside the bracket, as happens when refine_tol is below the float spacing
-    of the heights.
+    of the heights.  placement_mode may be a PlacementMode or its value.
     """
+    placement_mode = PlacementMode(placement_mode)
     check_run(n_realizations, seed, workers)
     if not h_v < search.h_lo < search.h_hi < h_v + r_max:
         raise InfeasibleSearchError(
@@ -195,7 +196,9 @@ def sweep_contour(
     Sharing makes the grid monotone in density exactly, not just on average:
     raising the density only adds UAVs to each realization.  lambda_cap (per
     m2) and d_cap (m) are the sampling envelope's caps, as in outage_grid.
+    placement_mode may be a PlacementMode or its value.
     """
+    placement_mode = PlacementMode(placement_mode)
     lambda_axis = np.asarray([float(v) for v in lambda_axis])
     height_axis = np.asarray([float(v) for v in height_axis])
     for name, axis in (("lambda_axis", lambda_axis), ("height_axis", height_axis)):

@@ -464,6 +464,18 @@ def test_outage_grid_validates_inputs():
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
 
 
+def test_placement_mode_fails_closed(monkeypatch):
+    """A mode's value runs as its member; any other value is refused before anything is drawn."""
+    args = (URBAN, 250.0, 10.0, [10e-6, 25e-6], [60.0, 140.0], 0.8, 300, 3)
+    for mode in PlacementMode:
+        assert np.array_equal(outage_grid(*args, placement_mode=mode.value),
+                              outage_grid(*args, placement_mode=mode))
+    monkeypatch.setattr(connectivity, "_draw_chunk", None)
+    for bad in (None, "street", "nowhere", Placement.STREET):
+        with pytest.raises(ValueError):
+            outage_grid(*args, placement_mode=bad)
+
+
 def test_outage_grid_scores_a_shared_draw(monkeypatch):
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
     env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,24 @@ def test_link_geometry_folds_angles():
 def test_effective_widths():
     assert effective_widths(URBAN, Placement.INTERSECTION) == (13.0, 13.0)
     assert effective_widths(URBAN, Placement.STREET) == (13.0, 0.0)
+    assert effective_widths(URBAN, "street") == (13.0, 0.0)
+    assert effective_widths(URBAN, "intersection") == (13.0, 13.0)
+
+
+def test_placement_fails_closed():
+    """A placement's value scores as its member; any other value is refused, not scored."""
+    d, c, s = np.array([100.0, 30.0]), np.array([0.8, 0.28]), np.array([0.6, 0.96])
+    for value, member in (("street", Placement.STREET), ("intersection", Placement.INTERSECTION)):
+        want = los_probability_batch(d, c, s, 100.0, 10.0, URBAN, member)
+        np.testing.assert_array_equal(los_probability_batch(d, c, s, 100.0, 10.0, URBAN, value), want)
+    lk = LinkGeometry(d=100.0, phi=0.3, h_uav=100.0, h_v=10.0)
+    for bad in (None, "nowhere", "street-only", 1):
+        with pytest.raises(ValueError):
+            effective_widths(URBAN, bad)
+        with pytest.raises(ValueError):
+            los_probability_batch(d, c, s, 100.0, 10.0, URBAN, bad)
+        with pytest.raises(ValueError):
+            los_probability(lk, URBAN, bad)
 
 
 def test_corner_critical_height_reference_case():
@@ -304,7 +323,7 @@ def _links(rng, n, r_max):
     (40.0, 290.0),
 ])
 def test_batch_matches_reference_kernel(h_v, h_hi):
-    """The one-exp kernel against the two-exp reference, to rounding."""
+    """The one-fraction kernel (one survivor integral, one exp) against the two-exp reference."""
     rng = np.random.default_rng(23)
     for city in PRESETS.values():
         for pl in (Placement.INTERSECTION, Placement.STREET):
@@ -361,3 +380,40 @@ def test_ray_clearing_h_max_before_the_gap_is_exactly_clear():
         assert za < zb
         assert axis_factor(lk, wide, axis, Placement.INTERSECTION) == 1.0
     assert los_probability(lk, wide, Placement.INTERSECTION) == 1.0
+
+
+WIDTH_CASES = {
+    # only the crossing street is open: the clearance fraction comes from the y axis
+    "w_v=0<w_h": dataclasses.replace(URBAN, w_v=0.0),
+    "w_h=0<w_v": dataclasses.replace(URBAN, w_h=0.0),
+    "both zero": dataclasses.replace(URBAN, w_v=0.0, w_h=0.0),
+    "unequal": dataclasses.replace(URBAN, w_v=20.0, w_h=5.0),
+}
+
+
+@pytest.mark.parametrize("name", WIDTH_CASES)
+def test_width_edge_cases_match_reference(name):
+    """Zero and unequal street widths, links overhead and along either axis, against the reference."""
+    city = WIDTH_CASES[name]
+    rng = np.random.default_rng(31)
+    d, c, s = _links(rng, 10_000, 250.0)
+    # overhead, along x and along y, with exact zeros in the folded cosines
+    d = np.concatenate([d, [0.0, 0.0, 0.0, 80.0, 80.0]])
+    c = np.concatenate([c, [0.6, 1.0, 0.0, 1.0, 0.0]])
+    s = np.concatenate([s, [0.8, 0.0, 1.0, 0.0, 1.0]])
+    for pl in (Placement.INTERSECTION, Placement.STREET):
+        for h_uav in (10.5, 30.0, 100.0, 250.0):
+            got = los_probability_batch(d, c, s, h_uav, 10.0, city, pl)
+            np.testing.assert_allclose(got, _reference_los(d, c, s, h_uav, 10.0, city, pl),
+                                       rtol=1e-13, atol=0.0)
+    # the one-axis view, on LinkGeometry's own fold (phi = pi / 2 leaves |cos| = 6.1e-17)
+    phis = np.concatenate([[0.0, 0.5 * math.pi, 0.25 * math.pi], rng.uniform(0.0, 2.0 * math.pi, 200)])
+    dists = np.concatenate([[80.0, 80.0, 0.0], rng.uniform(0.0, 250.0, 200)])
+    for pl in (Placement.INTERSECTION, Placement.STREET):
+        for a, b in zip(dists, phis):
+            lk = LinkGeometry(d=float(a), phi=float(b), h_uav=60.0, h_v=10.0)
+            za_x, zb_x, za_y, zb_y, _ = _geometry(*(np.array([v]) for v in (lk.d, lk.cos_phi, lk.sin_phi)),
+                                                  lk.delta_h, lk.h_v, *effective_widths(city, pl))
+            for axis, za, zb in ((Axis.X, za_x, zb_x), (Axis.Y, za_y, zb_y)):
+                want = _reference_axis_ramp(za, zb, lk.delta_h, lk.h_v, city.heights, city.lambda_s)[0]
+                assert axis_factor(lk, city, axis, pl) == pytest.approx(want, rel=1e-13, abs=0.0)

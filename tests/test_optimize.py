@@ -179,6 +179,30 @@ def test_sweep_contour_shape_and_axis_validation():
         sweep_contour(URBAN, 250.0, 10.0, [], hts, 0.8, n_realizations=10, seed=0)
 
 
+def test_placement_mode_fails_closed(monkeypatch):
+    """optimize_height and sweep_contour take a mode's value too, and refuse anything else."""
+    spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=35.0, gamma_th=0.8, refine_tol=20.0)
+    lam, hts = [10e-6, 20e-6], [80.0, 160.0]
+    for mode in connectivity.PlacementMode:
+        assert (optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+                                placement_mode=mode.value)
+                == optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+                                   placement_mode=mode))
+        assert np.array_equal(
+            sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
+                          placement_mode=mode.value).outage,
+            sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
+                          placement_mode=mode).outage)
+    monkeypatch.setattr(connectivity, "_draw_chunk", None)
+    for bad in (None, "street", "nowhere"):
+        with pytest.raises(ValueError):
+            optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+                            placement_mode=bad)
+        with pytest.raises(ValueError):
+            sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
+                          placement_mode=bad)
+
+
 def test_contour_monotone_in_density():
     lam = [5e-6, 15e-6, 30e-6]
     hts = [80.0, 120.0, 160.0, 200.0]

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import ScenarioConfig, _chunk_score_arrays, _lay_out, estimate_distribution
 from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope, ground_range, sample_envelope_points
-from uavgrid.los import LinkGeometry, Placement, los_probability
+from uavgrid.los import LinkGeometry, Placement, _geometry, los_probability
 
 URBAN = PRESETS["urban"]
 CITIES = list(PRESETS.values())
@@ -53,6 +53,26 @@ def test_quadrant_fold_symmetry(d, phi, h, ci):
     for other in (math.pi - phi, math.pi + phi, -phi):
         p = los_probability(LinkGeometry(d=d, phi=other, h_uav=h, h_v=10.0), city, Placement.INTERSECTION)
         assert p == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+
+# zero, or at least a millimetre: below that the products underflow to subnormals
+street_width = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=50.0, **_finite))
+ground_d = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=250.0, **_finite))
+
+
+@given(w_v=street_width, w_h=street_width, d=ground_d, phi=link_phi)
+@settings(max_examples=300, deadline=None)
+def test_both_axes_clear_the_cross_at_one_path_fraction(w_v, w_h, d, phi):
+    """The kernel's identity: za_x / zb_x = za_y / zb_y, the fraction where the ray leaves the cross."""
+    c, s = abs(math.cos(phi)), abs(math.sin(phi))
+    # an azimuth within 1e-150 rad of an axis (but off it) leaves w * sin(phi) subnormal
+    assume(min(c, s) == 0.0 or min(c, s) > 1e-150)
+    za_x, zb_x, za_y, zb_y, _ = _geometry(np.array([d]), np.array([c]), np.array([s]), 90.0,
+                                          10.0, w_v, w_h)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_x, t_y = float(za_x[0] / zb_x[0]), float(za_y[0] / zb_y[0])
+    if math.isfinite(t_x) and math.isfinite(t_y):
+        assert abs(t_x - t_y) <= 4.0 * np.spacing(max(t_x, t_y))
 
 
 def test_monotone_in_distance_1000_pairs():
