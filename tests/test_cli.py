@@ -469,10 +469,11 @@ def test_bad_run_parameters_exit_2(args, capsys):
      # one above oracle.MAX_DRAWS: refused before the case draws anything
      ["--cases", "1", "--n-draws", "1000001"],
      # expects about 3e9 building sides per case: refused before the case draws anything
-     ["--cases", "1", "--n-draws", "100000", "--r-max", "1e6"]],
+     ["--cases", "1", "--n-draws", "100000", "--r-max", "1e6"],
+     ["--seed", "-1"], ["--seed", "18446744073709551616"]],
     ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
          "h-v-nan", "h-v-negative", "n-draws-out-of-memory", "n-draws-over-bound",
-         "sides-over-bound"],
+         "sides-over-bound", "seed-negative", "seed-2-64"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

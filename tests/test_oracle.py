@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import uavgrid.oracle as oracle
-from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
+from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, ground_range
 from uavgrid.los import (
     Axis,
     LinkGeometry,
@@ -130,56 +130,73 @@ def test_street_sees_fronts_the_crossing_street_shields():
     assert not link_blocked(draw, lk, URBAN, Placement.INTERSECTION)
 
 
-def test_empirical_matches_plain_loop():
+SHRUB = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
+                  heights=HeightDistribution(2.0, 6.0))
+OBLIQUE = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
+# phi = 0: the ray never advances along y, so that axis interval is empty
+ALONG_X = LinkGeometry(d=120.0, phi=0.0, h_uav=120.0, h_v=10.0)
+
+
+# id -> (link, city, placement): the scalar tracer draws every axis over
+# [0, extent], so these also check that the oracle may restrict its sides to
+# (za, zb)
+PLAIN_LOOP = {
+    "intersection": (OBLIQUE, URBAN, Placement.INTERSECTION),
+    "street": (OBLIQUE, URBAN, Placement.STREET),
+    "empty-axis": (ALONG_X, URBAN, Placement.STREET),
+    "dense-urban": (OBLIQUE, PRESETS["dense-urban"], Placement.INTERSECTION),
+    # sides can block only past 63% of the path, and nearly every one there
+    # does: drawing (0, zb)'s count on (za, zb) moves p by about 10 se
+    "late-clearance": (LinkGeometry(d=40.0, phi=0.2, h_uav=11.0, h_v=10.0), PRESETS["suburban"],
+                       Placement.INTERSECTION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_LOOP))
+def test_empirical_matches_plain_loop(case):
     """Vectorized counting agrees with a one-draw-at-a-time loop."""
-    lk = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
+    lk, city, placement = PLAIN_LOOP[case]
     n = 4000
-    p_vec, se = empirical_los_probability(lk, URBAN, Placement.INTERSECTION, n, np.random.default_rng(8))
+    p_vec, se = empirical_los_probability(lk, city, placement, n, np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    extent_x = 120.0 * math.cos(0.7) + 58.0
-    extent_y = 120.0 * math.sin(0.7) + 58.0
+    period = city.mu_s + city.mu_b
+    extent_x = lk.d * math.cos(lk.phi) + period
+    extent_y = lk.d * math.sin(lk.phi) + period
     hits = 0
     for _ in range(n):
-        draw = sample_city(URBAN, extent_x, extent_y, rng)
-        hits += not link_blocked(draw, lk, URBAN, Placement.INTERSECTION)
+        draw = sample_city(city, extent_x, extent_y, rng)
+        hits += not link_blocked(draw, lk, city, placement)
     p_loop = hits / n
     se_comb = math.sqrt(se * se + p_loop * (1.0 - p_loop) / n)
     assert abs(p_vec - p_loop) < 6.0 * se_comb
 
 
 def _bincount_reference(link, city, placement, n, rng):
-    """The earlier per-point reduction: full crit, a draw index per point, bincount.
+    """A per-point reduction: full crit, the same draw labels, bincount.
 
-    Draws exactly what empirical_los_probability draws.  Returns (p_hat, se,
-    the number of draws with no sides on some axis).
+    Draws exactly what empirical_los_probability draws, in its order: the n
+    corner heights, then per axis with za < zb the superposed count, the
+    positions, the heights and one draw label per hit.  Returns (p_hat, se,
+    each axis's total sides, None for an axis with za >= zb).
     """
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
     blocked = city.heights.sample(rng, n) > h0
-    sideless = np.zeros(n, dtype=bool)
+    totals = []
     for za, zb in (limits_x, limits_y):
-        extent = zb + city.mu_s + city.mu_b
-        counts = rng.poisson(city.lambda_s * extent, n)
-        total = int(counts.sum())
-        pos = rng.uniform(0.0, extent, total)
-        height = city.heights.sample(rng, total)
-        sideless |= counts == 0
         if not za < zb:
+            totals.append(None)
             continue
-        zeta = zb
+        total = rng.poisson(n * city.lambda_s * (zb - za))
+        pos = rng.uniform(za, zb, total)
+        height = city.heights.sample(rng, total)
         inside = (pos > za) & (pos < zb)
-        crit = pos * link.delta_h / zeta + link.h_v
+        crit = pos * link.delta_h / zb + link.h_v
         hit = inside & (height > crit)
-        ridx = np.repeat(np.arange(n), counts)
-        blocked |= np.bincount(ridx[hit], minlength=n) > 0
+        labels = rng.integers(0, n, int(hit.sum()))
+        blocked |= np.bincount(labels, minlength=n) > 0
+        totals.append(int(total))
     p_hat = float(1.0 - blocked.mean())
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), int(sideless.sum())
-
-
-SHRUB = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
-                  heights=HeightDistribution(2.0, 6.0))
-OBLIQUE = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
-# phi = 0: the ray never advances along y, so that axis interval is empty
-ALONG_X = LinkGeometry(d=120.0, phi=0.0, h_uav=120.0, h_v=10.0)
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), totals
 
 
 # id -> (link, city, placement, n, seed)
@@ -191,6 +208,10 @@ BIT_FOR_BIT = {
     "n-1": (OBLIQUE, PRESETS["dense-urban"], Placement.STREET, 1, 3),
     "sideless-draws": (LinkGeometry(d=60.0, phi=0.3, h_uav=40.0, h_v=10.0),
                        PRESETS["dense-urban"], Placement.INTERSECTION, 2000, 11),
+    # phi = 1e-6 mid-block: the y interval is 1.2e-4 m long, so it is drawn
+    # but expects 6e-6 sides
+    "axis-draws-no-sides": (LinkGeometry(d=120.0, phi=1e-6, h_uav=120.0, h_v=10.0), URBAN,
+                            Placement.STREET, 3000, 5),
 }
 
 
@@ -200,18 +221,20 @@ def test_empirical_matches_bincount_reference_bit_for_bit(case):
     rng = np.random.default_rng(seed)
     got = empirical_los_probability(link, city, placement, n, rng)
     ref_rng = np.random.default_rng(seed)
-    p_ref, se_ref, sideless = _bincount_reference(link, city, placement, n, ref_rng)
+    p_ref, se_ref, totals = _bincount_reference(link, city, placement, n, ref_rng)
     assert got == (p_ref, se_ref)
     # same draws, in the same order: every later draw of a sweep is unchanged
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # each case covers what its id names
     if case == "empty-axis":
         _, _, (za_y, zb_y) = _link_limits(link, *effective_widths(city, placement))
-        assert not za_y < zb_y
+        assert not za_y < zb_y and totals[1] is None
     elif case == "shrub-nothing-hit":
         assert got == (1.0, 0.0)
     elif case == "sideless-draws":
-        assert 0 < sideless < n and 0.0 < p_ref < 1.0
+        assert 0.0 < p_ref < 1.0
+    elif case == "axis-draws-no-sides":
+        assert totals[0] > 0 and totals[1] == 0
 
 
 def test_draws_over_the_bound_are_refused_before_drawing():
@@ -237,12 +260,13 @@ def test_sides_over_the_bound_are_refused_before_drawing(monkeypatch):
     assert len(validation_sweep(cases=6, n=MAX_DRAWS, r_max=250.0)) == 6
 
 
-def test_empirical_street_dominates_on_shared_draws():
-    # identical seeds give identical cities, so the ordering holds exactly
+def test_empirical_street_below_intersection():
+    # the street's axis intervals contain the intersection's, so the same
+    # seed does not give the same sides; the closed forms sit 0.49 apart
     lk = LinkGeometry(d=120.0, phi=0.4, h_uav=120.0, h_v=10.0)
-    p_sec, _ = empirical_los_probability(lk, URBAN, Placement.INTERSECTION, 4000, np.random.default_rng(21))
-    p_str, _ = empirical_los_probability(lk, URBAN, Placement.STREET, 4000, np.random.default_rng(21))
-    assert p_str <= p_sec
+    p_sec, se_sec = empirical_los_probability(lk, URBAN, Placement.INTERSECTION, 4000, np.random.default_rng(21))
+    p_str, se_str = empirical_los_probability(lk, URBAN, Placement.STREET, 4000, np.random.default_rng(21))
+    assert p_sec - p_str > 6.0 * math.hypot(se_sec, se_str)
 
 
 def test_empirical_saturates_when_buildings_cannot_reach():
@@ -261,3 +285,34 @@ def test_validation_sweep_coverage_and_determinism():
     assert sum(1 for r in results if not r.passed) <= 1
     again = validation_sweep(cases=12, n=20_000, seed=5)
     assert [r.p_oracle for r in again] == [r.p_oracle for r in results]
+
+
+def test_validation_rows_do_not_depend_on_the_case_count():
+    few = validation_sweep(cases=12, n=2000, seed=7)
+    assert few == validation_sweep(cases=30, n=2000, seed=7)[:12]
+
+
+def test_validation_case_reruns_alone_from_its_stream():
+    seed, n, r_max, h_v = 7, 2000, 250.0, 10.0
+    for row in validation_sweep(cases=8, n=n, seed=seed, r_max=r_max, h_v=h_v)[5:]:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, row.case_id], dtype=np.uint64)))
+        h_uav = rng.uniform(h_v + 1.0, h_v + ground_range(r_max, 20.0, 0.0))
+        d = rng.uniform(10.0, ground_range(r_max, h_uav, h_v))
+        phi = rng.uniform(0.0, 0.5 * math.pi)
+        assert (d, phi, h_uav) == (row.d, row.phi, row.h_uav)
+        link = LinkGeometry(d=d, phi=phi, h_uav=h_uav, h_v=h_v)
+        p, _ = empirical_los_probability(link, PRESETS[row.preset], row.placement, n, rng)
+        assert p == row.p_oracle
+
+
+def test_validation_seed_range(monkeypatch):
+    for seed in (0, 2**64 - 1):
+        assert len(validation_sweep(cases=2, n=100, seed=seed)) == 2
+
+    def no_draw(*args):
+        raise AssertionError("drew a case of a refused sweep")
+
+    monkeypatch.setattr(oracle, "empirical_los_probability", no_draw)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            validation_sweep(cases=1, n=100, seed=seed)
