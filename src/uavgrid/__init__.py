@@ -22,11 +22,8 @@ from .los import (
     Axis,
     LinkGeometry,
     Placement,
-    UNBOUNDED,
     axis_factor,
     axis_factor_quadrature,
-    corner_critical_height,
-    corner_factor,
     effective_widths,
     integration_limits,
     los_probability,
@@ -44,7 +41,6 @@ from .connectivity import (
     ScenarioConfig,
     estimate_distribution,
     mixture_cdf,
-    outage,
     outage_grid,
 )
 from .optimize import (
@@ -75,12 +71,9 @@ __all__ = [
     "RadioParams",
     "SamplingEnvelope",
     "ScenarioConfig",
-    "UNBOUNDED",
     "ValidationCase",
     "axis_factor",
     "axis_factor_quadrature",
-    "corner_critical_height",
-    "corner_factor",
     "effective_widths",
     "empirical_los_probability",
     "estimate_distribution",
@@ -93,7 +86,6 @@ __all__ = [
     "min_density_for_outage",
     "mixture_cdf",
     "optimize_height",
-    "outage",
     "outage_grid",
     "sample_envelope_points",
     "sweep_contour",

@@ -452,13 +452,6 @@ def mixture_cdf(
     return MixtureCDF(intersection, street, intersection_weight(city))
 
 
-def outage(distribution, gamma_th: float) -> float:
-    """P(connectivity <= gamma_th) under an evaluable CDF."""
-    if not 0.0 <= gamma_th <= 1.0:
-        raise ValueError("gamma_th must lie in [0, 1]")
-    return float(distribution.evaluate(gamma_th))
-
-
 def outage_grid(
     city: CityModel,
     r_max: float,
@@ -480,8 +473,8 @@ def outage_grid(
     comparisons across cells are exact: more density or a nested ground disk
     can only add UAVs to a realization.  The envelope's caps are lambda_cap
     (per m2) and d_cap (m), by default the grid's top density and widest disk.
-    Cell values equal what the estimate_distribution / mixture_cdf / outage
-    pipeline returns for the same caps, seed and n.  With every density 0
+    Cell values equal the estimate_distribution / mixture_cdf pipeline's CDF
+    at gamma_th for the same caps, seed and n.  With every density 0
     nothing is drawn, whatever the caps: every realization is in outage.
 
     With a draw, the cells are scored on its layouts, and its key must be this

@@ -64,15 +64,14 @@ class CityModel:
 
     mu_s: float
     mu_b: float
-    mu_H: float
     w_v: float
     w_h: float
     heights: HeightDistribution
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
-        if not all(0.0 < v < math.inf for v in (self.mu_s, self.mu_b, self.mu_H)):
-            raise InvalidGeometryError("mu_s, mu_b, mu_H must be positive and finite")
+        if not all(0.0 < v < math.inf for v in (self.mu_s, self.mu_b)):
+            raise InvalidGeometryError("mu_s, mu_b must be positive and finite")
         if not (0.0 <= self.w_v < math.inf and 0.0 <= self.w_h < math.inf):
             raise InvalidGeometryError("street widths must be finite and non-negative")
 
@@ -88,7 +87,6 @@ def _preset(mu_H: float, mu_b: float, mu_s: float) -> CityModel:
     return CityModel(
         mu_s=mu_s,
         mu_b=mu_b,
-        mu_H=mu_H,
         w_v=mu_s,
         w_h=mu_s,
         heights=HeightDistribution(0.5 * mu_H, 1.5 * mu_H),
@@ -109,25 +107,12 @@ def intersection_weight(city: CityModel) -> float:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Radio link budget and UAV deployment density."""
+    """Radio link budget and UAV deployment density, checked where it is used (_scenario)."""
 
     r_max: float
     h_uav: float
     h_v: float
     lambda_uav: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.r_max, self.h_uav, self.h_v, self.lambda_uav)):
-            raise InvalidGeometryError("radio parameters must be finite")
-        if self.h_v < 0.0 or self.h_uav < self.h_v:
-            raise InvalidGeometryError("need h_uav >= h_v >= 0")
-        if self.lambda_uav < 0.0:
-            raise InvalidGeometryError("lambda_uav cannot be negative")
-        if self.r_max <= self.h_uav - self.h_v:
-            raise InvalidGeometryError(
-                f"r_max={self.r_max} does not clear the vertical offset "
-                f"{self.h_uav - self.h_v}"
-            )
 
 
 def ground_range(r_max: float, h_uav: float, h_v: float) -> float:

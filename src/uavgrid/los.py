@@ -26,9 +26,9 @@ and folded direction cosines |cos phi|, |sin phi|.  The fold happens where
 angles are born, not in the kernel: LinkGeometry folds one link, and the
 Monte Carlo chunk layout folds each drawn point once, however many heights
 and placements score it.  los_probability_batch takes the folded arrays;
-los_probability, corner_critical_height, corner_factor, integration_limits
-and axis_factor (exp(-lambda_s * zb * F(t)) of one axis) are views of the kernel on
-one-element arrays, so a link scores the same bits either way.
+los_probability, integration_limits and axis_factor (exp(-lambda_s * zb * F(t))
+of one axis) are views of the kernel on one-element arrays, so a link scores
+the same bits either way.
 axis_factor_quadrature integrates the survival numerically instead and stays
 an independent check of the kernel's ramp integral.
 """
@@ -41,9 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CityModel, HeightDistribution
+from .geometry import CityModel
 
-UNBOUNDED = math.inf
+# The most |cos_phi**2 + sin_phi**2 - 1| a folded direction may show: 4 ulp of
+# 1.0.  Folding real azimuths with math or numpy stayed within 1 ulp (2.2e-16).
+DIRECTION_TOL = 4.0 * np.finfo(float).eps
 # Absolute tolerance of axis_factor_quadrature's integral (and a fortiori of
 # its exponent, since lambda_s < 1).
 QUADRATURE_TOL = 1e-12
@@ -139,7 +141,7 @@ def _geometry(d, c, s, delta_h, h_v, w_v, w_h):
     azimuth.  Returns (za_x, zb_x, za_y, zb_y, h0): per axis the gap clearance
     za and the UAV's ground coordinate zb, which bound the building sides that
     could block the ray, and the height h0 the near-corner building must
-    exceed to block it (UNBOUNDED when the ray never meets the corner).
+    exceed to block it (inf when the ray never meets the corner).
     """
     za_x, zb_x, h0 = _corner(d, c, s, delta_h, h_v, w_v, w_h)
     za_y = np.maximum(0.5 * w_h, 0.5 * w_v * s / c) if w_v > 0.0 else np.full_like(c, 0.5 * w_h)
@@ -193,30 +195,15 @@ def _one(link: LinkGeometry):
 def _link_limits(link: LinkGeometry, w_v: float, w_h: float):
     """One link's corner height and both axis intervals from one geometry pass.
 
-    Returns (h0, (za_x, zb_x), (za_y, zb_y)); see corner_critical_height and
-    integration_limits for what each means.
+    Returns (h0, (za_x, zb_x), (za_y, zb_y)); see integration_limits for the
+    intervals.  h0 is the ray's altitude where it clears the street gap and
+    meets the block corner, the height the near-corner building must exceed to
+    block the link: inf when the ray never meets the corner (parallel to an
+    open street, or no horizontal advance), h_v when both widths are zero and
+    the corner stands at the vehicle itself.
     """
     za_x, zb_x, za_y, zb_y, h0 = (float(v[0]) for v in _geometry(*_one(link), w_v, w_h))
     return h0, (za_x, zb_x), (za_y, zb_y)
-
-
-def corner_critical_height(link: LinkGeometry, w_v: float, w_h: float) -> float:
-    """Height the near-corner building must exceed to block the link.
-
-    The ray meets the block corner where it clears the street gap; the return
-    value is the ray's altitude there.  UNBOUNDED means the ray never meets
-    the corner (parallel to an open street, or no horizontal advance), so the
-    corner cannot block.  With both widths zero the corner stands at the
-    vehicle itself and the critical height is h_v.
-    """
-    return _link_limits(link, w_v, w_h)[0]
-
-
-def corner_factor(
-    link: LinkGeometry, w_v: float, w_h: float, heights: HeightDistribution
-) -> float:
-    """Probability the near-corner building is short enough to miss the ray."""
-    return float(heights.cdf(corner_critical_height(link, w_v, w_h)))
 
 
 def integration_limits(
@@ -293,8 +280,9 @@ def los_probability_batch(
     d is the ground distance and cos_phi, sin_phi the absolute cosine and
     sine of the azimuth, folded as LinkGeometry folds them, e.g.
     np.abs(np.cos(phi)).  The arguments must pass LinkGeometry's checks:
-    finite d >= 0, both cosines in [0, 1], finite h_v >= 0 and finite
-    h_uav > h_v (ValueError otherwise).
+    finite d >= 0, both cosines in [0, 1] with cos_phi**2 + sin_phi**2
+    within DIRECTION_TOL of 1, finite h_v >= 0 and finite h_uav > h_v
+    (ValueError otherwise).
     """
     d = np.asarray(d, dtype=float)
     c = np.asarray(cos_phi, dtype=float)
@@ -304,6 +292,8 @@ def los_probability_batch(
             and 0.0 <= c.min(initial=0.0) and c.max(initial=0.0) <= 1.0
             and 0.0 <= s.min(initial=0.0) and s.max(initial=0.0) <= 1.0):
         raise ValueError("links need finite d >= 0 and cos_phi, sin_phi in [0, 1]")
+    if not np.abs(c * c + s * s - 1.0).max(initial=0.0) <= DIRECTION_TOL:
+        raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
     if not 0.0 <= h_v < math.inf:
         raise ValueError("h_v must be finite and >= 0")
     if not h_v < h_uav < math.inf:

@@ -32,12 +32,12 @@ from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_pr
 # larger r_max asks for more.
 MAX_DRAWS = 10**6
 
-# The most building sides a validation_sweep case may expect to draw, over
-# both axes, at the worst link any preset meets.  A case holds an axis's
-# sides at once; its peak is at most 13.7 bytes per side of that bound
-# (tracemalloc, every preset and placement, d = 249 m, 46 azimuths, four
-# altitudes from 10.5 m), so about 140 MB at the bound.  Every preset at
-# r_max = 250 m and n = MAX_DRAWS stays below it (suburban: 9.52e6).
+# The most building sides one case may expect to draw over both axes;
+# validation_sweep checks it at the worst link any preset meets.  A case
+# holds an axis's sides at once; its peak is at most 13.7 bytes per side of
+# that bound (tracemalloc, every preset and placement, d = 249 m, 46
+# azimuths, four altitudes from 10.5 m), so about 140 MB at the bound.  Every
+# preset at r_max = 250 m and n = MAX_DRAWS stays below it (suburban: 9.52e6).
 MAX_SIDES = 10**7
 
 
@@ -62,11 +62,16 @@ def empirical_los_probability(
     intensity n * lambda_s over (za, zb), the positions uniform there, one
     height each.  One boolean marks the sides that block the ray, and only
     those hits draw the city draw they belong to, uniform over the n draws.
-    n must lie in [1, MAX_DRAWS] (ValueError), checked before anything is
-    drawn.
+    n must lie in [1, MAX_DRAWS], and the sides expected over both axes,
+    n * lambda_s * (zb - za) summed over the axes with za < zb, at most
+    MAX_SIDES (ValueError), checked before anything is drawn.
     """
     _check_draws(n)
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
+    sides = n * city.lambda_s * sum(max(zb - za, 0.0) for za, zb in (limits_x, limits_y))
+    if sides > MAX_SIDES:
+        raise ValueError(f"{n} city draws of this link expect {sides:.3g} building sides, "
+                         f"above the bound of {MAX_SIDES:g}")
 
     # an unbounded h0 blocks nothing
     blocked = city.heights.sample(rng, n) > h0

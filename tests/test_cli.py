@@ -5,7 +5,7 @@ import pytest
 
 import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
-from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage
+from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf
 from uavgrid.geometry import PRESETS, HeightDistribution, RadioParams
 from uavgrid.los import Placement
 from uavgrid.optimize import HeightSearchSpec, optimize_height
@@ -34,7 +34,7 @@ def test_distribution_header_and_pipeline_agreement(capsys):
     dists = estimate_distribution(cfg)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], PRESETS["urban"])
     row08 = next(l for l in lines[1:] if l.startswith("0.8,"))
-    assert float(row08.split(",")[3]) == outage(mix, 0.8)
+    assert float(row08.split(",")[3]) == mix.evaluate(0.8)
 
 
 def test_output_file_and_byte_reproducibility(tmp_path, capsys):
@@ -151,6 +151,25 @@ def test_bad_run_is_refused_before_drawing(command, flags, blamed, capsys, monke
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert blamed in err and "cap" not in err
+
+
+# distribution's radio values that its scenario rule refuses: NaN and inf in each,
+# a vehicle below ground, UAVs below the vehicle or out of range, a negative density
+BAD_RADIO = [[flag, value] for flag in ("--r-max", "--h-uav", "--h-v", "--lambda-uav")
+             for value in ("nan", "inf")]
+BAD_RADIO += [["--h-v", "-1"], ["--h-uav", "5"], ["--r-max", "40"], ["--lambda-uav", "-1"]]
+
+
+@pytest.mark.parametrize("flags", BAD_RADIO, ids=["".join(f) for f in BAD_RADIO])
+def test_bad_distribution_scenario_exits_2(flags, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew realizations of a refused run")
+
+    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    code, out, err = run_cli(["distribution", "--preset", "urban", "--n-realizations", "50",
+                              *SCENARIO["distribution"], *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # Each scenario pushed to about 1.7e8 UAVs per realization, by its density or
@@ -338,8 +357,8 @@ def test_explicit_city_flags_reproduce_preset(capsys):
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
     row08 = next(l for l in out3.strip().split("\n")[1:] if l.startswith("0.8,"))
     assert [float(v) for v in row08.split(",")[1:]] == [
-        outage(dists[Placement.INTERSECTION], 0.8), outage(dists[Placement.STREET], 0.8),
-        outage(mix, 0.8)]
+        dists[Placement.INTERSECTION].evaluate(0.8), dists[Placement.STREET].evaluate(0.8),
+        mix.evaluate(0.8)]
 
 
 def test_structured_format(capsys):

@@ -23,7 +23,6 @@ from uavgrid.connectivity import (
     _map_tasks,
     estimate_distribution,
     mixture_cdf,
-    outage,
     outage_grid,
 )
 from uavgrid.geometry import (
@@ -259,7 +258,7 @@ def test_zero_density_distribution_is_degenerate():
     for dist in estimate_distribution(cfg).values():
         assert np.all(dist.samples == 0.0)
         assert dist.evaluate(0.0) == 1.0
-        assert outage(dist, 0.8) == 1.0
+        assert dist.evaluate(0.8) == 1.0
 
 
 def test_chunking_and_workers_do_not_change_samples(monkeypatch):
@@ -390,13 +389,10 @@ def test_mixture_weight_and_ordering():
 
 
 def test_outage_threshold_validation():
+    # outage at gamma_th counts the scores <= gamma_th: a score at the threshold is in outage
     dist = EmpiricalDistribution(samples=np.array([0.5]))
-    assert outage(dist, 0.5) == 1.0
-    assert outage(dist, 0.49) == 0.0
-    with pytest.raises(ValueError):
-        outage(dist, 1.5)
-    with pytest.raises(ValueError):
-        outage(dist, -0.1)
+    assert dist.evaluate(0.5) == 1.0
+    assert dist.evaluate(0.49) == 0.0
 
 
 def test_outage_grid_matches_distribution_pipeline():
@@ -427,9 +423,9 @@ def test_outage_grid_matches_distribution_pipeline():
                                   + (1.0 - w) * single[Placement.STREET])
             for (i, j), dists in cells.items():
                 mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
-                assert grid[i, j] == outage(mix, gamma_th), (env, i, j, gamma_th)
+                assert grid[i, j] == mix.evaluate(gamma_th), (env, i, j, gamma_th)
                 for placement, values in single.items():
-                    assert values[i, j] == outage(dists[placement], gamma_th), (env, placement, i, j)
+                    assert values[i, j] == dists[placement].evaluate(gamma_th), (env, placement, i, j)
 
 
 def test_outage_grid_worker_invariance(monkeypatch):

@@ -46,10 +46,10 @@ def test_height_distribution_cdf_ramp():
 def test_city_model_validation_and_intensity():
     heights = HeightDistribution(9.5, 28.5)
     with pytest.raises(InvalidGeometryError):
-        CityModel(mu_s=0.0, mu_b=45.0, mu_H=19.0, w_v=13.0, w_h=13.0, heights=heights)
+        CityModel(mu_s=0.0, mu_b=45.0, w_v=13.0, w_h=13.0, heights=heights)
     with pytest.raises(InvalidGeometryError):
-        CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=-1.0, w_h=13.0, heights=heights)
-    good = {"mu_s": 13.0, "mu_b": 45.0, "mu_H": 19.0, "w_v": 13.0, "w_h": 13.0}
+        CityModel(mu_s=13.0, mu_b=45.0, w_v=-1.0, w_h=13.0, heights=heights)
+    good = {"mu_s": 13.0, "mu_b": 45.0, "w_v": 13.0, "w_h": 13.0}
     for key in good:
         for value in (math.nan, math.inf):
             with pytest.raises(InvalidGeometryError):
@@ -59,13 +59,13 @@ def test_city_model_validation_and_intensity():
 
 def test_preset_parameters():
     sub, urb, dense = PRESETS["suburban"], PRESETS["urban"], PRESETS["dense-urban"]
-    assert (sub.mu_H, sub.mu_b, sub.mu_s) == (10.0, 37.0, 10.0)
-    assert (urb.mu_H, urb.mu_b, urb.mu_s) == (19.0, 45.0, 13.0)
-    assert (dense.mu_H, dense.mu_b, dense.mu_s) == (25.0, 60.0, 20.0)
+    assert (sub.heights.mean, sub.mu_b, sub.mu_s) == (10.0, 37.0, 10.0)
+    assert (urb.heights.mean, urb.mu_b, urb.mu_s) == (19.0, 45.0, 13.0)
+    assert (dense.heights.mean, dense.mu_b, dense.mu_s) == (25.0, 60.0, 20.0)
     for c in (sub, urb, dense):
         assert c.w_v == c.mu_s and c.w_h == c.mu_s
-        assert c.heights.h_min == 0.5 * c.mu_H
-        assert c.heights.h_max == 1.5 * c.mu_H
+        assert c.heights.h_min == 0.5 * c.heights.mean
+        assert c.heights.h_max == 1.5 * c.heights.mean
 
 
 def test_intersection_weight_values():
@@ -79,17 +79,21 @@ def test_intersection_weight_values():
 
 
 def test_radio_params_validation():
-    with pytest.raises(InvalidGeometryError):
-        RadioParams(r_max=250.0, h_uav=5.0, h_v=10.0, lambda_uav=0.0)
-    with pytest.raises(InvalidGeometryError):
-        RadioParams(r_max=80.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
-    with pytest.raises(InvalidGeometryError):
-        RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=-1.0)
+    # RadioParams is a plain record: estimate_distribution's scenario rule refuses
+    # a bad one before anything is drawn
+    def refuse(**radio):
+        config = ScenarioConfig(city=PRESETS["urban"], radio=RadioParams(**radio), n_realizations=10)
+        with pytest.raises(InvalidGeometryError):
+            estimate_distribution(config)
+
+    refuse(r_max=250.0, h_uav=5.0, h_v=10.0, lambda_uav=0.0)
+    refuse(r_max=80.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
+    refuse(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=-1.0)
+    refuse(r_max=250.0, h_uav=100.0, h_v=-1.0, lambda_uav=20e-6)
     good = {"r_max": 250.0, "h_uav": 100.0, "h_v": 10.0, "lambda_uav": 20e-6}
     for key in good:
         for value in (math.nan, math.inf):
-            with pytest.raises(InvalidGeometryError):
-                RadioParams(**{**good, key: value})
+            refuse(**{**good, key: value})
     # equal heights are allowed, the serving disk then has the full radius
     r = RadioParams(r_max=100.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
     assert ground_range(r.r_max, r.h_uav, r.h_v) == 100.0

@@ -6,15 +6,13 @@ import pytest
 
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
-    UNBOUNDED,
     _geometry,
+    _link_limits,
     Axis,
     LinkGeometry,
     Placement,
     axis_factor,
     axis_factor_quadrature,
-    corner_critical_height,
-    corner_factor,
     effective_widths,
     integration_limits,
     los_probability,
@@ -62,6 +60,23 @@ def test_link_geometry_validation():
     assert empty.shape == (0,)
 
 
+def test_batch_refuses_cosines_of_no_azimuth():
+    # c = s = 0 once scored 0.0263, as if it were a link
+    for c, s in ((0.0, 0.0), (0.3, 0.3)):
+        for d, cs, ss in (([80.0], [c], [s]), ([80.0, 80.0], [0.8, c], [0.6, s])):
+            with pytest.raises(ValueError, match="azimuth"):
+                los_probability_batch(d, cs, ss, 100.0, 10.0, URBAN, Placement.INTERSECTION)
+    # real azimuths pass, folded by numpy as the chunk layout folds them or by
+    # math as LinkGeometry does
+    phi = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 10**6)
+    d = np.full(phi.size, 80.0)
+    folds = [(np.abs(np.cos(phi)), np.abs(np.sin(phi))),
+             (np.array([abs(math.cos(a)) for a in phi]), np.array([abs(math.sin(a)) for a in phi]))]
+    for c, s in folds:
+        p = los_probability_batch(d, c, s, 100.0, 10.0, URBAN, Placement.INTERSECTION)
+        assert np.all((0.0 <= p) & (p <= 1.0))
+
+
 def test_link_geometry_folds_angles():
     for raw in (2.0, math.pi - 2.0, math.pi + 2.0, 2.0 * math.pi - 2.0):
         lk = LinkGeometry(d=50.0, phi=raw, h_uav=100.0, h_v=10.0)
@@ -95,37 +110,38 @@ def test_placement_fails_closed():
 
 def test_corner_critical_height_reference_case():
     lk = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=100.0, h_v=10.0)
-    assert corner_critical_height(lk, 13.0, 13.0) == pytest.approx(18.273149339882607, rel=1e-14)
-    assert corner_factor(lk, 13.0, 13.0, URBAN.heights) == pytest.approx(0.4617447020990846, rel=1e-14)
+    h0 = _link_limits(lk, 13.0, 13.0)[0]
+    assert h0 == pytest.approx(18.273149339882607, rel=1e-14)
+    assert URBAN.heights.cdf(h0) == pytest.approx(0.4617447020990846, rel=1e-14)
 
 
 def test_corner_zero_widths_and_parallel_paths():
     lk = LinkGeometry(d=100.0, phi=0.3, h_uav=100.0, h_v=10.0)
     # zero-width streets collapse the corner onto the vehicle
-    assert corner_critical_height(lk, 0.0, 0.0) == 10.0
+    assert _link_limits(lk, 0.0, 0.0)[0] == 10.0
     lk0 = LinkGeometry(d=100.0, phi=0.0, h_uav=100.0, h_v=10.0)
-    assert corner_critical_height(lk0, 13.0, 13.0) == UNBOUNDED
+    assert _link_limits(lk0, 13.0, 13.0)[0] == math.inf
     # float cos(pi/2) is 6.1e-17, so the critical height is finite but huge;
     # an exactly degenerate advance (d = 0) is the unbounded case
     lk90 = LinkGeometry(d=100.0, phi=0.5 * math.pi, h_uav=100.0, h_v=10.0)
-    assert corner_factor(lk90, 13.0, 13.0, URBAN.heights) == 1.0
+    assert URBAN.heights.cdf(_link_limits(lk90, 13.0, 13.0)[0]) == 1.0
     overhead = LinkGeometry(d=0.0, phi=0.3, h_uav=100.0, h_v=10.0)
-    assert corner_critical_height(overhead, 13.0, 13.0) == UNBOUNDED
-    assert corner_factor(lk0, 13.0, 13.0, URBAN.heights) == 1.0
+    assert _link_limits(overhead, 13.0, 13.0)[0] == math.inf
+    assert URBAN.heights.cdf(_link_limits(lk0, 13.0, 13.0)[0]) == 1.0
 
 
 def test_corner_mid_block_facing_wall_is_finite():
     # mid-block with the path straight down the street: the facing block
     # front at w_v/2 still caps the corner height, no crossing street needed
     lk0 = LinkGeometry(d=100.0, phi=0.0, h_uav=100.0, h_v=10.0)
-    assert corner_critical_height(lk0, 13.0, 0.0) == pytest.approx(15.85, rel=1e-14)
+    assert _link_limits(lk0, 13.0, 0.0)[0] == pytest.approx(15.85, rel=1e-14)
 
 
 def test_corner_factor_saturates():
     low = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=5.5, h_v=5.0)
-    assert corner_factor(low, 13.0, 13.0, URBAN.heights) == 0.0
+    assert URBAN.heights.cdf(_link_limits(low, 13.0, 13.0)[0]) == 0.0
     high = LinkGeometry(d=10.0, phi=0.25 * math.pi, h_uav=200.0, h_v=10.0)
-    assert corner_factor(high, 13.0, 13.0, URBAN.heights) == 1.0
+    assert URBAN.heights.cdf(_link_limits(high, 13.0, 13.0)[0]) == 1.0
 
 
 def test_integration_limits_intersection():
@@ -159,7 +175,7 @@ def test_limits_collapse_for_axis_parallel_paths():
     assert axis_factor(lk0, URBAN, Axis.Y, Placement.INTERSECTION) == 1.0
     # x side at an intersection: the ray never leaves the crossing street's gap
     za_x, _ = integration_limits(lk0, URBAN, Axis.X, Placement.INTERSECTION)
-    assert za_x == UNBOUNDED
+    assert za_x == math.inf
     assert axis_factor(lk0, URBAN, Axis.X, Placement.INTERSECTION) == 1.0
     # mid-block the same path has real x exposure
     assert integration_limits(lk0, URBAN, Axis.X, Placement.STREET) == (6.5, 100.0)
@@ -176,7 +192,7 @@ def test_axis_factor_reference_values():
 
 
 def test_axis_factor_is_one_when_buildings_cannot_reach():
-    shrub = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
+    shrub = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
                       heights=HeightDistribution(2.0, 6.0))
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
     assert axis_factor(lk, shrub, Axis.X, Placement.INTERSECTION) == 1.0
@@ -199,8 +215,8 @@ def test_axis_factor_quadrature_agreement():
 def test_exponent_scales_linearly_with_crossing_intensity():
     # halving the block period doubles the crossing intensity: factor squares
     heights = HeightDistribution(9.5, 28.5)
-    base = CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=13.0, w_h=13.0, heights=heights)
-    dense = CityModel(mu_s=6.5, mu_b=22.5, mu_H=19.0, w_v=13.0, w_h=13.0, heights=heights)
+    base = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0, heights=heights)
+    dense = CityModel(mu_s=6.5, mu_b=22.5, w_v=13.0, w_h=13.0, heights=heights)
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
     f1 = axis_factor(lk, base, Axis.X, Placement.INTERSECTION)
     f2 = axis_factor(lk, dense, Axis.X, Placement.INTERSECTION)
@@ -233,7 +249,7 @@ def _quadrature_reference(d, phi, h_uav, city, pl):
     want = []
     for a, b in zip(d, phi):
         lk = LinkGeometry(d=float(a), phi=float(b), h_uav=h_uav, h_v=10.0)
-        want.append(corner_factor(lk, w_v, w_h, city.heights)
+        want.append(city.heights.cdf(_link_limits(lk, w_v, w_h)[0])
                     * axis_factor_quadrature(lk, city, Axis.X, pl)
                     * axis_factor_quadrature(lk, city, Axis.Y, pl))
     return want
@@ -349,7 +365,7 @@ def test_batch_matches_reference_kernel_at_tiny_delta_h():
 
 def test_zero_width_city_has_no_nan():
     """0 / 0 clearances (no street, no advance) score finite and block nothing."""
-    bare = CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=0.0, w_h=0.0,
+    bare = CityModel(mu_s=13.0, mu_b=45.0, w_v=0.0, w_h=0.0,
                      heights=HeightDistribution(9.5, 28.5))
     d = np.array([0.0, 50.0, 50.0, 0.0])
     c, s = np.array([0.6, 1.0, 0.0, 1.0]), np.array([0.8, 0.0, 1.0, 0.0])
@@ -371,7 +387,7 @@ def test_zero_width_city_has_no_nan():
 def test_ray_clearing_h_max_before_the_gap_is_exactly_clear():
     # at 0.2 m per m of advance the ray clears h_max = 28.5 m 92.5 m out, before
     # either gap clearance of a 200 m wide crossing
-    wide = CityModel(mu_s=13.0, mu_b=45.0, mu_H=19.0, w_v=200.0, w_h=200.0,
+    wide = CityModel(mu_s=13.0, mu_b=45.0, w_v=200.0, w_h=200.0,
                      heights=HeightDistribution(9.5, 28.5))
     lk = LinkGeometry(d=math.hypot(150.0, 150.0), phi=0.25 * math.pi, h_uav=10.0 + 0.2 * 212.0,
                       h_v=10.0)

@@ -85,7 +85,7 @@ def test_zero_density_returns_search_floor():
 def test_monotone_outage_puts_optimum_at_floor():
     # with buildings no ray can hit, every in-range UAV connects; outage then
     # only grows with altitude because the serving disk shrinks
-    shrub = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
+    shrub = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
                       heights=HeightDistribution(2.0, 6.0))
     spec = HeightSearchSpec(h_lo=60.0, h_hi=160.0, grid_step=20.0)
     h, out = optimize_height(shrub, 250.0, 10.0, 15e-6, spec, n_realizations=3000, seed=1)

@@ -11,9 +11,9 @@ from uavgrid.los import (
     LinkGeometry,
     Placement,
     _link_limits,
-    corner_critical_height,
     effective_widths,
     integration_limits,
+    los_probability,
 )
 from uavgrid.oracle import MAX_DRAWS, empirical_los_probability, validation_sweep
 
@@ -102,7 +102,7 @@ def test_sample_city_rates_and_supports():
 
 def test_corner_building_blocks_alone():
     lk = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=100.0, h_v=10.0)
-    h0 = corner_critical_height(lk, 13.0, 13.0)
+    h0 = _link_limits(lk, 13.0, 13.0)[0]
     assert link_blocked(_draw(corner=h0 + 0.5), lk, URBAN, Placement.INTERSECTION)
     assert not link_blocked(_draw(corner=h0 - 0.5), lk, URBAN, Placement.INTERSECTION)
 
@@ -130,7 +130,7 @@ def test_street_sees_fronts_the_crossing_street_shields():
     assert not link_blocked(draw, lk, URBAN, Placement.INTERSECTION)
 
 
-SHRUB = CityModel(mu_s=13.0, mu_b=45.0, mu_H=4.0, w_v=13.0, w_h=13.0,
+SHRUB = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
                   heights=HeightDistribution(2.0, 6.0))
 OBLIQUE = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
 # phi = 0: the ray never advances along y, so that axis interval is empty
@@ -169,6 +169,16 @@ def test_empirical_matches_plain_loop(case):
     p_loop = hits / n
     se_comb = math.sqrt(se * se + p_loop * (1.0 - p_loop) / n)
     assert abs(p_vec - p_loop) < 6.0 * se_comb
+
+
+def test_empirical_matches_closed_form_at_late_clearance():
+    # sides past 63% of the path block nearly always: positions drawn on (0, zb)
+    # with the count of (za, zb) would thin them and move p by about 44 se
+    lk, city, placement = PLAIN_LOOP["late-clearance"]
+    n = 200_000
+    p_hat, _ = empirical_los_probability(lk, city, placement, n, np.random.default_rng(31))
+    p = los_probability(lk, city, placement)
+    assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 def _bincount_reference(link, city, placement, n, rng):
@@ -245,6 +255,10 @@ def test_draws_over_the_bound_are_refused_before_drawing():
             empirical_los_probability(OBLIQUE, URBAN, Placement.INTERSECTION, n, rng)
         with pytest.raises(ValueError, match="n_draws"):
             validation_sweep(cases=1, n=n)
+    # a long link expects 2.4e9 sides at the bound on draws
+    far = LinkGeometry(d=1e5, phi=0.7, h_uav=120.0, h_v=10.0)
+    with pytest.raises(ValueError, match="building sides"):
+        empirical_los_probability(far, URBAN, Placement.INTERSECTION, MAX_DRAWS, rng)
     assert rng.bit_generator.state == state
 
 
