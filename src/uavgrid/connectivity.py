@@ -1,10 +1,11 @@
 """Monte Carlo estimation of the connectivity distribution.
 
 A vehicle is connected at level p_c = 1 - prod(1 - p_LoS) over the UAVs in
-range.  Realizations are scored in chunks; every realization owns a
-counter-based substream keyed by (seed, realization index), so results do
-not depend on chunking, worker count, or evaluation order, and scenarios that
-share a sampling envelope see nested constellations (see geometry).
+range.  Realizations are drawn and scored in chunks; every realization owns
+numpy's Philox substream keyed by (seed, realization index), and one call of
+geometry.sample_envelope_points draws a whole chunk's substreams.  So results
+do not depend on chunking, worker count, or evaluation order, and scenarios
+that share a sampling envelope see nested constellations (see geometry).
 
 One chunk scorer serves both pipelines.  An envelope point joins density
 fraction f of the envelope cap when its uniform mark is below f, so with each
@@ -182,36 +183,6 @@ def _chunk_bounds(n: int, envelope: SamplingEnvelope) -> list[tuple[int, int]]:
     return [(s, min(s + size, n)) for s in range(0, n, size)]
 
 
-def _draw_chunk(envelope, seed, start, stop):
-    """Envelope points for realizations [start, stop): flat arrays + counts.
-
-    Realization i draws from a Philox stream keyed by (seed, i), from counter
-    0.  Philox is counter-based, so its key and counter fix the stream: one
-    bit generator whose key, counter and buffer are reset before each
-    realization gives exactly what a fresh Philox(key=(seed, i)) would,
-    without seeding a new generator per realization.
-    """
-    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state  # counter 0, empty buffer, has_uint32 0
-    key = state["state"]["key"]
-    counts, parts_d, parts_phi, parts_mark = [], [], [], []
-    for index in range(start, stop):
-        key[1] = index
-        bit_generator.state = state
-        d, phi, mark = sample_envelope_points(envelope, rng)
-        counts.append(d.size)
-        parts_d.append(d)
-        parts_phi.append(phi)
-        parts_mark.append(mark)
-    return (
-        np.concatenate(parts_d) if parts_d else np.empty(0),
-        np.concatenate(parts_phi) if parts_phi else np.empty(0),
-        np.concatenate(parts_mark) if parts_mark else np.empty(0),
-        np.array(counts, dtype=np.int64),
-    )
-
-
 class ChunkLayout(NamedTuple):
     """One chunk's points with mark below frac_top, laid out by mark.
 
@@ -239,12 +210,12 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     """Lay out the drawn points with mark below frac_top.
 
     d, phi and mark list the points realization by realization, counts[i]
-    of them for realization i, as _draw_chunk returns them.  These are the
-    only sorts of a draw: each column by mark, then the points by distance,
-    so the order within a realization matters only between exactly equal
-    marks, which keep it.  Besides the sort's index, marks is the only array
-    of the layout's shape: it is filled in draw order, then overwritten in
-    mark order.
+    of them for realization i, as sample_envelope_points returns them.
+    These are the only sorts of a draw: each column by mark, then the points
+    by distance, so the order within a realization matters only between
+    exactly equal marks, which keep it.  Besides the sort's index, marks is
+    the only array of the layout's shape: it is filled in draw order, then
+    overwritten in mark order.
     """
     m = counts.size
     keep = mark < frac_top
@@ -270,7 +241,7 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
 
 def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
     """Draw realizations [start, stop) and lay out their points below frac_top."""
-    return _lay_out(*_draw_chunk(envelope, seed, start, stop), frac_top)
+    return _lay_out(*sample_envelope_points(envelope, seed, start, stop), frac_top)
 
 
 def _layout_of(source) -> ChunkLayout:

@@ -3,6 +3,10 @@
 Units are meters and square meters throughout the package.  Densities are
 per square meter; the CLI converts from per-km2 at its boundary and nowhere
 else.
+
+The UAV point process is drawn a chunk of realizations at a time on numpy's
+own random stream: realization i gets, bit for bit, what a fresh
+Generator(Philox(key=(seed, i))) would draw (see sample_envelope_points).
 """
 
 from __future__ import annotations
@@ -149,15 +153,157 @@ class SamplingEnvelope:
         return self.lambda_cap * math.pi * self.d_cap * self.d_cap
 
 
-def sample_envelope_points(
-    envelope: SamplingEnvelope, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one envelope realization: (d, phi, mark) in draw order.
+# numpy's Generator.poisson counts by multiplying uniforms below this mean and
+# by PTRS, which takes libm log and loggam bits, from it on.
+PTRS_MEAN = 10.0
 
-    Point k is row k of the uniforms drawn after the Poisson count; nothing
-    is sorted here, because the chunk layout sorts.  The three arrays are
-    fresh, so none of them keeps the (n, 3) block of uniforms alive.
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): the round multipliers and the Weyl increments of the key.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(x, m, hi, lo, t):
+    """Write the high and low words of the 128-bit products x * m into hi and lo.
+
+    The high word is summed from the products of 32-bit halves, none of which
+    carries out of 64 bits.  t is scratch, and x is overwritten.
     """
-    n = rng.poisson(envelope.mean_count)
-    u = rng.random((n, 3))
-    return envelope.d_cap * np.sqrt(u[:, 0]), TWO_PI * u[:, 1], u[:, 2].copy()
+    m_lo, m_hi = m & _LOW, m >> _HALF
+    np.multiply(x, m, out=lo)
+    np.right_shift(x, _HALF, out=hi)
+    np.bitwise_and(x, _LOW, out=x)
+    np.multiply(x, m_lo, out=t)
+    np.right_shift(t, _HALF, out=t)
+    t += hi * m_lo
+    x *= m_hi
+    x += t & _LOW
+    hi *= m_hi
+    hi += t >> _HALF
+    hi += x >> _HALF
+
+
+def _philox(counter, key):
+    """Philox4x64-10 blocks, the words numpy's Philox outputs for them.
+
+    counter is a (4, ...) and key a (2, ...) uint64 array, least significant
+    word first; their trailing shapes broadcast.  Returns the (4, ...) words
+    of each block in output order.
+    """
+    key = np.array(key, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(counter)[1:], key.shape[1:])
+    c0, c1, c2, c3 = (np.array(np.broadcast_to(c, shape), dtype=np.uint64) for c in counter)
+    hi0, lo0, hi1, lo1, t = (np.empty(shape, dtype=np.uint64) for _ in range(5))
+    bump = _PHILOX_W.reshape((2,) + (1,) * (key.ndim - 1))
+    for r in range(10):
+        if r:
+            key += bump
+        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, t)
+        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, t)
+        hi1 ^= c1
+        hi1 ^= key[0]
+        hi0 ^= c3
+        hi0 ^= key[1]
+        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
+    return np.stack((c0, c1, c2, c3))
+
+
+def _uniforms(seed, index, first, blocks):
+    """Doubles 4*first to 4*(first + blocks) of each stream keyed by (seed, index[i]).
+
+    numpy's Philox starts at counter 0 and increments it before each block;
+    Generator.random turns each word x into (x >> 11) * 2**-53.  Returns a
+    (4 * blocks, index.size) array: one column per stream, in stream order.
+    """
+    counter = np.zeros((4, blocks, 1), dtype=np.uint64)
+    counter[0, :, 0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
+    key = np.stack(np.broadcast_arrays(np.uint64(seed), index))[:, None, :]
+    words = _philox(counter, key)
+    words >>= np.uint64(11)
+    u = np.empty((blocks, 4, index.size))
+    np.multiply(words.swapaxes(0, 1), 2.0**-53, out=u)
+    return u.reshape(4 * blocks, index.size)
+
+
+def _leading(u, floor):
+    """Per column, how many running products of its doubles stay above floor.
+
+    No double reaches 1 and rounding is monotone, so a running product never
+    rises: the products above floor are the leading ones, as in
+    Generator.poisson's multiplication method.
+    """
+    return np.count_nonzero(np.multiply.accumulate(u, axis=0) > floor, axis=0)
+
+
+def _philox_rows(mean, seed, start, stop):
+    """The point uniforms of realizations [start, stop), every stream at once (mean < PTRS_MEAN).
+
+    A realization with count n takes n + 1 doubles for the count and 3n for
+    its points, so n + 1 blocks.  Every stream first gets ceil(mean) + 1
+    blocks; the streams whose count does not fit (or is not settled) get
+    twice as many, until every one fits.
+    """
+    index = np.arange(start, stop, dtype=np.uint64)
+    m = index.size
+    floor = math.exp(-mean)
+    blocks = math.ceil(mean) + 1
+    u = _uniforms(seed, index, 0, blocks)
+    counts = _leading(u, floor)
+    short = np.flatnonzero(counts >= blocks)
+    while short.size:
+        wider = np.empty((2 * u.shape[0], m))
+        wider[:u.shape[0]] = u
+        wider[u.shape[0]:, short] = _uniforms(seed, index[short], blocks, blocks)
+        u, blocks = wider, 2 * blocks
+        counts[short] = _leading(u[:, short], floor)
+        short = short[counts[short] >= blocks]
+    # point k of column i starts at double counts[i] + 1 + 3k
+    first = np.cumsum(counts) - counts
+    row = np.repeat(counts + 1 - 3 * first, counts) + 3 * np.arange(counts.sum())
+    flat = row * m + np.repeat(np.arange(m), counts)
+    return u.reshape(-1)[flat + m * np.arange(3)[:, None]], counts.astype(np.int64, copy=False)
+
+
+def _generator_rows(mean, seed, start, stop):
+    """The point uniforms of realizations [start, stop), one Generator call pair each.
+
+    Philox is counter-based, so its key and counter fix the stream: one bit
+    generator whose key, counter and buffer are reset before each
+    realization gives exactly what a fresh Philox(key=(seed, i)) would.
+    """
+    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, empty buffer, has_uint32 0
+    key = state["state"]["key"]
+    parts = [np.empty((0, 3))]
+    for i in range(start, stop):
+        key[1] = i
+        bit_generator.state = state
+        parts.append(rng.random((rng.poisson(mean), 3)))
+    counts = np.array([len(part) for part in parts[1:]], dtype=np.int64)
+    return np.concatenate(parts).T, counts
+
+
+def sample_envelope_points(
+    envelope: SamplingEnvelope, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw envelope realizations [start, stop): flat (d, phi, mark) and counts.
+
+    Realization i draws from numpy's Philox stream keyed by (seed, i), from
+    counter 0, exactly what Generator(Philox(key=(seed, i))) gives:
+    u = rng.random((rng.poisson(mean_count), 3)), then d = d_cap * sqrt(u0),
+    phi = 2 pi * u1 and mark = u2.  The arrays list counts[i] points for
+    realization i, realization by realization, each in draw order: nothing is
+    sorted here, because the chunk layout sorts.
+
+    Below a mean of PTRS_MEAN the whole chunk is computed at once, with no
+    Generator method: the Philox blocks from the spec and the count by
+    Generator.poisson's multiplication method.  From PTRS_MEAN on, numpy
+    counts by PTRS, whose libm bits numpy's ufuncs need not match, so each
+    realization is drawn through a Generator.
+    """
+    mean = envelope.mean_count
+    rows = _philox_rows if mean < PTRS_MEAN else _generator_rows
+    u, counts = rows(mean, seed, start, stop)
+    return envelope.d_cap * np.sqrt(u[0]), TWO_PI * u[1], u[2].copy(), counts

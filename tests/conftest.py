@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from uavgrid.geometry import PRESETS, RadioParams
@@ -12,8 +11,3 @@ def urban():
 @pytest.fixture
 def radio():
     return RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(1234)

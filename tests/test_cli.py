@@ -145,7 +145,7 @@ def test_bad_run_is_refused_before_drawing(command, flags, blamed, capsys, monke
     def no_draw(*args):
         raise AssertionError("drew realizations of a refused run")
 
-    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "50",
                               *SCENARIO[command], *flags], capsys)
     assert code == 2 and out == ""
@@ -165,7 +165,7 @@ def test_bad_distribution_scenario_exits_2(flags, capsys, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew realizations of a refused run")
 
-    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     code, out, err = run_cli(["distribution", "--preset", "urban", "--n-realizations", "50",
                               *SCENARIO["distribution"], *flags], capsys)
     assert code == 2 and out == ""
@@ -190,7 +190,7 @@ def test_dense_envelope_is_refused_before_drawing(command, flags, capsys, monkey
     def no_draw(*args):
         raise AssertionError("drew realizations of a refused run")
 
-    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "50",
                               *SCENARIO[command], *flags], capsys)
     assert code == 2 and out == ""
@@ -202,7 +202,7 @@ def test_held_envelope_draw_is_refused_before_drawing(capsys, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew realizations of a refused run")
 
-    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     # about 957 UAVs per realization, under the per-realization bound, held 20000 times
     code, out, err = run_cli(["optimize", "--preset", "urban", "--lambda-uav", "5000", "--h-lo", "50",
                               "--h-hi", "60", "--n-realizations", "20000", "--workers", "1"], capsys)

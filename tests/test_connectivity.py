@@ -18,7 +18,6 @@ from uavgrid.connectivity import (
     _chunk_layout,
     _chunk_outage_counts,
     _chunk_score_arrays,
-    _draw_chunk,
     _lay_out,
     _map_tasks,
     estimate_distribution,
@@ -27,10 +26,12 @@ from uavgrid.connectivity import (
 )
 from uavgrid.geometry import (
     PRESETS,
+    PTRS_MEAN,
     InvalidGeometryError,
     RadioParams,
     SamplingEnvelope,
     ground_range,
+    _philox,
     intersection_weight,
     sample_envelope_points,
 )
@@ -111,6 +112,14 @@ def _fresh_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _fresh_points(envelope, seed, index):
+    """Realization index's envelope points as numpy's own generator draws them."""
+    rng = _fresh_stream(seed, index)
+    n = rng.poisson(envelope.mean_count)
+    u = rng.random((n, 3))
+    return envelope.d_cap * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1], u[:, 2]
+
+
 def test_estimate_matches_scalar_pipeline(monkeypatch):
     """The chunked batch estimator reproduces a per-realization loop."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 100)
@@ -124,7 +133,7 @@ def test_estimate_matches_scalar_pipeline(monkeypatch):
         dists = estimate_distribution(cfg)
         scores = {pl: [] for pl in PLACEMENTS}
         for i in range(n):
-            d, phi, mark = sample_envelope_points(env, _fresh_stream(42, i))
+            d, phi, mark = _fresh_points(env, 42, i)
             keep = (mark < RADIO.lambda_uav / env.lambda_cap) & (d <= d_max)
             # the layout row's order: by mark, equal marks in draw order
             order = np.argsort(mark[keep], kind="stable")
@@ -143,7 +152,7 @@ def test_estimate_matches_scalar_pipeline(monkeypatch):
 
 def test_layout_lists_points_by_distance_with_folded_cosines():
     env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
-    d, phi, mark, counts = _draw_chunk(env, 3, 0, 64)
+    d, phi, mark, counts = sample_envelope_points(env, 3, 0, 64)
     layout = _lay_out(d, phi, mark, counts, 0.6)
     assert np.all(np.diff(layout.d) >= 0.0)
     # each listed point is the drawn point at its slot's (realization, mark)
@@ -164,7 +173,7 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
 
 def test_layout_ignores_the_draw_order_of_distinct_marks():
     env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
-    d, phi, mark, counts = _draw_chunk(env, 5, 0, 64)
+    d, phi, mark, counts = sample_envelope_points(env, 5, 0, 64)
     rows = np.split(np.arange(d.size), np.cumsum(counts)[:-1])
     assert all(np.unique(mark[row]).size == row.size for row in rows)
     shuffle = np.random.default_rng(8)
@@ -237,19 +246,65 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
         assert np.array_equal(_chunk_score_arrays((layout, *spec)), scores)
 
 
-def test_chunk_stream_matches_fresh_generators():
-    """One reset Philox per chunk draws what a fresh generator per realization does."""
-    # about 1.4 points per realization, so some realizations have none
-    env = SamplingEnvelope(lambda_cap=8e-6, d_cap=240.0)
-    want = [sample_envelope_points(env, _fresh_stream(31, i)) for i in range(50)]
-    assert any(w[0].size == 0 for w in want) and any(w[0].size > 1 for w in want)
-    for chunk in (1, 7, 50):
-        parts = [_draw_chunk(env, 31, s, min(s + chunk, 50)) for s in range(0, 50, chunk)]
-        counts = np.concatenate([p[3] for p in parts])
-        assert counts.tolist() == [w[0].size for w in want]
-        for k in range(3):
-            got = np.concatenate([p[k] for p in parts])
-            assert np.array_equal(got, np.concatenate([w[k] for w in want])), (chunk, k)
+# Envelopes whose means straddle PTRS_MEAN: about 0.019, 1.4, 3.42, 9.57, 9.99,
+# the double just below 10, exactly 10 and about 19 UAVs per realization.
+STREAM_ENVELOPES = [SamplingEnvelope(lam, d_cap) for lam, d_cap in (
+    (1e-7, 246.0), (8e-6, 240.0), (20e-6, 233.3), (58e-6, 229.2), (60e-6, 230.2),
+    (10.0 / (math.pi * 230.0 * 230.0), 230.0), (10.0 / (math.pi * 250.0 * 250.0), 250.0),
+    (100e-6, 246.0))]
+STREAM_SEEDS = (0, 31, 2**63 + 5, 2**64 - 1)
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("the sampler called a numpy Generator below PTRS_MEAN")
+
+
+def test_chunk_stream_matches_fresh_generators(monkeypatch):
+    """The chunk sampler draws what a fresh generator per realization does, at any chunking."""
+    means = [env.mean_count for env in STREAM_ENVELOPES]
+    assert means[5] == np.nextafter(PTRS_MEAN, 0.0) and means[6] == PTRS_MEAN
+    last = 10**9 - 50
+    empty = outgrown = 0
+    for k, env in enumerate(STREAM_ENVELOPES):
+        for s, seed in enumerate(STREAM_SEEDS):
+            # one whole 8192-realization chunk per envelope, its seed in turn
+            n = 8192 if k % len(STREAM_SEEDS) == s else 50
+            want = [_fresh_points(env, seed, i) for i in range(n)]
+            want_last = [_fresh_points(env, seed, i) for i in range(last, last + 50)]
+            counts = np.array([w[0].size for w in want + want_last])
+            empty += np.count_nonzero(counts == 0)
+            if env.mean_count < PTRS_MEAN:
+                # rows that need more blocks than the first ceil(mean) + 1
+                outgrown += np.count_nonzero(counts > math.ceil(env.mean_count))
+            with monkeypatch.context() as patched:
+                if env.mean_count < PTRS_MEAN:
+                    patched.setattr(np.random, "Generator", _no_generator)
+                cases = [([sample_envelope_points(env, seed, a, min(a + chunk, 50))
+                           for a in range(0, 50, chunk)], want[:50]) for chunk in (1, 7, 50)]
+                cases += [([sample_envelope_points(env, seed, 0, n)], want),
+                          ([sample_envelope_points(env, seed, last, last + 50)], want_last)]
+            for parts, ref in cases:
+                assert all(p[3].dtype == np.int64 and p[0].dtype == np.float64 for p in parts)
+                assert np.concatenate([p[3] for p in parts]).tolist() == [w[0].size for w in ref]
+                for c in range(3):
+                    got = np.concatenate([p[c] for p in parts])
+                    assert np.array_equal(got, np.concatenate([w[c] for w in ref])), (k, seed, c)
+    assert empty > 0 and outgrown > 0
+
+
+def test_philox_blocks_match_numpy():
+    """Each Philox4x64-10 block is numpy's: block c + 1 of key k is Philox(key=k, counter=c)'s next."""
+    rng = np.random.default_rng(20)
+    keys = rng.integers(0, 2**64, size=(12, 2), dtype=np.uint64)
+    keys[:4, 0] |= np.uint64(2**63)
+    keys[4:8, 1] |= np.uint64(2**63)
+    counters = list(range(1001)) + [2**64 - 1, 2**128 + 7, 2**256 - 2]
+    words = np.array([[(c + 1) >> (64 * w) & (2**64 - 1) for c in counters] for w in range(4)],
+                     dtype=np.uint64)
+    for key in keys:
+        want = np.array([np.random.Philox(key=key, counter=c).random_raw(4) for c in counters])
+        got = _philox(words, key[:, None])
+        assert np.array_equal(got.T, want)
 
 
 def test_zero_density_distribution_is_degenerate():
@@ -338,7 +393,7 @@ def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew an envelope at density 0")
 
-    monkeypatch.setattr(connectivity, "_draw_chunk", no_draw)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     grid = outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 1000, 0, lambda_cap=10e-6)
     assert np.array_equal(grid, [[1.0]])
     radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
@@ -367,8 +422,8 @@ def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
         seen.append(envelope)
         return draw_chunk(envelope, *args)
 
-    draw_chunk = connectivity._draw_chunk
-    monkeypatch.setattr(connectivity, "_draw_chunk", record)
+    draw_chunk = connectivity.sample_envelope_points
+    monkeypatch.setattr(connectivity, "sample_envelope_points", record)
     h = 105.97  # (h - h_v) ** 2 and dz * dz round one ulp apart here
     outage_grid(URBAN, 250.0, 10.0, [20e-6], [h], 0.8, 10, 0)
     radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=20e-6)
@@ -466,7 +521,7 @@ def test_placement_mode_fails_closed(monkeypatch):
     for mode in PlacementMode:
         assert np.array_equal(outage_grid(*args, placement_mode=mode.value),
                               outage_grid(*args, placement_mode=mode))
-    monkeypatch.setattr(connectivity, "_draw_chunk", None)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", None)
     for bad in (None, "street", "nowhere", Placement.STREET):
         with pytest.raises(ValueError):
             outage_grid(*args, placement_mode=bad)

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -123,28 +122,29 @@ def test_sample_realization_empty_at_zero_density():
     assert np.all(np.isinf(layout.marks))
 
 
-def test_sample_realization_properties(radio, rng):
+def test_sample_realization_properties(radio):
     d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
     env = _tight(radio)
-    for _ in range(20):
-        twin = copy.deepcopy(rng)
-        d, phi, mark = sample_envelope_points(env, rng)
-        # draw order: point k is row k of the uniforms drawn after the count
-        u = twin.random((twin.poisson(env.mean_count), 3))
-        assert np.array_equal(d, env.d_cap * np.sqrt(u[:, 0]))
-        assert np.array_equal(phi, 2.0 * math.pi * u[:, 1])
-        assert np.array_equal(mark, u[:, 2]) and mark.flags.owndata
-        assert np.all(d <= d_max)
-        assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
-        assert np.all((0.0 <= mark) & (mark < 1.0))
+    d, phi, mark, counts = sample_envelope_points(env, 1234, 0, 20)
+    stops = np.cumsum(counts)
+    for i, (a, b) in enumerate(zip(stops - counts, stops)):
+        # draw order: point k is row k of the uniforms numpy draws after the count
+        rng = np.random.Generator(np.random.Philox(key=np.array([1234, i], dtype=np.uint64)))
+        u = rng.random((rng.poisson(env.mean_count), 3))
+        assert np.array_equal(d[a:b], env.d_cap * np.sqrt(u[:, 0]))
+        assert np.array_equal(phi[a:b], 2.0 * math.pi * u[:, 1])
+        assert np.array_equal(mark[a:b], u[:, 2])
+    assert d.size > 0 and mark.flags.owndata
+    assert np.all(d <= d_max)
+    assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
+    assert np.all((0.0 <= mark) & (mark < 1.0))
 
 
 def test_mean_count_matches_intensity(radio):
-    rng = np.random.default_rng(99)
     n = 20_000
     mean = 20e-6 * math.pi * ground_range(radio.r_max, radio.h_uav, radio.h_v) ** 2
     assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
-    counts = [sample_envelope_points(_tight(radio), rng)[0].size for _ in range(n)]
+    counts = sample_envelope_points(_tight(radio), 99, 0, n)[3]
     # 3 sigma band for the sample mean of a Poisson count
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
@@ -196,6 +196,6 @@ def test_envelope_path_matches_direct_sampling(radio):
 
 
 def test_same_seed_reproduces(radio):
-    a = sample_envelope_points(_tight(radio), np.random.default_rng(5))
-    b = sample_envelope_points(_tight(radio), np.random.default_rng(5))
+    a = sample_envelope_points(_tight(radio), 5, 0, 200)
+    b = sample_envelope_points(_tight(radio), 5, 0, 200)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -107,18 +107,19 @@ def test_optimize_self_consistency():
 
 
 def test_optimize_draws_each_realization_once(monkeypatch):
-    calls = []
+    drawn = []
     real = connectivity.sample_envelope_points
 
-    def counted(envelope, rng):
-        calls.append(None)
-        return real(envelope, rng)
+    def recorded(envelope, seed, start, stop):
+        drawn.append((start, stop))
+        return real(envelope, seed, start, stop)
 
-    monkeypatch.setattr(connectivity, "sample_envelope_points", counted)
-    # the grid pass plus golden-section probes all score one draw
+    monkeypatch.setattr(connectivity, "sample_envelope_points", recorded)
+    # the grid pass plus golden-section probes all score one draw, whose
+    # chunks tile the realizations once
     spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=20.0)
     serial = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4)
-    assert len(calls) == 300
+    assert [i for a, b in drawn for i in range(a, b)] == list(range(300))
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 97)
     pooled = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4,
                              workers=2)
@@ -193,7 +194,7 @@ def test_placement_mode_fails_closed(monkeypatch):
                           placement_mode=mode.value).outage,
             sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
                           placement_mode=mode).outage)
-    monkeypatch.setattr(connectivity, "_draw_chunk", None)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", None)
     for bad in (None, "street", "nowhere"):
         with pytest.raises(ValueError):
             optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
