@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 Five subcommands: distribution, outage-curve, optimize, contour, validate.
+main is the one runner: it parses the flags, builds the city, calls the
+command's handler, which only computes, and emits what the handler returns.
 Densities cross this boundary in UAVs per km2 and are converted to per-m2
-exactly once, here.  Exit codes: 0 success, 1 validation failure, 2 bad
-configuration or geometry.
+exactly once, here, inward only: output densities are the CLI's own values.
+Exit codes: 0 success, 1 validation failure, 2 bad configuration or geometry.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .optimize import (
     optimize_height,
     sweep_contour,
 )
+from .oracle import validation_sweep
 
 PER_KM2 = 1e-6  # one UAV per km2, expressed per m2
 
@@ -222,11 +225,13 @@ def _given(**flags) -> dict:
 
 
 def _run(args) -> dict:
-    """The API's run keywords: n_realizations, seed, workers and any caps, lambda_cap per m2."""
+    """The API's run keywords: n, seed, workers, any caps (lambda_cap per m2), placement_mode."""
     run = {"n_realizations": args.n_realizations, "seed": args.seed, "workers": args.workers}
     if "lambda_cap" in args:
         lambda_cap = None if args.lambda_cap is None else args.lambda_cap * PER_KM2
         run.update(lambda_cap=lambda_cap, d_cap=args.d_cap)
+    if "placement" in args:
+        run["placement_mode"] = args.placement
     return run
 
 
@@ -276,8 +281,7 @@ def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
         Path(args.output).write_text(text)
 
 
-def _cmd_distribution(args) -> int:
-    city = _build_city(args)
+def _cmd_distribution(args, city):
     lam = args.lambda_uav * PER_KM2
     radio = RadioParams(r_max=args.r_max, h_uav=args.h_uav, h_v=args.h_v, lambda_uav=lam)
     gammas = grid_points(0.0, 1.0, args.gamma_step)
@@ -292,22 +296,11 @@ def _cmd_distribution(args) -> int:
         ]
         for g in gammas
     ]
-    _emit(
-        args,
-        ["gamma", "F_intersection", "F_street", "F_mixture"],
-        rows,
-        {
-            "seed": args.seed,
-            "n_realizations": args.n_realizations,
-            "lambda_uav_per_km2": args.lambda_uav,
-            "h_uav_m": args.h_uav,
-        },
-    )
-    return 0
+    metadata = {"lambda_uav_per_km2": args.lambda_uav, "h_uav_m": args.h_uav}
+    return ["gamma", "F_intersection", "F_street", "F_mixture"], rows, metadata, 0
 
 
-def _cmd_outage_curve(args) -> int:
-    city = _build_city(args)
+def _cmd_outage_curve(args, city):
     lam = args.lambda_uav * PER_KM2
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
     values = outage_grid(
@@ -317,26 +310,14 @@ def _cmd_outage_curve(args) -> int:
         [lam],
         heights,
         args.gamma_th,
-        placement_mode=PlacementMode(args.placement),
         **_run(args),
     )[0]
     rows = [[h, float(v)] for h, v in zip(heights, values)]
-    _emit(
-        args,
-        ["h_uav_m", "outage"],
-        rows,
-        {
-            "seed": args.seed,
-            "n_realizations": args.n_realizations,
-            "lambda_uav_per_km2": args.lambda_uav,
-            "gamma_th": args.gamma_th,
-        },
-    )
-    return 0
+    metadata = {"lambda_uav_per_km2": args.lambda_uav, "gamma_th": args.gamma_th}
+    return ["h_uav_m", "outage"], rows, metadata, 0
 
 
-def _cmd_optimize(args) -> int:
-    city = _build_city(args)
+def _cmd_optimize(args, city):
     lam = args.lambda_uav * PER_KM2
     search = HeightSearchSpec(
         h_lo=args.h_lo,
@@ -351,37 +332,25 @@ def _cmd_optimize(args) -> int:
         args.h_v,
         lam,
         search,
-        placement_mode=PlacementMode(args.placement),
         **_run(args),
     )
-    _emit(
-        args,
-        ["h_star_m", "outage_star"],
-        [[h_star, outage_star]],
-        {
-            "seed": args.seed,
-            "n_realizations": args.n_realizations,
-            "lambda_uav_per_km2": args.lambda_uav,
-            "gamma_th": args.gamma_th,
-        },
-    )
-    return 0
+    metadata = {"lambda_uav_per_km2": args.lambda_uav, "gamma_th": args.gamma_th}
+    return ["h_star_m", "outage_star"], [[h_star, outage_star]], metadata, 0
 
 
-def _cmd_contour(args) -> int:
-    city = _build_city(args)
+def _cmd_contour(args, city):
     lambdas_km2 = grid_points(args.lambda_lo, args.lambda_hi, args.lambda_step)
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
     if args.target_outage is not None and not 0.0 <= args.target_outage <= 1.0:
         raise ValueError("--target-outage must lie in [0, 1]")
+    lambdas = [v * PER_KM2 for v in lambdas_km2]
     grid = sweep_contour(
         city,
         args.r_max,
         args.h_v,
-        [v * PER_KM2 for v in lambdas_km2],
+        lambdas,
         heights,
         args.gamma_th,
-        placement_mode=PlacementMode(args.placement),
         **_run(args),
     )
     rows = [
@@ -390,8 +359,6 @@ def _cmd_contour(args) -> int:
         for j, h in enumerate(heights)
     ]
     metadata = {
-        "seed": args.seed,
-        "n_realizations": args.n_realizations,
         "gamma_th": args.gamma_th,
         "lambda_axis_per_km2": lambdas_km2,
         "height_axis_m": heights,
@@ -399,28 +366,20 @@ def _cmd_contour(args) -> int:
     if args.target_outage is not None:
         best = min_density_for_outage(grid, args.target_outage)
         if best is None:
-            metadata["min_density_per_km2"] = None
-            metadata["h_star_m"] = None
-            print(
-                f"no density in the grid meets outage <= {args.target_outage}",
-                file=sys.stderr,
-            )
+            metadata.update(min_density_per_km2=None, h_star_m=None)
+            note = f"no density in the grid meets outage <= {args.target_outage}"
         else:
             lam_min, h_star = best
-            metadata["min_density_per_km2"] = lam_min / PER_KM2
-            metadata["h_star_m"] = h_star
-            print(
-                f"min density {lam_min / PER_KM2:g} per km2 at h = {h_star:g} m "
-                f"for outage <= {args.target_outage}",
-                file=sys.stderr,
-            )
-    _emit(args, ["lambda_per_km2", "h_uav_m", "outage"], rows, metadata)
-    return 0
+            # the density as the lambda_per_km2 column prints it, not converted back
+            lam_km2 = lambdas_km2[lambdas.index(lam_min)]
+            metadata.update(min_density_per_km2=lam_km2, h_star_m=h_star)
+            note = (f"min density {lam_km2:g} per km2 at h = {h_star:g} m "
+                    f"for outage <= {args.target_outage}")
+        print(note, file=sys.stderr)
+    return ["lambda_per_km2", "h_uav_m", "outage"], rows, metadata, 0
 
 
-def _cmd_validate(args) -> int:
-    from .oracle import validation_sweep
-
+def _cmd_validate(args, city):
     if args.max_outliers < 0:
         raise ConfigError("--max-outliers cannot be negative")
     results = validation_sweep(
@@ -436,27 +395,27 @@ def _cmd_validate(args) -> int:
         for r in results
     ]
     outliers = sum(1 for r in results if not r.passed)
-    _emit(
-        args,
+    print(
+        f"{outliers} of {args.cases} cases beyond {args.z_limit} se "
+        f"(allowed: {args.max_outliers})",
+        file=sys.stderr,
+    )
+    return (
         ["case_id", "d_m", "phi_rad", "placement", "p_analytic", "p_oracle", "se", "pass"],
         rows,
         {
-            "seed": args.seed,
             "cases": args.cases,
             "n_draws": args.n_draws,
             "z_limit": args.z_limit,
             "outliers": outliers,
             "max_outliers": args.max_outliers,
         },
+        0 if outliers <= args.max_outliers else 1,
     )
-    print(
-        f"{outliers} of {args.cases} cases beyond {args.z_limit} se "
-        f"(allowed: {args.max_outliers})",
-        file=sys.stderr,
-    )
-    return 0 if outliers <= args.max_outliers else 1
 
 
+# Each handler only computes: it takes the parsed flags and the city (None for
+# validate) and returns (columns, rows, metadata, exit status) for main to emit.
 _COMMANDS = {
     "distribution": _cmd_distribution,
     "outage-curve": _cmd_outage_curve,
@@ -471,7 +430,12 @@ def main(argv=None) -> int:
     parser, table = build_parser()
     try:
         args = parser.parse_args(_splice_config(argv, table))
-        return _COMMANDS[args.command](args)
+        city = _build_city(args) if "preset" in args else None
+        columns, rows, metadata, status = _COMMANDS[args.command](args, city)
+        # the run's provenance first: the seed, and n for a Monte Carlo command
+        shared = {key: getattr(args, key) for key in ("seed", "n_realizations") if key in args}
+        _emit(args, columns, rows, {**shared, **metadata})
+        return status
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     except (ConfigError, InvalidGeometryError, ValueError, OSError) as e:

@@ -104,6 +104,11 @@ class ScenarioConfig:
 # The most realizations a run takes, far above any run that can finish.
 MAX_REALIZATIONS = 10**9
 
+# The most worker processes a run takes.  A fork-started pool starts all of
+# min(workers, chunks) processes at once, and 10**8 realizations make over
+# 12,000 chunks, so an unbounded --workers could ask for that many at once.
+MAX_WORKERS = 256
+
 
 def check_run(n_realizations: int, seed: int, workers: int) -> None:
     """Reject run parameters no Monte Carlo run can use (ValueError)."""
@@ -111,8 +116,8 @@ def check_run(n_realizations: int, seed: int, workers: int) -> None:
         raise ValueError(f"need 1 <= n_realizations <= {MAX_REALIZATIONS}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"need 1 <= workers <= {MAX_WORKERS}")
 
 
 # The most UAVs one realization draws on average (envelope mean_count): about

@@ -120,8 +120,6 @@ _IEEE_LIMITS = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 def _corner(d, c, s, delta_h, h_v, w_v, w_h):
     """(za_x, zb_x, h0): the x axis's gap clearance and ground coordinate, the corner height."""
-    if not delta_h > 0.0:
-        raise ValueError("need h_uav > h_v for links above the vehicle")
     # An axis's own street bounds its clearance directly; the other street
     # bounds the other coordinate and projects through the direction (inf on
     # a path parallel to it).  A zero width contributes nothing.

@@ -202,8 +202,6 @@ def sweep_contour(
     lambda_axis = np.asarray([float(v) for v in lambda_axis])
     height_axis = np.asarray([float(v) for v in height_axis])
     for name, axis in (("lambda_axis", lambda_axis), ("height_axis", height_axis)):
-        if axis.ndim != 1 or axis.size == 0:
-            raise ValueError(f"{name} must be a non-empty 1-d sequence")
         if axis.size > 1 and not np.all(np.diff(axis) > 0):
             raise ValueError(f"{name} must be strictly ascending")
     values = outage_grid(

@@ -11,3 +11,15 @@ def urban():
 @pytest.fixture
 def radio():
     return RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test, in this process, if anything builds a process pool."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a process pool")
+
+    # the pool is imported where it is opened, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)

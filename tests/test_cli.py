@@ -5,7 +5,7 @@ import pytest
 
 import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
-from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf
+from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
 from uavgrid.geometry import PRESETS, HeightDistribution, RadioParams
 from uavgrid.los import Placement
 from uavgrid.optimize import HeightSearchSpec, optimize_height
@@ -151,6 +151,26 @@ def test_bad_run_is_refused_before_drawing(command, flags, blamed, capsys, monke
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert blamed in err and "cap" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO))
+def test_workers_above_the_bound_exit_2_before_any_pool(command, capsys, no_pool):
+    code, out, err = run_cli([command, "--preset", "urban", "--n-realizations", "20000",
+                              *SCENARIO[command], "--workers", str(MAX_WORKERS + 1)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= workers <= {MAX_WORKERS}\n"
+
+
+def test_contour_reports_the_grid_density_it_printed(capsys):
+    """min_density_per_km2 is the lambda_per_km2 value, not 31/km2 converted to m2 and back."""
+    code, out, err = run_cli(
+        ["contour", "--preset", "urban", "--lambda-lo", "28", "--lambda-hi", "34", "--h-lo", "140",
+         "--h-hi", "160", "--target-outage", "0.11", "--n-realizations", "3000", "--seed", "0",
+         "--format", "structured"], capsys)
+    assert code == 0
+    assert '"min_density_per_km2": 31.0,' in out
+    assert json.loads(out)["min_density_per_km2"] == 31.0
+    assert err == "min density 31 per km2 at h = 160 m for outage <= 0.11\n"
 
 
 # distribution's radio values that its scenario rule refuses: NaN and inf in each,

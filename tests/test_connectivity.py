@@ -36,6 +36,7 @@ from uavgrid.geometry import (
     sample_envelope_points,
 )
 from uavgrid.los import LinkGeometry, Placement, los_probability, los_probability_batch
+from uavgrid.optimize import HeightSearchSpec, optimize_height, sweep_contour
 
 URBAN = PRESETS["urban"]
 RADIO = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
@@ -591,6 +592,30 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     _map_tasks(abs, [-1], 64)
     _map_tasks(abs, [-1, 2], 1)
     assert sizes == [3, 3, 2]
+
+
+# Each Monte Carlo entry point at one worker above the bound, over 20000
+# realizations (three chunks), so an unchecked run would open a pool.
+ABOVE_MAX_WORKERS = {
+    "ScenarioConfig": lambda w: estimate_distribution(
+        ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=20000, workers=w)),
+    "outage_grid": lambda w: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, 20000, 0,
+                                         workers=w),
+    "sweep_contour": lambda w: sweep_contour(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8,
+                                             n_realizations=20000, workers=w),
+    "optimize_height": lambda w: optimize_height(URBAN, 250.0, 10.0, 20e-6,
+                                                 HeightSearchSpec(h_lo=60.0, h_hi=200.0),
+                                                 n_realizations=20000, workers=w),
+    "EnvelopeDraw": lambda w: EnvelopeDraw(SamplingEnvelope(lambda_cap=20e-6, d_cap=245.0), 0,
+                                           20000, workers=w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ABOVE_MAX_WORKERS))
+def test_workers_above_the_bound_are_refused_before_any_pool(entry, no_pool):
+    with pytest.raises(ValueError, match=f"workers <= {connectivity.MAX_WORKERS}"):
+        ABOVE_MAX_WORKERS[entry](connectivity.MAX_WORKERS + 1)
+    connectivity.check_run(1, 0, connectivity.MAX_WORKERS)
 
 
 def test_dense_envelope_chunks_are_capped_by_points(monkeypatch):

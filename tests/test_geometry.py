@@ -140,15 +140,6 @@ def test_sample_realization_properties(radio):
     assert np.all((0.0 <= mark) & (mark < 1.0))
 
 
-def test_mean_count_matches_intensity(radio):
-    n = 20_000
-    mean = 20e-6 * math.pi * ground_range(radio.r_max, radio.h_uav, radio.h_v) ** 2
-    assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
-    counts = sample_envelope_points(_tight(radio), 99, 0, n)[3]
-    # 3 sigma band for the sample mean of a Poisson count
-    assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
-
-
 def test_envelope_validation():
     with pytest.raises(InvalidGeometryError):
         SamplingEnvelope(lambda_cap=0.0, d_cap=100.0)

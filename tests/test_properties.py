@@ -131,8 +131,10 @@ def test_poisson_count_statistic():
     radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
     n = 20_000
     mean = radio.lambda_uav * math.pi * ground_range(radio.r_max, radio.h_uav, radio.h_v) ** 2
+    assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
     tight = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio.r_max, radio.h_uav, radio.h_v))
     counts = sample_envelope_points(tight, 99, 0, n)[3]
+    # 3 sigma band for the sample mean of a Poisson count
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
 
