@@ -8,8 +8,14 @@ from one pass of the closed-form kernel's geometry stage per link.  The
 survival factors are not shared, and the closed form must agree with the
 traced rays to Monte Carlo precision.
 
-Sides are drawn only on an axis's interval (za, zb), the only place a side
-can block the ray: the restriction of the same Poisson process.  The n city
+Only what can block is drawn.  A side blocks only inside its axis's
+interval (za, zb), and only if it is taller than the ray, which climbs from
+h_v at the vehicle to h_uav at zb: past the cut (h_max - h_v) * zb / delta_h
+no building is that tall.  So an axis draws its sides on (za, min(zb, cut))
+alone.  A corner building that can never block (h0 >= h_max) is not drawn,
+and when every corner blocks (h0 < h_min) nothing is drawn at all.  Each is
+the restriction of the same Poisson process, or an outcome that does not
+depend on the draw, so the law of the estimate is unchanged.  The n city
 draws' sides on an axis are drawn as one superposed process of n times the
 intensity, each point belonging to a draw picked uniformly at random
 (Kingman's colouring theorem), so an axis costs one count, not n.
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CityModel, PRESETS, ground_range
+from .geometry import CityModel, HeightDistribution, PRESETS, ground_range
 from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 # The most city draws one case takes.  A case holds all its draws at once: at
@@ -38,12 +44,29 @@ MAX_DRAWS = 10**6
 # that bound (tracemalloc, every preset and placement, d = 249 m, 46
 # azimuths, four altitudes from 10.5 m), so about 140 MB at the bound.  Every
 # preset at r_max = 250 m and n = MAX_DRAWS stays below it (suburban: 9.52e6).
+# Both side checks, in empirical_los_probability and validation_sweep, count
+# the full intervals (za, zb), not the shorter ones that sides are drawn on,
+# so they bound the draws from above.
 MAX_SIDES = 10**7
+
+# Relative margin that widens the side cut: a height drawn from
+# uniform(h_min, h_max) may be h_max itself, and the few roundings of the cut
+# and of the hit test stay far inside 2**-40.
+_CUT_SLACK = 2.0**-40
 
 
 def _check_draws(n: int) -> None:
     if not 1 <= n <= MAX_DRAWS:
         raise ValueError(f"need 1 <= n_draws <= {MAX_DRAWS} city draws per case")
+
+
+def _side_top(link: LinkGeometry, heights: HeightDistribution, zb: float) -> float:
+    """The top of an axis's drawn sides, min(zb, the cut widened by _CUT_SLACK).
+
+    The ray is above h_max past the cut (h_max - h_v) * zb / delta_h, so no
+    side there blocks it.
+    """
+    return min(zb, (heights.h_max - link.h_v) * zb / link.delta_h * (1.0 + _CUT_SLACK))
 
 
 def empirical_los_probability(
@@ -57,14 +80,19 @@ def empirical_los_probability(
 
     Returns (p_hat, standard error).  Vectorized over draws; semantics match
     tracing one explicit city draw at a time, as the scalar tracer in
-    tests/test_oracle.py does.  After the n corner heights, each axis with
-    za < zb draws the sides of all n draws at once: a Poisson count at
-    intensity n * lambda_s over (za, zb), the positions uniform there, one
-    height each.  One boolean marks the sides that block the ray, and only
-    those hits draw the city draw they belong to, uniform over the n draws.
-    n must lie in [1, MAX_DRAWS], and the sides expected over both axes,
-    n * lambda_s * (zb - za) summed over the axes with za < zb, at most
-    MAX_SIDES (ValueError), checked before anything is drawn.
+    tests/test_oracle.py does.  The corner height h0 decides first: below
+    h_min every corner blocks, and (0.0, 0.0) returns with nothing drawn; at
+    or above h_max (inf included) no corner blocks and the n corner heights
+    are not drawn; otherwise they are.  Each axis then draws the sides of all
+    n draws at once on (za, top), top = min(zb, cut * (1 + 2**-40)) with
+    cut = (h_max - h_v) * zb / delta_h, skipping the axis unless za < top: a
+    Poisson count at intensity n * lambda_s * (top - za), the positions
+    uniform there, one height each.  One boolean marks the sides that block
+    the ray, and only those hits draw the city draw they belong to, uniform
+    over the n draws.  n must lie in [1, MAX_DRAWS], and the sides expected
+    over both axes on the full intervals, n * lambda_s * (zb - za) summed
+    over the axes with za < zb, at most MAX_SIDES (ValueError), checked
+    before anything is drawn.
     """
     _check_draws(n)
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
@@ -73,15 +101,21 @@ def empirical_los_probability(
         raise ValueError(f"{n} city draws of this link expect {sides:.3g} building sides, "
                          f"above the bound of {MAX_SIDES:g}")
 
-    # an unbounded h0 blocks nothing
-    blocked = city.heights.sample(rng, n) > h0
+    heights = city.heights
+    # every corner building is taller than h0
+    if h0 < heights.h_min:
+        return 0.0, 0.0
+    # no corner building reaches an h0 at or above h_max, inf included
+    blocked = np.zeros(n, dtype=bool) if h0 >= heights.h_max else heights.sample(rng, n) > h0
 
     for za, zb in (limits_x, limits_y):
-        if not za < zb:
+        # za >= 0, so a negative cut (h_max <= h_v) skips the axis too
+        top = _side_top(link, heights, zb)
+        if not za < top:
             continue
-        total = rng.poisson(n * city.lambda_s * (zb - za))
-        pos = rng.uniform(za, zb, total)
-        height = city.heights.sample(rng, total)
+        total = rng.poisson(n * city.lambda_s * (top - za))
+        pos = rng.uniform(za, top, total)
+        height = heights.sample(rng, total)
         hit = (height > pos * link.delta_h / zb + link.h_v) & (pos > za) & (pos < zb)
         blocked[rng.integers(0, n, np.count_nonzero(hit))] = True
 

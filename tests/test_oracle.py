@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,8 @@ SHRUB = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
 OBLIQUE = LinkGeometry(d=120.0, phi=0.7, h_uav=120.0, h_v=10.0)
 # phi = 0: the ray never advances along y, so that axis interval is empty
 ALONG_X = LinkGeometry(d=120.0, phi=0.0, h_uav=120.0, h_v=10.0)
+# over the urban preset the ray passes h_max at 8% of either axis's zb
+HIGH_UAV = LinkGeometry(d=200.0, phi=0.6, h_uav=240.0, h_v=10.0)
 
 
 # id -> (link, city, placement): the scalar tracer draws every axis over
@@ -149,6 +152,9 @@ PLAIN_LOOP = {
     # does: drawing (0, zb)'s count on (za, zb) moves p by about 10 se
     "late-clearance": (LinkGeometry(d=40.0, phi=0.2, h_uav=11.0, h_v=10.0), PRESETS["suburban"],
                        Placement.INTERSECTION),
+    # the ray passes h_max within the first quarter of both axes: the oracle
+    # draws sides on (za, top) alone, the tracer on all of [0, extent]
+    "high-uav": (HIGH_UAV, URBAN, Placement.INTERSECTION),
 }
 
 
@@ -156,6 +162,10 @@ PLAIN_LOOP = {
 def test_empirical_matches_plain_loop(case):
     """Vectorized counting agrees with a one-draw-at-a-time loop."""
     lk, city, placement = PLAIN_LOOP[case]
+    if case == "high-uav":
+        _, *limits = _link_limits(lk, *effective_widths(city, placement))
+        for za, zb in limits:
+            assert za < oracle._side_top(lk, city.heights, zb) < 0.25 * zb
     n = 4000
     p_vec, se = empirical_los_probability(lk, city, placement, n, np.random.default_rng(8))
     rng = np.random.default_rng(9)
@@ -184,20 +194,28 @@ def test_empirical_matches_closed_form_at_late_clearance():
 def _bincount_reference(link, city, placement, n, rng):
     """A per-point reduction: full crit, the same draw labels, bincount.
 
-    Draws exactly what empirical_los_probability draws, in its order: the n
-    corner heights, then per axis with za < zb the superposed count, the
-    positions, the heights and one draw label per hit.  Returns (p_hat, se,
-    each axis's total sides, None for an axis with za >= zb).
+    Draws exactly what empirical_los_probability draws, in its order: nothing
+    when h0 < h_min, else the n corner heights unless h0 >= h_max, then per
+    axis with za < top the superposed count on (za, top), the positions, the
+    heights and one draw label per hit.  Returns (p_hat, se, each axis's
+    total sides, each axis's top), with None for an axis that draws nothing.
     """
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
-    blocked = city.heights.sample(rng, n) > h0
-    totals = []
+    h_min, h_max = city.heights.h_min, city.heights.h_max
+    if h0 < h_min:
+        return 0.0, 0.0, [None, None], [None, None]
+    blocked = np.zeros(n, dtype=bool)
+    if h0 < h_max:
+        blocked = city.heights.sample(rng, n) > h0
+    totals, tops = [], []
     for za, zb in (limits_x, limits_y):
-        if not za < zb:
+        top = min(zb, (h_max - link.h_v) * zb / link.delta_h * (1.0 + 2.0**-40))
+        if not za < top:
             totals.append(None)
+            tops.append(None)
             continue
-        total = rng.poisson(n * city.lambda_s * (zb - za))
-        pos = rng.uniform(za, zb, total)
+        total = rng.poisson(n * city.lambda_s * (top - za))
+        pos = rng.uniform(za, top, total)
         height = city.heights.sample(rng, total)
         inside = (pos > za) & (pos < zb)
         crit = pos * link.delta_h / zb + link.h_v
@@ -205,8 +223,9 @@ def _bincount_reference(link, city, placement, n, rng):
         labels = rng.integers(0, n, int(hit.sum()))
         blocked |= np.bincount(labels, minlength=n) > 0
         totals.append(int(total))
+        tops.append(top)
     p_hat = float(1.0 - blocked.mean())
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), totals
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n), totals, tops
 
 
 # id -> (link, city, placement, n, seed)
@@ -218,10 +237,14 @@ BIT_FOR_BIT = {
     "n-1": (OBLIQUE, PRESETS["dense-urban"], Placement.STREET, 1, 3),
     "sideless-draws": (LinkGeometry(d=60.0, phi=0.3, h_uav=40.0, h_v=10.0),
                        PRESETS["dense-urban"], Placement.INTERSECTION, 2000, 11),
-    # phi = 1e-6 mid-block: the y interval is 1.2e-4 m long, so it is drawn
-    # but expects 6e-6 sides
+    # phi = 1e-6 mid-block: the y interval is 1.2e-4 m long and cut at
+    # 2.0e-5 m, so it is drawn but expects 7e-4 sides
     "axis-draws-no-sides": (LinkGeometry(d=120.0, phi=1e-6, h_uav=120.0, h_v=10.0), URBAN,
                             Placement.STREET, 3000, 5),
+    # the ray stays below h_min = 12.5 m up to the corner (h0 = 10.2 m)
+    "corner-always-blocks": (LinkGeometry(d=200.0, phi=0.7, h_uav=12.0, h_v=10.0),
+                             PRESETS["dense-urban"], Placement.INTERSECTION, 2000, 4),
+    "cut-inside-interval": (HIGH_UAV, URBAN, Placement.INTERSECTION, 3000, 13),
 }
 
 
@@ -231,20 +254,70 @@ def test_empirical_matches_bincount_reference_bit_for_bit(case):
     rng = np.random.default_rng(seed)
     got = empirical_los_probability(link, city, placement, n, rng)
     ref_rng = np.random.default_rng(seed)
-    p_ref, se_ref, totals = _bincount_reference(link, city, placement, n, ref_rng)
+    p_ref, se_ref, totals, tops = _bincount_reference(link, city, placement, n, ref_rng)
     assert got == (p_ref, se_ref)
     # same draws, in the same order: every later draw of a sweep is unchanged
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # each case covers what its id names
+    h0, *limits = _link_limits(link, *effective_widths(city, placement))
     if case == "empty-axis":
-        _, _, (za_y, zb_y) = _link_limits(link, *effective_widths(city, placement))
+        za_y, zb_y = limits[1]
         assert not za_y < zb_y and totals[1] is None
     elif case == "shrub-nothing-hit":
+        # h0 and every ray height lie above h_max: nothing is drawn at all
         assert got == (1.0, 0.0)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
     elif case == "sideless-draws":
         assert 0.0 < p_ref < 1.0
     elif case == "axis-draws-no-sides":
         assert totals[0] > 0 and totals[1] == 0
+    elif case == "corner-always-blocks":
+        assert h0 < city.heights.h_min
+        assert got == (0.0, 0.0)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+    elif case == "cut-inside-interval":
+        for (za, zb), top, total in zip(limits, tops, totals):
+            assert za < top < zb and total > 0
+        assert 0.0 < p_ref < 1.0
+
+
+def test_side_cut_is_conservative_and_not_early():
+    """A side of height h_max at or past the drawn top never blocks the ray.
+
+    And one just short of the exact cut (h_max - h_v) * zb / delta_h does,
+    wherever that cut lies inside (za, zb).  Checked with the oracle's own
+    hit expression over every preset and placement.
+    """
+    cut_inside = 0
+    for name, placement, h_v, delta_h, phi, d in itertools.product(
+        PRESETS, Placement, (0.0, 1.5, 10.0), (0.5, 1.0, 3.7, 10.0, 18.5, 47.0, 120.0, 240.0),
+        (0.0, 1e-6, 0.4, 1.1, 0.5 * math.pi), (10.0, 37.3, 120.0, 249.0),
+    ):
+        city = PRESETS[name]
+        h_max = city.heights.h_max
+        link = LinkGeometry(d=d, phi=phi, h_uav=h_v + delta_h, h_v=h_v)
+        _, *limits = _link_limits(link, *effective_widths(city, placement))
+        for za, zb in limits:
+            if not za < zb:
+                continue
+
+            def hit(pos):
+                return (h_max > pos * link.delta_h / zb + link.h_v) & (pos > za) & (pos < zb)
+
+            top = oracle._side_top(link, city.heights, zb)
+            past = np.concatenate([
+                top + np.arange(64) * np.spacing(top),
+                np.linspace(top, zb, 257),
+                [np.nextafter(zb, 0.0)],
+            ])
+            past = past[(past >= top) & (past < zb)]
+            assert not hit(past).any(), (name, placement, link, za, zb, top)
+            cut = (h_max - h_v) * zb / delta_h
+            if za < (1.0 - 1e-6) * cut and cut < zb:
+                cut_inside += 1
+                assert hit((1.0 - 1e-6) * cut), (name, placement, link, za, zb, cut)
+    # the cut falls inside the interval on a good share of these axes
+    assert cut_inside > 500
 
 
 def test_draws_over_the_bound_are_refused_before_drawing():
