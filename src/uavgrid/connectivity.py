@@ -197,11 +197,12 @@ class ChunkLayout(NamedTuple):
     plus one more rank of +inf, the sentinel that stands for "never crosses"
     (see _chunk_outage_counts).  d, cos_phi, sin_phi and slot (the flat index
     rank * realizations + i of each point in the layout) list the points by
-    ascending distance, so every ground disk is a prefix of them.  cos_phi
-    and sin_phi are the folded direction cosines |cos phi|, |sin phi| of the
-    drawn azimuths, computed once per draw rather than once per scored
-    height.  Only _lay_out builds a layout, and the arrays are shared by
-    every height scored on it: read them, never write them.
+    ascending distance, so every ground disk is a prefix of them; equal
+    distances may be listed in any order.  cos_phi and sin_phi are the folded
+    direction cosines |cos phi|, |sin phi| of the drawn azimuths, computed
+    once per draw rather than once per scored height.  Only _lay_out builds
+    a layout, and the arrays are shared by every height scored on it: read
+    them, never write them.
     """
 
     d: np.ndarray
@@ -218,9 +219,10 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     of them for realization i, as sample_envelope_points returns them.
     These are the only sorts of a draw: each column by mark, then the points
     by distance, so the order within a realization matters only between
-    exactly equal marks, which keep it.  Besides the sort's index, marks is
-    the only array of the layout's shape: it is filled in draw order, then
-    overwritten in mark order.
+    exactly equal marks, which keep it.  Equal distances need no order:
+    factors reach their cells by slot, and a disk's prefix ends after the
+    last of them.  Besides the sort's index, marks is the only array of the
+    layout's shape: it is filled in draw order, then overwritten in mark order.
     """
     m = counts.size
     keep = mark < frac_top
@@ -238,7 +240,7 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     # the slots stay, and only which point sits in each one changes.
     src = first + np.argsort(marks, axis=0, kind="stable").reshape(-1)[slot]
     flat[slot] = mark[src]
-    by_distance = np.argsort(d[src], kind="stable")
+    by_distance = np.argsort(d[src])
     src, slot = src[by_distance], slot[by_distance]
     phi = phi[src]
     return ChunkLayout(d[src], np.abs(np.cos(phi)), np.abs(np.sin(phi)), slot, marks)

@@ -6,7 +6,9 @@ else.
 
 The UAV point process is drawn a chunk of realizations at a time on numpy's
 own random stream: realization i gets, bit for bit, what a fresh
-Generator(Philox(key=(seed, i))) would draw (see sample_envelope_points).
+Generator(Philox(key=(seed, i))) would draw.  Philox is counter-based, so
+the sampler computes only the blocks each realization reads: a count window,
+then its point blocks past the window (see sample_envelope_points).
 """
 
 from __future__ import annotations
@@ -209,60 +211,69 @@ def _philox(counter, key):
     return np.stack((c0, c1, c2, c3))
 
 
-def _uniforms(seed, index, first, blocks):
-    """Doubles 4*first to 4*(first + blocks) of each stream keyed by (seed, index[i]).
+def _doubles(seed, index, counter):
+    """The (4, N) doubles Generator.random makes of block counter[j] of stream (seed, index[j]).
 
-    numpy's Philox starts at counter 0 and increments it before each block;
-    Generator.random turns each word x into (x >> 11) * 2**-53.  Returns a
-    (4 * blocks, index.size) array: one column per stream, in stream order.
+    numpy's Philox increments its counter before each block, so a stream's
+    blocks are counters 1, 2, ...; word x gives the double (x >> 11) * 2**-53.
     """
-    counter = np.zeros((4, blocks, 1), dtype=np.uint64)
-    counter[0, :, 0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
-    key = np.stack(np.broadcast_arrays(np.uint64(seed), index))[:, None, :]
-    words = _philox(counter, key)
+    counters = np.zeros((4, index.size), dtype=np.uint64)
+    counters[0] = counter
+    words = _philox(counters, np.stack((np.full(index.size, seed, dtype=np.uint64), index)))
     words >>= np.uint64(11)
-    u = np.empty((blocks, 4, index.size))
-    np.multiply(words.swapaxes(0, 1), 2.0**-53, out=u)
-    return u.reshape(4 * blocks, index.size)
+    return words * 2.0**-53
 
 
-def _leading(u, floor):
-    """Per column, how many running products of its doubles stay above floor.
+def _window(seed, index, floor, blocks):
+    """Blocks 1 to blocks of each stream, rank-major, and its count by Generator.poisson's method.
 
-    No double reaches 1 and rounding is monotone, so a running product never
-    rises: the products above floor are the leading ones, as in
-    Generator.poisson's multiplication method.
+    The doubles are a (4 * blocks, index.size) array; the count is how many
+    running products of a column stay above floor (no double reaches 1 and
+    rounding is monotone, so they are the leading ones).  A count of
+    4 * blocks has not settled.
     """
-    return np.count_nonzero(np.multiply.accumulate(u, axis=0) > floor, axis=0)
+    m = index.size
+    u = _doubles(seed, np.tile(index, blocks), np.repeat(np.arange(1, blocks + 1), m))
+    u = u.reshape(4, blocks, m).swapaxes(0, 1).reshape(4 * blocks, m)
+    product, counts = np.ones(m), np.zeros(m, dtype=np.int64)
+    for row in u:
+        product *= row
+        counts += product > floor
+    return u, counts
 
 
 def _philox_rows(mean, seed, start, stop):
     """The point uniforms of realizations [start, stop), every stream at once (mean < PTRS_MEAN).
 
-    A realization with count n takes n + 1 doubles for the count and 3n for
-    its points, so n + 1 blocks.  Every stream first gets ceil(mean) + 1
-    blocks; the streams whose count does not fit (or is not settled) get
-    twice as many, until every one fits.
+    A realization with count n reads n + 1 doubles for the count and 3n for
+    its points: blocks 1 to n + 1.  Every stream first gets a count window,
+    blocks 1 to W = ceil((mean + 3 sqrt(mean) + 2) / 4); the rare count that
+    does not settle in it is counted again in windows twice as wide.  Then
+    only the blocks W + 1 to n + 1 that points read are computed: a chunk
+    computes sum(max(W, n + 1)) blocks, plus the redrawn windows.
     """
     index = np.arange(start, stop, dtype=np.uint64)
     m = index.size
     floor = math.exp(-mean)
-    blocks = math.ceil(mean) + 1
-    u = _uniforms(seed, index, 0, blocks)
-    counts = _leading(u, floor)
-    short = np.flatnonzero(counts >= blocks)
+    blocks = math.ceil((mean + 3.0 * math.sqrt(mean) + 2.0) / 4.0)
+    window, counts = _window(seed, index, floor, blocks)
+    short, wider = np.flatnonzero(counts == 4 * blocks), blocks
     while short.size:
-        wider = np.empty((2 * u.shape[0], m))
-        wider[:u.shape[0]] = u
-        wider[u.shape[0]:, short] = _uniforms(seed, index[short], blocks, blocks)
-        u, blocks = wider, 2 * blocks
-        counts[short] = _leading(u[:, short], floor)
-        short = short[counts[short] >= blocks]
+        wider *= 2
+        counts[short] = _window(seed, index[short], floor, wider)[1]
+        short = short[counts[short] == 4 * wider]
+    # rank r of column i is double r of stream i: the window, then the blocks past it
+    u = np.empty((4 * max(int(counts.max(initial=0)) + 1, blocks), m))
+    u[:4 * blocks] = window
+    extra = np.maximum(counts + 1 - blocks, 0)
+    col = np.repeat(np.arange(m), extra)
+    block = blocks + np.arange(col.size) - np.repeat(np.cumsum(extra) - extra, extra)
+    u[4 * block + np.arange(4)[:, None], col] = _doubles(seed, index[col], block + 1)
     # point k of column i starts at double counts[i] + 1 + 3k
     first = np.cumsum(counts) - counts
     row = np.repeat(counts + 1 - 3 * first, counts) + 3 * np.arange(counts.sum())
     flat = row * m + np.repeat(np.arange(m), counts)
-    return u.reshape(-1)[flat + m * np.arange(3)[:, None]], counts.astype(np.int64, copy=False)
+    return u.reshape(-1)[flat + m * np.arange(3)[:, None]], counts
 
 
 def _generator_rows(mean, seed, start, stop):
@@ -299,9 +310,11 @@ def sample_envelope_points(
 
     Below a mean of PTRS_MEAN the whole chunk is computed at once, with no
     Generator method: the Philox blocks from the spec and the count by
-    Generator.poisson's multiplication method.  From PTRS_MEAN on, numpy
-    counts by PTRS, whose libm bits numpy's ufuncs need not match, so each
-    realization is drawn through a Generator.
+    Generator.poisson's multiplication method, over a count window of blocks
+    fixed by the mean, then only the point blocks past it that each
+    realization reads (_philox_rows).  From PTRS_MEAN on, numpy counts by
+    PTRS, whose libm bits numpy's ufuncs need not match, so each realization
+    is drawn through a Generator.
     """
     mean = envelope.mean_count
     rows = _philox_rows if mean < PTRS_MEAN else _generator_rows

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import uavgrid.connectivity as connectivity
+import uavgrid.geometry as geometry
 from uavgrid.connectivity import (
+    ChunkLayout,
     EmpiricalDistribution,
     EnvelopeDraw,
     PlacementMode,
@@ -199,6 +201,45 @@ def test_height_prefix_is_the_disk_mask():
     assert np.all(scores[:, 0] == 0.0) and np.all(scores[:, 1] > 0.0)
 
 
+def _stable_by_distance(layout):
+    """The layout with equal distances in draw order, as a stable sort by distance lists them."""
+    m = layout.marks.shape[1]
+    # before the distance sort the points are listed realization by realization, then by rank
+    order = np.lexsort((layout.slot // m, layout.slot % m, layout.d))
+    return ChunkLayout(*(a[order] for a in layout[:4]), layout.marks)
+
+
+def test_equal_distances_may_be_listed_in_any_order():
+    """Points at one distance, on a height's disk edge, count and score alike in any order."""
+    edge = ground_range(RADIO.r_max, 160.0, RADIO.h_v)
+    assert edge == 200.0
+    env = SamplingEnvelope(lambda_cap=60e-6, d_cap=240.0)
+    d, phi, mark, counts = sample_envelope_points(env, 4, 0, 400)
+    layouts = [_layout([(200.0, 0.3), (120.0, 1.0), (200.0, 0.7)], [(200.0, 1.2)], [],
+                       [(120.0, 0.1), (200.0, 0.3), (200.0, 0.9)]),
+               # distances on a 10 m grid: ties everywhere, 200 m among them
+               _lay_out(np.round(d, -1), phi, mark, counts, 0.7)]
+    shuffle = np.random.default_rng(21)
+    spec = (URBAN, RADIO.h_v, RADIO.r_max, [160.0, 100.0, 60.0], PLACEMENTS)
+    fracs = np.array([0.0, 0.1, 0.3, 0.5, 0.7])
+
+    def outputs(layout):
+        counts = [_chunk_outage_counts((layout, *spec, fracs, g)) for g in (0.0, 0.8, 0.95)]
+        return [_chunk_score_arrays((layout, *spec))] + counts
+
+    for layout in layouts:
+        stable = _stable_by_distance(layout)
+        k = int(np.searchsorted(stable.d, edge, side="right"))
+        assert np.array_equal(stable.d, layout.d) and np.count_nonzero(stable.d[:k] == edge) >= 3
+        ties = [np.arange(stable.d.size)[::-1], shuffle.permutation(stable.d.size)]
+        variants = [ChunkLayout(*(a[np.lexsort((tie, stable.d))] for a in stable[:4]), stable.marks)
+                    for tie in ties]
+        assert not any(np.array_equal(v.slot, stable.slot) for v in variants)
+        want = outputs(stable)
+        for variant in [layout] + variants:
+            assert all(np.array_equal(a, b) for a, b in zip(outputs(variant), want))
+
+
 def _row_major_reduction(layout, city, h_v, r_max, height_values, placements, fracs, gamma_th):
     """The reference reduction: outage counts and scores of one chunk, computed on the
     realization x rank transpose of its layout with np.multiply.accumulate along each
@@ -260,12 +301,17 @@ def _no_generator(*args, **kwargs):
     raise AssertionError("the sampler called a numpy Generator below PTRS_MEAN")
 
 
+def _count_window(mean):
+    """The Philox blocks of the sampler's count window below PTRS_MEAN, from the mean alone."""
+    return math.ceil((mean + 3.0 * math.sqrt(mean) + 2.0) / 4.0)
+
+
 def test_chunk_stream_matches_fresh_generators(monkeypatch):
     """The chunk sampler draws what a fresh generator per realization does, at any chunking."""
     means = [env.mean_count for env in STREAM_ENVELOPES]
     assert means[5] == np.nextafter(PTRS_MEAN, 0.0) and means[6] == PTRS_MEAN
     last = 10**9 - 50
-    empty = outgrown = 0
+    empty = overflow = past = 0
     for k, env in enumerate(STREAM_ENVELOPES):
         for s, seed in enumerate(STREAM_SEEDS):
             # one whole 8192-realization chunk per envelope, its seed in turn
@@ -275,8 +321,11 @@ def test_chunk_stream_matches_fresh_generators(monkeypatch):
             counts = np.array([w[0].size for w in want + want_last])
             empty += np.count_nonzero(counts == 0)
             if env.mean_count < PTRS_MEAN:
-                # rows that need more blocks than the first ceil(mean) + 1
-                outgrown += np.count_nonzero(counts > math.ceil(env.mean_count))
+                # a count that reads all 4 * W doubles of the window does not
+                # settle in it, and n + 1 > W blocks reach past the window
+                window = _count_window(env.mean_count)
+                overflow += np.count_nonzero(counts >= 4 * window)
+                past += np.count_nonzero(counts + 1 > window)
             with monkeypatch.context() as patched:
                 if env.mean_count < PTRS_MEAN:
                     patched.setattr(np.random, "Generator", _no_generator)
@@ -290,7 +339,7 @@ def test_chunk_stream_matches_fresh_generators(monkeypatch):
                 for c in range(3):
                     got = np.concatenate([p[c] for p in parts])
                     assert np.array_equal(got, np.concatenate([w[c] for w in ref])), (k, seed, c)
-    assert empty > 0 and outgrown > 0
+    assert empty > 0 and overflow > 0 and past > 0
 
 
 def test_philox_blocks_match_numpy():
@@ -306,6 +355,38 @@ def test_philox_blocks_match_numpy():
         want = np.array([np.random.Philox(key=key, counter=c).random_raw(4) for c in counters])
         got = _philox(words, key[:, None])
         assert np.array_equal(got.T, want)
+
+
+def test_sampler_computes_only_the_blocks_it_reads(monkeypatch):
+    """A chunk computes max(W, n + 1) Philox blocks per realization, plus its overflow redraws."""
+    computed = []
+    philox = geometry._philox
+
+    def counting(counter, key):
+        words = philox(counter, key)
+        computed.append(words[0].size)
+        return words
+
+    monkeypatch.setattr(geometry, "_philox", counting)
+    redrawn = 0
+    for env in STREAM_ENVELOPES:
+        for seed in (0, 31):
+            computed.clear()
+            counts = sample_envelope_points(env, seed, 0, 8192)[3]
+            if env.mean_count >= PTRS_MEAN:
+                assert not computed
+                continue
+            window = _count_window(env.mean_count)
+            # a count that does not settle is counted again in windows twice as wide
+            redraws = 0
+            for n in counts[counts >= 4 * window]:
+                wider = window
+                while n >= 4 * wider:
+                    wider *= 2
+                    redraws += wider
+            assert sum(computed) == np.maximum(window, counts + 1).sum() + redraws
+            redrawn += redraws
+    assert redrawn > 0
 
 
 def test_zero_density_distribution_is_degenerate():
