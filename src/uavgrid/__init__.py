@@ -12,7 +12,6 @@ from .geometry import (
     HeightDistribution,
     InvalidGeometryError,
     PRESETS,
-    RadioParams,
     SamplingEnvelope,
     ground_range,
     intersection_weight,
@@ -68,7 +67,6 @@ __all__ = [
     "PRESETS",
     "Placement",
     "PlacementMode",
-    "RadioParams",
     "SamplingEnvelope",
     "ScenarioConfig",
     "ValidationCase",

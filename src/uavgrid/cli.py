@@ -26,7 +26,7 @@ from .connectivity import (
     mixture_cdf,
     outage_grid,
 )
-from .geometry import CityModel, InvalidGeometryError, PRESETS, RadioParams, _preset
+from .geometry import CityModel, InvalidGeometryError, PRESETS, _preset
 from .los import Placement
 from .optimize import (
     HeightSearchSpec,
@@ -63,29 +63,28 @@ def _add_city_options(p: argparse.ArgumentParser) -> None:
     g.add_argument("--building-h-max", type=float, help="max building height, m (default 1.5*mu_h)")
 
 
-def _add_scenario_options(
-    p: argparse.ArgumentParser,
-    placement: bool = True,
-    envelope: bool = True,
-    gamma_th: bool = True,
-) -> None:
+def _add_scenario_options(p: argparse.ArgumentParser, *reads: str) -> None:
+    """--r-max, --h-v and --seed, plus the flag groups named in reads: "gamma_th",
+    "run" (--n-realizations, --workers), "placement" and "envelope" (the caps)."""
     # a command gets only the flags it reads, so a flag it would ignore is an error
     g = p.add_argument_group("scenario")
     g.add_argument("--r-max", type=float, default=250.0, help="max 3D link range, m")
     g.add_argument("--h-v", type=float, default=10.0, help="vehicle antenna height, m")
-    if gamma_th:
-        g.add_argument("--gamma-th", type=float, default=0.8, help="connectivity threshold")
-    g.add_argument("--n-realizations", type=int, default=100_000, help="Monte Carlo realizations")
     g.add_argument("--seed", type=int, default=0, help="base seed of the run")
-    g.add_argument("--workers", type=int, default=1, help="worker processes")
-    if placement:
+    if "gamma_th" in reads:
+        g.add_argument("--gamma-th", type=float, default=0.8, help="connectivity threshold")
+    if "run" in reads:
+        g.add_argument("--n-realizations", type=int, default=100_000,
+                       help="Monte Carlo realizations")
+        g.add_argument("--workers", type=int, default=1, help="worker processes")
+    if "placement" in reads:
         g.add_argument(
             "--placement",
             choices=[m.value for m in PlacementMode],
             default=PlacementMode.MIXTURE.value,
             help="vehicle placement mode",
         )
-    if envelope:
+    if "envelope" in reads:
         g.add_argument("--lambda-cap", type=float, help="envelope density cap, per km2")
         g.add_argument("--d-cap", type=float, help="envelope disk radius cap, m")
 
@@ -111,7 +110,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--h-uav", type=float, required=True, help="UAV altitude, m")
     p.add_argument("--gamma-step", type=float, default=0.01, help="gamma grid step")
     _add_city_options(p)
-    _add_scenario_options(p, placement=False, gamma_th=False)
+    _add_scenario_options(p, "run", "envelope")
     _add_output_options(p)
     table["distribution"] = p
 
@@ -121,7 +120,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--h-hi", type=float, required=True, help="highest altitude, m")
     p.add_argument("--h-step", type=float, default=5.0, help="altitude step, m")
     _add_city_options(p)
-    _add_scenario_options(p)
+    _add_scenario_options(p, "gamma_th", "run", "placement", "envelope")
     _add_output_options(p)
     table["outage-curve"] = p
 
@@ -133,7 +132,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--refine-tol", type=float, default=1.0, help="refinement tolerance, m")
     _add_city_options(p)
     # optimize_height sizes its own envelope to the search window
-    _add_scenario_options(p, envelope=False)
+    _add_scenario_options(p, "gamma_th", "run", "placement")
     _add_output_options(p)
     table["optimize"] = p
 
@@ -150,7 +149,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="also report the smallest density meeting this outage",
     )
     _add_city_options(p)
-    _add_scenario_options(p)
+    _add_scenario_options(p, "gamma_th", "run", "placement", "envelope")
     _add_output_options(p)
     table["contour"] = p
 
@@ -159,9 +158,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--n-draws", type=int, default=100_000, help="city draws per case")
     p.add_argument("--max-outliers", type=int, default=2, help="tolerated cases beyond z-limit")
     p.add_argument("--z-limit", type=float, default=3.0, help="pass threshold in standard errors")
-    p.add_argument("--r-max", type=float, default=250.0, help="max 3D link range, m")
-    p.add_argument("--h-v", type=float, default=10.0, help="vehicle antenna height, m")
-    p.add_argument("--seed", type=int, default=0, help="base seed of the run")
+    _add_scenario_options(p)
     _add_output_options(p)
     table["validate"] = p
 
@@ -283,9 +280,9 @@ def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
 
 def _cmd_distribution(args, city):
     lam = args.lambda_uav * PER_KM2
-    radio = RadioParams(r_max=args.r_max, h_uav=args.h_uav, h_v=args.h_v, lambda_uav=lam)
     gammas = grid_points(0.0, 1.0, args.gamma_step)
-    dists = estimate_distribution(ScenarioConfig(city=city, radio=radio, **_run(args)))
+    config = ScenarioConfig(city, args.r_max, args.h_v, lam, args.h_uav, **_run(args))
+    dists = estimate_distribution(config)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
     rows = [
         [

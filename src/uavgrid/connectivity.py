@@ -30,6 +30,7 @@ outage bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
@@ -39,7 +40,6 @@ import numpy as np
 from .geometry import (
     CityModel,
     InvalidGeometryError,
-    RadioParams,
     SamplingEnvelope,
     ground_range,
     intersection_weight,
@@ -87,10 +87,14 @@ class EmpiricalDistribution:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one distribution estimate depends on; the envelope caps as in outage_grid."""
+    """Everything one distribution estimate depends on: the one-cell scenario and run of
+    outage_grid, in its order and under its names (lambda_uav per m2)."""
 
     city: CityModel
-    radio: RadioParams
+    r_max: float
+    h_v: float
+    lambda_uav: float
+    h_uav: float
     n_realizations: int = 100_000
     seed: int = 0
     workers: int = 1
@@ -186,6 +190,11 @@ def _chunk_bounds(n: int, envelope: SamplingEnvelope) -> list[tuple[int, int]]:
     """Chunks tiling [0, n): at most CHUNK_SIZE realizations and MAX_CHUNK_POINTS mean points."""
     size = min(CHUNK_SIZE, max(1, int(MAX_CHUNK_POINTS / max(envelope.mean_count, 1.0))))
     return [(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def _chunk_keys(envelope, seed, n, frac_top) -> list[tuple]:
+    """The (envelope, seed, start, stop, frac_top) key of each chunk of realizations [0, n)."""
+    return [(envelope, seed, start, stop, frac_top) for start, stop in _chunk_bounds(n, envelope)]
 
 
 class ChunkLayout(NamedTuple):
@@ -285,8 +294,7 @@ class EnvelopeDraw:
             raise ValueError(f"the envelope draw would hold {held:.4g} UAVs on average "
                              f"({self.n_realizations} realizations), above the bound of "
                              f"{MAX_HELD_POINTS:g}")
-        keys = [(self.envelope, self.seed, start, stop, 1.0)
-                for start, stop in _chunk_bounds(self.n_realizations, self.envelope)]
+        keys = _chunk_keys(self.envelope, self.seed, self.n_realizations, 1.0)
         object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
 
     @property
@@ -294,7 +302,7 @@ class EnvelopeDraw:
         return (self.envelope, self.seed, self.n_realizations)
 
 
-def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
+def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
     """Running survival products of one chunk's realizations: the one chunk scorer.
 
     Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
@@ -339,23 +347,22 @@ def _chunk_scores(layout, city, h_v, r_max, height_values, placements):
 
 
 # Module-level so the process pool can pickle them; each reduces inside the
-# worker, so only per-realization scores or per-cell counts travel back.  A
-# task's first item is its chunk's layout or the key to draw it from.
-def _chunk_score_arrays(task):
+# worker, so only per-realization scores or per-cell counts travel back.  The
+# pipelines bind the shared spec by name with functools.partial and map the
+# result over the chunks' sources: each chunk's layout or the key to draw it.
+def _chunk_score_arrays(source, *, city, r_max, h_v, height_values, placements):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
-    source, *spec = task
-    scores = _chunk_scores(_layout_of(source), *spec)
+    scores = _chunk_scores(_layout_of(source), city, r_max, h_v, height_values, placements)
     return np.stack([1.0 - survival[-1] for _, _, survival in scores])
 
 
-def _chunk_outage_counts(task):
+def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements, fracs,
+                         gamma_th):
     """Realizations in outage per (placement, density, height) cell."""
-    source, *spec, fracs, gamma_th = task
-    height_values, placements = spec[-2], spec[-1]
     layout = _layout_of(source)
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
-    for ip, j, survival in _chunk_scores(layout, *spec):
+    for ip, j, survival in _chunk_scores(layout, city, r_max, h_v, height_values, placements):
         # 1 - survival never falls along a column, so the ranks still at or
         # below the threshold come first, and their count is the crossing
         # rank: the sentinel rank where it never crosses.  Its mark is the
@@ -384,20 +391,17 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     scenario is checked and carved as one grid cell (see _scenario), so the
     UAVs must fly above the vehicle.
     """
-    radio = config.radio
     placements = PlacementMode.MIXTURE.placements
     n = config.n_realizations
-    _, _, envelope = _scenario(radio.r_max, radio.h_v, [radio.lambda_uav], [radio.h_uav],
+    _, _, envelope = _scenario(config.r_max, config.h_v, [config.lambda_uav], [config.h_uav],
                                config.lambda_cap, config.d_cap)
     if envelope is None:
         return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
-    frac = radio.lambda_uav / envelope.lambda_cap
-    tasks = [
-        ((envelope, config.seed, start, stop, frac), config.city, radio.h_v, radio.r_max,
-         [radio.h_uav], placements)
-        for start, stop in _chunk_bounds(n, envelope)
-    ]
-    chunks = _map_tasks(_chunk_score_arrays, tasks, config.workers)
+    keys = _chunk_keys(envelope, config.seed, n, config.lambda_uav / envelope.lambda_cap)
+    score = functools.partial(_chunk_score_arrays, city=config.city, r_max=config.r_max,
+                              h_v=config.h_v, height_values=[config.h_uav],
+                              placements=placements)
+    chunks = _map_tasks(score, keys, config.workers)
     result = {}
     for ip, pl in enumerate(placements):
         samples = np.sort(np.concatenate([c[ip] for c in chunks]))
@@ -455,9 +459,10 @@ def outage_grid(
     at gamma_th for the same caps, seed and n.  With every density 0
     nothing is drawn, whatever the caps: every realization is in outage.
 
-    With a draw, the cells are scored on its layouts, and its key must be this
-    call's (envelope, seed, n_realizations) (ValueError otherwise) unless every
-    density is 0; without one, each chunk is drawn, scored and dropped in turn.
+    With a draw, the cells are scored on its layouts, in this process whatever
+    workers is, and its key must be this call's (envelope, seed, n_realizations)
+    (ValueError otherwise) unless every density is 0; without one, each chunk
+    is drawn, scored and dropped in turn.
     placement_mode may be a PlacementMode or its value ("street-only").
     """
     placement_mode = PlacementMode(placement_mode)
@@ -472,16 +477,17 @@ def outage_grid(
     else:
         fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
         if draw is None:
-            sources = [(envelope, seed, start, stop, float(fracs.max()))
-                       for start, stop in _chunk_bounds(n_realizations, envelope)]
+            sources = _chunk_keys(envelope, seed, n_realizations, float(fracs.max()))
         elif draw.key != (envelope, seed, n_realizations):
             raise ValueError("the envelope draw does not match this grid's envelope, seed "
                              "or n_realizations")
         else:
             sources = draw.layouts
-        tasks = [(source, city, h_v, r_max, height_values, placements, fracs, gamma_th)
-                 for source in sources]
-        totals = sum(_map_tasks(_chunk_outage_counts, tasks, workers))
+        count = functools.partial(_chunk_outage_counts, city=city, r_max=r_max, h_v=h_v,
+                                  height_values=height_values, placements=placements,
+                                  fracs=fracs, gamma_th=gamma_th)
+        # a held draw's layouts would be pickled out to a new pool on every call
+        totals = sum(_map_tasks(count, sources, workers if draw is None else 1))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

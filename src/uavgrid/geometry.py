@@ -2,7 +2,9 @@
 
 Units are meters and square meters throughout the package.  Densities are
 per square meter; the CLI converts from per-km2 at its boundary and nowhere
-else.
+else.  A scenario's radio values (range r_max, vehicle height h_v, UAV
+density and altitude) are plain numbers, passed flat to every Monte Carlo
+entry point and checked by connectivity's one scenario rule.
 
 The UAV point process is drawn a chunk of realizations at a time on numpy's
 own random stream: realization i gets, bit for bit, what a fresh
@@ -109,16 +111,6 @@ PRESETS: dict[str, CityModel] = {
 def intersection_weight(city: CityModel) -> float:
     """Probability that a uniformly dropped vehicle sits at a crossing."""
     return city.mu_s / (city.mu_s + city.mu_b)
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """Radio link budget and UAV deployment density, checked where it is used (_scenario)."""
-
-    r_max: float
-    h_uav: float
-    h_v: float
-    lambda_uav: float
 
 
 def ground_range(r_max: float, h_uav: float, h_v: float) -> float:

@@ -1,6 +1,7 @@
 import pytest
 
-from uavgrid.geometry import PRESETS, RadioParams
+from uavgrid.connectivity import ScenarioConfig
+from uavgrid.geometry import PRESETS
 
 
 @pytest.fixture
@@ -9,8 +10,9 @@ def urban():
 
 
 @pytest.fixture
-def radio():
-    return RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
+def scenario():
+    """The urban scenario the unit tests share; dataclasses.replace sets its run."""
+    return ScenarioConfig(PRESETS["urban"], r_max=250.0, h_v=10.0, lambda_uav=20e-6, h_uav=100.0)
 
 
 @pytest.fixture

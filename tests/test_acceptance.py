@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage_grid
-from uavgrid.geometry import PRESETS, RadioParams
+from uavgrid.geometry import PRESETS
 from uavgrid.los import Axis, LinkGeometry, Placement, axis_factor, axis_factor_quadrature
 from uavgrid.optimize import min_density_for_outage, sweep_contour
 from uavgrid.oracle import validation_sweep
@@ -82,8 +82,8 @@ def test_acceptance_4_figure_orderings():
     checks = []
 
     # placement ordering of the connectivity CDFs
-    radio = RadioParams(250.0, 100.0, 10.0, 20e-6)
-    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=1))
+    dists = estimate_distribution(ScenarioConfig(URBAN, 250.0, 10.0, 20e-6, 100.0,
+                                                 n_realizations=n, seed=1))
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
     f_sec = dists[Placement.INTERSECTION].evaluate(gammas)
     f_str = dists[Placement.STREET].evaluate(gammas)
@@ -96,8 +96,7 @@ def test_acceptance_4_figure_orderings():
     for name, city in PRESETS.items():
         curves = {}
         for r in (200.0, 300.0):
-            rad = RadioParams(r, 100.0, 10.0, 20e-6)
-            ds = estimate_distribution(ScenarioConfig(city=city, radio=rad, n_realizations=n,
+            ds = estimate_distribution(ScenarioConfig(city, r, 10.0, 20e-6, 100.0, n_realizations=n,
                                                       seed=2, lambda_cap=20e-6, d_cap=d_cap))
             curves[r] = mixture_cdf(ds[Placement.INTERSECTION], ds[Placement.STREET], city).evaluate(gammas)
         per_city[name] = curves

@@ -6,7 +6,7 @@ import pytest
 import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
 from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
-from uavgrid.geometry import PRESETS, HeightDistribution, RadioParams
+from uavgrid.geometry import PRESETS, HeightDistribution
 from uavgrid.los import Placement
 from uavgrid.optimize import HeightSearchSpec, optimize_height
 
@@ -29,8 +29,8 @@ def test_distribution_header_and_pipeline_agreement(capsys):
     assert lines[-1].split(",")[0] == "1.0"
     assert float(lines[-1].split(",")[3]) == 1.0
     # the per-km2 flag and the per-m2 api hit the same numbers
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20 * 1e-6)
-    cfg = ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=1500, seed=3)
+    cfg = ScenarioConfig(PRESETS["urban"], 250.0, 10.0, 20 * 1e-6, 100.0, n_realizations=1500,
+                         seed=3)
     dists = estimate_distribution(cfg)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], PRESETS["urban"])
     row08 = next(l for l in lines[1:] if l.startswith("0.8,"))
@@ -372,8 +372,8 @@ def test_explicit_city_flags_reproduce_preset(capsys):
          "--n-realizations", "600", "--seed", "2"], capsys)
     assert code3 == 0 and out3 != out
     city = dataclasses.replace(PRESETS["urban"], w_v=20.0, heights=HeightDistribution(9.5, 40.0))
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20 * 1e-6)
-    dists = estimate_distribution(ScenarioConfig(city=city, radio=radio, n_realizations=600, seed=2))
+    dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, 20 * 1e-6, 100.0,
+                                                 n_realizations=600, seed=2))
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
     row08 = next(l for l in out3.strip().split("\n")[1:] if l.startswith("0.8,"))
     assert [float(v) for v in row08.split(",")[1:]] == [

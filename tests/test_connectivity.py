@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from uavgrid.geometry import (
     PRESETS,
     PTRS_MEAN,
     InvalidGeometryError,
-    RadioParams,
     SamplingEnvelope,
     ground_range,
     _philox,
@@ -41,8 +41,14 @@ from uavgrid.los import LinkGeometry, Placement, los_probability, los_probabilit
 from uavgrid.optimize import HeightSearchSpec, optimize_height, sweep_contour
 
 URBAN = PRESETS["urban"]
-RADIO = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
+SCENARIO = ScenarioConfig(city=URBAN, r_max=250.0, h_v=10.0, lambda_uav=20e-6, h_uav=100.0)
 PLACEMENTS = (Placement.INTERSECTION, Placement.STREET)
+
+
+def _spec(height_values, placements=PLACEMENTS):
+    """The chunk scorers' shared spec, by name, at SCENARIO's city, r_max and h_v."""
+    return {"city": SCENARIO.city, "r_max": SCENARIO.r_max, "h_v": SCENARIO.h_v,
+            "height_values": height_values, "placements": placements}
 
 
 def _layout(*rows):
@@ -54,8 +60,8 @@ def _layout(*rows):
 
 
 def _scores(*rows):
-    """Connectivity 1 - prod(1 - p_LoS) of each row under RADIO, per placement in PLACEMENTS."""
-    return _chunk_score_arrays((_layout(*rows), URBAN, RADIO.h_v, RADIO.r_max, [RADIO.h_uav], PLACEMENTS))
+    """Connectivity 1 - prod(1 - p_LoS) of each row under SCENARIO, per placement in PLACEMENTS."""
+    return _chunk_score_arrays(_layout(*rows), **_spec([SCENARIO.h_uav]))
 
 
 def _p(d, phi, placement):
@@ -107,7 +113,7 @@ def test_empirical_distribution_evaluate():
 def test_scenario_config_validation():
     for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64}):
         with pytest.raises(ValueError):
-            ScenarioConfig(city=URBAN, radio=RADIO, **{"n_realizations": 10, **bad})
+            replace(SCENARIO, **{"n_realizations": 10, **bad})
 
 
 def _fresh_stream(seed, index):
@@ -127,23 +133,23 @@ def test_estimate_matches_scalar_pipeline(monkeypatch):
     """The chunked batch estimator reproduces a per-realization loop."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 100)
     n = 256
-    d_max = ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v)
-    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
+    d_max = ground_range(SCENARIO.r_max, SCENARIO.h_uav, SCENARIO.h_v)
+    tight = SamplingEnvelope(lambda_cap=SCENARIO.lambda_uav, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
-    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
+    loose = SamplingEnvelope(lambda_cap=2.5 * SCENARIO.lambda_uav, d_cap=d_max + 20.0)
     for env in (tight, loose):
-        cfg = ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=n, seed=42, **_caps(env))
+        cfg = replace(SCENARIO, n_realizations=n, seed=42, **_caps(env))
         dists = estimate_distribution(cfg)
         scores = {pl: [] for pl in PLACEMENTS}
         for i in range(n):
             d, phi, mark = _fresh_points(env, 42, i)
-            keep = (mark < RADIO.lambda_uav / env.lambda_cap) & (d <= d_max)
+            keep = (mark < SCENARIO.lambda_uav / env.lambda_cap) & (d <= d_max)
             # the layout row's order: by mark, equal marks in draw order
             order = np.argsort(mark[keep], kind="stable")
             d, phi = d[keep][order], phi[keep][order]
             for pl in scores:
                 p = los_probability_batch(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)),
-                                          RADIO.h_uav, RADIO.h_v, URBAN, pl)
+                                          SCENARIO.h_uav, SCENARIO.h_v, URBAN, pl)
                 survival = 1.0
                 for f in 1.0 - p:
                     survival *= f
@@ -170,7 +176,7 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
     assert np.array_equal(layout.sin_phi, np.abs(np.sin(want[:, 1])))
     # scoring shares the layout across heights and placements and never writes it
     kept = [a.copy() for a in layout]
-    _chunk_score_arrays((layout, URBAN, RADIO.h_v, RADIO.r_max, [60.0, 140.0], PLACEMENTS))
+    _chunk_score_arrays(layout, **_spec([60.0, 140.0]))
     assert all(np.array_equal(a, b) for a, b in zip(layout, kept))
 
 
@@ -189,8 +195,8 @@ def test_layout_ignores_the_draw_order_of_distinct_marks():
 
 
 def test_height_prefix_is_the_disk_mask():
-    dz = RADIO.h_uav - RADIO.h_v
-    r_h = math.sqrt(RADIO.r_max * RADIO.r_max - dz * dz)  # as the scorer computes it
+    dz = SCENARIO.h_uav - SCENARIO.h_v
+    r_h = math.sqrt(SCENARIO.r_max * SCENARIO.r_max - dz * dz)  # as the scorer computes it
     past = float(np.nextafter(r_h, math.inf))
     # a link exactly on the disk edge, one just past it, and two at equal distance
     layout = _layout([(past, 0.3), (120.0, 1.0), (r_h, 0.3)], [(120.0, 2.0)], [(past, 0.3)], [(r_h, 0.3)])
@@ -211,7 +217,7 @@ def _stable_by_distance(layout):
 
 def test_equal_distances_may_be_listed_in_any_order():
     """Points at one distance, on a height's disk edge, count and score alike in any order."""
-    edge = ground_range(RADIO.r_max, 160.0, RADIO.h_v)
+    edge = ground_range(SCENARIO.r_max, 160.0, SCENARIO.h_v)
     assert edge == 200.0
     env = SamplingEnvelope(lambda_cap=60e-6, d_cap=240.0)
     d, phi, mark, counts = sample_envelope_points(env, 4, 0, 400)
@@ -220,12 +226,13 @@ def test_equal_distances_may_be_listed_in_any_order():
                # distances on a 10 m grid: ties everywhere, 200 m among them
                _lay_out(np.round(d, -1), phi, mark, counts, 0.7)]
     shuffle = np.random.default_rng(21)
-    spec = (URBAN, RADIO.h_v, RADIO.r_max, [160.0, 100.0, 60.0], PLACEMENTS)
+    spec = _spec([160.0, 100.0, 60.0])
     fracs = np.array([0.0, 0.1, 0.3, 0.5, 0.7])
 
     def outputs(layout):
-        counts = [_chunk_outage_counts((layout, *spec, fracs, g)) for g in (0.0, 0.8, 0.95)]
-        return [_chunk_score_arrays((layout, *spec))] + counts
+        counts = [_chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=g)
+                  for g in (0.0, 0.8, 0.95)]
+        return [_chunk_score_arrays(layout, **spec)] + counts
 
     for layout in layouts:
         stable = _stable_by_distance(layout)
@@ -240,7 +247,7 @@ def test_equal_distances_may_be_listed_in_any_order():
             assert all(np.array_equal(a, b) for a, b in zip(outputs(variant), want))
 
 
-def _row_major_reduction(layout, city, h_v, r_max, height_values, placements, fracs, gamma_th):
+def _row_major_reduction(layout, city, r_max, h_v, height_values, placements, fracs, gamma_th):
     """The reference reduction: outage counts and scores of one chunk, computed on the
     realization x rank transpose of its layout with np.multiply.accumulate along each
     row and a where= min for each row's crossing mark."""
@@ -265,7 +272,7 @@ def _row_major_reduction(layout, city, h_v, r_max, height_values, placements, fr
 
 
 def test_reduction_matches_row_major_reference_bit_for_bit():
-    tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(RADIO.r_max, 50.0, RADIO.h_v))
+    tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
     loose = SamplingEnvelope(lambda_cap=75e-6, d_cap=tight.d_cap + 20.0)
     layouts = [_chunk_layout(env, seed, 0, 300, frac_top)
                for seed in (1, 2, 3) for env, frac_top in ((tight, 1.0), (loose, 0.4))]
@@ -278,14 +285,15 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
         assert np.all(np.isinf(layout.marks[-1]))
         # the last height's ground disk is narrower than the nearest point
         near = float(layout.d.min(initial=100.0))
-        dz = math.sqrt(RADIO.r_max * RADIO.r_max - 0.25 * near * near)
-        heights = [50.0, 100.0, 180.0, RADIO.h_v + dz]
-        assert ground_range(RADIO.r_max, heights[-1], RADIO.h_v) < near
-        spec = (URBAN, RADIO.h_v, RADIO.r_max, heights, PLACEMENTS)
+        dz = math.sqrt(SCENARIO.r_max * SCENARIO.r_max - 0.25 * near * near)
+        heights = [50.0, 100.0, 180.0, SCENARIO.h_v + dz]
+        assert ground_range(SCENARIO.r_max, heights[-1], SCENARIO.h_v) < near
+        spec = _spec(heights)
         for gamma_th in (0.0, 0.8, 1.0):
-            counts, scores = _row_major_reduction(layout, *spec, fracs, gamma_th)
-            assert np.array_equal(_chunk_outage_counts((layout, *spec, fracs, gamma_th)), counts)
-        assert np.array_equal(_chunk_score_arrays((layout, *spec)), scores)
+            counts, scores = _row_major_reduction(layout, **spec, fracs=fracs, gamma_th=gamma_th)
+            assert np.array_equal(
+                _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=gamma_th), counts)
+        assert np.array_equal(_chunk_score_arrays(layout, **spec), scores)
 
 
 # Envelopes whose means straddle PTRS_MEAN: about 0.019, 1.4, 3.42, 9.57, 9.99,
@@ -390,8 +398,7 @@ def test_sampler_computes_only_the_blocks_it_reads(monkeypatch):
 
 
 def test_zero_density_distribution_is_degenerate():
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
-    cfg = ScenarioConfig(city=URBAN, radio=radio, n_realizations=50, seed=0)
+    cfg = replace(SCENARIO, lambda_uav=0.0, n_realizations=50, seed=0)
     for dist in estimate_distribution(cfg).values():
         assert np.all(dist.samples == 0.0)
         assert dist.evaluate(0.0) == 1.0
@@ -399,17 +406,17 @@ def test_zero_density_distribution_is_degenerate():
 
 
 def test_chunking_and_workers_do_not_change_samples(monkeypatch):
-    a = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9))
-    c = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9, workers=2))
+    a = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9))
+    c = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9, workers=2))
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 257)
-    b = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=9))
+    b = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9))
     for pl in a:
         assert np.array_equal(a[pl].samples, b[pl].samples)
         assert np.array_equal(a[pl].samples, c[pl].samples)
 
 
 def test_intersection_placement_dominates():
-    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=2000, seed=17))
+    dists = estimate_distribution(replace(SCENARIO, n_realizations=2000, seed=17))
     sec = dists[Placement.INTERSECTION].samples
     street = dists[Placement.STREET].samples
     # realizationwise dominance survives sorting
@@ -420,13 +427,12 @@ def test_intersection_placement_dominates():
 
 def test_nesting_in_density_and_range():
     """A shared envelope couples scenarios: more density or range only helps."""
-    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v))
-    hi = ScenarioConfig(city=URBAN, radio=RadioParams(250.0, 100.0, 10.0, 40e-6),
-                        n_realizations=1500, seed=23, **_caps(env))
-    lo = ScenarioConfig(city=URBAN, radio=RadioParams(250.0, 100.0, 10.0, 15e-6),
-                        n_realizations=1500, seed=23, **_caps(env))
-    short = ScenarioConfig(city=URBAN, radio=RadioParams(200.0, 100.0, 10.0, 40e-6),
-                           n_realizations=1500, seed=23, **_caps(env))
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(SCENARIO.r_max, SCENARIO.h_uav,
+                                                                SCENARIO.h_v))
+    run = {"n_realizations": 1500, "seed": 23, **_caps(env)}
+    hi = ScenarioConfig(URBAN, 250.0, 10.0, 40e-6, 100.0, **run)
+    lo = ScenarioConfig(URBAN, 250.0, 10.0, 15e-6, 100.0, **run)
+    short = ScenarioConfig(URBAN, 200.0, 10.0, 40e-6, 100.0, **run)
     d_hi = estimate_distribution(hi)
     d_lo = estimate_distribution(lo)
     d_short = estimate_distribution(short)
@@ -438,21 +444,19 @@ def test_nesting_in_density_and_range():
 def test_envelope_must_cover_scenario():
     """A scenario is carved out of its envelope, so both caps must cover it."""
     env = SamplingEnvelope(lambda_cap=10e-6, d_cap=200.0)
-    over_lambda = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
-    over_range = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=10e-6)
+    over_lambda = replace(SCENARIO, lambda_uav=20e-6, n_realizations=10, seed=0, **_caps(env))
+    over_range = replace(over_lambda, lambda_uav=10e-6)
     assert ground_range(over_range.r_max, over_range.h_uav, over_range.h_v) > env.d_cap
-    for radio in (over_lambda, over_range):
-        cfg = ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0, **_caps(env))
+    for cfg in (over_lambda, over_range):
         with pytest.raises(InvalidGeometryError):
             estimate_distribution(cfg)
         with pytest.raises(InvalidGeometryError):
-            outage_grid(URBAN, radio.r_max, radio.h_v, [radio.lambda_uav], [radio.h_uav], 0.8, 10, 0,
+            outage_grid(URBAN, cfg.r_max, cfg.h_v, [cfg.lambda_uav], [cfg.h_uav], 0.8, 10, 0,
                         **_caps(env))
     # at the caps themselves the scenario is covered
     at_caps = SamplingEnvelope(lambda_cap=10e-6,
                                d_cap=ground_range(over_range.r_max, over_range.h_uav, over_range.h_v))
-    estimate_distribution(ScenarioConfig(city=URBAN, radio=over_range, n_realizations=10, seed=0,
-                                         **_caps(at_caps)))
+    estimate_distribution(replace(over_range, **_caps(at_caps)))
     outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, **_caps(at_caps))
 
 
@@ -478,9 +482,9 @@ def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     grid = outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 1000, 0, lambda_cap=10e-6)
     assert np.array_equal(grid, [[1.0]])
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
-    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1000,
-                                                 seed=0, lambda_cap=10e-6, d_cap=300.0))
+    empty = replace(SCENARIO, lambda_uav=0.0, n_realizations=10, seed=0)
+    dists = estimate_distribution(replace(empty, n_realizations=1000, lambda_cap=10e-6,
+                                          d_cap=300.0))
     for dist in dists.values():
         assert np.array_equal(dist.samples, np.zeros(1000))
     # given caps are still checked: a 50 m disk cap does not cover the 233 m disk
@@ -488,12 +492,10 @@ def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
         with pytest.raises(InvalidGeometryError):
             outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 10, 0, **caps)
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=10,
-                                                 seed=0, **caps))
+            estimate_distribution(replace(empty, **caps))
     # the UAVs must fly above the vehicle at every density
-    level = RadioParams(r_max=250.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
     with pytest.raises(InvalidGeometryError):
-        estimate_distribution(ScenarioConfig(city=URBAN, radio=level, n_realizations=10, seed=0))
+        estimate_distribution(replace(empty, h_uav=10.0))
 
 
 def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
@@ -508,14 +510,13 @@ def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", record)
     h = 105.97  # (h - h_v) ** 2 and dz * dz round one ulp apart here
     outage_grid(URBAN, 250.0, 10.0, [20e-6], [h], 0.8, 10, 0)
-    radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=20e-6)
-    estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=10, seed=0))
+    estimate_distribution(replace(SCENARIO, h_uav=h, n_realizations=10, seed=0))
     assert len(seen) == 2 and seen[0] == seen[1]
     assert seen[0].d_cap == ground_range(250.0, h, 10.0)
 
 
 def test_mixture_weight_and_ordering():
-    dists = estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=1000, seed=3))
+    dists = estimate_distribution(replace(SCENARIO, n_realizations=1000, seed=3))
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
     assert mix.weight == pytest.approx(13.0 / 58.0)
     g = 0.8
@@ -535,25 +536,29 @@ def test_outage_threshold_validation():
 def test_outage_grid_matches_distribution_pipeline():
     n = 500
     heights = [100.0, 160.0]
-    d_max = ground_range(RADIO.r_max, RADIO.h_uav, RADIO.h_v)
-    tight = SamplingEnvelope(lambda_cap=RADIO.lambda_uav, d_cap=d_max)
+    d_max = ground_range(SCENARIO.r_max, SCENARIO.h_uav, SCENARIO.h_v)
+    tight = SamplingEnvelope(lambda_cap=SCENARIO.lambda_uav, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
-    loose = SamplingEnvelope(lambda_cap=2.5 * RADIO.lambda_uav, d_cap=d_max + 20.0)
+    loose = SamplingEnvelope(lambda_cap=2.5 * SCENARIO.lambda_uav, d_cap=d_max + 20.0)
     for env in (tight, loose):
+        # one scenario and run, splatted into both pipelines under the same names
+        scenario = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "n_realizations": n, "seed": 6,
+                    **_caps(env)}
         # zero, interior and the envelope's own cap: empty, partial and full mark prefixes
         lams = [0.0, 0.4 * env.lambda_cap, env.lambda_cap]
         cells = {}
         for i, lam in enumerate(lams):
             for j, h in enumerate(heights):
-                radio = RadioParams(r_max=250.0, h_uav=h, h_v=10.0, lambda_uav=lam)
-                cells[i, j] = estimate_distribution(
-                    ScenarioConfig(city=URBAN, radio=radio, n_realizations=n, seed=6, **_caps(env)))
+                cells[i, j] = estimate_distribution(ScenarioConfig(**scenario, lambda_uav=lam,
+                                                                   h_uav=h))
         w = intersection_weight(URBAN)
         for gamma_th in (0.0, 0.8, 1.0):
-            grid = outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th, n, 6, **_caps(env))
+            grid = outage_grid(**scenario, lambda_values=lams, height_values=heights,
+                               gamma_th=gamma_th)
             assert grid.shape == (len(lams), len(heights))
-            single = {mode.placements[0]: outage_grid(URBAN, 250.0, 10.0, lams, heights, gamma_th,
-                                                      n, 6, placement_mode=mode, **_caps(env))
+            single = {mode.placements[0]: outage_grid(**scenario, lambda_values=lams,
+                                                      height_values=heights, gamma_th=gamma_th,
+                                                      placement_mode=mode)
                       for mode in (PlacementMode.INTERSECTION_ONLY, PlacementMode.STREET_ONLY)}
             # the mixture blends the two single-placement grids with the same arithmetic
             assert np.array_equal(grid, w * single[Placement.INTERSECTION]
@@ -561,6 +566,10 @@ def test_outage_grid_matches_distribution_pipeline():
             for (i, j), dists in cells.items():
                 mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
                 assert grid[i, j] == mix.evaluate(gamma_th), (env, i, j, gamma_th)
+                # the distribution's own scenario, as a one-cell grid
+                cell = outage_grid(**scenario, lambda_values=[lams[i]], height_values=[heights[j]],
+                                   gamma_th=gamma_th)
+                assert cell[0, 0] == grid[i, j], (env, i, j, gamma_th)
                 for placement, values in single.items():
                     assert values[i, j] == dists[placement].evaluate(gamma_th), (env, placement, i, j)
 
@@ -642,6 +651,26 @@ def test_outage_grid_scores_a_shared_draw(monkeypatch):
             EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10, **bad})
 
 
+def test_optimize_sends_no_layout_to_a_pool(monkeypatch):
+    """A held draw is scored where it is held: only its own chunk keys reach a pool."""
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
+    pooled = []
+    map_tasks = connectivity._map_tasks
+
+    def recording(fn, tasks, workers):
+        if workers > 1:
+            pooled.extend(tasks)
+        return map_tasks(fn, tasks, workers)
+
+    monkeypatch.setattr(connectivity, "_map_tasks", recording)
+    search = HeightSearchSpec(h_lo=60.0, h_hi=200.0)
+    got = optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1, workers=2)
+    # the draw's three chunks go to the pool as keys, and no task carries a layout
+    assert len(pooled) == 3
+    assert not any(isinstance(item, ChunkLayout) for task in pooled for item in (task, *task))
+    assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1)
+
+
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     sizes = []
 
@@ -666,8 +695,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
     # three chunks of 1000 realizations ask for three processes at most
     outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64)
-    estimate_distribution(ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=3000, seed=5,
-                                         workers=2))
+    estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=5, workers=2))
     assert sizes == [3, 3, 2]
     # a single task or a single worker never builds a pool
     _map_tasks(abs, [-1], 64)
@@ -679,7 +707,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 # realizations (three chunks), so an unchecked run would open a pool.
 ABOVE_MAX_WORKERS = {
     "ScenarioConfig": lambda w: estimate_distribution(
-        ScenarioConfig(city=URBAN, radio=RADIO, n_realizations=20000, workers=w)),
+        replace(SCENARIO, n_realizations=20000, workers=w)),
     "outage_grid": lambda w: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, 20000, 0,
                                          workers=w),
     "sweep_contour": lambda w: sweep_contour(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8,

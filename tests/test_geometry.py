@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from uavgrid.geometry import (
     CityModel,
     HeightDistribution,
     InvalidGeometryError,
-    RadioParams,
     SamplingEnvelope,
     ground_range,
     intersection_weight,
@@ -77,11 +77,10 @@ def test_intersection_weight_values():
         assert w * (c.mu_s + c.mu_b) == c.mu_s
 
 
-def test_radio_params_validation():
-    # RadioParams is a plain record: estimate_distribution's scenario rule refuses
-    # a bad one before anything is drawn
-    def refuse(**radio):
-        config = ScenarioConfig(city=PRESETS["urban"], radio=RadioParams(**radio), n_realizations=10)
+def test_scenario_validation():
+    # estimate_distribution's scenario rule refuses a bad scenario before anything is drawn
+    def refuse(**scenario):
+        config = ScenarioConfig(city=PRESETS["urban"], **scenario, n_realizations=10)
         with pytest.raises(InvalidGeometryError):
             estimate_distribution(config)
 
@@ -94,19 +93,18 @@ def test_radio_params_validation():
         for value in (math.nan, math.inf):
             refuse(**{**good, key: value})
     # equal heights are allowed, the serving disk then has the full radius
-    r = RadioParams(r_max=100.0, h_uav=10.0, h_v=10.0, lambda_uav=0.0)
-    assert ground_range(r.r_max, r.h_uav, r.h_v) == 100.0
+    assert ground_range(100.0, 10.0, 10.0) == 100.0
 
 
-def test_ground_range_value(radio):
-    assert ground_range(radio.r_max, radio.h_uav, radio.h_v) == pytest.approx(233.23807579381202,
-                                                                          rel=1e-15)
+def test_ground_range_value(scenario):
+    assert ground_range(scenario.r_max, scenario.h_uav, scenario.h_v) == pytest.approx(
+        233.23807579381202, rel=1e-15)
 
 
-def _tight(radio):
+def _tight(scenario):
     # the envelope at the scenario's own caps keeps every point it draws
-    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
-    return SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=d_max)
+    d_max = ground_range(scenario.r_max, scenario.h_uav, scenario.h_v)
+    return SamplingEnvelope(lambda_cap=scenario.lambda_uav, d_cap=d_max)
 
 
 def _caps(env):
@@ -122,9 +120,9 @@ def test_sample_realization_empty_at_zero_density():
     assert np.all(np.isinf(layout.marks))
 
 
-def test_sample_realization_properties(radio):
-    d_max = ground_range(radio.r_max, radio.h_uav, radio.h_v)
-    env = _tight(radio)
+def test_sample_realization_properties(scenario):
+    d_max = ground_range(scenario.r_max, scenario.h_uav, scenario.h_v)
+    env = _tight(scenario)
     d, phi, mark, counts = sample_envelope_points(env, 1234, 0, 20)
     stops = np.cumsum(counts)
     for i, (a, b) in enumerate(zip(stops - counts, stops)):
@@ -150,17 +148,16 @@ def test_envelope_validation():
             SamplingEnvelope(*bad)
 
 
-def test_restrict_rejects_uncovered_scenarios(radio):
+def test_restrict_rejects_uncovered_scenarios(scenario):
     """A scenario is carved out of one envelope draw only where the envelope covers it."""
-    env = _tight(radio)
-    denser = RadioParams(r_max=radio.r_max, h_uav=radio.h_uav, h_v=radio.h_v, lambda_uav=2.0 * radio.lambda_uav)
-    short = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=env.d_cap - 1.0)
-    for scenario, envelope in ((denser, env), (radio, short)):
+    env = _tight(scenario)
+    run = replace(scenario, n_realizations=10, seed=0)
+    denser = replace(run, lambda_uav=2.0 * scenario.lambda_uav)
+    short = SamplingEnvelope(lambda_cap=scenario.lambda_uav, d_cap=env.d_cap - 1.0)
+    for config, envelope in ((denser, env), (run, short)):
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=scenario, n_realizations=10,
-                                                 seed=0, **_caps(envelope)))
-    estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=10, seed=0,
-                                         **_caps(env)))
+            estimate_distribution(replace(config, **_caps(envelope)))
+    estimate_distribution(replace(run, **_caps(env)))
 
 
 def test_restrict_nesting():
@@ -176,17 +173,16 @@ def test_restrict_nesting():
     assert np.all(big.marks[ranks:] >= 0.25)
 
 
-def test_envelope_path_matches_direct_sampling(radio):
+def test_envelope_path_matches_direct_sampling(scenario):
     # an envelope at the scenario's own caps draws the identical realizations
-    direct = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
-                                                  seed=42))
-    carved = estimate_distribution(ScenarioConfig(city=PRESETS["urban"], radio=radio, n_realizations=500,
-                                                  seed=42, **_caps(_tight(radio))))
+    direct = estimate_distribution(replace(scenario, n_realizations=500, seed=42))
+    carved = estimate_distribution(replace(scenario, n_realizations=500, seed=42,
+                                           **_caps(_tight(scenario))))
     for pl in direct:
         assert np.array_equal(direct[pl].samples, carved[pl].samples)
 
 
-def test_same_seed_reproduces(radio):
-    a = sample_envelope_points(_tight(radio), 5, 0, 200)
-    b = sample_envelope_points(_tight(radio), 5, 0, 200)
+def test_same_seed_reproduces(scenario):
+    a = sample_envelope_points(_tight(scenario), 5, 0, 200)
+    b = sample_envelope_points(_tight(scenario), 5, 0, 200)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))

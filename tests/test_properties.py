@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import uavgrid.connectivity as connectivity
 from uavgrid.connectivity import ScenarioConfig, _chunk_score_arrays, _lay_out, estimate_distribution
-from uavgrid.geometry import PRESETS, RadioParams, SamplingEnvelope, ground_range, sample_envelope_points
+from uavgrid.geometry import PRESETS, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, _geometry, los_probability
 
 URBAN = PRESETS["urban"]
@@ -107,42 +107,39 @@ def _one_realization(pairs):
     return _lay_out(d, phi, np.arange(1, len(pairs) + 1) / (len(pairs) + 1), np.array([len(pairs)]), 1.0)
 
 
-def _connectivity(pairs, radio, placements):
-    task = (_one_realization(pairs), URBAN, radio.h_v, radio.r_max, [radio.h_uav], placements)
-    return _chunk_score_arrays(task)[:, 0]
+def _connectivity(pairs, placements):
+    """One realization's connectivity at 100 m over a vehicle at 10 m, r_max 250 m."""
+    return _chunk_score_arrays(_one_realization(pairs), city=URBAN, r_max=250.0, h_v=10.0,
+                               height_values=[100.0], placements=placements)[:, 0]
 
 
 def test_empty_realization_scores_zero():
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=1e-5)
     placements = (Placement.INTERSECTION, Placement.STREET)
-    assert np.array_equal(_connectivity([], radio, placements), [0.0, 0.0])
+    assert np.array_equal(_connectivity([], placements), [0.0, 0.0])
 
 
 def test_two_uav_union_rule():
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=1e-5)
     pairs = [(120.0, 0.8), (200.0, 2.2)]
     ps = [los_probability(LinkGeometry(d=d, phi=phi, h_uav=100.0, h_v=10.0), URBAN, Placement.STREET)
           for d, phi in pairs]
     want = 1.0 - (1.0 - ps[0]) * (1.0 - ps[1])
-    assert _connectivity(pairs, radio, (Placement.STREET,))[0] == pytest.approx(want, rel=1e-15)
+    assert _connectivity(pairs, (Placement.STREET,))[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_poisson_count_statistic():
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
     n = 20_000
-    mean = radio.lambda_uav * math.pi * ground_range(radio.r_max, radio.h_uav, radio.h_v) ** 2
+    mean = 20e-6 * math.pi * ground_range(250.0, 100.0, 10.0) ** 2
     assert mean == pytest.approx(3.4180528071056955, rel=1e-15)
-    tight = SamplingEnvelope(lambda_cap=radio.lambda_uav, d_cap=ground_range(radio.r_max, radio.h_uav, radio.h_v))
+    tight = SamplingEnvelope(lambda_cap=20e-6, d_cap=ground_range(250.0, 100.0, 10.0))
     counts = sample_envelope_points(tight, 99, 0, n)[3]
     # 3 sigma band for the sample mean of a Poisson count
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
 
 def test_worker_invariance_is_byte_exact(monkeypatch):
-    radio = RadioParams(r_max=250.0, h_uav=100.0, h_v=10.0, lambda_uav=20e-6)
-    a = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1500, seed=31))
+    scenario = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "lambda_uav": 20e-6, "h_uav": 100.0}
+    a = estimate_distribution(ScenarioConfig(**scenario, n_realizations=1500, seed=31))
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 191)
-    b = estimate_distribution(ScenarioConfig(city=URBAN, radio=radio, n_realizations=1500, seed=31,
-                                             workers=2))
+    b = estimate_distribution(ScenarioConfig(**scenario, n_realizations=1500, seed=31, workers=2))
     for pl in a:
         assert np.array_equal(a[pl].samples, b[pl].samples)
