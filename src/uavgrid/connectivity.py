@@ -19,12 +19,15 @@ placement) crosses the threshold gamma_th at most once.  Its crossing mark,
 the mark of the first link with 1 - P > gamma_th (+inf if there is none),
 settles every density at once: fraction f is in outage exactly when the
 crossing mark is >= f.  The ranks before the crossing are the ones still at
-or below the threshold, so their count is the crossing rank.  outage_grid
-counts the whole density axis with one sort and one searchsorted per
-(height, placement), and its outage cannot rise with density, by
-construction rather than on average.  estimate_distribution reads the last
-rank's running products, so a grid cell equals the distribution pipeline's
-outage bit for bit.
+or below the threshold, so their count is the crossing rank.  Below the
+envelope cap outage_grid counts the whole density axis with one sort and one
+searchsorted per (height, placement), and its outage cannot rise with
+density, by construction rather than on average.  At the cap (f = 1) every
+mark is admitted, so a realization is in outage exactly when it never
+crosses, that is, when its last rank is still at or below the threshold: a
+grid whose densities all sit at the cap reads only the last rank's running
+products, as estimate_distribution does, so a grid cell equals the
+distribution pipeline's outage bit for bit.
 """
 
 from __future__ import annotations
@@ -317,7 +320,7 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
     rank k of a column is the realization's survival at every density whose
     fraction admits its first k + 1 marks and no more, and the last rank is
     its survival at the layout's frac_top: estimate_distribution scores
-    1 - P[-1].
+    1 - P[-1], and outage_grid reads it alone when every density is the cap.
 
     No factor exceeds 1 and rounding is monotone, so P never rises down a
     column and the score 1 - P crosses gamma_th at most once, at the
@@ -358,11 +361,23 @@ def _chunk_score_arrays(source, *, city, r_max, h_v, height_values, placements):
 
 def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements, fracs,
                          gamma_th):
-    """Realizations in outage per (placement, density, height) cell."""
+    """Realizations in outage per (placement, density, height) cell.
+
+    Below the cap, each (height, placement) finds every realization's
+    crossing mark and counts each fraction f with one sort and one
+    searchsorted.  When every fraction is the cap, f = 1 admits every mark
+    (they are < 1), so the only outage is a column that never crosses: one
+    whose last rank is at or below gamma_th, the score estimate_distribution
+    reads.
+    """
     layout = _layout_of(source)
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
+    at_cap = fracs.min() >= 1.0
     for ip, j, survival in _chunk_scores(layout, city, r_max, h_v, height_values, placements):
+        if at_cap:
+            counts[ip, :, j] = np.count_nonzero(1.0 - survival[-1] <= gamma_th)
+            continue
         # 1 - survival never falls along a column, so the ranks still at or
         # below the threshold come first, and their count is the crossing
         # rank: the sentinel rank where it never crosses.  Its mark is the

@@ -123,11 +123,23 @@ def _corner(d, c, s, delta_h, h_v, w_v, w_h):
     # An axis's own street bounds its clearance directly; the other street
     # bounds the other coordinate and projects through the direction (inf on
     # a path parallel to it).  A zero width contributes nothing.
-    za_x = np.maximum(0.5 * w_v, 0.5 * w_h * c / s) if w_h > 0.0 else np.full_like(c, 0.5 * w_v)
+    if w_h > 0.0:
+        za_x = np.multiply(0.5 * w_h, c)
+        za_x /= s
+        np.maximum(0.5 * w_v, za_x, out=za_x)
+    else:
+        za_x = np.full_like(c, 0.5 * w_v)
     zb_x = d * c
-    # The ray meets the corner where it clears the x gap; with both widths
-    # zero the corner stands at the vehicle itself and h0 is h_v.
-    h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
+    # The ray meets the corner where it clears the x gap.  While w_v / 2 is a
+    # positive double, za_x >= w_v / 2 > 0 needs no guard; otherwise a zero
+    # za_x puts the corner at the vehicle itself (both widths zero, say), and
+    # h0 is h_v.
+    if 0.5 * w_v > 0.0:
+        h0 = za_x * delta_h
+        h0 /= zb_x
+        h0 += h_v
+    else:
+        h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
     return za_x, zb_x, h0
 
 
@@ -290,7 +302,12 @@ def los_probability_batch(
             and 0.0 <= c.min(initial=0.0) and c.max(initial=0.0) <= 1.0
             and 0.0 <= s.min(initial=0.0) and s.max(initial=0.0) <= 1.0):
         raise ValueError("links need finite d >= 0 and cos_phi, sin_phi in [0, 1]")
-    if not np.abs(c * c + s * s - 1.0).max(initial=0.0) <= DIRECTION_TOL:
+    # q - 1 is exact on [0.5, 2], so the bounds on q refuse exactly what
+    # |q - 1| > DIRECTION_TOL refuses
+    q = c * c
+    q += s * s
+    if not (1.0 - DIRECTION_TOL <= q.min(initial=1.0)
+            and q.max(initial=1.0) <= 1.0 + DIRECTION_TOL):
         raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
     if not 0.0 <= h_v < math.inf:
         raise ValueError("h_v must be finite and >= 0")

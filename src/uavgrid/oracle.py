@@ -49,6 +49,14 @@ MAX_DRAWS = 10**6
 # so they bound the draws from above.
 MAX_SIDES = 10**7
 
+# The most cases one sweep takes.  A sweep holds every case's row until it
+# returns: about 350 bytes per case in validation_sweep's results
+# (tracemalloc, n = 1, 2,000 and 20,000 cases) and about 720 with the CLI's
+# rows (maximum RSS, 2,000 against 40,000 cases), so about 0.7 GB at the
+# bound.  At n = 1 a case takes about 0.13 ms (2-vCPU x86 VM), so a sweep at
+# the bound takes minutes at the least.
+MAX_CASES = 10**6
+
 # Relative margin that widens the side cut: a height drawn from
 # uniform(h_min, h_max) may be h_max itself, and the few roundings of the cut
 # and of the hit test stay far inside 2**-40.
@@ -161,11 +169,11 @@ def validation_sweep(
     its parameters and its city draws from its own Philox stream keyed by
     (seed, k), so a case's row depends on neither `cases` nor any other case.
     Every argument is checked before anything is drawn (ValueError),
-    including the seed, in [0, 2**64), and n with r_max: a case may expect at
-    most MAX_SIDES building sides.
+    including cases, in [1, MAX_CASES], the seed, in [0, 2**64), and n with
+    r_max: a case may expect at most MAX_SIDES building sides.
     """
-    if cases < 1:
-        raise ValueError("need cases >= 1")
+    if not 1 <= cases <= MAX_CASES:
+        raise ValueError(f"need 1 <= cases <= {MAX_CASES}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
     _check_draws(n)

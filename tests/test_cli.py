@@ -75,6 +75,21 @@ def test_outage_curve_matches_distribution_at_shared_height(capsys):
     assert street == float(row08.split(",")[2]) != float(row08.split(",")[3])
 
 
+def test_outage_curve_at_the_cap_matches_the_contour_row(capsys):
+    # the curve's one density is its envelope cap, where only the last rank
+    # decides; the contour's 20/km2 row is its cap too, but it counts both
+    # densities by crossing mark.  Both draw the same envelope.
+    grid = ["--preset", "urban", "--h-lo", "60", "--h-hi", "200", "--h-step", "20",
+            "--n-realizations", "3000", "--seed", "4"]
+    code, curve, _ = run_cli(["outage-curve", *grid, "--lambda-uav", "20"], capsys)
+    assert code == 0
+    code2, contour, _ = run_cli(["contour", *grid, "--lambda-lo", "10", "--lambda-hi", "20",
+                                 "--lambda-step", "10"], capsys)
+    assert code2 == 0
+    rows = [l.split(",", 1)[1] for l in contour.strip().split("\n")[1:] if l.startswith("20.0,")]
+    assert curve.strip().split("\n")[1:] == rows and len(rows) == 8
+
+
 def test_zero_density_is_outage_one_in_every_grid_command(capsys):
     grid = ["--preset", "urban", "--h-lo", "100", "--h-hi", "150", "--h-step", "50",
             "--n-realizations", "200", "--seed", "4"]
@@ -509,10 +524,12 @@ def test_bad_run_parameters_exit_2(args, capsys):
      ["--cases", "1", "--n-draws", "1000001"],
      # expects about 3e9 building sides per case: refused before the case draws anything
      ["--cases", "1", "--n-draws", "100000", "--r-max", "1e6"],
-     ["--seed", "-1"], ["--seed", "18446744073709551616"]],
+     ["--seed", "-1"], ["--seed", "18446744073709551616"],
+     # one above oracle.MAX_CASES: refused before the first case is drawn
+     ["--cases", "1000001", "--n-draws", "1"]],
     ids=["cases", "max-outliers", "z-limit", "r-max-nan", "r-max-inf", "r-max-short",
          "h-v-nan", "h-v-negative", "n-draws-out-of-memory", "n-draws-over-bound",
-         "sides-over-bound", "seed-negative", "seed-2-64"],
+         "sides-over-bound", "seed-negative", "seed-2-64", "cases-over-bound"],
 )
 def test_validate_rejects_bad_input(args, capsys):
     code, _, err = run_cli(["validate", "--cases", "2", "--n-draws", "100", *args], capsys)

@@ -293,6 +293,9 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
             counts, scores = _row_major_reduction(layout, **spec, fracs=fracs, gamma_th=gamma_th)
             assert np.array_equal(
                 _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=gamma_th), counts)
+            # every density at the cap: the last rank alone decides
+            at_cap = _chunk_outage_counts(layout, **spec, fracs=np.array([1.0]), gamma_th=gamma_th)
+            assert np.array_equal(at_cap, counts[:, -1:])
         assert np.array_equal(_chunk_score_arrays(layout, **spec), scores)
 
 
@@ -576,9 +579,11 @@ def test_outage_grid_matches_distribution_pipeline():
 
 def test_outage_grid_worker_invariance(monkeypatch):
     hts = [80.0, 140.0]
+    # one density sits at the envelope cap, where only the last rank decides;
     # the last case leaves most realizations, and so most one-realization
     # chunks, without a single envelope point
-    for lam, n, chunk_size in (([10e-6, 25e-6], 2000, 333), ([1e-6, 3e-6], 400, 1)):
+    for lam, n, chunk_size in (([10e-6, 25e-6], 2000, 333), ([25e-6], 2000, 333),
+                               ([1e-6, 3e-6], 400, 1)):
         a = outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, n, 5)
         with monkeypatch.context() as m:
             m.setattr(connectivity, "CHUNK_SIZE", chunk_size)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import uavgrid.los as los
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
 from uavgrid.los import (
+    DIRECTION_TOL,
     _geometry,
     _link_limits,
     Axis,
@@ -75,6 +77,18 @@ def test_batch_refuses_cosines_of_no_azimuth():
     for c, s in folds:
         p = los_probability_batch(d, c, s, 100.0, 10.0, URBAN, Placement.INTERSECTION)
         assert np.all((0.0 <= p) & (p <= 1.0))
+    # q = c*c + s*s = 1 + 2**-50 and 1 - 2**-50 sit on the bounds |q - 1| <=
+    # DIRECTION_TOL, and the next pair out on either side one ulp of q beyond
+    for c, s, passes in ((1.0, 2.0**-25, True), (1.0, math.sqrt(5.0 * 2.0**-52), False),
+                         (1.0 - 2.0**-51, 0.0, True), (1.0 - 2.0**-51 - 2.0**-53, 0.0, False)):
+        assert (abs(c * c + s * s - 1.0) <= DIRECTION_TOL) == passes
+        for cs, ss in (([c], [s]), ([s], [c]), ([0.8, c], [0.6, s])):
+            args = ([80.0] * len(cs), cs, ss, 100.0, 10.0, URBAN, Placement.INTERSECTION)
+            if passes:
+                assert np.all(np.isfinite(los_probability_batch(*args)))
+            else:
+                with pytest.raises(ValueError, match="azimuth"):
+                    los_probability_batch(*args)
 
 
 def test_link_geometry_folds_angles():
@@ -433,3 +447,38 @@ def test_width_edge_cases_match_reference(name):
             for axis, za, zb in ((Axis.X, za_x, zb_x), (Axis.Y, za_y, zb_y)):
                 want = _reference_axis_ramp(za, zb, lk.delta_h, lk.h_v, city.heights, city.lambda_s)[0]
                 assert axis_factor(lk, city, axis, pl) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _guarded_corner(d, c, s, delta_h, h_v, w_v, w_h):
+    # the corner arithmetic in one expression per array, h0 behind its zero guard
+    za_x = np.maximum(0.5 * w_v, 0.5 * w_h * c / s) if w_h > 0.0 else np.full_like(c, 0.5 * w_v)
+    zb_x = d * c
+    h0 = np.where(za_x > 0.0, za_x * delta_h / zb_x, 0.0) + h_v
+    return za_x, zb_x, h0
+
+
+def test_corner_is_the_guarded_arithmetic_bit_for_bit(monkeypatch):
+    """The in-place corner, guard dropped while w_v / 2 > 0, scores the written-out arithmetic's bits."""
+    cities = [*PRESETS.values(), *WIDTH_CASES.values(),
+              # half of the least subnormal width rounds to zero: the guard stays
+              dataclasses.replace(URBAN, w_v=5e-324)]
+    rng = np.random.default_rng(37)
+    d, c, s = _links(rng, 5000, 250.0)
+    # overhead, along x and along y: d = 0, s = 0 and c = 0
+    d = np.concatenate([d, [0.0, 0.0, 0.0, 80.0, 80.0, 0.0]])
+    c = np.concatenate([c, [0.6, 1.0, 0.0, 1.0, 0.0, 1.0]])
+    s = np.concatenate([s, [0.8, 0.0, 1.0, 0.0, 1.0, 0.0]])
+    for city in cities:
+        for pl in (Placement.INTERSECTION, Placement.STREET):
+            widths = effective_widths(city, pl)
+            for h_uav in (10.5, 30.0, 100.0, 250.0):
+                got = los_probability_batch(d, c, s, h_uav, 10.0, city, pl)
+                geometry = _geometry(d, c, s, h_uav - 10.0, 10.0, *widths)
+                with monkeypatch.context() as m:
+                    m.setattr(los, "_corner", _guarded_corner)
+                    want = los_probability_batch(d, c, s, h_uav, 10.0, city, pl)
+                    want_geometry = _geometry(d, c, s, h_uav - 10.0, 10.0, *widths)
+                assert np.array_equal(got, want), (city, pl, h_uav)
+                # the subnormal city's za_y is 0 / 0 on a path along y, either way
+                for a, b in zip(geometry, want_geometry):
+                    assert np.array_equal(a, b, equal_nan=True), (city, pl, h_uav)

@@ -16,7 +16,7 @@ from uavgrid.los import (
     integration_limits,
     los_probability,
 )
-from uavgrid.oracle import MAX_DRAWS, empirical_los_probability, validation_sweep
+from uavgrid.oracle import MAX_CASES, MAX_DRAWS, empirical_los_probability, validation_sweep
 
 URBAN = PRESETS["urban"]
 
@@ -333,6 +333,18 @@ def test_draws_over_the_bound_are_refused_before_drawing():
     with pytest.raises(ValueError, match="building sides"):
         empirical_los_probability(far, URBAN, Placement.INTERSECTION, MAX_DRAWS, rng)
     assert rng.bit_generator.state == state
+
+
+def test_cases_over_the_bound_are_refused_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a case of a refused sweep")
+
+    monkeypatch.setattr(oracle, "empirical_los_probability", no_draw)
+    for cases in (0, -1, MAX_CASES + 1, 10**9):
+        with pytest.raises(ValueError, match="cases"):
+            validation_sweep(cases=cases, n=1)
+    monkeypatch.setattr(oracle, "empirical_los_probability", lambda *args: (0.5, 0.0))
+    assert len(validation_sweep(cases=3, n=1)) == 3
 
 
 def test_sides_over_the_bound_are_refused_before_drawing(monkeypatch):
