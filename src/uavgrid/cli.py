@@ -1,8 +1,10 @@
 """Batch command-line interface.
 
-Five subcommands: distribution, outage-curve, optimize, contour, validate.
-main is the one runner: it parses the flags, builds the city, calls the
-command's handler, which only computes, and emits what the handler returns.
+Five subcommands: distribution, outage-curve, optimize, contour, validate,
+each declared once in _COMMANDS.  main is the one runner: it builds the parser
+of the command it runs (every command's name and help line, that command's
+flags alone), parses the flags, builds the city, calls the command's handler,
+which only computes, and emits what the handler returns.
 Densities cross this boundary in UAVs per km2 and are converted to per-m2
 exactly once, here, inward only: output densities are the CLI's own values.
 Exit codes: 0 success, 1 validation failure, 2 bad configuration or geometry.
@@ -11,6 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 bad configuration or geometry.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -51,118 +54,82 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_city_options(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("city")
-    g.add_argument("--preset", choices=sorted(PRESETS), help="named city model")
-    g.add_argument("--mu-s", type=float, help="mean street width, m (explicit city)")
-    g.add_argument("--mu-b", type=float, help="mean block side, m (explicit city)")
-    g.add_argument("--mu-h", type=float, help="mean building height, m (explicit city)")
-    g.add_argument("--w-v", type=float, help="vehicle street width, m (default mu_s)")
-    g.add_argument("--w-h", type=float, help="crossing street width, m (default mu_s)")
-    g.add_argument("--building-h-min", type=float, help="min building height, m (default mu_h/2)")
-    g.add_argument("--building-h-max", type=float, help="max building height, m (default 1.5*mu_h)")
+def _flag(option: str, type, help: str | None, **kwargs) -> tuple[str, dict]:
+    """One flag: its option string and its add_argument keywords."""
+    return option, {"type": type, "help": help, **kwargs}
 
 
-def _add_scenario_options(p: argparse.ArgumentParser, *reads: str) -> None:
-    """--r-max, --h-v and --seed, plus the flag groups named in reads: "gamma_th",
-    "run" (--n-realizations, --workers), "placement" and "envelope" (the caps)."""
-    # a command gets only the flags it reads, so a flag it would ignore is an error
-    g = p.add_argument_group("scenario")
-    g.add_argument("--r-max", type=float, default=250.0, help="max 3D link range, m")
-    g.add_argument("--h-v", type=float, default=10.0, help="vehicle antenna height, m")
-    g.add_argument("--seed", type=int, default=0, help="base seed of the run")
-    if "gamma_th" in reads:
-        g.add_argument("--gamma-th", type=float, default=0.8, help="connectivity threshold")
-    if "run" in reads:
-        g.add_argument("--n-realizations", type=int, default=100_000,
-                       help="Monte Carlo realizations")
-        g.add_argument("--workers", type=int, default=1, help="worker processes")
-    if "placement" in reads:
-        g.add_argument(
-            "--placement",
-            choices=[m.value for m in PlacementMode],
-            default=PlacementMode.MIXTURE.value,
-            help="vehicle placement mode",
-        )
-    if "envelope" in reads:
-        g.add_argument("--lambda-cap", type=float, help="envelope density cap, per km2")
-        g.add_argument("--d-cap", type=float, help="envelope disk radius cap, m")
+# The flags commands share, each declared once.  A part is (group heading,
+# flags), and a command gets only the parts it reads, so a flag it would ignore
+# is an error.  "scenario" (--r-max, --h-v, --seed) shares its heading with the
+# parts gamma_th, run (--n-realizations, --workers), placement and envelope
+# (the caps).
+_PARTS = {
+    "city": ("city", (
+        _flag("--preset", str, "named city model", choices=sorted(PRESETS)),
+        _flag("--mu-s", float, "mean street width, m (explicit city)"),
+        _flag("--mu-b", float, "mean block side, m (explicit city)"),
+        _flag("--mu-h", float, "mean building height, m (explicit city)"),
+        _flag("--w-v", float, "vehicle street width, m (default mu_s)"),
+        _flag("--w-h", float, "crossing street width, m (default mu_s)"),
+        _flag("--building-h-min", float, "min building height, m (default mu_h/2)"),
+        _flag("--building-h-max", float, "max building height, m (default 1.5*mu_h)"),
+    )),
+    "scenario": ("scenario", (
+        _flag("--r-max", float, "max 3D link range, m", default=250.0),
+        _flag("--h-v", float, "vehicle antenna height, m", default=10.0),
+        _flag("--seed", int, "base seed of the run", default=0),
+    )),
+    "gamma_th": ("scenario", (_flag("--gamma-th", float, "connectivity threshold", default=0.8),)),
+    "run": ("scenario", (
+        _flag("--n-realizations", int, "Monte Carlo realizations", default=100_000),
+        _flag("--workers", int, "worker processes", default=1),
+    )),
+    "placement": ("scenario", (
+        _flag("--placement", str, "vehicle placement mode",
+              choices=[m.value for m in PlacementMode], default=PlacementMode.MIXTURE.value),
+    )),
+    "envelope": ("scenario", (
+        _flag("--lambda-cap", float, "envelope density cap, per km2"),
+        _flag("--d-cap", float, "envelope disk radius cap, m"),
+    )),
+    "output": ("output", (
+        _flag("--output", str, "output path, or - for stdout", default="-"),
+        _flag("--format", str, None, choices=["csv", "structured"], default="csv"),
+        _flag("--config", str, "key=value file parsed before the flags"),
+    )),
+}
+_LAMBDA_UAV = _flag("--lambda-uav", float, "UAV density, per km2", required=True)
+_H_LO = _flag("--h-lo", float, "lowest altitude, m", required=True)
+_H_HI = _flag("--h-hi", float, "highest altitude, m", required=True)
+_H_STEP = _flag("--h-step", float, "altitude step, m", default=5.0)
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("output")
-    g.add_argument("--output", default="-", help="output path, or - for stdout")
-    g.add_argument("--format", choices=["csv", "structured"], default="csv")
-    g.add_argument("--config", help="key=value file parsed before the flags")
+def build_parser(command: str | None) -> tuple[_Parser, _Parser | None]:
+    """The parser of every command name and help line, and command's subparser.
 
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    Only that subparser gets its flags: a run never reaches the other four, so
+    they stay empty.  It is None when command names no command.
+    """
     parser = _Parser(
         prog="uavgrid",
         description="LoS connectivity of UAV swarms over grid cities",
     )
     parser.add_argument("--version", action="version", version=f"uavgrid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    table: dict[str, argparse.ArgumentParser] = {}
-
-    p = sub.add_parser("distribution", help="connectivity CDF on a gamma grid")
-    p.add_argument("--lambda-uav", type=float, required=True, help="UAV density, per km2")
-    p.add_argument("--h-uav", type=float, required=True, help="UAV altitude, m")
-    p.add_argument("--gamma-step", type=float, default=0.01, help="gamma grid step")
-    _add_city_options(p)
-    _add_scenario_options(p, "run", "envelope")
-    _add_output_options(p)
-    table["distribution"] = p
-
-    p = sub.add_parser("outage-curve", help="outage vs altitude at fixed density")
-    p.add_argument("--lambda-uav", type=float, required=True, help="UAV density, per km2")
-    p.add_argument("--h-lo", type=float, required=True, help="lowest altitude, m")
-    p.add_argument("--h-hi", type=float, required=True, help="highest altitude, m")
-    p.add_argument("--h-step", type=float, default=5.0, help="altitude step, m")
-    _add_city_options(p)
-    _add_scenario_options(p, "gamma_th", "run", "placement", "envelope")
-    _add_output_options(p)
-    table["outage-curve"] = p
-
-    p = sub.add_parser("optimize", help="altitude minimizing outage")
-    p.add_argument("--lambda-uav", type=float, required=True, help="UAV density, per km2")
-    p.add_argument("--h-lo", type=float, required=True, help="window low edge, m")
-    p.add_argument("--h-hi", type=float, required=True, help="window high edge, m")
-    p.add_argument("--grid-step", type=float, default=5.0, help="coarse grid step, m")
-    p.add_argument("--refine-tol", type=float, default=1.0, help="refinement tolerance, m")
-    _add_city_options(p)
-    # optimize_height sizes its own envelope to the search window
-    _add_scenario_options(p, "gamma_th", "run", "placement")
-    _add_output_options(p)
-    table["optimize"] = p
-
-    p = sub.add_parser("contour", help="outage over a density-altitude grid")
-    p.add_argument("--lambda-lo", type=float, required=True, help="lowest density, per km2")
-    p.add_argument("--lambda-hi", type=float, required=True, help="highest density, per km2")
-    p.add_argument("--lambda-step", type=float, default=1.0, help="density step, per km2")
-    p.add_argument("--h-lo", type=float, required=True, help="lowest altitude, m")
-    p.add_argument("--h-hi", type=float, required=True, help="highest altitude, m")
-    p.add_argument("--h-step", type=float, default=5.0, help="altitude step, m")
-    p.add_argument(
-        "--target-outage",
-        type=float,
-        help="also report the smallest density meeting this outage",
-    )
-    _add_city_options(p)
-    _add_scenario_options(p, "gamma_th", "run", "placement", "envelope")
-    _add_output_options(p)
-    table["contour"] = p
-
-    p = sub.add_parser("validate", help="closed forms vs explicit building draws")
-    p.add_argument("--cases", type=int, default=200, help="randomized cases")
-    p.add_argument("--n-draws", type=int, default=100_000, help="city draws per case")
-    p.add_argument("--max-outliers", type=int, default=2, help="tolerated cases beyond z-limit")
-    p.add_argument("--z-limit", type=float, default=3.0, help="pass threshold in standard errors")
-    _add_scenario_options(p)
-    _add_output_options(p)
-    table["validate"] = p
-
-    return parser, table
+    subparsers = {name: sub.add_parser(name, help=entry.help) for name, entry in _COMMANDS.items()}
+    if command not in subparsers:
+        return parser, None
+    p, entry, groups = subparsers[command], _COMMANDS[command], {}
+    for option, kwargs in entry.flags:
+        p.add_argument(option, **kwargs)
+    for part in entry.parts.split():
+        heading, flags = _PARTS[part]
+        if heading not in groups:
+            groups[heading] = p.add_argument_group(heading)
+        for option, kwargs in flags:
+            groups[heading].add_argument(option, **kwargs)
+    return parser, p
 
 
 def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
@@ -186,19 +153,20 @@ def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
-def _splice_config(argv: list[str], table: dict[str, argparse.ArgumentParser]) -> list[str]:
+def _splice_config(argv: list[str], subparser: _Parser | None) -> list[str]:
     """Put the --config file's tokens right after the subcommand.
 
-    Flags typed on the command line come later, so they win over the file.
+    subparser is argv[0]'s, the command's; the file's keys are checked against
+    it.  Flags typed on the command line come later, so they win over the file.
     """
-    if not argv or argv[0] not in table:
+    if subparser is None:
         return argv
     scout = _Parser(prog=f"uavgrid {argv[0]}", add_help=False)
     scout.add_argument("--config")
     path = scout.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
-    return [argv[0], *_config_tokens(path, table[argv[0]]), *argv[1:]]
+    return [argv[0], *_config_tokens(path, subparser), *argv[1:]]
 
 
 def _build_city(args) -> CityModel:
@@ -411,24 +379,52 @@ def _cmd_validate(args, city):
     )
 
 
-# Each handler only computes: it takes the parsed flags and the city (None for
-# validate) and returns (columns, rows, metadata, exit status) for main to emit.
+# One subcommand: its help line, its own flags, the _PARTS it reads and its
+# handler.  The handler only computes: it takes the parsed flags and the city
+# (None without the city part) and returns (columns, rows, metadata, exit
+# status) for main to emit.
+_Command = collections.namedtuple("_Command", "help flags parts handler")
 _COMMANDS = {
-    "distribution": _cmd_distribution,
-    "outage-curve": _cmd_outage_curve,
-    "optimize": _cmd_optimize,
-    "contour": _cmd_contour,
-    "validate": _cmd_validate,
+    "distribution": _Command("connectivity CDF on a gamma grid", (
+        _LAMBDA_UAV,
+        _flag("--h-uav", float, "UAV altitude, m", required=True),
+        _flag("--gamma-step", float, "gamma grid step", default=0.01),
+    ), "city scenario run envelope output", _cmd_distribution),
+    "outage-curve": _Command("outage vs altitude at fixed density", (
+        _LAMBDA_UAV, _H_LO, _H_HI, _H_STEP,
+    ), "city scenario gamma_th run placement envelope output", _cmd_outage_curve),
+    # no envelope part: optimize_height sizes its own envelope to the search window
+    "optimize": _Command("altitude minimizing outage", (
+        _LAMBDA_UAV,
+        _flag("--h-lo", float, "window low edge, m", required=True),
+        _flag("--h-hi", float, "window high edge, m", required=True),
+        _flag("--grid-step", float, "coarse grid step, m", default=5.0),
+        _flag("--refine-tol", float, "refinement tolerance, m", default=1.0),
+    ), "city scenario gamma_th run placement output", _cmd_optimize),
+    "contour": _Command("outage over a density-altitude grid", (
+        _flag("--lambda-lo", float, "lowest density, per km2", required=True),
+        _flag("--lambda-hi", float, "highest density, per km2", required=True),
+        _flag("--lambda-step", float, "density step, per km2", default=1.0),
+        _H_LO, _H_HI, _H_STEP,
+        _flag("--target-outage", float, "also report the smallest density meeting this outage"),
+    ), "city scenario gamma_th run placement envelope output", _cmd_contour),
+    "validate": _Command("closed forms vs explicit building draws", (
+        _flag("--cases", int, "randomized cases", default=200),
+        _flag("--n-draws", int, "city draws per case", default=100_000),
+        _flag("--max-outliers", int, "tolerated cases beyond z-limit", default=2),
+        _flag("--z-limit", float, "pass threshold in standard errors", default=3.0),
+    ), "scenario output", _cmd_validate),
 }
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = build_parser()
+    # a run reaches a command only as argv[0]: the top level's own flags, -h and --version, exit
+    parser, subparser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_splice_config(argv, table))
+        args = parser.parse_args(_splice_config(argv, subparser))
         city = _build_city(args) if "preset" in args else None
-        columns, rows, metadata, status = _COMMANDS[args.command](args, city)
+        columns, rows, metadata, status = _COMMANDS[args.command].handler(args, city)
         # the run's provenance first: the seed, and n for a Monte Carlo command
         shared = {key: getattr(args, key) for key in ("seed", "n_realizations") if key in args}
         _emit(args, columns, rows, {**shared, **metadata})

@@ -16,6 +16,7 @@ then its point blocks past the window (see sample_envelope_points).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,7 +308,19 @@ def sample_envelope_points(
     realization reads (_philox_rows).  From PTRS_MEAN on, numpy counts by
     PTRS, whose libm bits numpy's ufuncs need not match, so each realization
     is drawn through a Generator.
+
+    The seed and each index are uint64 key words, so seed must be an integer
+    in [0, 2**64) and start <= stop integers in [0, 2**64]; anything else
+    raises ValueError before a draw.
     """
+    try:
+        seed, start, stop = map(operator.index, (seed, start, stop))
+    except TypeError:
+        raise ValueError(f"seed, start and stop must be integers, got {seed!r}, {start!r}, "
+                         f"{stop!r}") from None
+    if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
+        raise ValueError(f"need 0 <= seed < 2**64 and 0 <= start <= stop <= 2**64, got seed "
+                         f"{seed}, start {start}, stop {stop}")
     mean = envelope.mean_count
     rows = _philox_rows if mean < PTRS_MEAN else _generator_rows
     u, counts = rows(mean, seed, start, stop)

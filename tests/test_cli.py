@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import uavgrid.cli as cli
 import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
 from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
@@ -338,12 +339,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no-such-option=1\n")
-    code, _, err = run_cli(
-        ["distribution", "--config", str(cfg), "--lambda-uav", "20", "--h-uav", "100",
-         "--n-realizations", "100"], capsys)
-    assert code == 2
-    assert "unknown option" in err
+    # h_uav is a key of distribution's parser, not of optimize's
+    for argv, key in ((["distribution", "--lambda-uav", "20", "--h-uav", "100"], "no-such-option"),
+                      (["optimize", "--lambda-uav", "30", "--h-lo", "50", "--h-hi", "250"], "h_uav")):
+        cfg.write_text(f"{key}=100\n")
+        code, _, err = run_cli(
+            [*argv, "--config", str(cfg), "--preset", "urban", "--n-realizations", "100"], capsys)
+        assert code == 2
+        assert f"unknown option {key!r}" in err
 
 
 def test_bad_geometry_exits_2(capsys):
@@ -359,6 +362,68 @@ def test_preset_conflicts_with_explicit_city(capsys):
         ["distribution", "--preset", "urban", "--mu-s", "10", "--lambda-uav", "20",
          "--h-uav", "100", "--n-realizations", "100"], capsys)
     assert code == 2
+
+
+_CITY = ("city", "--preset --mu-s --mu-b --mu-h --w-v --w-h --building-h-min --building-h-max")
+_OUTPUT = ("output", "--output --format --config")
+# Each command's option strings by group heading, in help order: the CLI's
+# flag contract, written out apart from cli._COMMANDS.
+_FLAGS = {
+    "distribution": (
+        ("options", "-h --help --lambda-uav --h-uav --gamma-step"), _CITY,
+        ("scenario", "--r-max --h-v --seed --n-realizations --workers --lambda-cap --d-cap"),
+        _OUTPUT),
+    "outage-curve": (
+        ("options", "-h --help --lambda-uav --h-lo --h-hi --h-step"), _CITY,
+        ("scenario", "--r-max --h-v --seed --gamma-th --n-realizations --workers --placement "
+                     "--lambda-cap --d-cap"),
+        _OUTPUT),
+    "optimize": (
+        ("options", "-h --help --lambda-uav --h-lo --h-hi --grid-step --refine-tol"), _CITY,
+        ("scenario", "--r-max --h-v --seed --gamma-th --n-realizations --workers --placement"),
+        _OUTPUT),
+    "contour": (
+        ("options", "-h --help --lambda-lo --lambda-hi --lambda-step --h-lo --h-hi --h-step "
+                    "--target-outage"), _CITY,
+        ("scenario", "--r-max --h-v --seed --gamma-th --n-realizations --workers --placement "
+                     "--lambda-cap --d-cap"),
+        _OUTPUT),
+    "validate": (
+        ("options", "-h --help --cases --n-draws --max-outliers --z-limit"),
+        ("scenario", "--r-max --h-v --seed"),
+        _OUTPUT),
+}
+
+
+@pytest.mark.parametrize("command", _FLAGS)
+def test_main_builds_the_flags_of_the_command_it_runs(command, monkeypatch, capsys):
+    build, built = cli.build_parser, []
+
+    def spy(name):
+        built.append(build(name))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0 and out.startswith(f"usage: uavgrid {command} [-h]")
+    (parser, subparser), = built
+    groups = tuple((g.title, " ".join(s for a in g._group_actions for s in a.option_strings))
+                   for g in subparser._action_groups if g._group_actions)
+    assert groups == _FLAGS[command]
+    # every command is registered by name; the other four get no flag
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(_FLAGS) and subparsers[command] is subparser
+    for name, other in subparsers.items():
+        if name != command:
+            assert [a.option_strings for a in other._actions] == [["-h", "--help"]]
+
+
+def test_top_level_help_and_bare_run(capsys):
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: uavgrid [-h] [--version]")
+    assert all(name in out for name in _FLAGS)
+    code, _, err = run_cli([], capsys)
+    assert code == 2 and "required: command" in err
 
 
 def test_unknown_flag_exits_2(capsys):

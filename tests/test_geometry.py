@@ -138,6 +138,24 @@ def test_sample_realization_properties(scenario):
     assert np.all((0.0 <= mark) & (mark < 1.0))
 
 
+@pytest.mark.parametrize("lambda_cap", [20e-6, 100e-6])  # mean 3.4 (< PTRS_MEAN) and 17
+def test_sampler_refuses_keys_it_cannot_draw(lambda_cap):
+    env = SamplingEnvelope(lambda_cap=lambda_cap, d_cap=233.0)
+    # each would key another stream: a fraction truncates, an index from 2**64 on wraps to 0
+    for seed, start, stop in ((1.5, 0, 3), (7, 0.5, 3), (7, 0, np.float64(3.0)), (-1, 0, 3),
+                              (2**64, 0, 3), (7, -1, 3), (7, 3, 2), (7, 2**64 - 2, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            sample_envelope_points(env, seed, start, stop)
+    # numpy integers pass, and the last seed and index still draw what a fresh Generator does
+    last = 2**64 - 1
+    d, phi, mark, counts = sample_envelope_points(env, np.uint64(last), np.uint64(last), 2**64)
+    rng = np.random.Generator(np.random.Philox(key=np.array([last, last], dtype=np.uint64)))
+    u = rng.random((rng.poisson(env.mean_count), 3))
+    assert counts.tolist() == [len(u)] and len(u) > 0
+    assert np.array_equal(d, env.d_cap * np.sqrt(u[:, 0]))
+    assert np.array_equal(mark, u[:, 2])
+
+
 def test_envelope_validation():
     with pytest.raises(InvalidGeometryError):
         SamplingEnvelope(lambda_cap=0.0, d_cap=100.0)

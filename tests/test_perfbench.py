@@ -22,6 +22,10 @@ COMMANDS = {
     "contour": (("contour", *URBAN, "--lambda-lo", "10", "--lambda-hi", "30", "--lambda-step", "10",
                  "--h-lo", "80", "--h-hi", "160", "--h-step", "40", "--n-realizations", "300"),
                 GRID_COUNTS),
+    # the only command that reaches the uavgrid.cli.outage_grid binding
+    "outage-curve": (("outage-curve", *URBAN, "--lambda-uav", "30", "--h-lo", "80", "--h-hi", "160",
+                      "--n-realizations", "300"),
+                     GRID_COUNTS),
     "optimize": (("optimize", *URBAN, "--lambda-uav", "30", "--h-lo", "60", "--h-hi", "200",
                   "--n-realizations", "300"),
                  (*GRID_COUNTS, "optimize.grid_calls")),
