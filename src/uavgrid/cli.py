@@ -83,7 +83,7 @@ _PARTS = {
     "gamma_th": ("scenario", (_flag("--gamma-th", float, "connectivity threshold", default=0.8),)),
     "run": ("scenario", (
         _flag("--n-realizations", int, "Monte Carlo realizations", default=100_000),
-        _flag("--workers", int, "worker processes", default=1),
+        _flag("--workers", int, "worker threads", default=1),
     )),
     "placement": ("scenario", (
         _flag("--placement", str, "vehicle placement mode",
@@ -95,7 +95,8 @@ _PARTS = {
     )),
     "output": ("output", (
         _flag("--output", str, "output path, or - for stdout", default="-"),
-        _flag("--format", str, None, choices=["csv", "structured"], default="csv"),
+        _flag("--format", str, "csv rows, or one JSON document with the run's metadata",
+              choices=["csv", "structured"], default="csv"),
         _flag("--config", str, "key=value file parsed before the flags"),
     )),
 }
@@ -202,18 +203,23 @@ def _run(args) -> dict:
 
 @functools.cache
 def _revision() -> str:
-    """The checkout's git revision, resolved once per process; "unknown" if git fails."""
+    """The checkout's git revision, resolved once per process.
+
+    "unknown" if git fails, or if the repository git finds does not track this
+    file: git walks up from the package, so an untracked copy inside another
+    repository (a virtualenv in its tree, say) would report that repository.
+    """
+    here = Path(__file__)
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        for cmd in (["git", "ls-files", "--error-unmatch", "--", here.name],
+                    ["git", "describe", "--always", "--dirty"]):
+            out = subprocess.run(cmd, cwd=here.parent, capture_output=True, text=True,
+                                 timeout=10)
+            if out.returncode != 0:
+                return "unknown"
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    return out.stdout.strip()
 
 
 def _fmt(value) -> str:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -111,14 +112,20 @@ class ScenarioConfig:
 # The most realizations a run takes, far above any run that can finish.
 MAX_REALIZATIONS = 10**9
 
-# The most worker processes a run takes.  A fork-started pool starts all of
-# min(workers, chunks) processes at once, and 10**8 realizations make over
-# 12,000 chunks, so an unbounded --workers could ask for that many at once.
+# The most worker threads a run takes.  A pool runs min(workers, chunks)
+# chunks at once, each with its own working memory (up to about 150 MB at
+# MAX_CHUNK_POINTS), and 10**8 realizations make over 12,000 chunks, so an
+# unbounded --workers could start that many threads and chunks at once.
 MAX_WORKERS = 256
 
 
 def check_run(n_realizations: int, seed: int, workers: int) -> None:
-    """Reject run parameters no Monte Carlo run can use (ValueError)."""
+    """Reject run parameters no Monte Carlo run can use, non-integers too (ValueError)."""
+    try:
+        n_realizations, seed, workers = map(operator.index, (n_realizations, seed, workers))
+    except TypeError:
+        raise ValueError(f"n_realizations, seed and workers must be integers, got "
+                         f"{n_realizations!r}, {seed!r}, {workers!r}") from None
     if not 1 <= n_realizations <= MAX_REALIZATIONS:
         raise ValueError(f"need 1 <= n_realizations <= {MAX_REALIZATIONS}")
     if not 0 <= seed < 2**64:
@@ -213,8 +220,9 @@ class ChunkLayout(NamedTuple):
     distances may be listed in any order.  cos_phi and sin_phi are the folded
     direction cosines |cos phi|, |sin phi| of the drawn azimuths, computed
     once per draw rather than once per scored height.  Only _lay_out builds
-    a layout, and the arrays are shared by every height scored on it: read
-    them, never write them.
+    a layout, and the arrays are shared by every height scored on it and by
+    every worker thread that scores it, so _lay_out makes them read-only: a
+    write raises ValueError.
     """
 
     d: np.ndarray
@@ -255,7 +263,10 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     by_distance = np.argsort(d[src])
     src, slot = src[by_distance], slot[by_distance]
     phi = phi[src]
-    return ChunkLayout(d[src], np.abs(np.cos(phi)), np.abs(np.sin(phi)), slot, marks)
+    layout = ChunkLayout(d[src], np.abs(np.cos(phi)), np.abs(np.sin(phi)), slot, marks)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
@@ -279,7 +290,7 @@ class EnvelopeDraw:
     densities the envelope covers: a point above a density's fraction only
     extends a column past the ranks that density sees, so the cells match a
     fresh draw bit for bit, and a search that probes many heights pays for
-    sampling once.  workers > 1 draws the chunks in a process pool.  A draw
+    sampling once.  workers > 1 draws the chunks in worker threads.  A draw
     may hold at most MAX_HELD_POINTS UAVs on average, checked before anything
     is drawn (ValueError).
     """
@@ -349,10 +360,10 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
             yield ip, j, survival
 
 
-# Module-level so the process pool can pickle them; each reduces inside the
-# worker, so only per-realization scores or per-cell counts travel back.  The
-# pipelines bind the shared spec by name with functools.partial and map the
-# result over the chunks' sources: each chunk's layout or the key to draw it.
+# The pipelines bind the shared spec by name with functools.partial and map
+# the result over the chunks' sources: each chunk's layout or the key to draw
+# it.  Each reduces its chunk in its task, so only per-realization scores or
+# per-cell counts outlive it.
 def _chunk_score_arrays(source, *, city, r_max, h_v, height_values, placements):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
     scores = _chunk_scores(_layout_of(source), city, r_max, h_v, height_values, placements)
@@ -389,12 +400,17 @@ def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements,
 
 
 def _map_tasks(fn, tasks, workers):
+    """[fn(t) for t in tasks], in order, over up to workers threads of this process.
+
+    The one place a pool opens.  numpy releases the GIL inside its ufunc
+    loops, the tasks share only read-only layouts, and each allocates its own
+    buffers, so the results are the serial results whatever the worker count.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    # imported here, so a run that never opens a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # a fork-started pool starts all of its processes at once: start no idle ones
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    # imported here: concurrent.futures loads logging, a cost a serial run skips
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -474,10 +490,9 @@ def outage_grid(
     at gamma_th for the same caps, seed and n.  With every density 0
     nothing is drawn, whatever the caps: every realization is in outage.
 
-    With a draw, the cells are scored on its layouts, in this process whatever
-    workers is, and its key must be this call's (envelope, seed, n_realizations)
-    (ValueError otherwise) unless every density is 0; without one, each chunk
-    is drawn, scored and dropped in turn.
+    With a draw, the cells are scored on its layouts, and its key must be this
+    call's (envelope, seed, n_realizations) (ValueError otherwise) unless every
+    density is 0; without one, each chunk is drawn, scored and dropped in turn.
     placement_mode may be a PlacementMode or its value ("street-only").
     """
     placement_mode = PlacementMode(placement_mode)
@@ -501,8 +516,7 @@ def outage_grid(
         count = functools.partial(_chunk_outage_counts, city=city, r_max=r_max, h_v=h_v,
                                   height_values=height_values, placements=placements,
                                   fracs=fracs, gamma_th=gamma_th)
-        # a held draw's layouts would be pickled out to a new pool on every call
-        totals = sum(_map_tasks(count, sources, workers if draw is None else 1))
+        totals = sum(_map_tasks(count, sources, workers))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

@@ -17,11 +17,11 @@ def scenario():
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Fail the test, in this process, if anything builds a process pool."""
+    """Fail the test if anything opens a worker pool."""
     import concurrent.futures
 
     def refuse(*args, **kwargs):
-        raise AssertionError("built a process pool")
+        raise AssertionError("opened a worker pool")
 
     # the pool is imported where it is opened, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)

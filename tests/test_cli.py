@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -481,8 +486,6 @@ def test_structured_format(capsys):
 
 
 def test_structured_revision_survives_git_timeout(monkeypatch, capsys):
-    import subprocess
-
     from uavgrid import cli
 
     calls = []
@@ -505,6 +508,38 @@ def test_structured_revision_survives_git_timeout(monkeypatch, capsys):
         assert json.loads(out)["revision"] == "unknown"
         assert "Traceback" not in err
     assert len(calls) == 1  # resolved once per process
+
+
+def test_structured_revision_is_unknown_in_a_foreign_repository(tmp_path):
+    """An untracked copy of the package inside another repository reports no revision."""
+    git = shutil.which("git")
+    if git is None:
+        pytest.skip("git is not installed")
+    repo = tmp_path / "other"
+
+    def in_repo(*args):
+        return subprocess.run([git, "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, capture_output=True, text=True, check=True).stdout
+
+    repo.mkdir()
+    in_repo("init", "-q")
+    (repo / ".gitignore").write_text(".venv/\n")
+    in_repo("add", ".gitignore")
+    in_repo("commit", "-q", "-m", "other")
+    site = repo / ".venv"
+    shutil.copytree(Path(cli.__file__).parent, site / "uavgrid", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(site), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "import uavgrid.cli; print(uavgrid.cli._revision())"
+
+    def revision():
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=env).stdout.strip()
+
+    assert revision() == "unknown"
+    # once that repository tracks the copy, its revision is the copy's
+    in_repo("add", "-f", ".venv")
+    in_repo("commit", "-q", "-m", "vendor uavgrid")
+    assert revision() == in_repo("describe", "--always", "--dirty").strip() != "unknown"
 
 
 def test_shared_envelope_couples_cli_runs(capsys):

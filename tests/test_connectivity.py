@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,7 +113,10 @@ def test_empirical_distribution_evaluate():
 
 
 def test_scenario_config_validation():
-    for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64}):
+    for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64},
+                # a run parameter is an integer: 2.5 workers would reach the pool
+                {"workers": 2.5}, {"workers": 2.0}, {"n_realizations": 1000.0},
+                {"seed": 1.5}, {"seed": "0"}):
         with pytest.raises(ValueError):
             replace(SCENARIO, **{"n_realizations": 10, **bad})
 
@@ -178,6 +183,26 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
     kept = [a.copy() for a in layout]
     _chunk_score_arrays(layout, **_spec([60.0, 140.0]))
     assert all(np.array_equal(a, b) for a, b in zip(layout, kept))
+
+
+def test_layout_arrays_are_read_only():
+    """Worker threads share a layout: a write to it fails instead of corrupting another cell."""
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
+    layout = _chunk_layout(env, 3, 0, 64, 0.6)
+    kept = ChunkLayout(*(a.copy() for a in layout))
+    for array in layout:
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+        with pytest.raises(ValueError):
+            array += 0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(layout, kept))
+    # scoring reads a read-only layout to the same bytes as a writable copy of it
+    spec = _spec([60.0, 140.0])
+    assert _chunk_score_arrays(layout, **spec).tobytes() == \
+        _chunk_score_arrays(kept, **spec).tobytes()
+    fracs = np.array([0.2, 0.6])
+    assert _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=0.8).tobytes() == \
+        _chunk_outage_counts(kept, **spec, fracs=fracs, gamma_th=0.8).tobytes()
 
 
 def test_layout_ignores_the_draw_order_of_distinct_marks():
@@ -606,7 +631,8 @@ def test_outage_grid_validates_inputs():
             outage_grid(URBAN, 250.0, h_v, [1e-5], [100.0], 0.8, 10, 0)
     too_many = connectivity.MAX_REALIZATIONS + 1
     for n, seed, extra in ((0, 0, {}), (too_many, 0, {}), (10, -1, {}), (10, 2**64, {}),
-                           (10, 0, {"workers": 0})):
+                           (10, 0, {"workers": 0}), (1000.0, 0, {}), (10, 0.0, {}),
+                           (10, 0, {"workers": 2.5}), (None, 0, {})):
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
 
@@ -656,31 +682,68 @@ def test_outage_grid_scores_a_shared_draw(monkeypatch):
             EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10, **bad})
 
 
-def test_optimize_sends_no_layout_to_a_pool(monkeypatch):
-    """A held draw is scored where it is held: only its own chunk keys reach a pool."""
+def test_optimize_maps_its_held_draw_over_workers(monkeypatch):
+    """The draw's chunk keys and every probe's held layouts go to the same workers."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
-    pooled = []
+    maps = []
     map_tasks = connectivity._map_tasks
 
     def recording(fn, tasks, workers):
-        if workers > 1:
-            pooled.extend(tasks)
+        maps.append(([isinstance(t, ChunkLayout) for t in tasks], workers))
         return map_tasks(fn, tasks, workers)
 
     monkeypatch.setattr(connectivity, "_map_tasks", recording)
     search = HeightSearchSpec(h_lo=60.0, h_hi=200.0)
     got = optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1, workers=2)
-    # the draw's three chunks go to the pool as keys, and no task carries a layout
-    assert len(pooled) == 3
-    assert not any(isinstance(item, ChunkLayout) for task in pooled for item in (task, *task))
+    # first the draw's three chunk keys, then each probe's three held layouts
+    assert maps[0] == ([False] * 3, 2)
+    assert len(maps) > 2 and all(m == ([True] * 3, 2) for m in maps[1:])
     assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1)
+
+
+def test_worker_threads_keep_the_kernels_ieee_limits():
+    """Links at d = 0 and phi = 0 divide by zero in the kernel; a worker thread takes the
+    IEEE limits as the calling thread does, with no RuntimeWarning (warnings are errors)."""
+    d = np.array([0.0, 0.0, 50.0, 120.0])
+    cos_phi = np.array([1.0, 0.0, 1.0, 0.0])  # phi = 0 and phi = pi / 2 in turn
+    sin_phi = np.array([0.0, 1.0, 0.0, 1.0])
+    tasks = [(h, placement) for h in (60.0, 140.0) for placement in PLACEMENTS]
+    threads = set()
+
+    def score(task):
+        threads.add(threading.get_ident())
+        return los_probability_batch(d, cos_phi, sin_phi, task[0], 10.0, URBAN, task[1])
+
+    serial = _map_tasks(score, tasks, 1)
+    threads.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pooled = _map_tasks(score, tasks, 2)
+    assert threads and threading.main_thread().ident not in threads
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pooled, serial))
+
+
+def test_worker_threads_share_held_layouts_under_stress(monkeypatch):
+    """More threads than cores, switching every microsecond, over one held draw's layouts."""
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 50)
+    env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
+    grid = (URBAN, 250.0, 10.0, [10e-6, 25e-6], [80.0, 140.0], 0.8, 700, 5)
+    want = outage_grid(*grid, **_caps(env))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        draw = EnvelopeDraw(env, 5, 700, workers=4)
+        got = [outage_grid(*grid, **_caps(env), workers=4, draw=draw) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.tobytes() == want.tobytes() for g in got)
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in this process."""
+        """Stands in for ThreadPoolExecutor: records max_workers, maps in this thread."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -695,10 +758,10 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
             return map(fn, tasks)
 
     # _map_tasks imports the pool when it opens one, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1000)
     assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
-    # three chunks of 1000 realizations ask for three processes at most
+    # three chunks of 1000 realizations ask for three threads at most
     outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64)
     estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=5, workers=2))
     assert sizes == [3, 3, 2]
@@ -760,12 +823,18 @@ def test_dense_envelope_chunks_are_capped_by_points(monkeypatch):
     assert by_points.tobytes() == by_count.tobytes() == whole.tobytes()
 
 
-def test_a_one_worker_run_never_loads_multiprocessing():
+def test_a_pooled_run_never_loads_multiprocessing():
     # a fresh interpreter, as this test process may have loaded it already
     src = str(Path(connectivity.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import sys, uavgrid.cli; print('multiprocessing' in sys.modules)"
+    # two chunks at two workers, so the run opens the pool
+    argv = ["distribution", "--preset", "urban", "--lambda-uav", "20", "--h-uav", "100",
+            "--n-realizations", str(connectivity.CHUNK_SIZE + 1), "--workers", "2",
+            "--output", os.devnull]
+    code = (f"import sys, uavgrid.cli; code = uavgrid.cli.main({argv!r}); "
+            "print(code, 'concurrent.futures.thread' in sys.modules, "
+            "'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["0", "True", "False"]
