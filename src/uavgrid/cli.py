@@ -21,6 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .connectivity import (
     PlacementMode,
@@ -223,6 +225,9 @@ def _revision() -> str:
 
 
 def _fmt(value) -> str:
+    # a numpy scalar prints as the Python number it holds, not as np.float64(0.5)
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

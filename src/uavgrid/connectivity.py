@@ -316,7 +316,7 @@ class EnvelopeDraw:
         return (self.envelope, self.seed, self.n_realizations)
 
 
-def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
+def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=False):
     """Running survival products of one chunk's realizations: the one chunk scorer.
 
     Per (height, placement) the link factors 1 - p_LoS fill the chunk's mark
@@ -332,6 +332,8 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
     fraction admits its first k + 1 marks and no more, and the last rank is
     its survival at the layout's frac_top: estimate_distribution scores
     1 - P[-1], and outage_grid reads it alone when every density is the cap.
+    A caller that reads only that rank passes last_only, and each step then
+    reduces the ranks in one call instead of writing every running product.
 
     No factor exceeds 1 and rounding is monotone, so P never rises down a
     column and the score 1 - P crosses gamma_th at most once, at the
@@ -340,13 +342,14 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
     prefix it sees, so outage cannot rise with density, whatever the draw.
 
     Yields (placement index, height index, survival); survival has the
-    shape of the layout's marks without the sentinel rank.  It is one
-    buffer, overwritten by the next step, so reduce it before advancing the
-    generator.
+    shape of the layout's marks without the sentinel rank, or is the last
+    rank alone under last_only.  It is one buffer, overwritten by the next
+    step, so reduce it before advancing the generator.
     """
     d, cos_phi, sin_phi, slot, marks = layout
     survival = np.empty((marks.shape[0] - 1, marks.shape[1]))
     flat = survival.reshape(-1)
+    last = np.empty(marks.shape[1])
     for j, h in enumerate(height_values):
         k = int(np.searchsorted(d, ground_range(r_max, h, h_v), side="right"))
         d_h, c_h, s_h, slot_h = d[:k], cos_phi[:k], sin_phi[:k], slot[:k]
@@ -355,6 +358,12 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
             np.subtract(1.0, factors, out=factors)
             flat.fill(1.0)
             flat[slot_h] = factors
+            if last_only:
+                # numpy's multiply reduction runs down axis 0 in rank order, one
+                # product at a time (only addition takes the pairwise path), so
+                # this is the rank loop's last rank bit for bit
+                yield ip, j, np.multiply.reduce(survival, axis=0, out=last)
+                continue
             for r in range(1, survival.shape[0]):
                 np.multiply(survival[r - 1], survival[r], out=survival[r])
             yield ip, j, survival
@@ -366,8 +375,9 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements):
 # per-cell counts outlive it.
 def _chunk_score_arrays(source, *, city, r_max, h_v, height_values, placements):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
-    scores = _chunk_scores(_layout_of(source), city, r_max, h_v, height_values, placements)
-    return np.stack([1.0 - survival[-1] for _, _, survival in scores])
+    scores = _chunk_scores(_layout_of(source), city, r_max, h_v, height_values, placements,
+                           last_only=True)
+    return np.stack([1.0 - survival for _, _, survival in scores])
 
 
 def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements, fracs,
@@ -385,9 +395,10 @@ def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements,
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
     at_cap = fracs.min() >= 1.0
-    for ip, j, survival in _chunk_scores(layout, city, r_max, h_v, height_values, placements):
+    scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=at_cap)
+    for ip, j, survival in scores:
         if at_cap:
-            counts[ip, :, j] = np.count_nonzero(1.0 - survival[-1] <= gamma_th)
+            counts[ip, :, j] = np.count_nonzero(1.0 - survival <= gamma_th)
             continue
         # 1 - survival never falls along a column, so the ranks still at or
         # below the threshold come first, and their count is the crossing

@@ -269,21 +269,30 @@ def _philox_rows(mean, seed, start, stop):
     return u.reshape(-1)[flat + m * np.arange(3)[:, None]], counts
 
 
-def _generator_rows(mean, seed, start, stop):
-    """The point uniforms of realizations [start, stop), one Generator call pair each.
+def philox_streams(seed, indices):
+    """Yield (i, rng) per index i, rng drawing what Generator(Philox(key=(seed, i))) would.
 
     Philox is counter-based, so its key and counter fix the stream: one bit
-    generator whose key, counter and buffer are reset before each
-    realization gives exactly what a fresh Philox(key=(seed, i)) would.
+    generator whose key, counter and buffer are reset before each index gives
+    exactly what a fresh Philox(key=(seed, i)) would, without building one.
+    rng is the same object at every step and is re-keyed when the generator
+    advances, so finish drawing from it first.  seed and every index must be
+    integers in [0, 2**64).
     """
-    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, empty buffer, has_uint32 0
     key = state["state"]["key"]
-    parts = [np.empty((0, 3))]
-    for i in range(start, stop):
+    for i in indices:
         key[1] = i
         bit_generator.state = state
+        yield i, rng
+
+
+def _generator_rows(mean, seed, start, stop):
+    """The point uniforms of realizations [start, stop), one Generator call pair each."""
+    parts = [np.empty((0, 3))]
+    for _, rng in philox_streams(seed, range(start, stop)):
         parts.append(rng.random((rng.poisson(mean), 3)))
     counts = np.array([len(part) for part in parts[1:]], dtype=np.int64)
     return np.concatenate(parts).T, counts

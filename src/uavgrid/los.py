@@ -45,7 +45,7 @@ from .geometry import CityModel
 
 # The most |cos_phi**2 + sin_phi**2 - 1| a folded direction may show: 4 ulp of
 # 1.0.  Folding real azimuths with math or numpy stayed within 1 ulp (2.2e-16).
-DIRECTION_TOL = 4.0 * np.finfo(float).eps
+DIRECTION_TOL = 4.0 * float(np.finfo(float).eps)
 # Absolute tolerance of axis_factor_quadrature's integral (and a fortiori of
 # its exponent, since lambda_s < 1).
 QUADRATURE_TOL = 1e-12
@@ -69,7 +69,9 @@ class LinkGeometry:
 
     phi is stored folded into [0, pi/2]; cos_phi and sin_phi are the absolute
     trig values of the angle passed in, so any azimuth in [0, 2*pi) maps onto
-    its first-quadrant representative.
+    its first-quadrant representative.  A link is checked once, here, by every
+    per-link test los_probability_batch makes, the direction test in the same
+    float operations, so los_probability scores it without checking again.
     """
 
     d: float
@@ -91,6 +93,10 @@ class LinkGeometry:
             raise ValueError("need finite h_uav > h_v for a link above the vehicle")
         c = abs(math.cos(self.phi))
         s = abs(math.sin(self.phi))
+        # los_probability_batch's direction test: q = c*c + s*s rounds alike
+        if not (0.0 <= c <= 1.0 and 0.0 <= s <= 1.0
+                and 1.0 - DIRECTION_TOL <= c * c + s * s <= 1.0 + DIRECTION_TOL):
+            raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
         object.__setattr__(self, "cos_phi", c)
         object.__setattr__(self, "sin_phi", s)
         object.__setattr__(self, "phi", math.atan2(s, c))
@@ -270,10 +276,26 @@ def axis_factor_quadrature(
     return math.exp(-city.lambda_s * val)
 
 
+def _los(d, c, s, delta_h, h_v, city, placement):
+    """The closed form over arrays of links that passed los_probability_batch's checks."""
+    corner, length, zb_y, f = _kernel(d, c, s, delta_h, h_v, city, placement)
+    # one survivor integral for both axes: corner * exp(-lambda_s * (zb_x + zb_y) * F(t))
+    length += zb_y
+    length *= f
+    length *= -city.lambda_s
+    np.exp(length, out=length)
+    length *= corner
+    return length
+
+
 def los_probability(link: LinkGeometry, city: CityModel, placement: Placement) -> float:
-    """Per-link LoS probability: corner survival times both axis survivals."""
-    d, c, s = _one(link)[:3]
-    return float(los_probability_batch(d, c, s, link.h_uav, link.h_v, city, placement)[0])
+    """Per-link LoS probability: corner survival times both axis survivals.
+
+    LinkGeometry has made every per-link check of los_probability_batch, so
+    the link goes straight to the core the batch scores through after its
+    checks: the same bits as the batch call on the link's one-element arrays.
+    """
+    return float(_los(*_one(link), city, placement)[0])
 
 
 def los_probability_batch(
@@ -313,11 +335,4 @@ def los_probability_batch(
         raise ValueError("h_v must be finite and >= 0")
     if not h_v < h_uav < math.inf:
         raise ValueError("need finite h_uav > h_v for links above the vehicle")
-    corner, length, zb_y, f = _kernel(d, c, s, h_uav - h_v, h_v, city, placement)
-    # one survivor integral for both axes: corner * exp(-lambda_s * (zb_x + zb_y) * F(t))
-    length += zb_y
-    length *= f
-    length *= -city.lambda_s
-    np.exp(length, out=length)
-    length *= corner
-    return length
+    return _los(d, c, s, h_uav - h_v, h_v, city, placement)

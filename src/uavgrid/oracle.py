@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CityModel, HeightDistribution, PRESETS, ground_range
+from .geometry import CityModel, HeightDistribution, PRESETS, ground_range, philox_streams
 from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 # The most city draws one case takes.  A case holds all its draws at once: at
@@ -127,7 +127,8 @@ def empirical_los_probability(
         hit = (height > pos * link.delta_h / zb + link.h_v) & (pos > za) & (pos < zb)
         blocked[rng.integers(0, n, np.count_nonzero(hit))] = True
 
-    p_hat = float(1.0 - blocked.mean())
+    # the count over n, exactly the float64 value of 1.0 - blocked.mean()
+    p_hat = 1.0 - int(np.count_nonzero(blocked)) / n
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return p_hat, se
 
@@ -167,7 +168,9 @@ def validation_sweep(
     uses the binomial standard error at the closed-form rate, which stays
     meaningful when the empirical rate saturates at 0 or 1.  Case k draws
     its parameters and its city draws from its own Philox stream keyed by
-    (seed, k), so a case's row depends on neither `cases` nor any other case.
+    (seed, k), so a case's row depends on neither `cases` nor any other case;
+    the sweep re-keys one bit generator per case (geometry.philox_streams),
+    which draws exactly what a fresh Generator(Philox(key=(seed, k))) would.
     Every argument is checked before anything is drawn (ValueError),
     including cases, in [1, MAX_CASES], the seed, in [0, 2**64), and n with
     r_max: a case may expect at most MAX_SIDES building sides.
@@ -199,8 +202,7 @@ def validation_sweep(
     # shrinks to 20 m at the offset sqrt(r_max**2 - 20**2)
     h_cap = h_v + ground_range(r_max, 20.0, 0.0)
     results = []
-    for k in range(cases):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+    for k, rng in philox_streams(seed, range(cases)):
         preset = names[k % len(names)]
         placement = placements[(k // len(names)) % 2]
         city = PRESETS[preset]

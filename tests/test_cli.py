@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uavgrid.cli as cli
@@ -320,6 +321,27 @@ def test_validate_cli_flags_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(oracle_mod, "empirical_los_probability", skewed)
     code, out, err = run_cli(["validate", "--cases", "4", "--n-draws", "2000", "--seed", "3"], capsys)
     assert code == 1
+
+
+def test_numpy_scalars_print_as_plain_numbers(capsys, monkeypatch):
+    """A p_hat left as np.float64 makes np.float64 and np.bool_ cells; they print as numbers."""
+    import uavgrid.oracle as oracle_mod
+
+    args = ["validate", "--cases", "4", "--n-draws", "2000", "--seed", "3"]
+    code, plain, _ = run_cli(args, capsys)
+    real = oracle_mod.empirical_los_probability
+
+    def numpy_scalars(link, city, placement, n, rng):
+        p, se = real(link, city, placement, n, rng)
+        return np.float64(p), np.float64(se)
+
+    monkeypatch.setattr(oracle_mod, "empirical_los_probability", numpy_scalars)
+    rows = oracle_mod.validation_sweep(cases=4, n=2000, seed=3)
+    assert all(type(r.p_oracle) is np.float64 and type(r.passed) is np.bool_ for r in rows)
+    assert run_cli(args, capsys)[:2] == (code, plain)
+    assert "np." not in plain and ",true\n" in plain
+    assert [cli._fmt(v) for v in (np.float64(0.5), np.True_, np.int64(7), np.float32(0.25))] == [
+        "0.5", "true", "7", "0.25"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -23,6 +23,7 @@ from uavgrid.connectivity import (
     _chunk_layout,
     _chunk_outage_counts,
     _chunk_score_arrays,
+    _chunk_scores,
     _lay_out,
     _map_tasks,
     estimate_distribution,
@@ -322,6 +323,23 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
             at_cap = _chunk_outage_counts(layout, **spec, fracs=np.array([1.0]), gamma_th=gamma_th)
             assert np.array_equal(at_cap, counts[:, -1:])
         assert np.array_equal(_chunk_score_arrays(layout, **spec), scores)
+
+
+def test_last_rank_reduction_is_the_rank_loop_bit_for_bit():
+    """last_only's one multiply reduction gives the rank loop's last rank, bit for bit."""
+    env = SamplingEnvelope(lambda_cap=75e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
+    # one realization and 300, drawn; width 1 by hand, one realization or four
+    layouts = [_chunk_layout(env, seed, 0, m, 1.0) for seed in (1, 2) for m in (1, 300)]
+    layouts += [_layout([(120.0, 0.3)]), _layout([], [(120.0, 0.3)], [], [(200.0, 1.1)])]
+    shapes = [layout.marks.shape for layout in layouts]
+    assert (2, 1) in shapes and (2, 4) in shapes
+    assert any(w > 5 and m == 1 for w, m in shapes) and any(w > 5 and m > 1 for w, m in shapes)
+    spec = _spec([50.0, 100.0, 180.0])
+    for layout in layouts:
+        loop = [(ip, j, survival[-1].tobytes()) for ip, j, survival in _chunk_scores(layout, **spec)]
+        last = [(ip, j, survival.tobytes())
+                for ip, j, survival in _chunk_scores(layout, **spec, last_only=True)]
+        assert last == loop and len(loop) == 6
 
 
 # Envelopes whose means straddle PTRS_MEAN: about 0.019, 1.4, 3.42, 9.57, 9.99,

@@ -13,6 +13,7 @@ from uavgrid.geometry import (
     SamplingEnvelope,
     ground_range,
     intersection_weight,
+    philox_streams,
     sample_envelope_points,
 )
 
@@ -136,6 +137,23 @@ def test_sample_realization_properties(scenario):
     assert np.all(d <= d_max)
     assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi))
     assert np.all((0.0 <= mark) & (mark < 1.0))
+
+
+def test_rekeyed_streams_draw_what_fresh_generators_draw():
+    """Each re-keyed step starts stream (seed, i) afresh, whatever the last step left buffered."""
+    last = 2**64 - 1
+    for seed in (0, 1234, last):
+        indices = [5, 0, last, 5, 2**63]
+        draws = []
+        for i, rng in philox_streams(seed, indices):
+            # a lone uint32 leaves half a word buffered, and two doubles more a block part read
+            draws.append((i, rng.integers(0, 2**32, dtype=np.uint32), rng.random(2),
+                          rng.poisson(3.4, 5)))
+        assert [i for i, *_ in draws] == indices
+        for i, *got in draws:
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            want = (rng.integers(0, 2**32, dtype=np.uint32), rng.random(2), rng.poisson(3.4, 5))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("lambda_cap", [20e-6, 100e-6])  # mean 3.4 (< PTRS_MEAN) and 17

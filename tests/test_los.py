@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -97,6 +98,50 @@ def test_link_geometry_folds_angles():
         assert 0.0 <= lk.phi <= 0.5 * math.pi
         assert lk.cos_phi == abs(math.cos(raw))
         assert lk.sin_phi == abs(math.sin(raw))
+
+
+def test_link_geometry_refuses_the_directions_the_batch_refuses(monkeypatch):
+    """LinkGeometry makes the batch's direction test, so a link never needs it again."""
+    # the bounds of test_batch_refuses_cosines_of_no_azimuth, a cosine past 1 whose q
+    # passes, signs that fold away, and NaN
+    folds = [(1.0, 2.0**-25), (1.0, math.sqrt(5.0 * 2.0**-52)), (1.0 - 2.0**-51, 0.0),
+             (1.0 - 2.0**-51 - 2.0**-53, 0.0), (0.0, 0.0), (0.3, 0.3), (-0.8, 0.6),
+             (1.0 + 2.0**-52, 0.0), (0.0, -1.0 - 2.0**-52), (math.nan, 1.0), (0.6, -0.8)]
+    refused = 0
+    for c, s in folds:
+        try:
+            los_probability_batch([80.0], [abs(c)], [abs(s)], 100.0, 10.0, URBAN,
+                                  Placement.INTERSECTION)
+            passes = True
+        except ValueError:
+            passes = False
+        with monkeypatch.context() as patched:
+            patched.setattr("uavgrid.los.math.cos", lambda phi, c=c: c)
+            patched.setattr("uavgrid.los.math.sin", lambda phi, s=s: s)
+            if passes:
+                link = LinkGeometry(d=80.0, phi=0.3, h_uav=100.0, h_v=10.0)
+            else:
+                with pytest.raises(ValueError, match="azimuth"):
+                    LinkGeometry(d=80.0, phi=0.3, h_uav=100.0, h_v=10.0)
+        if passes:
+            assert (link.cos_phi, link.sin_phi) == (abs(c), abs(s))
+        refused += not passes
+    assert 0 < refused < len(folds)
+
+
+def test_link_scores_the_batch_bits():
+    """los_probability skips the batch's checks and still scores the batch's bits."""
+    cities = [URBAN, dataclasses.replace(URBAN, w_v=0.0), dataclasses.replace(URBAN, w_h=0.0),
+              dataclasses.replace(URBAN, w_v=0.0, w_h=0.0)]
+    angles = [0.0, 0.25 * math.pi, 0.5 * math.pi,
+              *np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, 12)]
+    for city, placement, d, phi, h_uav in itertools.product(
+            cities, Placement, (0.0, 0.5, 80.0, 240.0), angles, (10.5, 30.0, 150.0)):
+        link = LinkGeometry(d=d, phi=phi, h_uav=h_uav, h_v=10.0)
+        want = los_probability_batch([link.d], [link.cos_phi], [link.sin_phi], h_uav, 10.0,
+                                     city, placement)
+        got = los_probability(link, city, placement)
+        assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
 
 def test_effective_widths():

@@ -15,6 +15,7 @@ from uavgrid.los import (
     effective_widths,
     integration_limits,
     los_probability,
+    los_probability_batch,
 )
 from uavgrid.oracle import MAX_CASES, MAX_DRAWS, empirical_los_probability, validation_sweep
 
@@ -392,16 +393,30 @@ def test_validation_rows_do_not_depend_on_the_case_count():
 
 
 def test_validation_case_reruns_alone_from_its_stream():
-    seed, n, r_max, h_v = 7, 2000, 250.0, 10.0
-    for row in validation_sweep(cases=8, n=n, seed=seed, r_max=r_max, h_v=h_v)[5:]:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, row.case_id], dtype=np.uint64)))
-        h_uav = rng.uniform(h_v + 1.0, h_v + ground_range(r_max, 20.0, 0.0))
-        d = rng.uniform(10.0, ground_range(r_max, h_uav, h_v))
-        phi = rng.uniform(0.0, 0.5 * math.pi)
-        assert (d, phi, h_uav) == (row.d, row.phi, row.h_uav)
-        link = LinkGeometry(d=d, phi=phi, h_uav=h_uav, h_v=h_v)
-        p, _ = empirical_los_probability(link, PRESETS[row.preset], row.placement, n, rng)
-        assert p == row.p_oracle
+    """Every row is what a fresh Generator(Philox(key=(seed, k))) draws for case k alone."""
+    n, r_max, h_v = 2000, 250.0, 10.0
+    corner_draws = skipped_axes = 0
+    for seed in (7, 2**64 - 1):
+        for row in validation_sweep(cases=24, n=n, seed=seed, r_max=r_max, h_v=h_v):
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, row.case_id],
+                                                                    dtype=np.uint64)))
+            h_uav = rng.uniform(h_v + 1.0, h_v + ground_range(r_max, 20.0, 0.0))
+            d = rng.uniform(10.0, ground_range(r_max, h_uav, h_v))
+            phi = rng.uniform(0.0, 0.5 * math.pi)
+            assert (d, phi, h_uav) == (row.d, row.phi, row.h_uav)
+            link = LinkGeometry(d=d, phi=phi, h_uav=h_uav, h_v=h_v)
+            city = PRESETS[row.preset]
+            p = los_probability_batch([link.d], [link.cos_phi], [link.sin_phi], h_uav, h_v, city,
+                                      row.placement)
+            assert p.tobytes() == np.float64(row.p_analytic).tobytes()
+            p_hat, _ = empirical_los_probability(link, city, row.placement, n, rng)
+            assert type(p_hat) is float and p_hat == row.p_oracle
+            # the paths a case may take: corner heights drawn, an axis skipped
+            h0, *limits = _link_limits(link, *effective_widths(city, row.placement))
+            corner_draws += city.heights.h_min <= h0 < city.heights.h_max
+            skipped_axes += any(not za < oracle._side_top(link, city.heights, zb)
+                                for za, zb in limits)
+    assert corner_draws > 0 and skipped_axes > 0
 
 
 def test_validation_seed_range(monkeypatch):
