@@ -36,7 +36,7 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -140,10 +140,10 @@ def check_run(n_realizations: int, seed: int, workers: int) -> None:
 # start (maximum RSS, urban, 2-vCPU x86 VM).
 MAX_ENVELOPE_POINTS = 1000.0
 
-# The most UAVs an EnvelopeDraw holds on average, n_realizations times the
-# envelope's mean_count.  Its layouts keep 41-56 bytes per held point (the
-# summed nbytes of a draw's layouts: 56 at 5.7 UAVs per realization, 41 at
-# 957), so a draw at the bound holds about 0.4-0.56 GB.
+# The most UAVs an outage_grid call with held layouts may hold on average,
+# n_realizations times the envelope's mean_count.  The layouts keep 41-56
+# bytes per held point (the summed nbytes of a draw's layouts: 56 at 5.7 UAVs
+# per realization, 41 at 957), so a draw at the bound holds about 0.4-0.56 GB.
 MAX_HELD_POINTS = 10**7
 
 
@@ -274,46 +274,21 @@ def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
     return _lay_out(*sample_envelope_points(envelope, seed, start, stop), frac_top)
 
 
-def _layout_of(source) -> ChunkLayout:
-    """A chunk's layout: source itself, or drawn from its (envelope, seed, start, stop,
-    frac_top) key."""
-    return source if isinstance(source, ChunkLayout) else _chunk_layout(*source)
+def _layout_of(key, held=None) -> ChunkLayout:
+    """The layout of the chunk that key (envelope, seed, start, stop, frac_top) names.
 
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeDraw:
-    """Envelope realizations [0, n_realizations), drawn and laid out once.
-
-    Holds the layout of every chunk of the whole envelope: every drawn point,
-    whatever its mark.  An outage_grid call with the same envelope, seed and
-    n_realizations scores these layouts instead of drawing its own, at any
-    densities the envelope covers: a point above a density's fraction only
-    extends a column past the ranks that density sees, so the cells match a
-    fresh draw bit for bit, and a search that probes many heights pays for
-    sampling once.  workers > 1 draws the chunks in worker threads.  A draw
-    may hold at most MAX_HELD_POINTS UAVs on average, checked before anything
-    is drawn (ValueError).
+    Without held, the chunk is drawn and laid out for this caller alone.
+    With held, a dict of layouts by key, a held layout is returned as it is,
+    and a missing one is drawn and kept there.  The key names everything a
+    layout depends on, so a held layout only ever answers its own chunk.
+    Worker tasks of one call hold distinct keys, so their threads never
+    write the same entry.
     """
-
-    envelope: SamplingEnvelope
-    seed: int
-    n_realizations: int
-    workers: InitVar[int] = 1
-    layouts: tuple[ChunkLayout, ...] = field(init=False, repr=False)
-
-    def __post_init__(self, workers):
-        check_run(self.n_realizations, self.seed, workers)
-        held = self.n_realizations * self.envelope.mean_count
-        if held > MAX_HELD_POINTS:
-            raise ValueError(f"the envelope draw would hold {held:.4g} UAVs on average "
-                             f"({self.n_realizations} realizations), above the bound of "
-                             f"{MAX_HELD_POINTS:g}")
-        keys = _chunk_keys(self.envelope, self.seed, self.n_realizations, 1.0)
-        object.__setattr__(self, "layouts", tuple(_map_tasks(_layout_of, keys, workers)))
-
-    @property
-    def key(self) -> tuple:
-        return (self.envelope, self.seed, self.n_realizations)
+    if held is None:
+        return _chunk_layout(*key)
+    if key not in held:
+        held[key] = _chunk_layout(*key)
+    return held[key]
 
 
 def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=False):
@@ -370,17 +345,15 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
 
 
 # The pipelines bind the shared spec by name with functools.partial and map
-# the result over the chunks' sources: each chunk's layout or the key to draw
-# it.  Each reduces its chunk in its task, so only per-realization scores or
-# per-cell counts outlive it.
-def _chunk_score_arrays(source, *, city, r_max, h_v, height_values, placements):
+# it over the chunks' keys, each task reducing _layout_of(key), so only
+# per-realization scores or per-cell counts outlive a task.
+def _chunk_score_arrays(layout, *, city, r_max, h_v, height_values, placements):
     """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
-    scores = _chunk_scores(_layout_of(source), city, r_max, h_v, height_values, placements,
-                           last_only=True)
+    scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=True)
     return np.stack([1.0 - survival for _, _, survival in scores])
 
 
-def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements, fracs,
+def _chunk_outage_counts(layout, *, city, r_max, h_v, height_values, placements, fracs,
                          gamma_th):
     """Realizations in outage per (placement, density, height) cell.
 
@@ -391,7 +364,6 @@ def _chunk_outage_counts(source, *, city, r_max, h_v, height_values, placements,
     whose last rank is at or below gamma_th, the score estimate_distribution
     reads.
     """
-    layout = _layout_of(source)
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
     counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
     at_cap = fracs.min() >= 1.0
@@ -443,7 +415,7 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     score = functools.partial(_chunk_score_arrays, city=config.city, r_max=config.r_max,
                               h_v=config.h_v, height_values=[config.h_uav],
                               placements=placements)
-    chunks = _map_tasks(score, keys, config.workers)
+    chunks = _map_tasks(lambda key: score(_layout_of(key)), keys, config.workers)
     result = {}
     for ip, pl in enumerate(placements):
         samples = np.sort(np.concatenate([c[ip] for c in chunks]))
@@ -489,7 +461,7 @@ def outage_grid(
     lambda_cap: float | None = None,
     d_cap: float | None = None,
     workers: int = 1,
-    draw: EnvelopeDraw | None = None,
+    held: dict | None = None,
 ) -> np.ndarray:
     """Outage probability over a (density, altitude) grid with shared draws.
 
@@ -501,10 +473,17 @@ def outage_grid(
     at gamma_th for the same caps, seed and n.  With every density 0
     nothing is drawn, whatever the caps: every realization is in outage.
 
-    With a draw, the cells are scored on its layouts, and its key must be this
-    call's (envelope, seed, n_realizations) (ValueError otherwise) unless every
-    density is 0; without one, each chunk is drawn, scored and dropped in turn.
-    placement_mode may be a PlacementMode or its value ("street-only").
+    Without held, each chunk is drawn, scored and dropped in turn.  held is
+    a dict of chunk layouts by key (see _layout_of) that outlives the call:
+    each chunk is laid out whole (frac_top 1.0), kept there and scored at
+    any densities the envelope covers.  A point above a density's fraction
+    only extends a column past the ranks that density sees, so the cells
+    match a fresh draw bit for bit, and calls that share held and the
+    envelope, seed and n_realizations draw each chunk once, in the first
+    call, whatever heights they score.  A call with held may hold at most
+    MAX_HELD_POINTS UAVs on average, checked before anything is drawn
+    (ValueError).  placement_mode may be a PlacementMode or its value
+    ("street-only").
     """
     placement_mode = PlacementMode(placement_mode)
     check_run(n_realizations, seed, workers)
@@ -517,17 +496,17 @@ def outage_grid(
         totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
     else:
         fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-        if draw is None:
-            sources = _chunk_keys(envelope, seed, n_realizations, float(fracs.max()))
-        elif draw.key != (envelope, seed, n_realizations):
-            raise ValueError("the envelope draw does not match this grid's envelope, seed "
-                             "or n_realizations")
-        else:
-            sources = draw.layouts
+        held_points = n_realizations * envelope.mean_count
+        if held is not None and held_points > MAX_HELD_POINTS:
+            raise ValueError(f"the envelope draw would hold {held_points:.4g} UAVs on average "
+                             f"({n_realizations} realizations), above the bound of "
+                             f"{MAX_HELD_POINTS:g}")
+        keys = _chunk_keys(envelope, seed, n_realizations,
+                           float(fracs.max()) if held is None else 1.0)
         count = functools.partial(_chunk_outage_counts, city=city, r_max=r_max, h_v=h_v,
                                   height_values=height_values, placements=placements,
                                   fracs=fracs, gamma_th=gamma_th)
-        totals = sum(_map_tasks(count, sources, workers))
+        totals = sum(_map_tasks(lambda key: count(_layout_of(key, held)), keys, workers))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import EnvelopeDraw, PlacementMode, _scenario, check_run, outage_grid
-from .geometry import CityModel, InvalidGeometryError
+from .connectivity import PlacementMode, check_run, outage_grid
+from .geometry import CityModel, InvalidGeometryError, ground_range
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,7 +96,11 @@ def optimize_height(
     the grid answer; ties go to the lower altitude.  Refinement stops at
     search.refine_tol, or sooner once a new probe can no longer land strictly
     inside the bracket, as happens when refine_tol is below the float spacing
-    of the heights.  placement_mode may be a PlacementMode or its value.
+    of the heights.  Every probe passes outage_grid one held dict and the
+    grid pass's envelope, so the grid pass draws each chunk once and every
+    later probe scores those layouts.  With lambda_uav 0 every outage is 1
+    and nothing is drawn, so the lowest grid height wins.  placement_mode may
+    be a PlacementMode or its value.
     """
     placement_mode = PlacementMode(placement_mode)
     check_run(n_realizations, seed, workers)
@@ -105,14 +109,9 @@ def optimize_height(
             f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"
         )
     grid = grid_points(search.h_lo, search.h_hi, search.grid_step)
-    # the widest disk is at the lowest altitude, so one envelope covers the search
-    _, _, envelope = _scenario(r_max, h_v, [lambda_uav], grid)
-    if envelope is None:
-        # no UAVs, outage 1 at every altitude; lowest height wins the tie
-        return grid[0], 1.0
-    draw = EnvelopeDraw(envelope, seed, n_realizations, workers=workers)
+    held = {}
 
-    def evaluate(hs: list[float]) -> np.ndarray:
+    def evaluate(hs: list[float], d_cap: float | None) -> np.ndarray:
         return outage_grid(
             city,
             r_max,
@@ -123,17 +122,21 @@ def optimize_height(
             n_realizations,
             seed,
             placement_mode=placement_mode,
-            lambda_cap=envelope.lambda_cap, d_cap=envelope.d_cap,
+            d_cap=d_cap,
             workers=workers,
-            draw=draw,
+            held=held,
         )[0]
 
-    cache = dict(zip(grid, (float(v) for v in evaluate(grid))))
+    # the grid pass checks the heights and carves its envelope from its own
+    # widest disk, at its lowest altitude; every probe after it takes that
+    # envelope, so it scores the layouts the grid pass drew into held
+    cache = dict(zip(grid, (float(v) for v in evaluate(grid, None))))
+    d_cap = ground_range(r_max, grid[0], h_v)
 
     def f(h: float) -> float:
         h = float(h)
         if h not in cache:
-            cache[h] = float(evaluate([h])[0])
+            cache[h] = float(evaluate([h], d_cap)[0])
         return cache[h]
 
     j0 = int(np.argmin([cache[h] for h in grid]))

@@ -24,6 +24,7 @@ intensity, each point belonging to a draw picked uniformly at random
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,20 @@ MAX_CASES = 10**6
 _CUT_SLACK = 2.0**-40
 
 
-def _check_draws(n: int) -> None:
+def _index(name: str, value) -> int:
+    """value as an int; a non-integer, 2.0 too, raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_draws(n) -> int:
+    """n as an int in [1, MAX_DRAWS] (ValueError otherwise)."""
+    n = _index("n_draws", n)
     if not 1 <= n <= MAX_DRAWS:
         raise ValueError(f"need 1 <= n_draws <= {MAX_DRAWS} city draws per case")
+    return n
 
 
 def _side_top(link: LinkGeometry, heights: HeightDistribution, zb: float) -> float:
@@ -97,12 +109,12 @@ def empirical_los_probability(
     Poisson count at intensity n * lambda_s * (top - za), the positions
     uniform there, one height each.  One boolean marks the sides that block
     the ray, and only those hits draw the city draw they belong to, uniform
-    over the n draws.  n must lie in [1, MAX_DRAWS], and the sides expected
-    over both axes on the full intervals, n * lambda_s * (zb - za) summed
-    over the axes with za < zb, at most MAX_SIDES (ValueError), checked
-    before anything is drawn.
+    over the n draws.  n must be an integer (200.0 is not) in [1, MAX_DRAWS],
+    and the sides expected over both axes on the full intervals,
+    n * lambda_s * (zb - za) summed over the axes with za < zb, at most
+    MAX_SIDES (ValueError), checked before anything is drawn.
     """
-    _check_draws(n)
+    n = _check_draws(n)
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
     sides = n * city.lambda_s * sum(max(zb - za, 0.0) for za, zb in (limits_x, limits_y))
     if sides > MAX_SIDES:
@@ -173,13 +185,15 @@ def validation_sweep(
     which draws exactly what a fresh Generator(Philox(key=(seed, k))) would.
     Every argument is checked before anything is drawn (ValueError),
     including cases, in [1, MAX_CASES], the seed, in [0, 2**64), and n with
-    r_max: a case may expect at most MAX_SIDES building sides.
+    r_max: a case may expect at most MAX_SIDES building sides.  cases, n and
+    seed must be integers: a float is refused even when it is integral.
     """
+    cases, seed = _index("cases", cases), _index("seed", seed)
     if not 1 <= cases <= MAX_CASES:
         raise ValueError(f"need 1 <= cases <= {MAX_CASES}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must lie in [0, 2**64)")
-    _check_draws(n)
+    n = _check_draws(n)
     if not 0.0 < z_limit < math.inf:
         raise ValueError("z_limit must be positive and finite")
     if not 0.0 <= h_v < math.inf:

@@ -16,10 +16,10 @@ import uavgrid.geometry as geometry
 from uavgrid.connectivity import (
     ChunkLayout,
     EmpiricalDistribution,
-    EnvelopeDraw,
     PlacementMode,
     ScenarioConfig,
     _chunk_bounds,
+    _chunk_keys,
     _chunk_layout,
     _chunk_outage_counts,
     _chunk_score_arrays,
@@ -361,7 +361,13 @@ def _count_window(mean):
 
 
 def test_chunk_stream_matches_fresh_generators(monkeypatch):
-    """The chunk sampler draws what a fresh generator per realization does, at any chunking."""
+    """The chunk sampler draws what a fresh generator per realization does, at any chunking.
+
+    Below PTRS_MEAN the _no_generator guard keeps the sampler off numpy's
+    Generator, and that is what keeps numpy.random unimported on the grid
+    commands today: in a fresh interpreter the import costs 10-16 ms, which
+    a short run would pay on every invocation.
+    """
     means = [env.mean_count for env in STREAM_ENVELOPES]
     assert means[5] == np.nextafter(PTRS_MEAN, 0.0) and means[6] == PTRS_MEAN
     last = 10**9 - 50
@@ -667,55 +673,80 @@ def test_placement_mode_fails_closed(monkeypatch):
             outage_grid(*args, placement_mode=bad)
 
 
+def _no_draw(*args):
+    raise AssertionError("drew realizations that should have been held or refused")
+
+
 def test_outage_grid_scores_a_shared_draw(monkeypatch):
+    """One held dict answers every call of its chunks; any other call draws its own."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
     env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
-    lams, hts = [10e-6, 25e-6], [80.0, 140.0]
-    draw = EnvelopeDraw(env, 5, 700)
-    assert draw.key == (env, 5, 700) and len(draw.layouts) == 3
-    fresh = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env))
+    call = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "lambda_values": [10e-6, 25e-6],
+            "height_values": [80.0, 140.0], "gamma_th": 0.8, "n_realizations": 700, "seed": 5,
+            **_caps(env)}
+    fresh = outage_grid(**call)
+    held = {}
     for workers in (1, 2):
-        shared = outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env),
-                             workers=workers, draw=draw)
-        assert np.array_equal(shared, fresh)
-    pooled = EnvelopeDraw(env, 5, 700, workers=2)
-    assert np.array_equal(
-        outage_grid(URBAN, 250.0, 10.0, lams, hts, 0.8, 700, 5, **_caps(env), draw=pooled), fresh)
-    # the whole-envelope draw answers densities below the envelope's cap too
-    low = outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, **_caps(env))
-    assert np.array_equal(
-        outage_grid(URBAN, 250.0, 10.0, [10e-6], hts, 0.8, 700, 5, **_caps(env), draw=draw), low)
-    # a draw answers only the envelope, seed and n_realizations it was drawn for
-    mismatched = (
-        {"n_realizations": 600}, {"seed": 6},
-        {"lambda_cap": 30e-6},
-    )
-    for change in mismatched:
-        call = {"lambda_values": lams, "height_values": hts, "gamma_th": 0.8,
-                "n_realizations": 700, "seed": 5, **_caps(env), **change}
-        with pytest.raises(ValueError):
-            outage_grid(URBAN, 250.0, 10.0, draw=draw, **call)
-    for bad in ({"n_realizations": 0}, {"seed": -1}):
-        with pytest.raises(ValueError):
-            EnvelopeDraw(**{"envelope": env, "seed": 5, "n_realizations": 10, **bad})
+        assert np.array_equal(outage_grid(**call, workers=workers, held=held), fresh)
+    # three chunks, each laid out whole so that any density under the cap reads it
+    assert sorted(held, key=lambda key: key[2]) == _chunk_keys(env, 5, 700, 1.0)
+    layouts = dict(held)
+    low = {**call, "lambda_values": [10e-6]}
+    want_low = outage_grid(**low)
+    with monkeypatch.context() as m:
+        m.setattr(connectivity, "sample_envelope_points", _no_draw)
+        assert np.array_equal(outage_grid(**low, held=held), want_low)
+    assert held.keys() == layouts.keys() and all(held[k] is layouts[k] for k in layouts)
+    # a held layout answers only its own key: a call whose n_realizations, seed
+    # or envelope differs gets its own fresh cells
+    for change in ({"n_realizations": 600}, {"seed": 6}, {"lambda_cap": 30e-6}):
+        other = {**call, **change}
+        want = outage_grid(**other)
+        assert not np.array_equal(want, fresh)
+        assert np.array_equal(outage_grid(**other, held=held), want)
+    # realizations [0, 512) are the same two chunks at n = 600, so only [512, 600)
+    # joins them; the other seed and envelope add three chunks each
+    assert len(held) == 3 + 1 + 3 + 3
+
+
+def test_held_layouts_over_the_bound_are_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(connectivity, "sample_envelope_points", _no_draw)
+    # about 957 UAVs per realization, held 20000 times
+    dense = {"lambda_values": [5000e-6], "height_values": [55.0], "gamma_th": 0.8,
+             "n_realizations": 20000, "seed": 0}
+    held = {}
+    with pytest.raises(ValueError, match="envelope draw would hold"):
+        outage_grid(URBAN, 250.0, 10.0, **dense, held=held)
+    assert held == {}
+    # the same grid drawn chunk by chunk holds nothing, so the bound does not apply
+    with pytest.raises(AssertionError, match="drew realizations"):
+        outage_grid(URBAN, 250.0, 10.0, **dense)
 
 
 def test_optimize_maps_its_held_draw_over_workers(monkeypatch):
-    """The draw's chunk keys and every probe's held layouts go to the same workers."""
+    """Every probe maps its chunk keys over the workers; the grid pass draws them there."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
-    maps = []
-    map_tasks = connectivity._map_tasks
+    maps, drawn_in = [], []  # per map: (tasks, workers, chunks drawn); per draw: its thread
+    map_tasks, sample = connectivity._map_tasks, connectivity.sample_envelope_points
 
     def recording(fn, tasks, workers):
-        maps.append(([isinstance(t, ChunkLayout) for t in tasks], workers))
-        return map_tasks(fn, tasks, workers)
+        before = len(drawn_in)
+        result = map_tasks(fn, tasks, workers)
+        maps.append((len(tasks), workers, len(drawn_in) - before))
+        return result
+
+    def sampling(*args):
+        drawn_in.append(threading.get_ident())
+        return sample(*args)
 
     monkeypatch.setattr(connectivity, "_map_tasks", recording)
+    monkeypatch.setattr(connectivity, "sample_envelope_points", sampling)
     search = HeightSearchSpec(h_lo=60.0, h_hi=200.0)
     got = optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1, workers=2)
-    # first the draw's three chunk keys, then each probe's three held layouts
-    assert maps[0] == ([False] * 3, 2)
-    assert len(maps) > 2 and all(m == ([True] * 3, 2) for m in maps[1:])
+    # the grid pass draws the three chunks in worker threads; every probe after it
+    # maps the same three keys over the same workers and draws nothing
+    assert maps[0] == (3, 2, 3) and threading.main_thread().ident not in drawn_in
+    assert len(maps) > 2 and all(m == (3, 2, 0) for m in maps[1:])
     assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1)
 
 
@@ -742,19 +773,21 @@ def test_worker_threads_keep_the_kernels_ieee_limits():
 
 
 def test_worker_threads_share_held_layouts_under_stress(monkeypatch):
-    """More threads than cores, switching every microsecond, over one held draw's layouts."""
+    """More threads than cores, switching every microsecond, drawing into one held dict
+    and then scoring its layouts."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 50)
     env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
     grid = (URBAN, 250.0, 10.0, [10e-6, 25e-6], [80.0, 140.0], 0.8, 700, 5)
     want = outage_grid(*grid, **_caps(env))
+    held = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        draw = EnvelopeDraw(env, 5, 700, workers=4)
-        got = [outage_grid(*grid, **_caps(env), workers=4, draw=draw) for _ in range(3)]
+        got = [outage_grid(*grid, **_caps(env), workers=4, held=held) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     assert all(g.tobytes() == want.tobytes() for g in got)
+    assert sorted(held, key=lambda key: key[2]) == _chunk_keys(env, 5, 700, 1.0)
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -801,8 +834,8 @@ ABOVE_MAX_WORKERS = {
     "optimize_height": lambda w: optimize_height(URBAN, 250.0, 10.0, 20e-6,
                                                  HeightSearchSpec(h_lo=60.0, h_hi=200.0),
                                                  n_realizations=20000, workers=w),
-    "EnvelopeDraw": lambda w: EnvelopeDraw(SamplingEnvelope(lambda_cap=20e-6, d_cap=245.0), 0,
-                                           20000, workers=w),
+    "outage_grid_held": lambda w: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, 20000,
+                                              0, workers=w, held={}),
 }
 
 

@@ -72,9 +72,18 @@ def test_infeasible_window():
     for h_v in (-5.0, math.nan):
         with pytest.raises(InvalidGeometryError):
             optimize_height(URBAN, 250.0, h_v, 20e-6, spec, n_realizations=100, seed=0)
+    # a window just under the top whose grid rounds above it (to 10 decimals):
+    # the scenario check names the altitude before the search takes a ground range
+    edge = HeightSearchSpec(h_lo=260.00000000006, h_hi=260.000000000085)
+    with pytest.raises(InvalidGeometryError, match="outside the feasible range"):
+        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, edge, n_realizations=100, seed=0)
 
 
-def test_zero_density_returns_search_floor():
+def test_zero_density_returns_search_floor(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew realizations of a search with no UAVs")
+
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     spec = HeightSearchSpec(h_lo=60.0, h_hi=120.0)
     assert optimize_height(URBAN, 250.0, 10.0, 0.0, spec, n_realizations=100, seed=0) == (60.0, 1.0)
     # run parameters are checked before the zero-density shortcut

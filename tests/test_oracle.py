@@ -336,6 +336,30 @@ def test_draws_over_the_bound_are_refused_before_drawing():
     assert rng.bit_generator.state == state
 
 
+def test_non_integer_counts_and_seeds_are_refused_before_drawing(monkeypatch):
+    """A float is refused even when integral: seed 1.5 would run seed 1's rows."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for n in (200.0, 200.5, np.float64(200.0), "200", None):
+        with pytest.raises(ValueError, match="n_draws"):
+            empirical_los_probability(OBLIQUE, URBAN, Placement.INTERSECTION, n, rng)
+    assert rng.bit_generator.state == state
+
+    def no_draw(*args):
+        raise AssertionError("drew a case of a refused sweep")
+
+    monkeypatch.setattr(oracle, "empirical_los_probability", no_draw)
+    for name, bad in (("seed", {"seed": 1.5}), ("seed", {"seed": np.float64(3.0)}),
+                      ("cases", {"cases": 2.5}), ("cases", {"cases": 2.0}),
+                      ("n_draws", {"n": 200.5}), ("n_draws", {"n": 200.0})):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            validation_sweep(**{"cases": 2, "n": 200, "seed": 1, **bad})
+    # numpy integers are integers
+    monkeypatch.setattr(oracle, "empirical_los_probability", lambda *args: (0.5, 0.0))
+    assert validation_sweep(cases=np.int64(2), n=np.uint32(200), seed=np.uint64(2**64 - 1)) == \
+        validation_sweep(cases=2, n=200, seed=2**64 - 1)
+
+
 def test_cases_over_the_bound_are_refused_before_drawing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a case of a refused sweep")
