@@ -27,6 +27,7 @@ from . import __version__
 from .connectivity import (
     PlacementMode,
     ScenarioConfig,
+    check_probability,
     estimate_distribution,
     mixture_cdf,
     outage_grid,
@@ -317,8 +318,8 @@ def _cmd_optimize(args, city):
 def _cmd_contour(args, city):
     lambdas_km2 = grid_points(args.lambda_lo, args.lambda_hi, args.lambda_step)
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
-    if args.target_outage is not None and not 0.0 <= args.target_outage <= 1.0:
-        raise ValueError("--target-outage must lie in [0, 1]")
+    if args.target_outage is not None:
+        check_probability("--target-outage", args.target_outage)
     lambdas = [v * PER_KM2 for v in lambdas_km2]
     grid = sweep_contour(
         city,

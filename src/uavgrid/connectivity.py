@@ -35,16 +35,18 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
+    MAX_KEY,
     CityModel,
     InvalidGeometryError,
     SamplingEnvelope,
+    check_integer,
+    check_vehicle_height,
     ground_range,
     intersection_weight,
     sample_envelope_points,
@@ -121,17 +123,15 @@ MAX_WORKERS = 256
 
 def check_run(n_realizations: int, seed: int, workers: int) -> None:
     """Reject run parameters no Monte Carlo run can use, non-integers too (ValueError)."""
-    try:
-        n_realizations, seed, workers = map(operator.index, (n_realizations, seed, workers))
-    except TypeError:
-        raise ValueError(f"n_realizations, seed and workers must be integers, got "
-                         f"{n_realizations!r}, {seed!r}, {workers!r}") from None
-    if not 1 <= n_realizations <= MAX_REALIZATIONS:
-        raise ValueError(f"need 1 <= n_realizations <= {MAX_REALIZATIONS}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2**64)")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"need 1 <= workers <= {MAX_WORKERS}")
+    check_integer("n_realizations", n_realizations, 1, MAX_REALIZATIONS)
+    check_integer("seed", seed, 0, MAX_KEY)
+    check_integer("workers", workers, 1, MAX_WORKERS)
+
+
+def check_probability(name: str, value) -> None:
+    """The one probability rule: value in [0, 1], else ValueError naming it (NaN fails)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 # The most UAVs one realization draws on average (envelope mean_count): about
@@ -166,8 +166,7 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
         raise ValueError("grid axes cannot be empty")
     if not all(0.0 <= lam < math.inf for lam in lambda_values):
         raise InvalidGeometryError("densities must be finite and non-negative")
-    if not 0.0 <= h_v < math.inf:
-        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
+    check_vehicle_height(h_v)
     # a finite r_max whose square overflows would give an infinite ground disk
     if not (0.0 < r_max and r_max * r_max < math.inf):
         raise InvalidGeometryError(f"r_max must be positive with a finite square, got {r_max}")
@@ -487,8 +486,7 @@ def outage_grid(
     """
     placement_mode = PlacementMode(placement_mode)
     check_run(n_realizations, seed, workers)
-    if not 0.0 <= gamma_th <= 1.0:
-        raise ValueError("gamma_th must lie in [0, 1]")
+    check_probability("gamma_th", gamma_th)
     lambda_values, height_values, envelope = _scenario(r_max, h_v, lambda_values, height_values,
                                                        lambda_cap, d_cap)
     placements = placement_mode.placements

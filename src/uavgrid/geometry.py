@@ -28,6 +28,35 @@ class InvalidGeometryError(ValueError):
     """Parameters describe an impossible or degenerate deployment."""
 
 
+# The largest seed or realization index: each is one uint64 word of a Philox key.
+MAX_KEY = 2**64 - 1
+
+
+def check_integer(name: str, value, lo: int, hi: int) -> int:
+    """value as an int in [lo, hi]: the one integer rule of every entry point.
+
+    numpy integers pass.  A non-integer (a float, 2.0 too, or a bool) or a
+    value outside [lo, hi] raises a one-line ValueError that names the argument.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    # operator.index(True) is 1, but a bool set where a count or a seed belongs is a mistake
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= number <= hi:
+        raise ValueError(f"need {lo} <= {name} <= {hi}")
+    return number
+
+
+def check_vehicle_height(h_v) -> None:
+    """The one vehicle-height rule: h_v finite and >= 0, else InvalidGeometryError."""
+    # written so that NaN fails it
+    if not 0.0 <= h_v < math.inf:
+        raise InvalidGeometryError("vehicle height h_v must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class HeightDistribution:
     """Building heights drawn uniformly from [h_min, h_max]."""
@@ -277,7 +306,7 @@ def philox_streams(seed, indices):
     exactly what a fresh Philox(key=(seed, i)) would, without building one.
     rng is the same object at every step and is re-keyed when the generator
     advances, so finish drawing from it first.  seed and every index must be
-    integers in [0, 2**64).
+    integers in [0, MAX_KEY].
     """
     bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
@@ -318,18 +347,13 @@ def sample_envelope_points(
     PTRS, whose libm bits numpy's ufuncs need not match, so each realization
     is drawn through a Generator.
 
-    The seed and each index are uint64 key words, so seed must be an integer
-    in [0, 2**64) and start <= stop integers in [0, 2**64]; anything else
-    raises ValueError before a draw.
+    The seed and each index are Philox key words, so seed must be an integer
+    in [0, MAX_KEY] and start <= stop integers in [0, MAX_KEY + 1]; anything
+    else raises ValueError naming the argument (check_integer) before a draw.
     """
-    try:
-        seed, start, stop = map(operator.index, (seed, start, stop))
-    except TypeError:
-        raise ValueError(f"seed, start and stop must be integers, got {seed!r}, {start!r}, "
-                         f"{stop!r}") from None
-    if not (0 <= seed < 2**64 and 0 <= start <= stop <= 2**64):
-        raise ValueError(f"need 0 <= seed < 2**64 and 0 <= start <= stop <= 2**64, got seed "
-                         f"{seed}, start {start}, stop {stop}")
+    seed = check_integer("seed", seed, 0, MAX_KEY)
+    start = check_integer("start", start, 0, MAX_KEY + 1)
+    stop = check_integer("stop", stop, start, MAX_KEY + 1)
     mean = envelope.mean_count
     rows = _philox_rows if mean < PTRS_MEAN else _generator_rows
     u, counts = rows(mean, seed, start, stop)

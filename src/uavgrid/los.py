@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CityModel
+from .geometry import CityModel, check_vehicle_height
 
 # The most |cos_phi**2 + sin_phi**2 - 1| a folded direction may show: 4 ulp of
 # 1.0.  Folding real azimuths with math or numpy stayed within 1 ulp (2.2e-16).
@@ -87,8 +87,7 @@ class LinkGeometry:
             raise ValueError("d must be finite and >= 0")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        if not 0.0 <= self.h_v < math.inf:
-            raise ValueError("h_v must be finite and >= 0")
+        check_vehicle_height(self.h_v)
         if not self.h_v < self.h_uav < math.inf:
             raise ValueError("need finite h_uav > h_v for a link above the vehicle")
         c = abs(math.cos(self.phi))
@@ -313,8 +312,8 @@ def los_probability_batch(
     sine of the azimuth, folded as LinkGeometry folds them, e.g.
     np.abs(np.cos(phi)).  The arguments must pass LinkGeometry's checks:
     finite d >= 0, both cosines in [0, 1] with cos_phi**2 + sin_phi**2
-    within DIRECTION_TOL of 1, finite h_v >= 0 and finite h_uav > h_v
-    (ValueError otherwise).
+    within DIRECTION_TOL of 1, finite h_v >= 0 (geometry.check_vehicle_height)
+    and finite h_uav > h_v (ValueError otherwise).
     """
     d = np.asarray(d, dtype=float)
     c = np.asarray(cos_phi, dtype=float)
@@ -331,8 +330,7 @@ def los_probability_batch(
     if not (1.0 - DIRECTION_TOL <= q.min(initial=1.0)
             and q.max(initial=1.0) <= 1.0 + DIRECTION_TOL):
         raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
-    if not 0.0 <= h_v < math.inf:
-        raise ValueError("h_v must be finite and >= 0")
+    check_vehicle_height(h_v)
     if not h_v < h_uav < math.inf:
         raise ValueError("need finite h_uav > h_v for links above the vehicle")
     return _los(d, c, s, h_uav - h_v, h_v, city, placement)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import PlacementMode, check_run, outage_grid
+from .connectivity import PlacementMode, check_probability, check_run, outage_grid
 from .geometry import CityModel, InvalidGeometryError, ground_range
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -41,8 +41,7 @@ class HeightSearchSpec:
             raise ValueError("grid_step and refine_tol must be positive and finite")
         if not -math.inf < self.h_lo < self.h_hi < math.inf:
             raise ValueError("need finite h_lo < h_hi")
-        if not 0.0 <= self.gamma_th <= 1.0:
-            raise ValueError("gamma_th must lie in [0, 1]")
+        check_probability("gamma_th", self.gamma_th)
 
 
 # The most points grid_points builds, far above any grid the commands use.
@@ -229,8 +228,7 @@ def min_density_for_outage(grid: ContourGrid, target: float) -> tuple[float, flo
     Returns (lambda_min, h_star) or None when no grid density reaches the
     target.  Infeasibility is an answer here, not an error.
     """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError("target must lie in [0, 1]")
+    check_probability("target", target)
     for i, lam in enumerate(grid.lambda_axis):
         j = int(np.argmin(grid.outage[i]))
         if grid.outage[i, j] <= target:

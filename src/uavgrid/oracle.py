@@ -24,12 +24,12 @@ intensity, each point belonging to a draw picked uniformly at random
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CityModel, HeightDistribution, PRESETS, ground_range, philox_streams
+from .geometry import (MAX_KEY, PRESETS, CityModel, HeightDistribution, check_integer,
+                       check_vehicle_height, ground_range, philox_streams)
 from .los import LinkGeometry, Placement, _link_limits, effective_widths, los_probability
 
 # The most city draws one case takes.  A case holds all its draws at once: at
@@ -62,22 +62,6 @@ MAX_CASES = 10**6
 # uniform(h_min, h_max) may be h_max itself, and the few roundings of the cut
 # and of the hit test stay far inside 2**-40.
 _CUT_SLACK = 2.0**-40
-
-
-def _index(name: str, value) -> int:
-    """value as an int; a non-integer, 2.0 too, raises ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_draws(n) -> int:
-    """n as an int in [1, MAX_DRAWS] (ValueError otherwise)."""
-    n = _index("n_draws", n)
-    if not 1 <= n <= MAX_DRAWS:
-        raise ValueError(f"need 1 <= n_draws <= {MAX_DRAWS} city draws per case")
-    return n
 
 
 def _side_top(link: LinkGeometry, heights: HeightDistribution, zb: float) -> float:
@@ -114,7 +98,7 @@ def empirical_los_probability(
     n * lambda_s * (zb - za) summed over the axes with za < zb, at most
     MAX_SIDES (ValueError), checked before anything is drawn.
     """
-    n = _check_draws(n)
+    n = check_integer("n_draws", n, 1, MAX_DRAWS)
     h0, limits_x, limits_y = _link_limits(link, *effective_widths(city, placement))
     sides = n * city.lambda_s * sum(max(zb - za, 0.0) for za, zb in (limits_x, limits_y))
     if sides > MAX_SIDES:
@@ -184,20 +168,18 @@ def validation_sweep(
     the sweep re-keys one bit generator per case (geometry.philox_streams),
     which draws exactly what a fresh Generator(Philox(key=(seed, k))) would.
     Every argument is checked before anything is drawn (ValueError),
-    including cases, in [1, MAX_CASES], the seed, in [0, 2**64), and n with
+    including cases, in [1, MAX_CASES], the seed, in [0, MAX_KEY], and n with
     r_max: a case may expect at most MAX_SIDES building sides.  cases, n and
-    seed must be integers: a float is refused even when it is integral.
+    seed must be integers (geometry.check_integer): a float is refused even
+    when it is integral, and so is a bool.  h_v must be finite and >= 0
+    (geometry.check_vehicle_height, InvalidGeometryError).
     """
-    cases, seed = _index("cases", cases), _index("seed", seed)
-    if not 1 <= cases <= MAX_CASES:
-        raise ValueError(f"need 1 <= cases <= {MAX_CASES}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2**64)")
-    n = _check_draws(n)
+    cases = check_integer("cases", cases, 1, MAX_CASES)
+    seed = check_integer("seed", seed, 0, MAX_KEY)
+    n = check_integer("n_draws", n, 1, MAX_DRAWS)
     if not 0.0 < z_limit < math.inf:
         raise ValueError("z_limit must be positive and finite")
-    if not 0.0 <= h_v < math.inf:
-        raise ValueError("h_v must be finite and >= 0")
+    check_vehicle_height(h_v)
     # altitudes are drawn from (h_v + 1, h_cap): sqrt(r_max**2 - 20**2) must exceed 1
     if not _R_MAX_FLOOR < r_max < math.inf:
         raise ValueError(f"r_max must be finite and above {_R_MAX_FLOOR:.4g} m")

@@ -117,7 +117,7 @@ def test_scenario_config_validation():
     for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64},
                 # a run parameter is an integer: 2.5 workers would reach the pool
                 {"workers": 2.5}, {"workers": 2.0}, {"n_realizations": 1000.0},
-                {"seed": 1.5}, {"seed": "0"}):
+                {"seed": 1.5}, {"seed": "0"}, {"workers": True}):
         with pytest.raises(ValueError):
             replace(SCENARIO, **{"n_realizations": 10, **bad})
 
@@ -656,7 +656,7 @@ def test_outage_grid_validates_inputs():
     too_many = connectivity.MAX_REALIZATIONS + 1
     for n, seed, extra in ((0, 0, {}), (too_many, 0, {}), (10, -1, {}), (10, 2**64, {}),
                            (10, 0, {"workers": 0}), (1000.0, 0, {}), (10, 0.0, {}),
-                           (10, 0, {"workers": 2.5}), (None, 0, {})):
+                           (10, 0, {"workers": 2.5}), (None, 0, {}), (True, 0, {})):
         with pytest.raises(ValueError):
             outage_grid(URBAN, 250.0, 10.0, [1e-5], [100.0], 0.8, n, seed, **extra)
 

@@ -161,7 +161,8 @@ def test_sampler_refuses_keys_it_cannot_draw(lambda_cap):
     env = SamplingEnvelope(lambda_cap=lambda_cap, d_cap=233.0)
     # each would key another stream: a fraction truncates, an index from 2**64 on wraps to 0
     for seed, start, stop in ((1.5, 0, 3), (7, 0.5, 3), (7, 0, np.float64(3.0)), (-1, 0, 3),
-                              (2**64, 0, 3), (7, -1, 3), (7, 3, 2), (7, 2**64 - 2, 2**64 + 1)):
+                              (2**64, 0, 3), (7, -1, 3), (7, 3, 2), (7, 2**64 - 2, 2**64 + 1),
+                              (7, 0, True)):
         with pytest.raises(ValueError):
             sample_envelope_points(env, seed, start, stop)
     # numpy integers pass, and the last seed and index still draw what a fresh Generator does

@@ -340,7 +340,7 @@ def test_non_integer_counts_and_seeds_are_refused_before_drawing(monkeypatch):
     """A float is refused even when integral: seed 1.5 would run seed 1's rows."""
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    for n in (200.0, 200.5, np.float64(200.0), "200", None):
+    for n in (200.0, 200.5, np.float64(200.0), "200", None, True):
         with pytest.raises(ValueError, match="n_draws"):
             empirical_los_probability(OBLIQUE, URBAN, Placement.INTERSECTION, n, rng)
     assert rng.bit_generator.state == state
@@ -351,7 +351,8 @@ def test_non_integer_counts_and_seeds_are_refused_before_drawing(monkeypatch):
     monkeypatch.setattr(oracle, "empirical_los_probability", no_draw)
     for name, bad in (("seed", {"seed": 1.5}), ("seed", {"seed": np.float64(3.0)}),
                       ("cases", {"cases": 2.5}), ("cases", {"cases": 2.0}),
-                      ("n_draws", {"n": 200.5}), ("n_draws", {"n": 200.0})):
+                      ("n_draws", {"n": 200.5}), ("n_draws", {"n": 200.0}),
+                      ("cases", {"cases": True})):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             validation_sweep(**{"cases": 2, "n": 200, "seed": 1, **bad})
     # numpy integers are integers
