@@ -264,15 +264,10 @@ def _cmd_distribution(args, city):
     config = ScenarioConfig(city, args.r_max, args.h_v, lam, args.h_uav, **_run(args))
     dists = estimate_distribution(config)
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
-    rows = [
-        [
-            g,
-            float(dists[Placement.INTERSECTION].evaluate(g)),
-            float(dists[Placement.STREET].evaluate(g)),
-            float(mix.evaluate(g)),
-        ]
-        for g in gammas
-    ]
+    # each CDF once over the whole grid: the same bits as one evaluate per gamma
+    columns = [cdf.evaluate(gammas).tolist()
+               for cdf in (dists[Placement.INTERSECTION], dists[Placement.STREET], mix)]
+    rows = [list(row) for row in zip(gammas, *columns)]
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "h_uav_m": args.h_uav}
     return ["gamma", "F_intersection", "F_street", "F_mixture"], rows, metadata, 0
 

@@ -10,7 +10,11 @@ The UAV point process is drawn a chunk of realizations at a time on numpy's
 own random stream: realization i gets, bit for bit, what a fresh
 Generator(Philox(key=(seed, i))) would draw.  Philox is counter-based, so
 the sampler computes only the blocks each realization reads: a count window,
-then its point blocks past the window (see sample_envelope_points).
+then its point blocks past the window (see sample_envelope_points).  Those
+blocks are counters (b, 0, 0, 0) under keys (seed, i), so the work that does
+not depend on i is done once per chunk: round 0's product of each block
+number b, round 1's product of the seed, and the seed's key word in every
+round (_philox_blocks).
 """
 
 from __future__ import annotations
@@ -182,17 +186,22 @@ class SamplingEnvelope:
 PTRS_MEAN = 10.0
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC'11): the round multipliers and the Weyl increments of the key.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
-_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+# SC'11): the round multipliers and the Weyl increments of the key, as Python
+# ints for the products and sums every stream shares, and as np.uint64 for the
+# array words (a bare int could promote uint64 arrays to float64 on numpy 1.x).
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_WORD = 2**64 - 1
+_PHILOX_M0, _PHILOX_M1, _PHILOX_W1 = np.uint64(_M0), np.uint64(_M1), np.uint64(_W1)
+_LOW, _HALF, _DOUBLE_SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
-def _mulhilo(x, m, hi, lo, t):
+def _mulhilo(x, m, hi, lo, t, s):
     """Write the high and low words of the 128-bit products x * m into hi and lo.
 
     The high word is summed from the products of 32-bit halves, none of which
-    carries out of 64 bits.  t is scratch, and x is overwritten.
+    carries out of 64 bits.  t and s are scratch, x is overwritten, and
+    nothing is allocated.
     """
     m_lo, m_hi = m & _LOW, m >> _HALF
     np.multiply(x, m, out=lo)
@@ -200,50 +209,68 @@ def _mulhilo(x, m, hi, lo, t):
     np.bitwise_and(x, _LOW, out=x)
     np.multiply(x, m_lo, out=t)
     np.right_shift(t, _HALF, out=t)
-    t += hi * m_lo
+    np.multiply(hi, m_lo, out=s)
+    t += s
     x *= m_hi
-    x += t & _LOW
+    np.bitwise_and(t, _LOW, out=s)
+    x += s
     hi *= m_hi
-    hi += t >> _HALF
-    hi += x >> _HALF
+    np.right_shift(t, _HALF, out=s)
+    hi += s
+    np.right_shift(x, _HALF, out=s)
+    hi += s
 
 
-def _philox(counter, key):
-    """Philox4x64-10 blocks, the words numpy's Philox outputs for them.
+def _philox_blocks(seed, index, block):
+    """The 4 words numpy's Philox outputs for block (block, 0, 0, 0) under key (seed, index).
 
-    counter is a (4, ...) and key a (2, ...) uint64 array, least significant
-    word first; their trailing shapes broadcast.  Returns the (4, ...) words
-    of each block in output order.
+    These are the only blocks the sampler reads: numpy's Philox increments its
+    counter before each block, so block b of stream (seed, i) is counter
+    (b, 0, 0, 0), b = 1, 2, ...  index and block are integer arrays whose
+    shapes broadcast; block numbers span a short range, because round 0 looks
+    their products up in a table over it.  Returns 4 uint64 arrays of the
+    broadcast shape, least significant word first.
+
+    Work every stream shares is done once: with counter words 1-3 zero and
+    key word 0 the seed, round 0 is one table product b * M0 per block number
+    and round 1's first product is seed * M0, both Python ints, and key word
+    0 stays a Python int.  Rounds 1-9 run in place in one (10, N) buffer.
     """
-    key = np.array(key, dtype=np.uint64)
-    shape = np.broadcast_shapes(np.shape(counter)[1:], key.shape[1:])
-    c0, c1, c2, c3 = (np.array(np.broadcast_to(c, shape), dtype=np.uint64) for c in counter)
-    hi0, lo0, hi1, lo1, t = (np.empty(shape, dtype=np.uint64) for _ in range(5))
-    bump = _PHILOX_W.reshape((2,) + (1,) * (key.ndim - 1))
-    for r in range(10):
-        if r:
-            key += bump
-        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, t)
-        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, t)
-        hi1 ^= c1
-        hi1 ^= key[0]
-        hi0 ^= c3
-        hi0 ^= key[1]
-        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
-    return np.stack((c0, c1, c2, c3))
+    shape = np.broadcast_shapes(np.shape(index), np.shape(block))
+    buffer = np.empty((10,) + shape, dtype=np.uint64)
+    c0, c1, c2, c3, h0, l0, h1, l1, t, s = buffer
+    # round 0: words 1-3 zero, so its second product is zero and word 0 is the seed
+    top = int(block.max(initial=0))
+    low = int(block.min(initial=top))
+    products = [b * _M0 for b in range(low, top + 1)]
+    rows = block - block.dtype.type(low)
+    b_hi = np.array([p >> 64 for p in products], dtype=np.uint64)[rows]
+    b_lo = np.array([p & _WORD for p in products], dtype=np.uint64)[rows]
+    np.bitwise_xor(b_hi, index, out=c2)
+    # round 1: word 0 is the seed, so its product is one Python int; word 1 is zero
+    key = index + _PHILOX_W1
+    _mulhilo(c2, _PHILOX_M1, h1, l1, t, s)
+    np.bitwise_xor(h1, np.uint64((seed + _W0) & _WORD), out=c0)
+    seed_product = seed * _M0
+    np.bitwise_xor(b_lo ^ np.uint64(seed_product >> 64), key, out=c2)
+    c3.fill(np.uint64(seed_product & _WORD))
+    c1, l1 = l1, c1
+    for r in range(2, 10):
+        key += _PHILOX_W1
+        _mulhilo(c0, _PHILOX_M0, h0, l0, t, s)
+        _mulhilo(c2, _PHILOX_M1, h1, l1, t, s)
+        h1 ^= c1
+        h1 ^= np.uint64((seed + r * _W0) & _WORD)
+        h0 ^= c3
+        h0 ^= key
+        c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
+    return c0, c1, c2, c3
 
 
-def _doubles(seed, index, counter):
-    """The (4, N) doubles Generator.random makes of block counter[j] of stream (seed, index[j]).
-
-    numpy's Philox increments its counter before each block, so a stream's
-    blocks are counters 1, 2, ...; word x gives the double (x >> 11) * 2**-53.
-    """
-    counters = np.zeros((4, index.size), dtype=np.uint64)
-    counters[0] = counter
-    words = _philox(counters, np.stack((np.full(index.size, seed, dtype=np.uint64), index)))
-    words >>= np.uint64(11)
-    return words * 2.0**-53
+def _doubles(words, out=None):
+    """The doubles Generator.random makes of Philox words: (x >> 11) * 2**-53, words overwritten."""
+    words >>= _DOUBLE_SHIFT
+    return np.multiply(words, 2.0**-53, out=out)
 
 
 def _window(seed, index, floor, blocks):
@@ -255,8 +282,11 @@ def _window(seed, index, floor, blocks):
     4 * blocks has not settled.
     """
     m = index.size
-    u = _doubles(seed, np.tile(index, blocks), np.repeat(np.arange(1, blocks + 1), m))
-    u = u.reshape(4, blocks, m).swapaxes(0, 1).reshape(4 * blocks, m)
+    # a (blocks, 1) counter column against the index row, each word into its rank rows
+    u = np.empty((blocks, 4, m))
+    for w, words in enumerate(_philox_blocks(seed, index, np.arange(1, blocks + 1)[:, None])):
+        _doubles(words, out=u[:, w])
+    u = u.reshape(4 * blocks, m)
     product, counts = np.ones(m), np.zeros(m, dtype=np.int64)
     for row in u:
         product *= row
@@ -290,7 +320,8 @@ def _philox_rows(mean, seed, start, stop):
     extra = np.maximum(counts + 1 - blocks, 0)
     col = np.repeat(np.arange(m), extra)
     block = blocks + np.arange(col.size) - np.repeat(np.cumsum(extra) - extra, extra)
-    u[4 * block + np.arange(4)[:, None], col] = _doubles(seed, index[col], block + 1)
+    for w, words in enumerate(_philox_blocks(seed, index[col], block + 1)):
+        u[4 * block + w, col] = _doubles(words)
     # point k of column i starts at double counts[i] + 1 + 3k
     first = np.cumsum(counts) - counts
     row = np.repeat(counts + 1 - 3 * first, counts) + 3 * np.arange(counts.sum())

@@ -15,7 +15,7 @@ from uavgrid.cli import main
 from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
 from uavgrid.geometry import PRESETS, HeightDistribution
 from uavgrid.los import Placement
-from uavgrid.optimize import HeightSearchSpec, optimize_height
+from uavgrid.optimize import HeightSearchSpec, grid_points, optimize_height
 
 
 def run_cli(args, capsys):
@@ -42,6 +42,23 @@ def test_distribution_header_and_pipeline_agreement(capsys):
     mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], PRESETS["urban"])
     row08 = next(l for l in lines[1:] if l.startswith("0.8,"))
     assert float(row08.split(",")[3]) == mix.evaluate(0.8)
+
+
+def test_distribution_rows_are_one_scalar_evaluate_per_gamma(capsys):
+    """Each CDF is evaluated once over the whole gamma grid, bit for bit as per gamma."""
+    city = PRESETS["urban"]
+    for seed, lam, step in ((1, 20.0, 0.01), (2, 5.0, 0.003), (3, 60.0, 0.25)):
+        code, out, _ = run_cli(
+            ["distribution", "--preset", "urban", "--lambda-uav", str(lam), "--h-uav", "100",
+             "--n-realizations", "700", "--seed", str(seed), "--gamma-step", str(step)], capsys)
+        assert code == 0
+        dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, lam * 1e-6, 100.0,
+                                                     n_realizations=700, seed=seed))
+        cdfs = (dists[Placement.INTERSECTION], dists[Placement.STREET],
+                mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city))
+        want = [",".join(repr(v) for v in [g] + [float(cdf.evaluate(g)) for cdf in cdfs])
+                for g in grid_points(0.0, 1.0, step)]
+        assert out.strip().split("\n")[1:] == want
 
 
 def test_output_file_and_byte_reproducibility(tmp_path, capsys):

@@ -36,7 +36,7 @@ from uavgrid.geometry import (
     InvalidGeometryError,
     SamplingEnvelope,
     ground_range,
-    _philox,
+    _philox_blocks,
     intersection_weight,
     sample_envelope_points,
 )
@@ -402,32 +402,103 @@ def test_chunk_stream_matches_fresh_generators(monkeypatch):
     assert empty > 0 and overflow > 0 and past > 0
 
 
+# The general Philox4x64-10 block function, any counter under any key: the
+# reference that numpy's Philox checks at counters of more than one word, where
+# the sampler's _philox_blocks (counter (b, 0, 0, 0) only) does not reach.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(x, m, hi, lo, t):
+    """Write the high and low words of the 128-bit products x * m into hi and lo.
+
+    The high word is summed from the products of 32-bit halves, none of which
+    carries out of 64 bits.  t is scratch, and x is overwritten.
+    """
+    m_lo, m_hi = m & _LOW, m >> _HALF
+    np.multiply(x, m, out=lo)
+    np.right_shift(x, _HALF, out=hi)
+    np.bitwise_and(x, _LOW, out=x)
+    np.multiply(x, m_lo, out=t)
+    np.right_shift(t, _HALF, out=t)
+    t += hi * m_lo
+    x *= m_hi
+    x += t & _LOW
+    hi *= m_hi
+    hi += t >> _HALF
+    hi += x >> _HALF
+
+
+def _philox(counter, key):
+    """Philox4x64-10 blocks, the words numpy's Philox outputs for them.
+
+    counter is a (4, ...) and key a (2, ...) uint64 array, least significant
+    word first; their trailing shapes broadcast.  Returns the (4, ...) words
+    of each block in output order.
+    """
+    key = np.array(key, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(counter)[1:], key.shape[1:])
+    c0, c1, c2, c3 = (np.array(np.broadcast_to(c, shape), dtype=np.uint64) for c in counter)
+    hi0, lo0, hi1, lo1, t = (np.empty(shape, dtype=np.uint64) for _ in range(5))
+    bump = _PHILOX_W.reshape((2,) + (1,) * (key.ndim - 1))
+    for r in range(10):
+        if r:
+            key += bump
+        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, t)
+        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, t)
+        hi1 ^= c1
+        hi1 ^= key[0]
+        hi0 ^= c3
+        hi0 ^= key[1]
+        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
+    return np.stack((c0, c1, c2, c3))
+
+
 def test_philox_blocks_match_numpy():
-    """Each Philox4x64-10 block is numpy's: block c + 1 of key k is Philox(key=k, counter=c)'s next."""
+    """Each Philox4x64-10 block is numpy's: block b of key k is Philox(key=k, counter=b - 1)'s next.
+
+    The sampler's _philox_blocks covers the counters (b, 0, 0, 0) it reads,
+    as a block column against an index row; the general _philox above covers
+    counters of several words.  Keys 8 and 9 take seeds 2**64 - 1 and
+    2**64 - 2, so key word 0 wraps during the schedule.
+    """
     rng = np.random.default_rng(20)
     keys = rng.integers(0, 2**64, size=(12, 2), dtype=np.uint64)
     keys[:4, 0] |= np.uint64(2**63)
     keys[4:8, 1] |= np.uint64(2**63)
-    counters = list(range(1001)) + [2**64 - 1, 2**128 + 7, 2**256 - 2]
+    keys[8:10, 0] = [2**64 - 1, 2**64 - 2]
+    blocks = list(range(1, 1002)) + [2**64 - 1]
+    counters = [2**64 - 1, 2**128 + 7, 2**256 - 2]
     words = np.array([[(c + 1) >> (64 * w) & (2**64 - 1) for c in counters] for w in range(4)],
                      dtype=np.uint64)
     for key in keys:
+        want = np.array([np.random.Philox(key=key, counter=b - 1).random_raw(4) for b in blocks])
+        seed, index = int(key[0]), key[1:]
+        got = np.stack(_philox_blocks(seed, index, np.arange(1, 1002)[:, None]))[..., 0]
+        last = np.stack(_philox_blocks(seed, index, np.array([2**64 - 1], dtype=np.uint64)))
+        assert np.array_equal(np.concatenate((got, last), axis=1).T, want)
         want = np.array([np.random.Philox(key=key, counter=c).random_raw(4) for c in counters])
-        got = _philox(words, key[:, None])
-        assert np.array_equal(got.T, want)
+        assert np.array_equal(_philox(words, key[:, None]).T, want)
+
+
+def _counting_blocks(monkeypatch):
+    """Hook _philox_blocks: the returned list gets the number of blocks of each call."""
+    computed = []
+    blocks = geometry._philox_blocks
+
+    def counting(seed, index, block):
+        words = blocks(seed, index, block)
+        computed.append(words[0].size)
+        return words
+
+    monkeypatch.setattr(geometry, "_philox_blocks", counting)
+    return computed
 
 
 def test_sampler_computes_only_the_blocks_it_reads(monkeypatch):
     """A chunk computes max(W, n + 1) Philox blocks per realization, plus its overflow redraws."""
-    computed = []
-    philox = geometry._philox
-
-    def counting(counter, key):
-        words = philox(counter, key)
-        computed.append(words[0].size)
-        return words
-
-    monkeypatch.setattr(geometry, "_philox", counting)
+    computed = _counting_blocks(monkeypatch)
     redrawn = 0
     for env in STREAM_ENVELOPES:
         for seed in (0, 31):
@@ -447,6 +518,20 @@ def test_sampler_computes_only_the_blocks_it_reads(monkeypatch):
             assert sum(computed) == np.maximum(window, counts + 1).sum() + redraws
             redrawn += redraws
     assert redrawn > 0
+
+
+def test_an_empty_chunk_computes_no_block(monkeypatch):
+    """sample_envelope_points(env, seed, k, k) is three empty float arrays and empty counts."""
+    computed = _counting_blocks(monkeypatch)
+    envelopes = (STREAM_ENVELOPES[2], STREAM_ENVELOPES[-1])
+    assert envelopes[0].mean_count < PTRS_MEAN < envelopes[1].mean_count
+    for env in envelopes:
+        for seed in STREAM_SEEDS:
+            for k in (0, 8191, 2**64 - 1, 2**64):
+                *points, counts = sample_envelope_points(env, seed, k, k)
+                assert all(p.dtype == np.float64 and p.shape == (0,) for p in points)
+                assert counts.dtype == np.int64 and counts.shape == (0,)
+    assert sum(computed) == 0
 
 
 def test_zero_density_distribution_is_degenerate():
