@@ -44,7 +44,6 @@ from .connectivity import (
 )
 from .optimize import (
     ContourGrid,
-    HeightSearchSpec,
     InfeasibleSearchError,
     grid_points,
     min_density_for_outage,
@@ -59,7 +58,6 @@ __all__ = [
     "ContourGrid",
     "EmpiricalDistribution",
     "HeightDistribution",
-    "HeightSearchSpec",
     "InfeasibleSearchError",
     "InvalidGeometryError",
     "LinkGeometry",

@@ -35,7 +35,6 @@ from .connectivity import (
 from .geometry import CityModel, InvalidGeometryError, PRESETS, _preset
 from .los import Placement
 from .optimize import (
-    HeightSearchSpec,
     grid_points,
     min_density_for_outage,
     optimize_height,
@@ -291,19 +290,16 @@ def _cmd_outage_curve(args, city):
 
 def _cmd_optimize(args, city):
     lam = args.lambda_uav * PER_KM2
-    search = HeightSearchSpec(
-        h_lo=args.h_lo,
-        h_hi=args.h_hi,
-        grid_step=args.grid_step,
-        refine_tol=args.refine_tol,
-        gamma_th=args.gamma_th,
-    )
     h_star, outage_star = optimize_height(
         city,
         args.r_max,
         args.h_v,
         lam,
-        search,
+        args.h_lo,
+        args.h_hi,
+        args.gamma_th,
+        grid_step=args.grid_step,
+        refine_tol=args.refine_tol,
         **_run(args),
     )
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "gamma_th": args.gamma_th}

@@ -172,12 +172,17 @@ def _survivor_fraction(t, delta_h, h_v, heights):
     to 1: with lo, hi the knots clamped to [0, 1], m = max(hi - t, 0) and
     e = min(m, hi - lo), F = m + e * (S(hi) - 1 + e / (2 * (t2 - t1))), all
     terms in [-1, 1] however small delta_h.  t >= 1 or NaN (fmax) gives F = 0.
+    The ramp adds at most hi - lo to F, so a ramp of no width (t1 == t2 once
+    rounded), or one whose slope 1 / (t2 - t1) is not a positive double, gives
+    its limit F = m instead of dividing by zero or multiplying 0 by inf.
     """
     t1 = (heights.h_min - h_v) / delta_h
     t2 = (heights.h_max - h_v) / delta_h
     lo, hi = min(max(t1, 0.0), 1.0), min(max(t2, 0.0), 1.0)
     m = np.subtract(hi, t, out=t)
     np.fmax(m, 0.0, out=m)
+    if hi == lo or not 0.0 < 0.5 / (t2 - t1) < math.inf:
+        return m
     e = np.minimum(m, hi - lo)
     f = np.multiply(e, 0.5 / (t2 - t1))
     f += (t2 - hi) / (t2 - t1) - 1.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import PlacementMode, check_probability, check_run, outage_grid
+from .connectivity import PlacementMode, check_probability, outage_grid
 from .geometry import CityModel, InvalidGeometryError, ground_range
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -24,24 +24,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class InfeasibleSearchError(InvalidGeometryError):
     """The requested altitude window leaves no feasible heights."""
-
-
-@dataclass(frozen=True)
-class HeightSearchSpec:
-    """Altitude window and stopping rules for optimize_height."""
-
-    h_lo: float
-    h_hi: float
-    grid_step: float = 5.0
-    refine_tol: float = 1.0
-    gamma_th: float = 0.8
-
-    def __post_init__(self):
-        if not (0.0 < self.grid_step < math.inf and 0.0 < self.refine_tol < math.inf):
-            raise ValueError("grid_step and refine_tol must be positive and finite")
-        if not -math.inf < self.h_lo < self.h_hi < math.inf:
-            raise ValueError("need finite h_lo < h_hi")
-        check_probability("gamma_th", self.gamma_th)
 
 
 # The most points grid_points builds, far above any grid the commands use.
@@ -54,22 +36,20 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     Values are rounded to 10 decimals so grids built from decimal steps carry
     clean coordinates instead of accumulated float noise.  A step that would
     give more than MAX_GRID_POINTS points raises ValueError before any point
-    is built.
+    is built.  Each refusal names the step and the range it was given.
     """
+    grid = f"a step of {step:g} from {lo:g} to {hi:g}"
     if not 0.0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
+        raise ValueError(f"{grid}: the step must be positive and finite")
     if not -math.inf < lo <= hi < math.inf:
-        raise ValueError("need finite lo <= hi")
+        raise ValueError(f"{grid}: the range needs finite lo <= hi")
     span = (hi - lo) / step + 1e-9
     # points lo + k * step for k = 0..n, then hi if they miss it; n is capped so
     # that a span too long to build, or infinite, is counted and refused below
     n = int(span) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
     misses_hi = round(lo + n * step, 10) < hi - 1e-9 * max(1.0, abs(hi))
     if n + 1 + misses_hi > MAX_GRID_POINTS:
-        raise ValueError(
-            f"a step of {step:g} gives more than {MAX_GRID_POINTS} grid points "
-            f"from {lo:g} to {hi:g}"
-        )
+        raise ValueError(f"{grid} gives more than {MAX_GRID_POINTS} grid points")
     vals = [round(lo + k * step, 10) for k in range(n + 1)]
     if misses_hi:
         vals.append(round(hi, 10))
@@ -81,33 +61,41 @@ def optimize_height(
     r_max: float,
     h_v: float,
     lambda_uav: float,
-    search: HeightSearchSpec,
+    h_lo: float,
+    h_hi: float,
+    gamma_th: float = 0.8,
     n_realizations: int = 100_000,
     seed: int = 0,
     placement_mode: PlacementMode = PlacementMode.MIXTURE,
     workers: int = 1,
+    grid_step: float = 5.0,
+    refine_tol: float = 1.0,
 ) -> tuple[float, float]:
-    """Altitude minimizing the outage probability at search.gamma_th.
+    """Altitude in [h_lo, h_hi] minimizing the outage probability at gamma_th.
 
     Returns (h_star, outage_star), where outage_star is the Monte Carlo
     estimate at h_star itself.  The winner is the best height among the grid
-    pass and every refinement evaluation, so refinement can only improve on
-    the grid answer; ties go to the lower altitude.  Refinement stops at
-    search.refine_tol, or sooner once a new probe can no longer land strictly
-    inside the bracket, as happens when refine_tol is below the float spacing
-    of the heights.  Every probe passes outage_grid one held dict and the
-    grid pass's envelope, so the grid pass draws each chunk once and every
-    later probe scores those layouts.  With lambda_uav 0 every outage is 1
-    and nothing is drawn, so the lowest grid height wins.  placement_mode may
-    be a PlacementMode or its value.
+    pass (grid_points(h_lo, h_hi, grid_step)) and every refinement
+    evaluation, so refinement can only improve on the grid answer; ties go to
+    the lower altitude.  Refinement stops at refine_tol, or sooner once a new
+    probe can no longer land strictly inside the bracket, as happens when
+    refine_tol is below the float spacing of the heights.  Every probe passes
+    outage_grid one held dict and the grid pass's envelope, so the grid pass
+    draws each chunk once and every later probe scores those layouts.  With
+    lambda_uav 0 every outage is 1 and nothing is drawn, so the lowest grid
+    height wins.
+
+    Each argument is checked once, before anything is drawn: refine_tol here,
+    the window here (InfeasibleSearchError unless h_v < h_lo < h_hi <
+    h_v + r_max), grid_step by grid_points, and gamma_th, the run and
+    placement_mode (a PlacementMode or its value) by the grid pass's
+    outage_grid.
     """
-    placement_mode = PlacementMode(placement_mode)
-    check_run(n_realizations, seed, workers)
-    if not h_v < search.h_lo < search.h_hi < h_v + r_max:
-        raise InfeasibleSearchError(
-            f"window [{search.h_lo}, {search.h_hi}] not inside ({h_v}, {h_v + r_max})"
-        )
-    grid = grid_points(search.h_lo, search.h_hi, search.grid_step)
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError("refine_tol must be positive and finite")
+    if not h_v < h_lo < h_hi < h_v + r_max:
+        raise InfeasibleSearchError(f"window [{h_lo}, {h_hi}] not inside ({h_v}, {h_v + r_max})")
+    grid = grid_points(h_lo, h_hi, grid_step)
     held = {}
 
     def evaluate(hs: list[float], d_cap: float | None) -> np.ndarray:
@@ -117,7 +105,7 @@ def optimize_height(
             h_v,
             [lambda_uav],
             hs,
-            search.gamma_th,
+            gamma_th,
             n_realizations,
             seed,
             placement_mode=placement_mode,
@@ -142,11 +130,11 @@ def optimize_height(
     a = grid[max(j0 - 1, 0)]
     b = grid[min(j0 + 1, len(grid) - 1)]
 
-    if b - a > search.refine_tol:
+    if b - a > refine_tol:
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
         fc, fd = f(c), f(d)
-        while b - a > search.refine_tol:
+        while b - a > refine_tol:
             if fc <= fd:
                 probe = d - GOLDEN * (d - a)  # the new c of the bracket [a, d]
                 if not a < probe < c:
@@ -198,9 +186,9 @@ def sweep_contour(
     Sharing makes the grid monotone in density exactly, not just on average:
     raising the density only adds UAVs to each realization.  lambda_cap (per
     m2) and d_cap (m) are the sampling envelope's caps, as in outage_grid.
-    placement_mode may be a PlacementMode or its value.
+    placement_mode may be a PlacementMode or its value; outage_grid checks it
+    and the run.
     """
-    placement_mode = PlacementMode(placement_mode)
     lambda_axis = np.asarray([float(v) for v in lambda_axis])
     height_axis = np.asarray([float(v) for v in height_axis])
     for name, axis in (("lambda_axis", lambda_axis), ("height_axis", height_axis)):

@@ -15,7 +15,7 @@ from uavgrid.cli import main
 from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
 from uavgrid.geometry import PRESETS, HeightDistribution
 from uavgrid.los import Placement
-from uavgrid.optimize import HeightSearchSpec, grid_points, optimize_height
+from uavgrid.optimize import grid_points, optimize_height
 
 
 def run_cli(args, capsys):
@@ -280,9 +280,8 @@ def test_optimize_matches_api(capsys):
     assert lines[0] == "h_star_m,outage_star"
     h, o = (float(v) for v in lines[1].split(","))
     assert 120.0 <= h <= 180.0 and 0.0 <= o <= 1.0
-    want = optimize_height(PRESETS["urban"], 250.0, 10.0, 30 * 1e-6,
-                           HeightSearchSpec(h_lo=120.0, h_hi=180.0, grid_step=20.0),
-                           n_realizations=1500, seed=2)
+    want = optimize_height(PRESETS["urban"], 250.0, 10.0, 30 * 1e-6, 120.0, 180.0,
+                           n_realizations=1500, seed=2, grid_step=20.0)
     assert (h, o) == want
 
 
@@ -708,3 +707,56 @@ def test_config_bad_line_exits_2(tmp_path, capsys, line):
     code, _, err = run_cli(["distribution", "--preset", "urban", "--config", str(cfg)], capsys)
     assert code == 2
     assert "error:" in err
+
+
+# Every command's numeric flags are set in turn to each of these values, from a
+# small base run of that command (at most 50 realizations; validate runs 2 cases
+# of 50 draws).  The flag takes its value as --flag=value, so argparse reads a
+# value such as -inf as a value, not as an option.
+BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "5e-324", "1e-320", "abc",
+              "", "1.5")
+_CITY = {"--mu-s": "13", "--mu-b": "45", "--mu-h": "19"}
+_SMALL_RUNS = {
+    "distribution": {**_CITY, "--lambda-uav": "20", "--h-uav": "100", "--n-realizations": "50"},
+    "outage-curve": {**_CITY, "--lambda-uav": "20", "--h-lo": "50", "--h-hi": "150",
+                     "--h-step": "50", "--n-realizations": "50"},
+    "optimize": {**_CITY, "--lambda-uav": "20", "--h-lo": "50", "--h-hi": "150",
+                 "--grid-step": "50", "--refine-tol": "20", "--n-realizations": "50"},
+    "contour": {**_CITY, "--lambda-lo": "10", "--lambda-hi": "20", "--lambda-step": "10",
+                "--h-lo": "50", "--h-hi": "150", "--h-step": "50", "--target-outage": "0.5",
+                "--n-realizations": "50"},
+    "validate": {"--cases": "2", "--n-draws": "50"},
+}
+
+
+def _numeric_flags(command):
+    subparser = cli.build_parser(command)[1]
+    return [action.option_strings[0] for action in subparser._actions
+            if action.type in (int, float)]
+
+
+def test_bad_flag_values_never_raise(capsys):
+    """Whatever number a flag is given, a run exits 0, 1 or 2 and never raises.
+
+    An exit 2 prints one stderr line, "error: ...", and a distribution that
+    exits 0 ends with F = 1.0 at gamma = 1 in every column.
+    """
+    wrong = []
+    for command, base in _SMALL_RUNS.items():
+        for flag in _numeric_flags(command):
+            for value in BAD_VALUES:
+                argv = [command, *(f"{k}={v}" for k, v in {**base, flag: value}.items())]
+                try:
+                    code = main(argv)
+                except Exception as e:  # a warning too: pytest makes warnings errors
+                    code = f"raised {e!r}"
+                out, err = capsys.readouterr()
+                if code == 2:
+                    ok = err.startswith("error: ") and err.count("\n") == 1
+                elif code == 0 and command == "distribution":
+                    ok = out.splitlines()[-1] == "1.0,1.0,1.0,1.0"
+                else:
+                    ok = code in (0, 1)
+                if not ok:
+                    wrong.append(f"{' '.join(argv)}: exit {code}, stderr {err[-200:]!r}")
+    assert not wrong, f"{len(wrong)} runs:\n" + "\n".join(wrong[:20])

@@ -41,7 +41,7 @@ from uavgrid.geometry import (
     sample_envelope_points,
 )
 from uavgrid.los import LinkGeometry, Placement, los_probability, los_probability_batch
-from uavgrid.optimize import HeightSearchSpec, optimize_height, sweep_contour
+from uavgrid.optimize import optimize_height, sweep_contour
 
 URBAN = PRESETS["urban"]
 SCENARIO = ScenarioConfig(city=URBAN, r_max=250.0, h_v=10.0, lambda_uav=20e-6, h_uav=100.0)
@@ -826,13 +826,14 @@ def test_optimize_maps_its_held_draw_over_workers(monkeypatch):
 
     monkeypatch.setattr(connectivity, "_map_tasks", recording)
     monkeypatch.setattr(connectivity, "sample_envelope_points", sampling)
-    search = HeightSearchSpec(h_lo=60.0, h_hi=200.0)
-    got = optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1, workers=2)
+    got = optimize_height(URBAN, 250.0, 10.0, 30e-6, 60.0, 200.0, n_realizations=700, seed=1,
+                          workers=2)
     # the grid pass draws the three chunks in worker threads; every probe after it
     # maps the same three keys over the same workers and draws nothing
     assert maps[0] == (3, 2, 3) and threading.main_thread().ident not in drawn_in
     assert len(maps) > 2 and all(m == (3, 2, 0) for m in maps[1:])
-    assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, search, n_realizations=700, seed=1)
+    assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, 60.0, 200.0, n_realizations=700,
+                                  seed=1)
 
 
 def test_worker_threads_keep_the_kernels_ieee_limits():
@@ -916,8 +917,7 @@ ABOVE_MAX_WORKERS = {
                                          workers=w),
     "sweep_contour": lambda w: sweep_contour(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8,
                                              n_realizations=20000, workers=w),
-    "optimize_height": lambda w: optimize_height(URBAN, 250.0, 10.0, 20e-6,
-                                                 HeightSearchSpec(h_lo=60.0, h_hi=200.0),
+    "optimize_height": lambda w: optimize_height(URBAN, 250.0, 10.0, 20e-6, 60.0, 200.0,
                                                  n_realizations=20000, workers=w),
     "outage_grid_held": lambda w: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, 20000,
                                               0, workers=w, held={}),

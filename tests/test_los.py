@@ -443,6 +443,37 @@ def test_zero_width_city_has_no_nan():
         assert axis_factor(along_x, bare, Axis.X, pl) < 1.0
 
 
+# (h_min, h_max, h_v, h_uav) whose ramp from t1 to t2 has no usable slope:
+# t1 == t2 once rounded (a band narrower than the spacing of the heights), a
+# subnormal t2 - t1 (1 / (t2 - t1) overflows), and an infinite t2 - t1.
+FLAT_RAMPS = {
+    "band below the float spacing at h_v 10": (5e-321, 1.5e-320, 10.0, 100.0),
+    "band below the float spacing at h_v 1e9": (19.0, 19.00000001, 1e9, 1e9 + 100.0),
+    "subnormal ramp": (1e-320, 3e-320, 0.0, 100.0),
+    "ramp past the largest double": (0.0, 1e308, 0.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", FLAT_RAMPS)
+def test_a_ramp_without_slope_scores_its_limit(name):
+    """The ramp adds at most hi - lo to F, so F is its limit max(hi - t, 0), never NaN."""
+    h_min, h_max, h_v, h_uav = FLAT_RAMPS[name]
+    city = dataclasses.replace(URBAN, heights=HeightDistribution(h_min, h_max))
+    delta_h = h_uav - h_v
+    hi = min(max((h_max - h_v) / delta_h, 0.0), 1.0)
+    d, c, s = _links(np.random.default_rng(31), 1000, 250.0)
+    d[:2] = 0.0
+    for pl in (Placement.INTERSECTION, Placement.STREET):
+        za_x, zb_x, _, zb_y, h0 = _geometry(d, c, s, delta_h, h_v, *effective_widths(city, pl))
+        # the kernel's IEEE limits: d = 0 gives t = inf, a subnormal band an inf corner slope
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            limit = np.fmax(hi - za_x / zb_x, 0.0)
+            want = np.exp(-city.lambda_s * ((zb_x + zb_y) * limit)) * city.heights.cdf(h0)
+        got = los_probability_batch(d, c, s, h_uav, h_v, city, pl)
+        assert np.all((0.0 <= got) & (got <= 1.0))
+        np.testing.assert_array_equal(got, want)
+
+
 def test_ray_clearing_h_max_before_the_gap_is_exactly_clear():
     # at 0.2 m per m of advance the ray clears h_max = 28.5 m 92.5 m out, before
     # either gap clearance of a 200 m wide crossing

@@ -14,7 +14,6 @@ from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeom
 from uavgrid.optimize import (
     ContourGrid,
     MAX_GRID_POINTS,
-    HeightSearchSpec,
     InfeasibleSearchError,
     grid_points,
     min_density_for_outage,
@@ -31,9 +30,10 @@ def test_grid_points():
     # accumulated float error must not drop the last regular point
     assert grid_points(0.0, 1.0, 0.01)[29] == 0.29
     assert len(grid_points(0.0, 1.0, 0.01)) == 101
-    with pytest.raises(ValueError):
+    # a refusal names the grid: its step and its range
+    with pytest.raises(ValueError, match="^a step of 0.1 from 1 to 0: the range needs"):
         grid_points(1.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a step of 0 from 0 to 1: the step must be positive"):
         grid_points(0.0, 1.0, 0.0)
     for lo, hi, step in ((0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.1),
                          (0.0, math.inf, 0.1)):
@@ -50,33 +50,38 @@ def test_grid_points_refuses_oversized_grids():
             grid_points(lo, hi, step)
 
 
-def test_search_spec_validation():
-    with pytest.raises(ValueError):
-        HeightSearchSpec(h_lo=100.0, h_hi=90.0)
-    with pytest.raises(ValueError):
-        HeightSearchSpec(h_lo=50.0, h_hi=100.0, grid_step=0.0)
-    with pytest.raises(ValueError):
-        HeightSearchSpec(h_lo=50.0, h_hi=100.0, refine_tol=0.0)
-    with pytest.raises(ValueError):
-        HeightSearchSpec(h_lo=50.0, h_hi=100.0, gamma_th=1.5)
-    for bad in ({"grid_step": math.nan}, {"refine_tol": math.nan}, {"refine_tol": math.inf},
-                {"h_hi": math.inf}, {"h_lo": math.nan}):
+def test_search_spec_validation(monkeypatch):
+    """optimize_height refuses each bad search argument before anything is drawn."""
+    def no_draw(*args):
+        raise AssertionError("drew realizations for a search")
+
+    monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
+
+    def search(**given):
+        return optimize_height(URBAN, 250.0, 10.0, 20e-6, **{"h_lo": 50.0, "h_hi": 100.0, **given},
+                               n_realizations=100, seed=0)
+
+    # the hook is on the path: a good search reaches it
+    with pytest.raises(AssertionError, match="drew"):
+        search()
+    for bad in ({"h_lo": 100.0, "h_hi": 90.0}, {"grid_step": 0.0}, {"refine_tol": 0.0},
+                {"gamma_th": 1.5}, {"grid_step": math.nan}, {"refine_tol": math.nan},
+                {"refine_tol": math.inf}, {"h_hi": math.inf}, {"h_lo": math.nan}):
         with pytest.raises(ValueError):
-            HeightSearchSpec(**{"h_lo": 50.0, "h_hi": 100.0, **bad})
+            search(**bad)
 
 
 def test_infeasible_window():
-    spec = HeightSearchSpec(h_lo=200.0, h_hi=240.0)
     with pytest.raises(InfeasibleSearchError):
-        optimize_height(URBAN, 150.0, 10.0, 20e-6, spec, n_realizations=100, seed=0)
+        optimize_height(URBAN, 150.0, 10.0, 20e-6, 200.0, 240.0, n_realizations=100, seed=0)
     for h_v in (-5.0, math.nan):
         with pytest.raises(InvalidGeometryError):
-            optimize_height(URBAN, 250.0, h_v, 20e-6, spec, n_realizations=100, seed=0)
+            optimize_height(URBAN, 250.0, h_v, 20e-6, 200.0, 240.0, n_realizations=100, seed=0)
     # a window just under the top whose grid rounds above it (to 10 decimals):
     # the scenario check names the altitude before the search takes a ground range
-    edge = HeightSearchSpec(h_lo=260.00000000006, h_hi=260.000000000085)
     with pytest.raises(InvalidGeometryError, match="outside the feasible range"):
-        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, edge, n_realizations=100, seed=0)
+        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000006, 260.000000000085,
+                        n_realizations=100, seed=0)
 
 
 def test_zero_density_returns_search_floor(monkeypatch):
@@ -84,11 +89,11 @@ def test_zero_density_returns_search_floor(monkeypatch):
         raise AssertionError("drew realizations of a search with no UAVs")
 
     monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
-    spec = HeightSearchSpec(h_lo=60.0, h_hi=120.0)
-    assert optimize_height(URBAN, 250.0, 10.0, 0.0, spec, n_realizations=100, seed=0) == (60.0, 1.0)
+    assert optimize_height(URBAN, 250.0, 10.0, 0.0, 60.0, 120.0, n_realizations=100,
+                           seed=0) == (60.0, 1.0)
     # run parameters are checked before the zero-density shortcut
     with pytest.raises(ValueError):
-        optimize_height(URBAN, 250.0, 10.0, 0.0, spec, n_realizations=0, seed=0)
+        optimize_height(URBAN, 250.0, 10.0, 0.0, 60.0, 120.0, n_realizations=0, seed=0)
 
 
 def test_monotone_outage_puts_optimum_at_floor():
@@ -96,8 +101,8 @@ def test_monotone_outage_puts_optimum_at_floor():
     # only grows with altitude because the serving disk shrinks
     shrub = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
                       heights=HeightDistribution(2.0, 6.0))
-    spec = HeightSearchSpec(h_lo=60.0, h_hi=160.0, grid_step=20.0)
-    h, out = optimize_height(shrub, 250.0, 10.0, 15e-6, spec, n_realizations=3000, seed=1)
+    h, out = optimize_height(shrub, 250.0, 10.0, 15e-6, 60.0, 160.0, n_realizations=3000, seed=1,
+                             grid_step=20.0)
     assert h == 60.0
     row = outage_grid(shrub, 250.0, 10.0, [15e-6], grid_points(60.0, 160.0, 20.0), 0.8,
                       3000, 1, lambda_cap=15e-6, d_cap=math.sqrt(250.0 ** 2 - 50.0 ** 2))
@@ -107,10 +112,10 @@ def test_monotone_outage_puts_optimum_at_floor():
 
 def test_optimize_self_consistency():
     """The reported outage is exactly the grid cell at the reported height."""
-    spec = HeightSearchSpec(h_lo=120.0, h_hi=180.0, grid_step=20.0, refine_tol=2.0)
-    h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=4000, seed=12)
+    h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, 120.0, 180.0, 0.8, n_realizations=4000,
+                             seed=12, grid_step=20.0, refine_tol=2.0)
     assert 120.0 <= h <= 180.0
-    cell = outage_grid(URBAN, 250.0, 10.0, [30e-6], [h], spec.gamma_th, 4000, 12,
+    cell = outage_grid(URBAN, 250.0, 10.0, [30e-6], [h], 0.8, 4000, 12,
                        lambda_cap=30e-6, d_cap=math.sqrt(250.0 ** 2 - (120.0 - 10.0) ** 2))
     assert cell[0, 0] == out
 
@@ -126,11 +131,11 @@ def test_optimize_draws_each_realization_once(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", recorded)
     # the grid pass plus golden-section probes all score one draw, whose
     # chunks tile the realizations once
-    spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=20.0)
-    serial = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4)
+    search = {"h_lo": 60.0, "h_hi": 200.0, "grid_step": 20.0}
+    serial = optimize_height(URBAN, 250.0, 10.0, 30e-6, **search, n_realizations=300, seed=4)
     assert [i for a, b in drawn for i in range(a, b)] == list(range(300))
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 97)
-    pooled = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=300, seed=4,
+    pooled = optimize_height(URBAN, 250.0, 10.0, 30e-6, **search, n_realizations=300, seed=4,
                              workers=2)
     assert pooled == serial
 
@@ -158,21 +163,20 @@ def test_refinement_ends_below_the_float_spacing(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "outage_grid", bounded)
-    search = {"h_lo": 50.0, "h_hi": 250.0}
-    h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, HeightSearchSpec(**search, refine_tol=1e-300),
-                             n_realizations=300, seed=0)
+    h, out = optimize_height(URBAN, 250.0, 10.0, 30e-6, 50.0, 250.0, n_realizations=300, seed=0,
+                             refine_tol=1e-300)
     assert len(calls) < 500
     assert proc.stdout.split("\n")[1] == f"{h!r},{out!r}"
     # the search went at least as far as a reachable tolerance, so it did no worse
-    coarse = optimize_height(URBAN, 250.0, 10.0, 30e-6, HeightSearchSpec(**search, refine_tol=1e-6),
-                             n_realizations=300, seed=0)
+    coarse = optimize_height(URBAN, 250.0, 10.0, 30e-6, 50.0, 250.0, n_realizations=300, seed=0,
+                             refine_tol=1e-6)
     assert 50.0 <= h <= 250.0 and out <= coarse[1]
 
 
 def test_optimal_height_decreases_with_density():
-    spec = HeightSearchSpec(h_lo=100.0, h_hi=240.0, grid_step=10.0, refine_tol=5.0)
-    h10, _ = optimize_height(URBAN, 250.0, 10.0, 10e-6, spec, n_realizations=20_000, seed=5)
-    h30, _ = optimize_height(URBAN, 250.0, 10.0, 30e-6, spec, n_realizations=20_000, seed=5)
+    search = {"h_lo": 100.0, "h_hi": 240.0, "grid_step": 10.0, "refine_tol": 5.0}
+    h10, _ = optimize_height(URBAN, 250.0, 10.0, 10e-6, **search, n_realizations=20_000, seed=5)
+    h30, _ = optimize_height(URBAN, 250.0, 10.0, 30e-6, **search, n_realizations=20_000, seed=5)
     assert h30 < h10
 
 
@@ -191,12 +195,12 @@ def test_sweep_contour_shape_and_axis_validation():
 
 def test_placement_mode_fails_closed(monkeypatch):
     """optimize_height and sweep_contour take a mode's value too, and refuse anything else."""
-    spec = HeightSearchSpec(h_lo=60.0, h_hi=200.0, grid_step=35.0, gamma_th=0.8, refine_tol=20.0)
+    search = {"h_lo": 60.0, "h_hi": 200.0, "gamma_th": 0.8, "grid_step": 35.0, "refine_tol": 20.0}
     lam, hts = [10e-6, 20e-6], [80.0, 160.0]
     for mode in connectivity.PlacementMode:
-        assert (optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+        assert (optimize_height(URBAN, 250.0, 10.0, 20e-6, **search, n_realizations=300, seed=2,
                                 placement_mode=mode.value)
-                == optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+                == optimize_height(URBAN, 250.0, 10.0, 20e-6, **search, n_realizations=300, seed=2,
                                    placement_mode=mode))
         assert np.array_equal(
             sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
@@ -206,7 +210,7 @@ def test_placement_mode_fails_closed(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", None)
     for bad in (None, "street", "nowhere"):
         with pytest.raises(ValueError):
-            optimize_height(URBAN, 250.0, 10.0, 20e-6, spec, n_realizations=300, seed=2,
+            optimize_height(URBAN, 250.0, 10.0, 20e-6, **search, n_realizations=300, seed=2,
                             placement_mode=bad)
         with pytest.raises(ValueError):
             sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,

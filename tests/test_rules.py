@@ -20,7 +20,7 @@ from uavgrid.geometry import (
     sample_envelope_points,
 )
 from uavgrid.los import LinkGeometry, Placement, los_probability_batch
-from uavgrid.optimize import HeightSearchSpec, optimize_height
+from uavgrid.optimize import optimize_height
 from uavgrid.oracle import validation_sweep
 
 URBAN = PRESETS["urban"]
@@ -47,8 +47,7 @@ def _named(error: ValueError, names) -> list[str]:
 RUN_ENTRIES = {
     "outage_grid": lambda run: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, **run),
     "ScenarioConfig": lambda run: ScenarioConfig(URBAN, 250.0, 10.0, 20e-6, 100.0, **run),
-    "optimize_height": lambda run: optimize_height(URBAN, 250.0, 10.0, 20e-6,
-                                                   HeightSearchSpec(h_lo=60.0, h_hi=200.0), **run),
+    "optimize_height": lambda run: optimize_height(URBAN, 250.0, 10.0, 20e-6, 60.0, 200.0, **run),
 }
 
 
