@@ -35,7 +35,6 @@ from .oracle import (
 )
 from .connectivity import (
     EmpiricalDistribution,
-    MixtureCDF,
     PlacementMode,
     ScenarioConfig,
     estimate_distribution,
@@ -43,7 +42,6 @@ from .connectivity import (
     outage_grid,
 )
 from .optimize import (
-    ContourGrid,
     InfeasibleSearchError,
     grid_points,
     min_density_for_outage,
@@ -55,13 +53,11 @@ __all__ = [
     "__version__",
     "Axis",
     "CityModel",
-    "ContourGrid",
     "EmpiricalDistribution",
     "HeightDistribution",
     "InfeasibleSearchError",
     "InvalidGeometryError",
     "LinkGeometry",
-    "MixtureCDF",
     "PRESETS",
     "Placement",
     "PlacementMode",

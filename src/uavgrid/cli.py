@@ -262,10 +262,10 @@ def _cmd_distribution(args, city):
     gammas = grid_points(0.0, 1.0, args.gamma_step)
     config = ScenarioConfig(city, args.r_max, args.h_v, lam, args.h_uav, **_run(args))
     dists = estimate_distribution(config)
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
     # each CDF once over the whole grid: the same bits as one evaluate per gamma
-    columns = [cdf.evaluate(gammas).tolist()
-               for cdf in (dists[Placement.INTERSECTION], dists[Placement.STREET], mix)]
+    f_int, f_street = (dists[pl].evaluate(gammas)
+                       for pl in (Placement.INTERSECTION, Placement.STREET))
+    columns = [f.tolist() for f in (f_int, f_street, mixture_cdf(f_int, f_street, city))]
     rows = [list(row) for row in zip(gammas, *columns)]
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "h_uav_m": args.h_uav}
     return ["gamma", "F_intersection", "F_street", "F_mixture"], rows, metadata, 0
@@ -311,18 +311,17 @@ def _cmd_contour(args, city):
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
     if args.target_outage is not None:
         check_probability("--target-outage", args.target_outage)
-    lambdas = [v * PER_KM2 for v in lambdas_km2]
-    grid = sweep_contour(
+    outage = sweep_contour(
         city,
         args.r_max,
         args.h_v,
-        lambdas,
+        [v * PER_KM2 for v in lambdas_km2],
         heights,
         args.gamma_th,
         **_run(args),
     )
     rows = [
-        [lam_km2, h, float(grid.outage[i, j])]
+        [lam_km2, h, float(outage[i, j])]
         for i, lam_km2 in enumerate(lambdas_km2)
         for j, h in enumerate(heights)
     ]
@@ -332,16 +331,16 @@ def _cmd_contour(args, city):
         "height_axis_m": heights,
     }
     if args.target_outage is not None:
-        best = min_density_for_outage(grid, args.target_outage)
+        # the km2 labels: the density comes back as the lambda_per_km2 column prints it
+        best = min_density_for_outage(lambdas_km2, heights, outage, args.target_outage)
         if best is None:
             metadata.update(min_density_per_km2=None, h_star_m=None)
             note = f"no density in the grid meets outage <= {args.target_outage}"
         else:
-            lam_min, h_star = best
-            # the density as the lambda_per_km2 column prints it, not converted back
-            lam_km2 = lambdas_km2[lambdas.index(lam_min)]
-            metadata.update(min_density_per_km2=lam_km2, h_star_m=h_star)
-            note = (f"min density {lam_km2:g} per km2 at h = {h_star:g} m "
+            metadata.update(min_density_per_km2=best[0], h_star_m=best[1])
+            # every digit the CSV prints; an integral value drops its ".0"
+            lam_km2, h_star = (_fmt(v).removesuffix(".0") for v in best)
+            note = (f"min density {lam_km2} per km2 at h = {h_star} m "
                     f"for outage <= {args.target_outage}")
         print(note, file=sys.stderr)
     return ["lambda_per_km2", "h_uav_m", "outage"], rows, metadata, 0

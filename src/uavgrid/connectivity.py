@@ -422,29 +422,11 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
     return result
 
 
-def _blend(w, a, b):
-    """The one placement blend, so mixture CDFs and mixture grids round alike."""
-    return w * a + (1.0 - w) * b
-
-
-@dataclass(frozen=True)
-class MixtureCDF:
-    """Placement-weighted blend of the two conditional CDFs."""
-
-    intersection: EmpiricalDistribution
-    street: EmpiricalDistribution
-    weight: float  # probability of the intersection placement
-
-    def evaluate(self, gamma):
-        return _blend(self.weight, self.intersection.evaluate(gamma), self.street.evaluate(gamma))
-
-
-def mixture_cdf(
-    intersection: EmpiricalDistribution,
-    street: EmpiricalDistribution,
-    city: CityModel,
-) -> MixtureCDF:
-    return MixtureCDF(intersection, street, intersection_weight(city))
+def mixture_cdf(f_intersection, f_street, city: CityModel):
+    """Blend the two placements' CDF values (scalars or arrays at the same gammas)
+    with the city's intersection weight; every mixture value is this one blend."""
+    w = intersection_weight(city)
+    return w * f_intersection + (1.0 - w) * f_street
 
 
 def outage_grid(
@@ -468,9 +450,10 @@ def outage_grid(
     comparisons across cells are exact: more density or a nested ground disk
     can only add UAVs to a realization.  The envelope's caps are lambda_cap
     (per m2) and d_cap (m), by default the grid's top density and widest disk.
-    Cell values equal the estimate_distribution / mixture_cdf pipeline's CDF
-    at gamma_th for the same caps, seed and n.  With every density 0
-    nothing is drawn, whatever the caps: every realization is in outage.
+    Cell values equal the estimate_distribution pipeline's CDF at gamma_th
+    (blended by mixture_cdf for the mixture) for the same caps, seed and n.
+    With every density 0 nothing is drawn, whatever the caps: every
+    realization is in outage.
 
     Without held, each chunk is drawn, scored and dropped in turn.  held is
     a dict of chunk layouts by key (see _layout_of) that outlives the call:
@@ -508,5 +491,5 @@ def outage_grid(
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:
-        return _blend(intersection_weight(city), totals[0] / n, totals[1] / n)
+        return mixture_cdf(totals[0] / n, totals[1] / n, city)
     return totals[0] / n

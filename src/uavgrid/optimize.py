@@ -12,7 +12,6 @@ realizations are sampled once per search rather than once per probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,21 +151,6 @@ def optimize_height(
     return h_star, outage_star
 
 
-@dataclass(frozen=True)
-class ContourGrid:
-    """Outage over a (density, altitude) grid.  Densities are per m2."""
-
-    lambda_axis: np.ndarray
-    height_axis: np.ndarray
-    outage: np.ndarray  # shape (len(lambda_axis), len(height_axis))
-    gamma_th: float
-
-    def __post_init__(self):
-        expected = (self.lambda_axis.shape[0], self.height_axis.shape[0])
-        if self.outage.shape != expected:
-            raise ValueError(f"outage shape {self.outage.shape} != {expected}")
-
-
 def sweep_contour(
     city: CityModel,
     r_max: float,
@@ -180,12 +164,14 @@ def sweep_contour(
     lambda_cap: float | None = None,
     d_cap: float | None = None,
     workers: int = 1,
-) -> ContourGrid:
+) -> np.ndarray:
     """Score every (density, altitude) cell on shared constellation draws.
 
-    Sharing makes the grid monotone in density exactly, not just on average:
-    raising the density only adds UAVs to each realization.  lambda_cap (per
-    m2) and d_cap (m) are the sampling envelope's caps, as in outage_grid.
+    Returns outage_grid's array, shape (len(lambda_axis), len(height_axis)),
+    once both axes are checked strictly ascending (ValueError).  Sharing
+    makes the grid monotone in density exactly, not just on average: raising
+    the density only adds UAVs to each realization.  lambda_cap (per m2) and
+    d_cap (m) are the sampling envelope's caps, as in outage_grid.
     placement_mode may be a PlacementMode or its value; outage_grid checks it
     and the run.
     """
@@ -194,7 +180,7 @@ def sweep_contour(
     for name, axis in (("lambda_axis", lambda_axis), ("height_axis", height_axis)):
         if axis.size > 1 and not np.all(np.diff(axis) > 0):
             raise ValueError(f"{name} must be strictly ascending")
-    values = outage_grid(
+    return outage_grid(
         city,
         r_max,
         h_v,
@@ -207,18 +193,23 @@ def sweep_contour(
         lambda_cap=lambda_cap, d_cap=d_cap,
         workers=workers,
     )
-    return ContourGrid(lambda_axis, height_axis, values, gamma_th)
 
 
-def min_density_for_outage(grid: ContourGrid, target: float) -> tuple[float, float] | None:
+def min_density_for_outage(lambda_axis, height_axis, outage, target: float):
     """Smallest density whose best altitude meets the outage target.
 
-    Returns (lambda_min, h_star) or None when no grid density reaches the
-    target.  Infeasibility is an answer here, not an error.
+    outage is a (density, altitude) grid over the two axes, as sweep_contour
+    returns it; any other shape raises ValueError.  Returns (lambda_min,
+    h_star), the entries of the axes given, so labels in any unit come back
+    as they went in, or None when no grid density reaches the target.
+    Infeasibility is an answer here, not an error.
     """
     check_probability("target", target)
-    for i, lam in enumerate(grid.lambda_axis):
-        j = int(np.argmin(grid.outage[i]))
-        if grid.outage[i, j] <= target:
-            return float(lam), float(grid.height_axis[j])
+    expected = (len(lambda_axis), len(height_axis))
+    if np.shape(outage) != expected:
+        raise ValueError(f"outage shape {np.shape(outage)} != {expected}")
+    for lam, row in zip(lambda_axis, outage):
+        j = int(np.argmin(row))
+        if row[j] <= target:
+            return lam, height_axis[j]
     return None

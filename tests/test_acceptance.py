@@ -61,8 +61,8 @@ def test_acceptance_3_min_density_anchor():
     t0 = time.time()
     lam = [v * 1e-6 for v in range(5, 51)]
     hts = [float(h) for h in range(50, 251, 5)]
-    grid = sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=100_000, seed=0)
-    best = min_density_for_outage(grid, 0.1)
+    outage = sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=100_000, seed=0)
+    best = min_density_for_outage(lam, hts, outage, 0.1)
     dt = time.time() - t0
     ok = best is not None
     lam_km2 = h_star = float("nan")
@@ -84,10 +84,9 @@ def test_acceptance_4_figure_orderings():
     # placement ordering of the connectivity CDFs
     dists = estimate_distribution(ScenarioConfig(URBAN, 250.0, 10.0, 20e-6, 100.0,
                                                  n_realizations=n, seed=1))
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
     f_sec = dists[Placement.INTERSECTION].evaluate(gammas)
     f_str = dists[Placement.STREET].evaluate(gammas)
-    f_mix = mix.evaluate(gammas)
+    f_mix = mixture_cdf(f_sec, f_str, URBAN)
     checks.append(("placement ordering", bool(np.all(f_sec <= f_mix + 1e-15) and np.all(f_mix <= f_str + 1e-15))))
 
     # longer range dominates, denser cities suffer, at both ranges
@@ -98,7 +97,8 @@ def test_acceptance_4_figure_orderings():
         for r in (200.0, 300.0):
             ds = estimate_distribution(ScenarioConfig(city, r, 10.0, 20e-6, 100.0, n_realizations=n,
                                                       seed=2, lambda_cap=20e-6, d_cap=d_cap))
-            curves[r] = mixture_cdf(ds[Placement.INTERSECTION], ds[Placement.STREET], city).evaluate(gammas)
+            curves[r] = mixture_cdf(ds[Placement.INTERSECTION].evaluate(gammas),
+                                    ds[Placement.STREET].evaluate(gammas), city)
         per_city[name] = curves
         checks.append((f"range ordering {name}", bool(np.all(curves[300.0] <= curves[200.0]))))
     # The city ordering holds wherever the curves are separated. In the far

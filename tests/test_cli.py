@@ -39,9 +39,10 @@ def test_distribution_header_and_pipeline_agreement(capsys):
     cfg = ScenarioConfig(PRESETS["urban"], 250.0, 10.0, 20 * 1e-6, 100.0, n_realizations=1500,
                          seed=3)
     dists = estimate_distribution(cfg)
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], PRESETS["urban"])
+    mix = mixture_cdf(dists[Placement.INTERSECTION].evaluate(0.8),
+                      dists[Placement.STREET].evaluate(0.8), PRESETS["urban"])
     row08 = next(l for l in lines[1:] if l.startswith("0.8,"))
-    assert float(row08.split(",")[3]) == mix.evaluate(0.8)
+    assert float(row08.split(",")[3]) == mix
 
 
 def test_distribution_rows_are_one_scalar_evaluate_per_gamma(capsys):
@@ -54,11 +55,12 @@ def test_distribution_rows_are_one_scalar_evaluate_per_gamma(capsys):
         assert code == 0
         dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, lam * 1e-6, 100.0,
                                                      n_realizations=700, seed=seed))
-        cdfs = (dists[Placement.INTERSECTION], dists[Placement.STREET],
-                mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city))
-        want = [",".join(repr(v) for v in [g] + [float(cdf.evaluate(g)) for cdf in cdfs])
-                for g in grid_points(0.0, 1.0, step)]
-        assert out.strip().split("\n")[1:] == want
+
+        def row(g):
+            f = [dists[pl].evaluate(g) for pl in (Placement.INTERSECTION, Placement.STREET)]
+            return ",".join(repr(float(v)) for v in [g, *f, mixture_cdf(*f, city)])
+
+        assert out.strip().split("\n")[1:] == [row(g) for g in grid_points(0.0, 1.0, step)]
 
 
 def test_output_file_and_byte_reproducibility(tmp_path, capsys):
@@ -210,6 +212,20 @@ def test_contour_reports_the_grid_density_it_printed(capsys):
     assert '"min_density_per_km2": 31.0,' in out
     assert json.loads(out)["min_density_per_km2"] == 31.0
     assert err == "min density 31 per km2 at h = 160 m for outage <= 0.11\n"
+
+
+def test_contour_note_prints_every_digit_of_the_grid(capsys):
+    """The stderr note prints the density and height as the CSV does, not to 6 digits."""
+    code, out, err = run_cli(
+        ["contour", "--preset", "urban", "--lambda-lo", "30.1234567", "--lambda-hi", "40.1234567",
+         "--h-lo", "100.123456789", "--h-hi", "200.123456789", "--h-step", "10",
+         "--target-outage", "0.2", "--n-realizations", "2000", "--format", "structured"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    lam, h = doc["min_density_per_km2"], doc["h_star_m"]
+    # no grid value is integral, so no ".0" is dropped
+    assert [lam, h] in [row[:2] for row in doc["rows"]] and not lam.is_integer()
+    assert err == f"min density {lam!r} per km2 at h = {h!r} m for outage <= 0.2\n"
 
 
 # distribution's radio values that its scenario rule refuses: NaN and inf in each,
@@ -497,11 +513,9 @@ def test_explicit_city_flags_reproduce_preset(capsys):
     city = dataclasses.replace(PRESETS["urban"], w_v=20.0, heights=HeightDistribution(9.5, 40.0))
     dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, 20 * 1e-6, 100.0,
                                                  n_realizations=600, seed=2))
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], city)
+    f = [dists[pl].evaluate(0.8) for pl in (Placement.INTERSECTION, Placement.STREET)]
     row08 = next(l for l in out3.strip().split("\n")[1:] if l.startswith("0.8,"))
-    assert [float(v) for v in row08.split(",")[1:]] == [
-        dists[Placement.INTERSECTION].evaluate(0.8), dists[Placement.STREET].evaluate(0.8),
-        mix.evaluate(0.8)]
+    assert [float(v) for v in row08.split(",")[1:]] == [*f, mixture_cdf(*f, city)]
 
 
 def test_structured_format(capsys):

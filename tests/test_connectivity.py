@@ -76,17 +76,17 @@ def _caps(env):
     return {"lambda_cap": env.lambda_cap, "d_cap": env.d_cap}
 
 
-def test_conditional_connectivity_empty_is_zero():
+def test_chunk_scores_empty_is_zero():
     assert np.array_equal(_scores([]), np.zeros((2, 1)))
 
 
-def test_conditional_connectivity_single_uav():
+def test_chunk_scores_single_uav():
     got = _scores([(150.0, 1.0)])
     for ip, pl in enumerate(PLACEMENTS):
         assert got[ip, 0] == pytest.approx(_p(150.0, 1.0, pl), rel=1e-15)
 
 
-def test_conditional_connectivity_two_uav_product():
+def test_chunk_scores_two_uav_product():
     pairs = [(150.0, 1.0), (90.0, 0.4)]
     got = _scores(pairs)
     for ip, pl in enumerate(PLACEMENTS):
@@ -654,13 +654,18 @@ def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
 
 def test_mixture_weight_and_ordering():
     dists = estimate_distribution(replace(SCENARIO, n_realizations=1000, seed=3))
-    mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
-    assert mix.weight == pytest.approx(13.0 / 58.0)
+    f_int, f_str = dists[Placement.INTERSECTION], dists[Placement.STREET]
+    w = intersection_weight(URBAN)
+    assert w == pytest.approx(13.0 / 58.0)
     g = 0.8
-    want = mix.weight * dists[Placement.INTERSECTION].evaluate(g) \
-        + (1.0 - mix.weight) * dists[Placement.STREET].evaluate(g)
-    assert mix.evaluate(g) == want
-    assert dists[Placement.INTERSECTION].evaluate(g) <= mix.evaluate(g) <= dists[Placement.STREET].evaluate(g)
+    mix = mixture_cdf(f_int.evaluate(g), f_str.evaluate(g), URBAN)
+    assert mix == w * f_int.evaluate(g) + (1.0 - w) * f_str.evaluate(g)
+    assert f_int.evaluate(g) <= mix <= f_str.evaluate(g)
+    # over a gamma array the blend is the per-gamma scalar blend, bit for bit
+    gammas = np.linspace(0.0, 1.0, 101)
+    blended = mixture_cdf(f_int.evaluate(gammas), f_str.evaluate(gammas), URBAN)
+    assert blended.tolist() == [mixture_cdf(f_int.evaluate(x), f_str.evaluate(x), URBAN)
+                                for x in gammas]
 
 
 def test_outage_threshold_validation():
@@ -700,9 +705,13 @@ def test_outage_grid_matches_distribution_pipeline():
             # the mixture blends the two single-placement grids with the same arithmetic
             assert np.array_equal(grid, w * single[Placement.INTERSECTION]
                                   + (1.0 - w) * single[Placement.STREET])
+            # each mixture cell is mixture_cdf of its two placement-only cells
+            assert np.array_equal(grid, mixture_cdf(single[Placement.INTERSECTION],
+                                                    single[Placement.STREET], URBAN))
             for (i, j), dists in cells.items():
-                mix = mixture_cdf(dists[Placement.INTERSECTION], dists[Placement.STREET], URBAN)
-                assert grid[i, j] == mix.evaluate(gamma_th), (env, i, j, gamma_th)
+                mix = mixture_cdf(dists[Placement.INTERSECTION].evaluate(gamma_th),
+                                  dists[Placement.STREET].evaluate(gamma_th), URBAN)
+                assert grid[i, j] == mix, (env, i, j, gamma_th)
                 # the distribution's own scenario, as a one-cell grid
                 cell = outage_grid(**scenario, lambda_values=[lams[i]], height_values=[heights[j]],
                                    gamma_th=gamma_th)

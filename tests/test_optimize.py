@@ -12,7 +12,6 @@ import uavgrid.optimize as optimize
 from uavgrid.connectivity import outage_grid
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, InvalidGeometryError
 from uavgrid.optimize import (
-    ContourGrid,
     MAX_GRID_POINTS,
     InfeasibleSearchError,
     grid_points,
@@ -50,7 +49,7 @@ def test_grid_points_refuses_oversized_grids():
             grid_points(lo, hi, step)
 
 
-def test_search_spec_validation(monkeypatch):
+def test_search_argument_validation(monkeypatch):
     """optimize_height refuses each bad search argument before anything is drawn."""
     def no_draw(*args):
         raise AssertionError("drew realizations for a search")
@@ -183,10 +182,11 @@ def test_optimal_height_decreases_with_density():
 def test_sweep_contour_shape_and_axis_validation():
     lam = [10e-6, 20e-6]
     hts = [80.0, 120.0, 160.0]
-    grid = sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=800, seed=3)
-    assert grid.outage.shape == (2, 3)
-    assert grid.gamma_th == 0.8
-    assert np.all((0.0 <= grid.outage) & (grid.outage <= 1.0))
+    outage = sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=800, seed=3)
+    assert outage.shape == (2, 3)
+    assert np.all((0.0 <= outage) & (outage <= 1.0))
+    # outage_grid's array, as it is
+    assert np.array_equal(outage, outage_grid(URBAN, 250.0, 10.0, lam, hts, 0.8, 800, 3))
     with pytest.raises(ValueError):
         sweep_contour(URBAN, 250.0, 10.0, [20e-6, 10e-6], hts, 0.8, n_realizations=10, seed=0)
     with pytest.raises(ValueError):
@@ -204,9 +204,9 @@ def test_placement_mode_fails_closed(monkeypatch):
                                    placement_mode=mode))
         assert np.array_equal(
             sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
-                          placement_mode=mode.value).outage,
+                          placement_mode=mode.value),
             sweep_contour(URBAN, 250.0, 10.0, lam, hts, 0.8, n_realizations=300, seed=2,
-                          placement_mode=mode).outage)
+                          placement_mode=mode))
     monkeypatch.setattr(connectivity, "sample_envelope_points", None)
     for bad in (None, "street", "nowhere"):
         with pytest.raises(ValueError):
@@ -221,28 +221,34 @@ def test_contour_monotone_in_density():
     lam = [5e-6, 15e-6, 30e-6]
     hts = [80.0, 120.0, 160.0, 200.0]
     for city in PRESETS.values():
-        grid = sweep_contour(city, 250.0, 10.0, lam, hts, 0.8, n_realizations=1500, seed=8)
+        outage = sweep_contour(city, 250.0, 10.0, lam, hts, 0.8, n_realizations=1500, seed=8)
         # common random numbers make this exact, not just statistical
-        assert np.all(np.diff(grid.outage, axis=0) <= 0.0)
+        assert np.all(np.diff(outage, axis=0) <= 0.0)
 
 
 def test_min_density_for_outage():
     lam = np.array([1e-5, 2e-5, 3e-5])
     hts = np.array([100.0, 150.0])
     out = np.array([[0.5, 0.4], [0.3, 0.2], [0.1, 0.05]])
-    grid = ContourGrid(lambda_axis=lam, height_axis=hts, outage=out, gamma_th=0.8)
     # the height reported is the best one on the qualifying row
-    assert min_density_for_outage(grid, 1.0) == (1e-5, 150.0)
-    assert min_density_for_outage(grid, 0.25) == (2e-5, 150.0)
-    assert min_density_for_outage(grid, 0.01) is None
-    loose = min_density_for_outage(grid, 0.3)
-    tight = min_density_for_outage(grid, 0.2)
+    assert min_density_for_outage(lam, hts, out, 1.0) == (1e-5, 150.0)
+    assert min_density_for_outage(lam, hts, out, 0.25) == (2e-5, 150.0)
+    assert min_density_for_outage(lam, hts, out, 0.01) is None
+    loose = min_density_for_outage(lam, hts, out, 0.3)
+    tight = min_density_for_outage(lam, hts, out, 0.2)
     assert loose[0] <= tight[0]
     with pytest.raises(ValueError):
-        min_density_for_outage(grid, -0.1)
+        min_density_for_outage(lam, hts, out, -0.1)
+    # the entries of the axes given come back unchanged: km2 labels stay km2 labels
+    km2 = [10.0, 20.0, 30.000000000000004]
+    best = min_density_for_outage(km2, list(hts), out, 0.1)
+    assert best == (30.000000000000004, 150.0) and best[0] is km2[2]
 
 
 def test_contour_grid_shape_validation():
-    with pytest.raises(ValueError):
-        ContourGrid(lambda_axis=np.array([1e-5]), height_axis=np.array([100.0, 150.0]),
-                    outage=np.zeros((2, 2)), gamma_th=0.8)
+    """min_density_for_outage refuses an outage grid that does not pair its two axes."""
+    lam, hts = [1e-5], [100.0, 150.0]
+    for outage in (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match="outage shape"):
+            min_density_for_outage(lam, hts, outage, 0.5)
+    assert min_density_for_outage(lam, hts, np.zeros((1, 2)), 0.5) == (1e-5, 100.0)
