@@ -18,13 +18,9 @@ from .geometry import (
     sample_envelope_points,
 )
 from .los import (
-    Axis,
     LinkGeometry,
     Placement,
-    axis_factor,
-    axis_factor_quadrature,
     effective_widths,
-    integration_limits,
     los_probability,
     los_probability_batch,
 )
@@ -51,7 +47,6 @@ from .optimize import (
 
 __all__ = [
     "__version__",
-    "Axis",
     "CityModel",
     "EmpiricalDistribution",
     "HeightDistribution",
@@ -64,14 +59,11 @@ __all__ = [
     "SamplingEnvelope",
     "ScenarioConfig",
     "ValidationCase",
-    "axis_factor",
-    "axis_factor_quadrature",
     "effective_widths",
     "empirical_los_probability",
     "estimate_distribution",
     "grid_points",
     "ground_range",
-    "integration_limits",
     "intersection_weight",
     "los_probability",
     "los_probability_batch",

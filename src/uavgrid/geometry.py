@@ -78,17 +78,9 @@ class HeightDistribution:
     def span(self) -> float:
         return self.h_max - self.h_min
 
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.h_min + self.h_max)
-
     def cdf(self, h):
         """P(height <= h).  Accepts scalars or arrays."""
         return np.clip((np.asarray(h, dtype=float) - self.h_min) / self.span, 0.0, 1.0)[()]
-
-    def survival(self, h):
-        """P(height > h)."""
-        return 1.0 - self.cdf(h)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.h_min, self.h_max, n)

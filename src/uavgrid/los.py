@@ -26,11 +26,12 @@ and folded direction cosines |cos phi|, |sin phi|.  The fold happens where
 angles are born, not in the kernel: LinkGeometry folds one link, and the
 Monte Carlo chunk layout folds each drawn point once, however many heights
 and placements score it.  los_probability_batch takes the folded arrays;
-los_probability, integration_limits and axis_factor (exp(-lambda_s * zb * F(t))
-of one axis) are views of the kernel on one-element arrays, so a link scores
-the same bits either way.
-axis_factor_quadrature integrates the survival numerically instead and stays
-an independent check of the kernel's ramp integral.
+los_probability is the kernel on one link's one-element arrays, so a link
+scores the same bits either way.  _link_limits gives one link's corner height
+and axis intervals, the geometry the explicit-geometry oracle draws its
+buildings over.  The per-axis factor and its adaptive quadrature, the
+independent check of the kernel's ramp integral, live with the tests
+(tests/quadrature.py).
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from .geometry import CityModel, check_vehicle_height
 # The most |cos_phi**2 + sin_phi**2 - 1| a folded direction may show: 4 ulp of
 # 1.0.  Folding real azimuths with math or numpy stayed within 1 ulp (2.2e-16).
 DIRECTION_TOL = 4.0 * float(np.finfo(float).eps)
-# Absolute tolerance of axis_factor_quadrature's integral (and a fortiori of
-# its exponent, since lambda_s < 1).
-QUADRATURE_TOL = 1e-12
 
 
 class Placement(enum.Enum):
@@ -56,11 +54,6 @@ class Placement(enum.Enum):
 
     INTERSECTION = "intersection"
     STREET = "street"
-
-
-class Axis(enum.Enum):
-    X = "x"
-    Y = "y"
 
 
 @dataclass(frozen=True)
@@ -215,69 +208,17 @@ def _one(link: LinkGeometry):
 def _link_limits(link: LinkGeometry, w_v: float, w_h: float):
     """One link's corner height and both axis intervals from one geometry pass.
 
-    Returns (h0, (za_x, zb_x), (za_y, zb_y)); see integration_limits for the
-    intervals.  h0 is the ray's altitude where it clears the street gap and
-    meets the block corner, the height the near-corner building must exceed to
-    block the link: inf when the ray never meets the corner (parallel to an
-    open street, or no horizontal advance), h_v when both widths are zero and
-    the corner stands at the vehicle itself.
+    Returns (h0, (za_x, zb_x), (za_y, zb_y)).  Per axis, building sides
+    between the gap clearance za and the UAV's ground coordinate zb could
+    block the ray; an empty interval (za >= zb) means none can.  h0 is the
+    ray's altitude where it clears the street gap and meets the block corner,
+    the height the near-corner building must exceed to block the link: inf
+    when the ray never meets the corner (parallel to an open street, or no
+    horizontal advance), h_v when both widths are zero and the corner stands
+    at the vehicle itself.
     """
     za_x, zb_x, za_y, zb_y, h0 = (float(v[0]) for v in _geometry(*_one(link), w_v, w_h))
     return h0, (za_x, zb_x), (za_y, zb_y)
-
-
-def integration_limits(
-    link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
-) -> tuple[float, float]:
-    """Coordinate interval of building sides that could block the ray.
-
-    Lower limit: the gap clearance for this axis.  Upper limit: the UAV's
-    ground position.  An empty interval (za >= zb) means no side on this axis
-    can interfere and the survival factor is 1.
-    """
-    _, x, y = _link_limits(link, *effective_widths(city, placement))
-    return x if axis is Axis.X else y
-
-
-def axis_factor(
-    link: LinkGeometry, city: CityModel, axis: Axis, placement: Placement
-) -> float:
-    """Probability no building side on this axis blocks the ray (closed form)."""
-    _, zb_x, zb_y, f = _kernel(*_one(link), city, placement)
-    return float(np.exp(-city.lambda_s * ((zb_x if axis is Axis.X else zb_y) * f)[0]))
-
-
-def axis_factor_quadrature(
-    link: LinkGeometry,
-    city: CityModel,
-    axis: Axis,
-    placement: Placement,
-) -> float:
-    """Same factor via adaptive quadrature of the survival integrand.
-
-    Independent of the piecewise closed form; used to validate it.
-    """
-    from scipy.integrate import quad
-
-    za, zb = integration_limits(link, city, axis, placement)
-    if not za < zb:
-        return 1.0
-    zeta = zb
-    delta_h, h_v = link.delta_h, link.h_v
-    heights = city.heights
-
-    def integrand(z: float) -> float:
-        return float(heights.survival(z * delta_h / zeta + h_v))
-
-    slope = delta_h / zeta
-    kinks = [
-        (heights.h_min - h_v) / slope,
-        (heights.h_max - h_v) / slope,
-    ]
-    interior = [p for p in kinks if za < p < zb]
-    val, _ = quad(integrand, za, zb, points=interior or None, epsabs=QUADRATURE_TOL,
-                  epsrel=1e-13, limit=200)
-    return math.exp(-city.lambda_s * val)
 
 
 def _los(d, c, s, delta_h, h_v, city, placement):

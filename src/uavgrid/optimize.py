@@ -55,6 +55,14 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
+def _ascending(name: str, axis) -> np.ndarray:
+    """axis as a float array, refused (ValueError) unless strictly ascending."""
+    axis = np.asarray([float(v) for v in axis])
+    if axis.size > 1 and not np.all(np.diff(axis) > 0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return axis
+
+
 def optimize_height(
     city: CityModel,
     r_max: float,
@@ -93,7 +101,9 @@ def optimize_height(
     if not 0.0 < refine_tol < math.inf:
         raise ValueError("refine_tol must be positive and finite")
     if not h_v < h_lo < h_hi < h_v + r_max:
-        raise InfeasibleSearchError(f"window [{h_lo}, {h_hi}] not inside ({h_v}, {h_v + r_max})")
+        raise InfeasibleSearchError(
+            f"the window [{h_lo}, {h_hi}] breaks h_v < h_lo < h_hi < h_v + r_max "
+            f"(h_v {h_v}, h_v + r_max {h_v + r_max})")
     grid = grid_points(h_lo, h_hi, grid_step)
     held = {}
 
@@ -175,17 +185,12 @@ def sweep_contour(
     placement_mode may be a PlacementMode or its value; outage_grid checks it
     and the run.
     """
-    lambda_axis = np.asarray([float(v) for v in lambda_axis])
-    height_axis = np.asarray([float(v) for v in height_axis])
-    for name, axis in (("lambda_axis", lambda_axis), ("height_axis", height_axis)):
-        if axis.size > 1 and not np.all(np.diff(axis) > 0):
-            raise ValueError(f"{name} must be strictly ascending")
     return outage_grid(
         city,
         r_max,
         h_v,
-        list(lambda_axis),
-        list(height_axis),
+        list(_ascending("lambda_axis", lambda_axis)),
+        list(_ascending("height_axis", height_axis)),
         gamma_th,
         n_realizations,
         seed,
@@ -199,12 +204,15 @@ def min_density_for_outage(lambda_axis, height_axis, outage, target: float):
     """Smallest density whose best altitude meets the outage target.
 
     outage is a (density, altitude) grid over the two axes, as sweep_contour
-    returns it; any other shape raises ValueError.  Returns (lambda_min,
-    h_star), the entries of the axes given, so labels in any unit come back
-    as they went in, or None when no grid density reaches the target.
+    returns it; any other shape, or an axis not strictly ascending, raises
+    ValueError.  Returns (lambda_min, h_star), the entries of the axes given,
+    so labels in any unit come back as they went in, or None when no grid
+    density reaches the target; a tie in altitude goes to the lowest.
     Infeasibility is an answer here, not an error.
     """
     check_probability("target", target)
+    _ascending("lambda_axis", lambda_axis)
+    _ascending("height_axis", height_axis)
     expected = (len(lambda_axis), len(height_axis))
     if np.shape(outage) != expected:
         raise ValueError(f"outage shape {np.shape(outage)} != {expected}")

@@ -416,6 +416,16 @@ def test_bad_geometry_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("h_lo, h_hi", [("100", "100"), ("150", "100"), ("100", "300")])
+def test_optimize_window_refusal_states_the_rule(h_lo, h_hi, capsys):
+    code, out, err = run_cli(
+        ["optimize", "--preset", "urban", "--lambda-uav", "30", "--h-lo", h_lo, "--h-hi", h_hi],
+        capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "h_v < h_lo < h_hi < h_v + r_max" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_preset_conflicts_with_explicit_city(capsys):
     code, _, err = run_cli(
         ["distribution", "--preset", "urban", "--mu-s", "10", "--lambda-uav", "20",

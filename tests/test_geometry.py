@@ -38,8 +38,9 @@ def test_height_distribution_cdf_ramp():
     assert h.cdf(100.0) == 1.0
     assert h.cdf(19.0) == pytest.approx(0.5)
     np.testing.assert_allclose(h.cdf(np.array([9.5, 19.0, 28.5])), [0.0, 0.5, 1.0])
-    assert h.survival(19.0) == pytest.approx(0.5)
-    assert h.mean == 19.0
+    # P(height > h) and the mean height, from the bounds and the cdf
+    assert 1.0 - h.cdf(19.0) == pytest.approx(0.5)
+    assert 0.5 * (h.h_min + h.h_max) == 19.0
     assert h.span == 19.0
 
 
@@ -59,13 +60,17 @@ def test_city_model_validation_and_intensity():
 
 def test_preset_parameters():
     sub, urb, dense = PRESETS["suburban"], PRESETS["urban"], PRESETS["dense-urban"]
-    assert (sub.heights.mean, sub.mu_b, sub.mu_s) == (10.0, 37.0, 10.0)
-    assert (urb.heights.mean, urb.mu_b, urb.mu_s) == (19.0, 45.0, 13.0)
-    assert (dense.heights.mean, dense.mu_b, dense.mu_s) == (25.0, 60.0, 20.0)
+
+    def mean(heights):
+        return 0.5 * (heights.h_min + heights.h_max)
+
+    assert (mean(sub.heights), sub.mu_b, sub.mu_s) == (10.0, 37.0, 10.0)
+    assert (mean(urb.heights), urb.mu_b, urb.mu_s) == (19.0, 45.0, 13.0)
+    assert (mean(dense.heights), dense.mu_b, dense.mu_s) == (25.0, 60.0, 20.0)
     for c in (sub, urb, dense):
         assert c.w_v == c.mu_s and c.w_h == c.mu_s
-        assert c.heights.h_min == 0.5 * c.heights.mean
-        assert c.heights.h_max == 1.5 * c.heights.mean
+        assert c.heights.h_min == 0.5 * mean(c.heights)
+        assert c.heights.h_max == 1.5 * mean(c.heights)
 
 
 def test_intersection_weight_values():

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports, checked with the stdlib ast."""
+"""Every module of the package uses each name it imports, and imports only numpy and the
+stdlib, checked with the stdlib ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,26 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """The top-level modules source imports that are neither the stdlib nor the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_the_check_finds_a_third_party_import():
+    source = ("from __future__ import annotations\nimport math, numpy as np\n"
+              "from .los import Placement\ndef f():\n    from scipy.integrate import quad\n")
+    assert _third_party_imports(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_needs_numpy_and_the_stdlib_only(path):
+    """numpy is the package's one runtime dependency; scipy serves only the tests."""
+    assert _third_party_imports(path.read_text()) <= {"numpy"}

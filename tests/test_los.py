@@ -11,16 +11,14 @@ from uavgrid.los import (
     DIRECTION_TOL,
     _geometry,
     _link_limits,
-    Axis,
     LinkGeometry,
     Placement,
-    axis_factor,
-    axis_factor_quadrature,
     effective_widths,
-    integration_limits,
     los_probability,
     los_probability_batch,
 )
+
+from quadrature import axis_factor, axis_factor_quadrature, axis_limits
 
 URBAN = PRESETS["urban"]
 
@@ -205,10 +203,10 @@ def test_corner_factor_saturates():
 
 def test_integration_limits_intersection():
     lk = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=100.0, h_v=10.0)
-    za, zb = integration_limits(lk, URBAN, Axis.X, Placement.INTERSECTION)
+    za, zb = axis_limits(lk, URBAN, "x", Placement.INTERSECTION)
     assert za == pytest.approx(6.5, rel=1e-12)
     assert zb == pytest.approx(100.0 * math.cos(0.25 * math.pi), rel=1e-15)
-    za_y, zb_y = integration_limits(lk, URBAN, Axis.Y, Placement.INTERSECTION)
+    za_y, zb_y = axis_limits(lk, URBAN, "y", Placement.INTERSECTION)
     assert za_y == pytest.approx(6.5, rel=1e-12)
     assert zb_y == pytest.approx(70.71067811865474, rel=1e-14)
 
@@ -216,45 +214,45 @@ def test_integration_limits_intersection():
 def test_integration_limits_street():
     """Mid-block the own-street half width rules x; y clearance needs tan(phi)."""
     lk = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=100.0, h_v=10.0)
-    za, _ = integration_limits(lk, URBAN, Axis.X, Placement.STREET)
+    za, _ = axis_limits(lk, URBAN, "x", Placement.STREET)
     assert za == 6.5
     phi = 0.3
     lk2 = LinkGeometry(d=100.0, phi=phi, h_uav=100.0, h_v=10.0)
-    za_y, _ = integration_limits(lk2, URBAN, Axis.Y, Placement.STREET)
+    za_y, _ = axis_limits(lk2, URBAN, "y", Placement.STREET)
     assert za_y == pytest.approx(6.5 * math.tan(phi), rel=1e-12)
     # the crossing street at an intersection shields everything under w_h/2
-    za_y_sec, _ = integration_limits(lk2, URBAN, Axis.Y, Placement.INTERSECTION)
+    za_y_sec, _ = axis_limits(lk2, URBAN, "y", Placement.INTERSECTION)
     assert za_y_sec == 6.5
 
 
 def test_limits_collapse_for_axis_parallel_paths():
     lk0 = LinkGeometry(d=100.0, phi=0.0, h_uav=100.0, h_v=10.0)
-    za, zb = integration_limits(lk0, URBAN, Axis.Y, Placement.INTERSECTION)
+    za, zb = axis_limits(lk0, URBAN, "y", Placement.INTERSECTION)
     assert not za < zb
-    assert axis_factor(lk0, URBAN, Axis.Y, Placement.INTERSECTION) == 1.0
+    assert axis_factor(lk0, URBAN, "y", Placement.INTERSECTION) == 1.0
     # x side at an intersection: the ray never leaves the crossing street's gap
-    za_x, _ = integration_limits(lk0, URBAN, Axis.X, Placement.INTERSECTION)
+    za_x, _ = axis_limits(lk0, URBAN, "x", Placement.INTERSECTION)
     assert za_x == math.inf
-    assert axis_factor(lk0, URBAN, Axis.X, Placement.INTERSECTION) == 1.0
+    assert axis_factor(lk0, URBAN, "x", Placement.INTERSECTION) == 1.0
     # mid-block the same path has real x exposure
-    assert integration_limits(lk0, URBAN, Axis.X, Placement.STREET) == (6.5, 100.0)
-    assert axis_factor(lk0, URBAN, Axis.X, Placement.STREET) < 1.0
+    assert axis_limits(lk0, URBAN, "x", Placement.STREET) == (6.5, 100.0)
+    assert axis_factor(lk0, URBAN, "x", Placement.STREET) < 1.0
 
 
 def test_axis_factor_reference_values():
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
-    assert axis_factor(lk, URBAN, Axis.X, Placement.INTERSECTION) == pytest.approx(0.9493255852250619, rel=1e-13)
-    assert axis_factor(lk, URBAN, Axis.Y, Placement.INTERSECTION) == pytest.approx(0.922202373660614, rel=1e-13)
+    assert axis_factor(lk, URBAN, "x", Placement.INTERSECTION) == pytest.approx(0.9493255852250619, rel=1e-13)
+    assert axis_factor(lk, URBAN, "y", Placement.INTERSECTION) == pytest.approx(0.922202373660614, rel=1e-13)
     lk2 = LinkGeometry(d=100.0, phi=0.25 * math.pi, h_uav=100.0, h_v=10.0)
-    assert axis_factor(lk2, URBAN, Axis.X, Placement.STREET) == pytest.approx(0.9634031326977367, rel=1e-13)
-    assert axis_factor(lk2, URBAN, Axis.Y, Placement.STREET) == pytest.approx(0.9634031326977367, rel=1e-13)
+    assert axis_factor(lk2, URBAN, "x", Placement.STREET) == pytest.approx(0.9634031326977367, rel=1e-13)
+    assert axis_factor(lk2, URBAN, "y", Placement.STREET) == pytest.approx(0.9634031326977367, rel=1e-13)
 
 
 def test_axis_factor_is_one_when_buildings_cannot_reach():
     shrub = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0,
                       heights=HeightDistribution(2.0, 6.0))
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
-    assert axis_factor(lk, shrub, Axis.X, Placement.INTERSECTION) == 1.0
+    assert axis_factor(lk, shrub, "x", Placement.INTERSECTION) == 1.0
     assert los_probability(lk, shrub, Placement.STREET) == 1.0
 
 
@@ -264,7 +262,7 @@ def test_axis_factor_quadrature_agreement():
         lk = LinkGeometry(d=rng.uniform(5.0, 240.0), phi=rng.uniform(0.0, 2.0 * math.pi),
                           h_uav=rng.uniform(11.0, 250.0), h_v=10.0)
         for city in PRESETS.values():
-            for axis in (Axis.X, Axis.Y):
+            for axis in ("x", "y"):
                 for pl in (Placement.INTERSECTION, Placement.STREET):
                     a = axis_factor(lk, city, axis, pl)
                     q = axis_factor_quadrature(lk, city, axis, pl)
@@ -277,8 +275,8 @@ def test_exponent_scales_linearly_with_crossing_intensity():
     base = CityModel(mu_s=13.0, mu_b=45.0, w_v=13.0, w_h=13.0, heights=heights)
     dense = CityModel(mu_s=6.5, mu_b=22.5, w_v=13.0, w_h=13.0, heights=heights)
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
-    f1 = axis_factor(lk, base, Axis.X, Placement.INTERSECTION)
-    f2 = axis_factor(lk, dense, Axis.X, Placement.INTERSECTION)
+    f1 = axis_factor(lk, base, "x", Placement.INTERSECTION)
+    f2 = axis_factor(lk, dense, "x", Placement.INTERSECTION)
     assert f2 == pytest.approx(f1 * f1, rel=1e-12)
 
 
@@ -309,8 +307,8 @@ def _quadrature_reference(d, phi, h_uav, city, pl):
     for a, b in zip(d, phi):
         lk = LinkGeometry(d=float(a), phi=float(b), h_uav=h_uav, h_v=10.0)
         want.append(city.heights.cdf(_link_limits(lk, w_v, w_h)[0])
-                    * axis_factor_quadrature(lk, city, Axis.X, pl)
-                    * axis_factor_quadrature(lk, city, Axis.Y, pl))
+                    * axis_factor_quadrature(lk, city, "x", pl)
+                    * axis_factor_quadrature(lk, city, "y", pl))
     return want
 
 
@@ -435,12 +433,12 @@ def test_zero_width_city_has_no_nan():
         assert p[0] == p[3] == bare.heights.cdf(10.0)
         for phi in (0.0, 0.5 * math.pi, 0.7):
             overhead = LinkGeometry(d=0.0, phi=phi, h_uav=100.0, h_v=10.0)
-            for axis in (Axis.X, Axis.Y):
+            for axis in ("x", "y"):
                 assert axis_factor(overhead, bare, axis, pl) == 1.0
         # a path along one axis never advances along the other
         along_x = LinkGeometry(d=50.0, phi=0.0, h_uav=100.0, h_v=10.0)
-        assert axis_factor(along_x, bare, Axis.Y, pl) == 1.0
-        assert axis_factor(along_x, bare, Axis.X, pl) < 1.0
+        assert axis_factor(along_x, bare, "y", pl) == 1.0
+        assert axis_factor(along_x, bare, "x", pl) < 1.0
 
 
 # (h_min, h_max, h_v, h_uav) whose ramp from t1 to t2 has no usable slope:
@@ -481,8 +479,8 @@ def test_ray_clearing_h_max_before_the_gap_is_exactly_clear():
                      heights=HeightDistribution(9.5, 28.5))
     lk = LinkGeometry(d=math.hypot(150.0, 150.0), phi=0.25 * math.pi, h_uav=10.0 + 0.2 * 212.0,
                       h_v=10.0)
-    for axis in (Axis.X, Axis.Y):
-        za, zb = integration_limits(lk, wide, axis, Placement.INTERSECTION)
+    for axis in ("x", "y"):
+        za, zb = axis_limits(lk, wide, axis, Placement.INTERSECTION)
         assert za < zb
         assert axis_factor(lk, wide, axis, Placement.INTERSECTION) == 1.0
     assert los_probability(lk, wide, Placement.INTERSECTION) == 1.0
@@ -520,7 +518,7 @@ def test_width_edge_cases_match_reference(name):
             lk = LinkGeometry(d=float(a), phi=float(b), h_uav=60.0, h_v=10.0)
             za_x, zb_x, za_y, zb_y, _ = _geometry(*(np.array([v]) for v in (lk.d, lk.cos_phi, lk.sin_phi)),
                                                   lk.delta_h, lk.h_v, *effective_widths(city, pl))
-            for axis, za, zb in ((Axis.X, za_x, zb_x), (Axis.Y, za_y, zb_y)):
+            for axis, za, zb in (("x", za_x, zb_x), ("y", za_y, zb_y)):
                 want = _reference_axis_ramp(za, zb, lk.delta_h, lk.h_v, city.heights, city.lambda_s)[0]
                 assert axis_factor(lk, city, axis, pl) == pytest.approx(want, rel=1e-13, abs=0.0)
 

@@ -73,6 +73,10 @@ def test_search_argument_validation(monkeypatch):
 def test_infeasible_window():
     with pytest.raises(InfeasibleSearchError):
         optimize_height(URBAN, 150.0, 10.0, 20e-6, 200.0, 240.0, n_realizations=100, seed=0)
+    # an empty, a reversed and an out-of-range window: the refusal states the rule
+    for h_lo, h_hi in ((100.0, 100.0), (150.0, 100.0), (100.0, 300.0)):
+        with pytest.raises(InfeasibleSearchError, match=r"breaks h_v < h_lo < h_hi < h_v \+ r_max"):
+            optimize_height(URBAN, 250.0, 10.0, 30e-6, h_lo, h_hi, n_realizations=100, seed=0)
     for h_v in (-5.0, math.nan):
         with pytest.raises(InvalidGeometryError):
             optimize_height(URBAN, 250.0, h_v, 20e-6, 200.0, 240.0, n_realizations=100, seed=0)
@@ -243,6 +247,16 @@ def test_min_density_for_outage():
     km2 = [10.0, 20.0, 30.000000000000004]
     best = min_density_for_outage(km2, list(hts), out, 0.1)
     assert best == (30.000000000000004, 150.0) and best[0] is km2[2]
+    # axes in any other order are refused: listed first, density 30 would win
+    # over density 10, which meets the target at 150 m, and a tie in altitude
+    # would go to the first listed height, not the lowest
+    square = np.array([[0.05, 0.2], [0.3, 0.08]])
+    for axes, name in ((([30.0, 10.0], [100.0, 150.0]), "lambda_axis"),
+                       (([10.0, 10.0], [100.0, 150.0]), "lambda_axis"),
+                       (([10.0, math.nan], [100.0, 150.0]), "lambda_axis"),
+                       (([10.0, 30.0], [150.0, 100.0]), "height_axis")):
+        with pytest.raises(ValueError, match=f"{name} must be strictly ascending"):
+            min_density_for_outage(*axes, square, 0.1)
 
 
 def test_contour_grid_shape_validation():

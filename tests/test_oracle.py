@@ -8,12 +8,10 @@ import pytest
 import uavgrid.oracle as oracle
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution, ground_range
 from uavgrid.los import (
-    Axis,
     LinkGeometry,
     Placement,
     _link_limits,
     effective_widths,
-    integration_limits,
     los_probability,
     los_probability_batch,
 )
@@ -111,7 +109,7 @@ def test_corner_building_blocks_alone():
 
 def test_side_building_blocks_only_inside_its_window():
     lk = LinkGeometry(d=150.0, phi=1.0, h_uav=100.0, h_v=10.0)
-    za, zb = integration_limits(lk, URBAN, Axis.X, Placement.INTERSECTION)
+    _, (za, zb), _ = _link_limits(lk, *effective_widths(URBAN, Placement.INTERSECTION))
     z = 0.5 * (za + zb)
     crit = z * lk.delta_h / zb + lk.h_v
     assert link_blocked(_draw(x=[(z, crit + 1.0)]), lk, URBAN, Placement.INTERSECTION)
@@ -124,7 +122,7 @@ def test_side_building_blocks_only_inside_its_window():
 def test_street_sees_fronts_the_crossing_street_shields():
     phi = 0.3
     lk = LinkGeometry(d=50.0, phi=phi, h_uav=100.0, h_v=10.0)
-    za_street, _ = integration_limits(lk, URBAN, Axis.Y, Placement.STREET)
+    _, _, (za_street, _) = _link_limits(lk, *effective_widths(URBAN, Placement.STREET))
     z = 4.0
     assert za_street < z < 6.5
     draw = _draw(y=[(z, 1000.0)])
