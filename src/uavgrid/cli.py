@@ -192,9 +192,13 @@ def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _run(args) -> dict:
-    """The API's run keywords: n, seed, workers, any caps (lambda_cap per m2), placement_mode."""
-    run = {"n_realizations": args.n_realizations, "seed": args.seed, "workers": args.workers}
+def _run(args, city) -> dict:
+    """The API keywords of the shared flags: city, r_max, h_v, gamma_th where the command
+    reads it, the run (n, seed, workers), any caps (lambda_cap per m2) and placement_mode."""
+    run = {"city": city, "r_max": args.r_max, "h_v": args.h_v,
+           "n_realizations": args.n_realizations, "seed": args.seed, "workers": args.workers}
+    if "gamma_th" in args:
+        run["gamma_th"] = args.gamma_th
     if "lambda_cap" in args:
         lambda_cap = None if args.lambda_cap is None else args.lambda_cap * PER_KM2
         run.update(lambda_cap=lambda_cap, d_cap=args.d_cap)
@@ -260,7 +264,7 @@ def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
 def _cmd_distribution(args, city):
     lam = args.lambda_uav * PER_KM2
     gammas = grid_points(0.0, 1.0, args.gamma_step)
-    config = ScenarioConfig(city, args.r_max, args.h_v, lam, args.h_uav, **_run(args))
+    config = ScenarioConfig(lambda_uav=lam, h_uav=args.h_uav, **_run(args, city))
     dists = estimate_distribution(config)
     # each CDF once over the whole grid: the same bits as one evaluate per gamma
     f_int, f_street = (dists[pl].evaluate(gammas)
@@ -274,15 +278,7 @@ def _cmd_distribution(args, city):
 def _cmd_outage_curve(args, city):
     lam = args.lambda_uav * PER_KM2
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
-    values = outage_grid(
-        city,
-        args.r_max,
-        args.h_v,
-        [lam],
-        heights,
-        args.gamma_th,
-        **_run(args),
-    )[0]
+    values = outage_grid(lambda_values=[lam], height_values=heights, **_run(args, city))[0]
     rows = [[h, float(v)] for h, v in zip(heights, values)]
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "gamma_th": args.gamma_th}
     return ["h_uav_m", "outage"], rows, metadata, 0
@@ -290,18 +286,9 @@ def _cmd_outage_curve(args, city):
 
 def _cmd_optimize(args, city):
     lam = args.lambda_uav * PER_KM2
-    h_star, outage_star = optimize_height(
-        city,
-        args.r_max,
-        args.h_v,
-        lam,
-        args.h_lo,
-        args.h_hi,
-        args.gamma_th,
-        grid_step=args.grid_step,
-        refine_tol=args.refine_tol,
-        **_run(args),
-    )
+    h_star, outage_star = optimize_height(lambda_uav=lam, h_lo=args.h_lo, h_hi=args.h_hi,
+                                          grid_step=args.grid_step, refine_tol=args.refine_tol,
+                                          **_run(args, city))
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "gamma_th": args.gamma_th}
     return ["h_star_m", "outage_star"], [[h_star, outage_star]], metadata, 0
 
@@ -311,15 +298,8 @@ def _cmd_contour(args, city):
     heights = grid_points(args.h_lo, args.h_hi, args.h_step)
     if args.target_outage is not None:
         check_probability("--target-outage", args.target_outage)
-    outage = sweep_contour(
-        city,
-        args.r_max,
-        args.h_v,
-        [v * PER_KM2 for v in lambdas_km2],
-        heights,
-        args.gamma_th,
-        **_run(args),
-    )
+    outage = sweep_contour(lambda_axis=[v * PER_KM2 for v in lambdas_km2], height_axis=heights,
+                           **_run(args, city))
     rows = [
         [lam_km2, h, float(outage[i, j])]
         for i, lam_km2 in enumerate(lambdas_km2)

@@ -33,7 +33,6 @@ distribution pipeline's outage bit for bit.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -195,17 +194,6 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
     return lambda_values, height_values, envelope
 
 
-def _chunk_bounds(n: int, envelope: SamplingEnvelope) -> list[tuple[int, int]]:
-    """Chunks tiling [0, n): at most CHUNK_SIZE realizations and MAX_CHUNK_POINTS mean points."""
-    size = min(CHUNK_SIZE, max(1, int(MAX_CHUNK_POINTS / max(envelope.mean_count, 1.0))))
-    return [(s, min(s + size, n)) for s in range(0, n, size)]
-
-
-def _chunk_keys(envelope, seed, n, frac_top) -> list[tuple]:
-    """The (envelope, seed, start, stop, frac_top) key of each chunk of realizations [0, n)."""
-    return [(envelope, seed, start, stop, frac_top) for start, stop in _chunk_bounds(n, envelope)]
-
-
 class ChunkLayout(NamedTuple):
     """One chunk's points with mark below frac_top, laid out by mark.
 
@@ -268,28 +256,6 @@ def _lay_out(d, phi, mark, counts, frac_top) -> ChunkLayout:
     return layout
 
 
-def _chunk_layout(envelope, seed, start, stop, frac_top) -> ChunkLayout:
-    """Draw realizations [start, stop) and lay out their points below frac_top."""
-    return _lay_out(*sample_envelope_points(envelope, seed, start, stop), frac_top)
-
-
-def _layout_of(key, held=None) -> ChunkLayout:
-    """The layout of the chunk that key (envelope, seed, start, stop, frac_top) names.
-
-    Without held, the chunk is drawn and laid out for this caller alone.
-    With held, a dict of layouts by key, a held layout is returned as it is,
-    and a missing one is drawn and kept there.  The key names everything a
-    layout depends on, so a held layout only ever answers its own chunk.
-    Worker tasks of one call hold distinct keys, so their threads never
-    write the same entry.
-    """
-    if held is None:
-        return _chunk_layout(*key)
-    if key not in held:
-        held[key] = _chunk_layout(*key)
-    return held[key]
-
-
 def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=False):
     """Running survival products of one chunk's realizations: the one chunk scorer.
 
@@ -343,17 +309,7 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
             yield ip, j, survival
 
 
-# The pipelines bind the shared spec by name with functools.partial and map
-# it over the chunks' keys, each task reducing _layout_of(key), so only
-# per-realization scores or per-cell counts outlive a task.
-def _chunk_score_arrays(layout, *, city, r_max, h_v, height_values, placements):
-    """Scores 1 - prod(1 - p_LoS) per (placement, realization) at one height."""
-    scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=True)
-    return np.stack([1.0 - survival for _, _, survival in scores])
-
-
-def _chunk_outage_counts(layout, *, city, r_max, h_v, height_values, placements, fracs,
-                         gamma_th):
+def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gamma_th):
     """Realizations in outage per (placement, density, height) cell.
 
     Below the cap, each (height, placement) finds every realization's
@@ -381,19 +337,46 @@ def _chunk_outage_counts(layout, *, city, r_max, h_v, height_values, placements,
     return counts
 
 
-def _map_tasks(fn, tasks, workers):
-    """[fn(t) for t in tasks], in order, over up to workers threads of this process.
+def _map_chunks(reduce, envelope, seed, n, frac_top, workers, held=None) -> list:
+    """[reduce(layout) for each chunk of realizations [0, n)], in order: the one chunk map.
 
-    The one place a pool opens.  numpy releases the GIL inside its ufunc
-    loops, the tasks share only read-only layouts, and each allocates its own
-    buffers, so the results are the serial results whatever the worker count.
+    Chunks tile [0, n) in order, each of at most CHUNK_SIZE realizations and
+    MAX_CHUNK_POINTS envelope points on average.  Each chunk is drawn and laid
+    out at frac_top (_lay_out), or taken from held, then reduced, so only what
+    reduce returns outlives its chunk.  held is a dict of layouts by
+    (envelope, seed, start, stop, frac_top) that outlives the call: a missing
+    layout is drawn and kept there, a held one is reduced as it is.  A key
+    names everything a layout depends on, so a held layout is the layout a
+    fresh call draws for it.  A call with held may hold at most
+    MAX_HELD_POINTS UAVs on average, checked before anything is drawn
+    (ValueError).
+
+    This is the one place a pool opens.  numpy releases the GIL inside its
+    ufunc loops, chunks share only read-only layouts, each allocates its own
+    buffers, and tasks of one call hold distinct keys, so the results are the
+    serial results whatever the worker count.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+    held_points = n * envelope.mean_count
+    if held is not None and held_points > MAX_HELD_POINTS:
+        raise ValueError(f"the envelope draw would hold {held_points:.4g} UAVs on average "
+                         f"({n} realizations), above the bound of {MAX_HELD_POINTS:g}")
+    size = min(CHUNK_SIZE, max(1, int(MAX_CHUNK_POINTS / max(envelope.mean_count, 1.0))))
+    keys = [(envelope, seed, start, min(start + size, n), frac_top) for start in range(0, n, size)]
+
+    def chunk(key):
+        layout = None if held is None else held.get(key)
+        if layout is None:
+            layout = _lay_out(*sample_envelope_points(*key[:4]), frac_top)
+            if held is not None:
+                held[key] = layout
+        return reduce(layout)
+
+    if workers <= 1 or len(keys) <= 1:
+        return [chunk(key) for key in keys]
     # imported here: concurrent.futures loads logging, a cost a serial run skips
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    with ThreadPoolExecutor(max_workers=min(workers, len(keys))) as pool:
+        return list(pool.map(chunk, keys))
 
 
 def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDistribution]:
@@ -410,11 +393,14 @@ def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDi
                                config.lambda_cap, config.d_cap)
     if envelope is None:
         return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
-    keys = _chunk_keys(envelope, config.seed, n, config.lambda_uav / envelope.lambda_cap)
-    score = functools.partial(_chunk_score_arrays, city=config.city, r_max=config.r_max,
-                              h_v=config.h_v, height_values=[config.h_uav],
-                              placements=placements)
-    chunks = _map_tasks(lambda key: score(_layout_of(key)), keys, config.workers)
+
+    def scores(layout):
+        survival = _chunk_scores(layout, config.city, config.r_max, config.h_v, [config.h_uav],
+                                 placements, last_only=True)
+        return np.stack([1.0 - last for _, _, last in survival])
+
+    chunks = _map_chunks(scores, envelope, config.seed, n, config.lambda_uav / envelope.lambda_cap,
+                         config.workers)
     result = {}
     for ip, pl in enumerate(placements):
         samples = np.sort(np.concatenate([c[ip] for c in chunks]))
@@ -456,12 +442,12 @@ def outage_grid(
     realization is in outage.
 
     Without held, each chunk is drawn, scored and dropped in turn.  held is
-    a dict of chunk layouts by key (see _layout_of) that outlives the call:
-    each chunk is laid out whole (frac_top 1.0), kept there and scored at
-    any densities the envelope covers.  A point above a density's fraction
-    only extends a column past the ranks that density sees, so the cells
-    match a fresh draw bit for bit, and calls that share held and the
-    envelope, seed and n_realizations draw each chunk once, in the first
+    a dict of chunk layouts that outlives the call, keyed by (envelope,
+    seed, realization range, top fraction) (see _map_chunks).  Each chunk is
+    laid out at the grid's top density fraction, as a fresh call lays it
+    out, so a held layout is the layout a fresh call draws and the cells
+    match a fresh call bit for bit.  Calls that share held, the envelope,
+    seed, n_realizations and top density draw each chunk once, in the first
     call, whatever heights they score.  A call with held may hold at most
     MAX_HELD_POINTS UAVs on average, checked before anything is drawn
     (ValueError).  placement_mode may be a PlacementMode or its value
@@ -477,17 +463,10 @@ def outage_grid(
         totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
     else:
         fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-        held_points = n_realizations * envelope.mean_count
-        if held is not None and held_points > MAX_HELD_POINTS:
-            raise ValueError(f"the envelope draw would hold {held_points:.4g} UAVs on average "
-                             f"({n_realizations} realizations), above the bound of "
-                             f"{MAX_HELD_POINTS:g}")
-        keys = _chunk_keys(envelope, seed, n_realizations,
-                           float(fracs.max()) if held is None else 1.0)
-        count = functools.partial(_chunk_outage_counts, city=city, r_max=r_max, h_v=h_v,
-                                  height_values=height_values, placements=placements,
-                                  fracs=fracs, gamma_th=gamma_th)
-        totals = sum(_map_tasks(lambda key: count(_layout_of(key, held)), keys, workers))
+        totals = sum(_map_chunks(
+            lambda layout: _chunk_outage_counts(layout, city, r_max, h_v, height_values,
+                                                placements, fracs, gamma_th),
+            envelope, seed, n_realizations, float(fracs.max()), workers, held))
 
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:

@@ -180,7 +180,8 @@ PTRS_MEAN = 10.0
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 # SC'11): the round multipliers and the Weyl increments of the key, as Python
 # ints for the products and sums every stream shares, and as np.uint64 for the
-# array words (a bare int could promote uint64 arrays to float64 on numpy 1.x).
+# array words, which then meet only uint64 operands and rely on no promotion
+# rule for Python ints.
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _WORD = 2**64 - 1

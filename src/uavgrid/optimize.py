@@ -32,8 +32,9 @@ MAX_GRID_POINTS = 10**6
 def grid_points(lo: float, hi: float, step: float) -> list[float]:
     """Inclusive grid from lo towards hi; hi is appended if the step misses it.
 
-    Values are rounded to 10 decimals so grids built from decimal steps carry
-    clean coordinates instead of accumulated float noise.  A step that would
+    lo and an appended hi are returned as given; the points between them are
+    rounded to 10 decimals, so grids built from decimal steps carry clean
+    coordinates instead of accumulated float noise.  A step that would
     give more than MAX_GRID_POINTS points raises ValueError before any point
     is built.  Each refusal names the step and the range it was given.
     """
@@ -49,9 +50,9 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     misses_hi = round(lo + n * step, 10) < hi - 1e-9 * max(1.0, abs(hi))
     if n + 1 + misses_hi > MAX_GRID_POINTS:
         raise ValueError(f"{grid} gives more than {MAX_GRID_POINTS} grid points")
-    vals = [round(lo + k * step, 10) for k in range(n + 1)]
+    vals = [lo] + [round(lo + k * step, 10) for k in range(1, n + 1)]
     if misses_hi:
-        vals.append(round(hi, 10))
+        vals.append(hi)
     return vals
 
 
@@ -105,9 +106,13 @@ def optimize_height(
             f"the window [{h_lo}, {h_hi}] breaks h_v < h_lo < h_hi < h_v + r_max "
             f"(h_v {h_v}, h_v + r_max {h_v + r_max})")
     grid = grid_points(h_lo, h_hi, grid_step)
+    # the envelope of the whole search, the grid pass's own: its widest disk,
+    # at its lowest altitude.  Every call takes it, so every probe scores the
+    # layouts the grid pass drew into held
+    d_cap = ground_range(r_max, min(grid), h_v)
     held = {}
 
-    def evaluate(hs: list[float], d_cap: float | None) -> np.ndarray:
+    def evaluate(hs: list[float]) -> np.ndarray:
         return outage_grid(
             city,
             r_max,
@@ -123,16 +128,12 @@ def optimize_height(
             held=held,
         )[0]
 
-    # the grid pass checks the heights and carves its envelope from its own
-    # widest disk, at its lowest altitude; every probe after it takes that
-    # envelope, so it scores the layouts the grid pass drew into held
-    cache = dict(zip(grid, (float(v) for v in evaluate(grid, None))))
-    d_cap = ground_range(r_max, grid[0], h_v)
+    cache = dict(zip(grid, (float(v) for v in evaluate(grid))))
 
     def f(h: float) -> float:
         h = float(h)
         if h not in cache:
-            cache[h] = float(evaluate([h], d_cap)[0])
+            cache[h] = float(evaluate([h])[0])
         return cache[h]
 
     j0 = int(np.argmin([cache[h] for h in grid]))

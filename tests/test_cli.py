@@ -426,6 +426,20 @@ def test_optimize_window_refusal_states_the_rule(h_lo, h_hi, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_grid_endpoints_run_as_given(capsys):
+    """An endpoint with more than 10 decimals is the altitude or density the command scores."""
+    code, out, err = run_cli(
+        ["optimize", "--preset", "urban", "--lambda-uav", "30", "--h-v", "10",
+         "--h-lo", "10.00000000001", "--h-hi", "100", "--n-realizations", "300"], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(
+        ["contour", "--preset", "urban", "--lambda-lo", "0.00000000001",
+         "--lambda-hi", "0.00000000001", "--h-lo", "100", "--h-hi", "100",
+         "--n-realizations", "300"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith("1e-11,100.0,")
+
+
 def test_preset_conflicts_with_explicit_city(capsys):
     code, _, err = run_cli(
         ["distribution", "--preset", "urban", "--mu-s", "10", "--lambda-uav", "20",

@@ -18,14 +18,10 @@ from uavgrid.connectivity import (
     EmpiricalDistribution,
     PlacementMode,
     ScenarioConfig,
-    _chunk_bounds,
-    _chunk_keys,
-    _chunk_layout,
     _chunk_outage_counts,
-    _chunk_score_arrays,
     _chunk_scores,
     _lay_out,
-    _map_tasks,
+    _map_chunks,
     estimate_distribution,
     mixture_cdf,
     outage_grid,
@@ -62,9 +58,21 @@ def _layout(*rows):
     return _lay_out(d, phi, mark, np.array([len(row) for row in rows]), 1.0)
 
 
+def _score_arrays(layout, city, r_max, h_v, height_values, placements):
+    """Scores 1 - prod(1 - p_LoS) per (placement, realization), as estimate_distribution reduces
+    a chunk at its one height."""
+    survival = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=True)
+    return np.stack([1.0 - last for _, _, last in survival])
+
+
+def _drawn(env, seed, n, frac_top):
+    """The layout of realizations [0, n) of env drawn at seed, laid out below frac_top."""
+    return _lay_out(*sample_envelope_points(env, seed, 0, n), frac_top)
+
+
 def _scores(*rows):
     """Connectivity 1 - prod(1 - p_LoS) of each row under SCENARIO, per placement in PLACEMENTS."""
-    return _chunk_score_arrays(_layout(*rows), **_spec([SCENARIO.h_uav]))
+    return _score_arrays(_layout(*rows), **_spec([SCENARIO.h_uav]))
 
 
 def _p(d, phi, placement):
@@ -182,14 +190,14 @@ def test_layout_lists_points_by_distance_with_folded_cosines():
     assert np.array_equal(layout.sin_phi, np.abs(np.sin(want[:, 1])))
     # scoring shares the layout across heights and placements and never writes it
     kept = [a.copy() for a in layout]
-    _chunk_score_arrays(layout, **_spec([60.0, 140.0]))
+    _score_arrays(layout, **_spec([60.0, 140.0]))
     assert all(np.array_equal(a, b) for a, b in zip(layout, kept))
 
 
 def test_layout_arrays_are_read_only():
     """Worker threads share a layout: a write to it fails instead of corrupting another cell."""
     env = SamplingEnvelope(lambda_cap=40e-6, d_cap=200.0)
-    layout = _chunk_layout(env, 3, 0, 64, 0.6)
+    layout = _drawn(env, 3, 64, 0.6)
     kept = ChunkLayout(*(a.copy() for a in layout))
     for array in layout:
         with pytest.raises(ValueError):
@@ -199,8 +207,8 @@ def test_layout_arrays_are_read_only():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(layout, kept))
     # scoring reads a read-only layout to the same bytes as a writable copy of it
     spec = _spec([60.0, 140.0])
-    assert _chunk_score_arrays(layout, **spec).tobytes() == \
-        _chunk_score_arrays(kept, **spec).tobytes()
+    assert _score_arrays(layout, **spec).tobytes() == \
+        _score_arrays(kept, **spec).tobytes()
     fracs = np.array([0.2, 0.6])
     assert _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=0.8).tobytes() == \
         _chunk_outage_counts(kept, **spec, fracs=fracs, gamma_th=0.8).tobytes()
@@ -258,7 +266,7 @@ def test_equal_distances_may_be_listed_in_any_order():
     def outputs(layout):
         counts = [_chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=g)
                   for g in (0.0, 0.8, 0.95)]
-        return [_chunk_score_arrays(layout, **spec)] + counts
+        return [_score_arrays(layout, **spec)] + counts
 
     for layout in layouts:
         stable = _stable_by_distance(layout)
@@ -300,7 +308,7 @@ def _row_major_reduction(layout, city, r_max, h_v, height_values, placements, fr
 def test_reduction_matches_row_major_reference_bit_for_bit():
     tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
     loose = SamplingEnvelope(lambda_cap=75e-6, d_cap=tight.d_cap + 20.0)
-    layouts = [_chunk_layout(env, seed, 0, 300, frac_top)
+    layouts = [_drawn(env, seed, 300, frac_top)
                for seed in (1, 2, 3) for env, frac_top in ((tight, 1.0), (loose, 0.4))]
     # width 1, realizations with no points, and no points at all
     layouts += [_layout([], [(120.0, 0.3)], [], [(200.0, 1.1)]), _layout([], [])]
@@ -322,14 +330,14 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
             # every density at the cap: the last rank alone decides
             at_cap = _chunk_outage_counts(layout, **spec, fracs=np.array([1.0]), gamma_th=gamma_th)
             assert np.array_equal(at_cap, counts[:, -1:])
-        assert np.array_equal(_chunk_score_arrays(layout, **spec), scores)
+        assert np.array_equal(_score_arrays(layout, **spec), scores)
 
 
 def test_last_rank_reduction_is_the_rank_loop_bit_for_bit():
     """last_only's one multiply reduction gives the rank loop's last rank, bit for bit."""
     env = SamplingEnvelope(lambda_cap=75e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
     # one realization and 300, drawn; width 1 by hand, one realization or four
-    layouts = [_chunk_layout(env, seed, 0, m, 1.0) for seed in (1, 2) for m in (1, 300)]
+    layouts = [_drawn(env, seed, m, 1.0) for seed in (1, 2) for m in (1, 300)]
     layouts += [_layout([(120.0, 0.3)]), _layout([], [(120.0, 0.3)], [], [(200.0, 1.1)])]
     shapes = [layout.marks.shape for layout in layouts]
     assert (2, 1) in shapes and (2, 4) in shapes
@@ -771,6 +779,11 @@ def _no_draw(*args):
     raise AssertionError("drew realizations that should have been held or refused")
 
 
+def _keys(env, seed, n, size, frac_top):
+    """The held keys of realizations [0, n) of env at seed, in chunks of size, below frac_top."""
+    return [(env, seed, start, min(start + size, n), frac_top) for start in range(0, n, size)]
+
+
 def test_outage_grid_scores_a_shared_draw(monkeypatch):
     """One held dict answers every call of its chunks; any other call draws its own."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
@@ -782,25 +795,64 @@ def test_outage_grid_scores_a_shared_draw(monkeypatch):
     held = {}
     for workers in (1, 2):
         assert np.array_equal(outage_grid(**call, workers=workers, held=held), fresh)
-    # three chunks, each laid out whole so that any density under the cap reads it
-    assert sorted(held, key=lambda key: key[2]) == _chunk_keys(env, 5, 700, 1.0)
+    # three chunks, laid out at the grid's top density: 25e-6 of the 25e-6 cap
+    assert sorted(held, key=lambda key: key[2]) == _keys(env, 5, 700, 256, 1.0)
     layouts = dict(held)
-    low = {**call, "lambda_values": [10e-6]}
-    want_low = outage_grid(**low)
+    # another grid with the same top density scores those layouts at other
+    # densities and heights, drawing nothing
+    shared = {**call, "lambda_values": [5e-6, 25e-6], "height_values": [100.0, 180.0]}
+    want_shared = outage_grid(**shared)
     with monkeypatch.context() as m:
         m.setattr(connectivity, "sample_envelope_points", _no_draw)
-        assert np.array_equal(outage_grid(**low, held=held), want_low)
+        assert np.array_equal(outage_grid(**shared, held=held), want_shared)
     assert held.keys() == layouts.keys() and all(held[k] is layouts[k] for k in layouts)
-    # a held layout answers only its own key: a call whose n_realizations, seed
-    # or envelope differs gets its own fresh cells
-    for change in ({"n_realizations": 600}, {"seed": 6}, {"lambda_cap": 30e-6}):
+    # a held layout answers only its own key: a call whose top density,
+    # n_realizations, seed or envelope differs gets its own fresh cells
+    for change in ({"lambda_values": [10e-6]}, {"n_realizations": 600}, {"seed": 6},
+                   {"lambda_cap": 30e-6}):
         other = {**call, **change}
         want = outage_grid(**other)
         assert not np.array_equal(want, fresh)
         assert np.array_equal(outage_grid(**other, held=held), want)
-    # realizations [0, 512) are the same two chunks at n = 600, so only [512, 600)
-    # joins them; the other seed and envelope add three chunks each
-    assert len(held) == 3 + 1 + 3 + 3
+    # the lower top density lays out three chunks of its own; realizations
+    # [0, 512) are the same two chunks at n = 600, so only [512, 600) joins
+    # them; the other seed and envelope add three chunks each
+    assert len(held) == 3 + 3 + 1 + 3 + 3
+
+
+def test_held_layouts_are_the_layouts_a_fresh_call_draws(monkeypatch):
+    """Each held layout equals, bit for bit, the layout a call without held draws for its key."""
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 128)
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=240.0)
+    sample, lay_out = connectivity.sample_envelope_points, connectivity._lay_out
+    drawn = []  # per chunk a fresh call draws: its sampler arguments, then its layout
+
+    def sampling(*args):
+        drawn.append(args)
+        return sample(*args)
+
+    def laying_out(*args):
+        layout = lay_out(*args)
+        drawn[-1] = (*drawn[-1], args[-1], layout)
+        return layout
+
+    grid = (URBAN, 250.0, 10.0)
+    # top densities at the cap and below it, so both kinds of top fraction are held
+    for lambda_values in ([10e-6, 40e-6], [10e-6, 25e-6]):
+        call = (*grid, lambda_values, [90.0, 150.0], 0.8, 300, 9)
+        drawn.clear()
+        with monkeypatch.context() as m:
+            m.setattr(connectivity, "sample_envelope_points", sampling)
+            m.setattr(connectivity, "_lay_out", laying_out)
+            want = outage_grid(*call, **_caps(env))
+        fresh = {key[:5]: key[5] for key in drawn}
+        held = {}
+        assert np.array_equal(outage_grid(*call, **_caps(env), workers=2, held=held), want)
+        assert len(held) == len(fresh) == 3 and held.keys() == fresh.keys()
+        assert {key[4] for key in held} == {lambda_values[-1] / env.lambda_cap}
+        for key, layout in held.items():
+            assert all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(layout, fresh[key]))
 
 
 def test_held_layouts_over_the_bound_are_refused_before_drawing(monkeypatch):
@@ -818,34 +870,36 @@ def test_held_layouts_over_the_bound_are_refused_before_drawing(monkeypatch):
 
 
 def test_optimize_maps_its_held_draw_over_workers(monkeypatch):
-    """Every probe maps its chunk keys over the workers; the grid pass draws them there."""
+    """Every probe maps the grid pass's chunks over the workers; the grid pass draws them there."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 256)
-    maps, drawn_in = [], []  # per map: (tasks, workers, chunks drawn); per draw: its thread
-    map_tasks, sample = connectivity._map_tasks, connectivity.sample_envelope_points
+    # per map: (chunks, top fraction, workers, chunks drawn); per draw: its thread
+    maps, drawn_in = [], []
+    map_chunks, sample = connectivity._map_chunks, connectivity.sample_envelope_points
 
-    def recording(fn, tasks, workers):
+    def recording(reduce, envelope, seed, n, frac_top, workers, held=None):
         before = len(drawn_in)
-        result = map_tasks(fn, tasks, workers)
-        maps.append((len(tasks), workers, len(drawn_in) - before))
+        result = map_chunks(reduce, envelope, seed, n, frac_top, workers, held)
+        maps.append((len(result), frac_top, workers, len(drawn_in) - before))
         return result
 
     def sampling(*args):
         drawn_in.append(threading.get_ident())
         return sample(*args)
 
-    monkeypatch.setattr(connectivity, "_map_tasks", recording)
+    monkeypatch.setattr(connectivity, "_map_chunks", recording)
     monkeypatch.setattr(connectivity, "sample_envelope_points", sampling)
     got = optimize_height(URBAN, 250.0, 10.0, 30e-6, 60.0, 200.0, n_realizations=700, seed=1,
                           workers=2)
-    # the grid pass draws the three chunks in worker threads; every probe after it
-    # maps the same three keys over the same workers and draws nothing
-    assert maps[0] == (3, 2, 3) and threading.main_thread().ident not in drawn_in
-    assert len(maps) > 2 and all(m == (3, 2, 0) for m in maps[1:])
+    # the grid pass draws the three chunks, whole (top fraction 1.0), in worker
+    # threads; every probe after it maps the same three keys over the same
+    # workers and draws nothing; the search makes 8 grid calls in all
+    assert maps[0] == (3, 1.0, 2, 3) and threading.main_thread().ident not in drawn_in
+    assert len(maps) == 8 and all(m == (3, 1.0, 2, 0) for m in maps[1:])
     assert got == optimize_height(URBAN, 250.0, 10.0, 30e-6, 60.0, 200.0, n_realizations=700,
                                   seed=1)
 
 
-def test_worker_threads_keep_the_kernels_ieee_limits():
+def test_worker_threads_keep_the_kernels_ieee_limits(monkeypatch):
     """Links at d = 0 and phi = 0 divide by zero in the kernel; a worker thread takes the
     IEEE limits as the calling thread does, with no RuntimeWarning (warnings are errors)."""
     d = np.array([0.0, 0.0, 50.0, 120.0])
@@ -854,17 +908,21 @@ def test_worker_threads_keep_the_kernels_ieee_limits():
     tasks = [(h, placement) for h in (60.0, 140.0) for placement in PLACEMENTS]
     threads = set()
 
-    def score(task):
+    def score(layout):
         threads.add(threading.get_ident())
-        return los_probability_batch(d, cos_phi, sin_phi, task[0], 10.0, URBAN, task[1])
+        return [los_probability_batch(d, cos_phi, sin_phi, h, 10.0, URBAN, placement)
+                for h, placement in tasks]
 
-    serial = _map_tasks(score, tasks, 1)
+    # four chunks of one realization each, each scoring the links at every task
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1)
+    env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
+    serial = _map_chunks(score, env, 0, 4, 1.0, 1)
     threads.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pooled = _map_tasks(score, tasks, 2)
+        pooled = _map_chunks(score, env, 0, 4, 1.0, 2)
     assert threads and threading.main_thread().ident not in threads
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(pooled, serial))
+    assert all(a.tobytes() == b.tobytes() for p, q in zip(pooled, serial) for a, b in zip(p, q))
 
 
 def test_worker_threads_share_held_layouts_under_stress(monkeypatch):
@@ -882,7 +940,7 @@ def test_worker_threads_share_held_layouts_under_stress(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(g.tobytes() == want.tobytes() for g in got)
-    assert sorted(held, key=lambda key: key[2]) == _chunk_keys(env, 5, 700, 1.0)
+    assert sorted(held, key=lambda key: key[2]) == _keys(env, 5, 700, 50, 1.0)
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -903,17 +961,22 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    # _map_tasks imports the pool when it opens one, so patch it at its source
+    # _map_chunks imports the pool when it opens one, so patch it at its source
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1000)
-    assert _map_tasks(abs, [-1, 2, -3], 64) == [1, 2, 3]
+    env = SamplingEnvelope(lambda_cap=25e-6, d_cap=240.0)
+
+    def width(layout):
+        return layout.marks.shape[1]
+
+    assert _map_chunks(width, env, 5, 2500, 1.0, 64) == [1000, 1000, 500]
     # three chunks of 1000 realizations ask for three threads at most
     outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64)
     estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=5, workers=2))
     assert sizes == [3, 3, 2]
-    # a single task or a single worker never builds a pool
-    _map_tasks(abs, [-1], 64)
-    _map_tasks(abs, [-1, 2], 1)
+    # a single chunk or a single worker never builds a pool
+    assert _map_chunks(width, env, 5, 1000, 1.0, 64) == [1000]
+    assert _map_chunks(width, env, 5, 2000, 1.0, 1) == [1000, 1000]
     assert sizes == [3, 3, 2]
 
 
@@ -938,6 +1001,22 @@ def test_workers_above_the_bound_are_refused_before_any_pool(entry, no_pool):
     with pytest.raises(ValueError, match=f"workers <= {connectivity.MAX_WORKERS}"):
         ABOVE_MAX_WORKERS[entry](connectivity.MAX_WORKERS + 1)
     connectivity.check_run(1, 0, connectivity.MAX_WORKERS)
+
+
+def _chunk_bounds(n, env):
+    """The realizations [start, stop) of each chunk _map_chunks draws for [0, n) of env, in
+    order; the draws are stood in for by empty ones."""
+    bounds = []
+
+    def empty(envelope, seed, start, stop):
+        bounds.append((start, stop))
+        return np.empty(0), np.empty(0), np.empty(0), np.zeros(stop - start, dtype=np.int64)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(connectivity, "sample_envelope_points", empty)
+        widths = _map_chunks(lambda layout: layout.marks.shape[1], env, 0, n, 1.0, 1)
+    assert widths == [stop - start for start, stop in bounds]
+    return bounds
 
 
 def test_dense_envelope_chunks_are_capped_by_points(monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavgrid.connectivity import ScenarioConfig, _chunk_layout, estimate_distribution
+from uavgrid.connectivity import ScenarioConfig, _lay_out, estimate_distribution
 from uavgrid.geometry import (
     PRESETS,
     CityModel,
@@ -121,7 +121,7 @@ def _caps(env):
 def test_sample_realization_empty_at_zero_density():
     # zero density is mark fraction 0 of any envelope, which no mark is below
     env = SamplingEnvelope(lambda_cap=20e-6, d_cap=233.0)
-    layout = _chunk_layout(env, 1234, 0, 50, 0.0)
+    layout = _lay_out(*sample_envelope_points(env, 1234, 0, 50), 0.0)
     assert layout.d.size == 0 and layout.slot.size == 0
     assert np.all(np.isinf(layout.marks))
 
@@ -205,8 +205,8 @@ def test_restrict_rejects_uncovered_scenarios(scenario):
 def test_restrict_nesting():
     """Carving a smaller density out of one envelope draw keeps a prefix of each row."""
     env = SamplingEnvelope(lambda_cap=4e-5, d_cap=200.0)
-    big = _chunk_layout(env, 7, 0, 64, 1.0)
-    small = _chunk_layout(env, 7, 0, 64, 0.25)
+    big = _lay_out(*sample_envelope_points(env, 7, 0, 64), 1.0)
+    small = _lay_out(*sample_envelope_points(env, 7, 0, 64), 0.25)
     assert 0 < small.d.size < big.d.size
     assert set(small.d) <= set(big.d)
     # every realization keeps its marks below 0.25, lowest first, and nothing else

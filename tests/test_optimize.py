@@ -40,6 +40,15 @@ def test_grid_points():
             grid_points(lo, hi, step)
 
 
+def test_grid_points_keeps_the_endpoints_it_is_given():
+    """lo and an appended hi come back as given; only the points between them are rounded."""
+    assert grid_points(10.00000000001, 20.0, 5.0) == [10.00000000001, 15.0, 20.0]
+    assert grid_points(1e-11, 1e-11, 1.0) == [1e-11]
+    assert grid_points(0.0, 1.00000000001, 0.3) == [0.0, 0.3, 0.6, 0.9, 1.00000000001]
+    # interior points still shed accumulated float noise
+    assert 0.1 + 2 * 0.1 != 0.3 and grid_points(0.1, 1.0, 0.1)[2] == 0.3
+
+
 def test_grid_points_refuses_oversized_grids():
     assert len(grid_points(0.0, 999_998.5, 1.0)) == MAX_GRID_POINTS == 10**6  # hi appended
     # 10**6 + 1 points, without and with an appended hi; 2e9 points; overflowing spans
@@ -80,11 +89,14 @@ def test_infeasible_window():
     for h_v in (-5.0, math.nan):
         with pytest.raises(InvalidGeometryError):
             optimize_height(URBAN, 250.0, h_v, 20e-6, 200.0, 240.0, n_realizations=100, seed=0)
-    # a window just under the top whose grid rounds above it (to 10 decimals):
-    # the scenario check names the altitude before the search takes a ground range
-    with pytest.raises(InvalidGeometryError, match="outside the feasible range"):
-        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000006, 260.000000000085,
-                        n_realizations=100, seed=0)
+    # a window just under the top: its endpoints are searched as given ...
+    window = (URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000006, 260.000000000085)
+    assert optimize_height(*window, n_realizations=100, seed=0)[0] == 260.00000000006
+    # ... but an interior grid point that rounds (to 10 decimals) above the top
+    # is named by the scenario check
+    with pytest.raises(InvalidGeometryError, match="altitude 260.0000000001 outside the feasible"):
+        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000001, 260.000000000085,
+                        n_realizations=100, seed=0, grid_step=7e-11)
 
 
 def test_zero_density_returns_search_floor(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uavgrid.connectivity as connectivity
-from uavgrid.connectivity import ScenarioConfig, _chunk_score_arrays, _lay_out, estimate_distribution
+from uavgrid.connectivity import ScenarioConfig, _chunk_scores, _lay_out, estimate_distribution
 from uavgrid.geometry import PRESETS, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, _geometry, los_probability
 
@@ -109,8 +109,9 @@ def _one_realization(pairs):
 
 def _connectivity(pairs, placements):
     """One realization's connectivity at 100 m over a vehicle at 10 m, r_max 250 m."""
-    return _chunk_score_arrays(_one_realization(pairs), city=URBAN, r_max=250.0, h_v=10.0,
-                               height_values=[100.0], placements=placements)[:, 0]
+    survival = _chunk_scores(_one_realization(pairs), URBAN, 250.0, 10.0, [100.0], placements,
+                             last_only=True)
+    return np.array([1.0 - last[0] for _, _, last in survival])
 
 
 def test_empty_realization_scores_zero():
