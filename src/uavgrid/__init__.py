@@ -30,9 +30,7 @@ from .oracle import (
     validation_sweep,
 )
 from .connectivity import (
-    EmpiricalDistribution,
     PlacementMode,
-    ScenarioConfig,
     estimate_distribution,
     mixture_cdf,
     outage_grid,
@@ -48,7 +46,6 @@ from .optimize import (
 __all__ = [
     "__version__",
     "CityModel",
-    "EmpiricalDistribution",
     "HeightDistribution",
     "InfeasibleSearchError",
     "InvalidGeometryError",
@@ -57,7 +54,6 @@ __all__ = [
     "Placement",
     "PlacementMode",
     "SamplingEnvelope",
-    "ScenarioConfig",
     "ValidationCase",
     "effective_widths",
     "empirical_los_probability",

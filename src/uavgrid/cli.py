@@ -26,14 +26,12 @@ import numpy as np
 from . import __version__
 from .connectivity import (
     PlacementMode,
-    ScenarioConfig,
     check_probability,
     estimate_distribution,
     mixture_cdf,
     outage_grid,
 )
 from .geometry import CityModel, InvalidGeometryError, PRESETS, _preset
-from .los import Placement
 from .optimize import (
     grid_points,
     min_density_for_outage,
@@ -262,13 +260,11 @@ def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
 
 
 def _cmd_distribution(args, city):
-    lam = args.lambda_uav * PER_KM2
     gammas = grid_points(0.0, 1.0, args.gamma_step)
-    config = ScenarioConfig(lambda_uav=lam, h_uav=args.h_uav, **_run(args, city))
-    dists = estimate_distribution(config)
-    # each CDF once over the whole grid: the same bits as one evaluate per gamma
-    f_int, f_street = (dists[pl].evaluate(gammas)
-                       for pl in (Placement.INTERSECTION, Placement.STREET))
+    counts = estimate_distribution(lambda_values=[args.lambda_uav * PER_KM2],
+                                   height_values=[args.h_uav], gamma_values=gammas,
+                                   **_run(args, city))
+    f_int, f_street = counts[:, :, 0, 0] / args.n_realizations
     columns = [f.tolist() for f in (f_int, f_street, mixture_cdf(f_int, f_street, city))]
     rows = [list(row) for row in zip(gammas, *columns)]
     metadata = {"lambda_uav_per_km2": args.lambda_uav, "h_uav_m": args.h_uav}

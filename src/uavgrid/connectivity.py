@@ -7,34 +7,33 @@ geometry.sample_envelope_points draws a whole chunk's substreams.  So results
 do not depend on chunking, worker count, or evaluation order, and scenarios
 that share a sampling envelope see nested constellations (see geometry).
 
-One chunk scorer serves both pipelines.  An envelope point joins density
-fraction f of the envelope cap when its uniform mark is below f, so with each
-realization's points ranked by mark every density sees its first ranks.  The
-chunk is laid out rank-major, one row per rank and one column per
-realization, and the scorer takes exact running products of the link factors
-1 - p_LoS down each column, one vector multiply per rank.  Every factor lies
-in [0, 1] and rounding is monotone, so the survival product never rises down
-a column and the score 1 - P never falls: each (realization, height,
-placement) crosses the threshold gamma_th at most once.  Its crossing mark,
-the mark of the first link with 1 - P > gamma_th (+inf if there is none),
-settles every density at once: fraction f is in outage exactly when the
-crossing mark is >= f.  The ranks before the crossing are the ones still at
-or below the threshold, so their count is the crossing rank.  Below the
-envelope cap outage_grid counts the whole density axis with one sort and one
-searchsorted per (height, placement), and its outage cannot rise with
-density, by construction rather than on average.  At the cap (f = 1) every
-mark is admitted, so a realization is in outage exactly when it never
-crosses, that is, when its last rank is still at or below the threshold: a
-grid whose densities all sit at the cap reads only the last rank's running
-products, as estimate_distribution does, so a grid cell equals the
-distribution pipeline's outage bit for bit.
+One chunk scorer and one counter serve every command.  An envelope point
+joins density fraction f of the envelope cap when its uniform mark is below
+f, so with each realization's points ranked by mark every density sees its
+first ranks.  The chunk is laid out rank-major, one row per rank and one
+column per realization, and the scorer takes exact running products of the
+link factors 1 - p_LoS down each column, one vector multiply per rank.
+Every factor lies in [0, 1] and rounding is monotone, so the survival
+product never rises down a column and the score 1 - P never falls: each
+(realization, height, placement) crosses a threshold gamma at most once.
+Its crossing mark, the mark of the first link with 1 - P > gamma (+inf if
+there is none), settles every density at once: fraction f is in outage
+exactly when the crossing mark is >= f.  The ranks before the crossing are
+the ones still at or below the threshold, so their count is the crossing
+rank.  estimate_distribution counts the whole density axis with one sort and
+one searchsorted per (gamma, height, placement), and its outage cannot rise
+with density, by construction rather than on average.  A grid of one density
+fraction is laid out at that fraction, so every mark in the layout is below
+it and a realization is in outage exactly when it never crosses, that is,
+when its last rank is still at or below gamma: such a grid reads only the
+last rank's running products and counts its whole gamma axis from them, bit
+for bit the counts the crossing marks give.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -75,41 +74,6 @@ class PlacementMode(enum.Enum):
         return (Placement.INTERSECTION, Placement.STREET)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """CDF of connectivity scores from n Monte Carlo realizations."""
-
-    samples: np.ndarray  # sorted ascending
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    def evaluate(self, gamma):
-        """Right-continuous empirical CDF: fraction of samples <= gamma."""
-        return np.searchsorted(self.samples, gamma, side="right") / self.n
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything one distribution estimate depends on: the one-cell scenario and run of
-    outage_grid, in its order and under its names (lambda_uav per m2)."""
-
-    city: CityModel
-    r_max: float
-    h_v: float
-    lambda_uav: float
-    h_uav: float
-    n_realizations: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    lambda_cap: float | None = None
-    d_cap: float | None = None
-
-    def __post_init__(self):
-        check_run(self.n_realizations, self.seed, self.workers)
-
-
 # The most realizations a run takes, far above any run that can finish.
 MAX_REALIZATIONS = 10**9
 
@@ -139,10 +103,11 @@ def check_probability(name: str, value) -> None:
 # start (maximum RSS, urban, 2-vCPU x86 VM).
 MAX_ENVELOPE_POINTS = 1000.0
 
-# The most UAVs an outage_grid call with held layouts may hold on average,
-# n_realizations times the envelope's mean_count.  The layouts keep 41-56
-# bytes per held point (the summed nbytes of a draw's layouts: 56 at 5.7 UAVs
-# per realization, 41 at 957), so a draw at the bound holds about 0.4-0.56 GB.
+# The most UAVs an estimate_distribution call with held layouts may hold on
+# average, n_realizations times the envelope's mean_count.  The layouts keep
+# 41-56 bytes per held point (the summed nbytes of a draw's layouts: 56 at
+# 5.7 UAVs per realization, 41 at 957), so a draw at the bound holds about
+# 0.4-0.56 GB.
 MAX_HELD_POINTS = 10**7
 
 
@@ -270,16 +235,17 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
     place whatever the listing order, and multiplying by 1.0 is exact, so
     rank k of a column is the realization's survival at every density whose
     fraction admits its first k + 1 marks and no more, and the last rank is
-    its survival at the layout's frac_top: estimate_distribution scores
-    1 - P[-1], and outage_grid reads it alone when every density is the cap.
-    A caller that reads only that rank passes last_only, and each step then
-    reduces the ranks in one call instead of writing every running product.
+    its survival at the layout's frac_top, the one rank a grid of one
+    density fraction reads (see _chunk_outage_counts).  A caller that reads
+    only that rank passes last_only, and each step then reduces the ranks in
+    one call instead of writing every running product.
 
     No factor exceeds 1 and rounding is monotone, so P never rises down a
-    column and the score 1 - P crosses gamma_th at most once, at the
-    column's crossing mark.  outage_grid counts density fraction f in outage
-    exactly when that mark is >= f.  A higher density only lengthens the
-    prefix it sees, so outage cannot rise with density, whatever the draw.
+    column and the score 1 - P crosses a threshold gamma at most once, at
+    the column's crossing mark.  estimate_distribution counts density
+    fraction f in outage exactly when that mark is >= f.  A higher density
+    only lengthens the prefix it sees, so outage cannot rise with density,
+    whatever the draw.
 
     Yields (placement index, height index, survival); survival has the
     shape of the layout's marks without the sentinel rank, or is the last
@@ -309,31 +275,40 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
             yield ip, j, survival
 
 
-def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gamma_th):
-    """Realizations in outage per (placement, density, height) cell.
+def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gammas):
+    """Realizations in outage per (placement, gamma, density, height) cell.
 
-    Below the cap, each (height, placement) finds every realization's
-    crossing mark and counts each fraction f with one sort and one
-    searchsorted.  When every fraction is the cap, f = 1 admits every mark
-    (they are < 1), so the only outage is a column that never crosses: one
-    whose last rank is at or below gamma_th, the score estimate_distribution
-    reads.
+    The layout is laid out at the top fraction fracs.max(), as _map_chunks
+    lays it out.  With several fractions, each (height, placement) finds
+    every realization's crossing mark at each gamma and counts every
+    fraction f with one sort and one searchsorted.  With one fraction every
+    mark in the layout is below it, so the only outage is a column that
+    never crosses: one whose last rank is at or below gamma.  Then one
+    count_nonzero counts a single gamma, and one sort of the last-rank
+    scores and one searchsorted count a longer gamma axis.
     """
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
-    counts = np.zeros((len(placements), fracs.size, len(height_values)), dtype=np.int64)
-    at_cap = fracs.min() >= 1.0
-    scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=at_cap)
+    counts = np.zeros((len(placements), gammas.size, fracs.size, len(height_values)),
+                      dtype=np.int64)
+    one_fraction = fracs.min() == fracs.max()
+    scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements,
+                           last_only=one_fraction)
     for ip, j, survival in scores:
-        if at_cap:
-            counts[ip, :, j] = np.count_nonzero(1.0 - survival <= gamma_th)
-            continue
-        # 1 - survival never falls along a column, so the ranks still at or
-        # below the threshold come first, and their count is the crossing
-        # rank: the sentinel rank where it never crosses.  Its mark is the
-        # crossing mark; fraction f is in outage iff that mark is >= f.
-        crossing = marks[np.count_nonzero(1.0 - survival <= gamma_th, axis=0), columns]
-        crossing.sort()
-        counts[ip, :, j] = crossing.size - np.searchsorted(crossing, fracs)
+        score = 1.0 - survival
+        if one_fraction and gammas.size == 1:
+            counts[ip, 0, :, j] = np.count_nonzero(score <= gammas[0])
+        elif one_fraction:
+            score.sort()
+            counts[ip, :, :, j] = np.searchsorted(score, gammas, side="right")[:, None]
+        else:
+            for ig, gamma in enumerate(gammas):
+                # 1 - survival never falls along a column, so the ranks still at
+                # or below gamma come first, and their count is the crossing
+                # rank: the sentinel rank where it never crosses.  Its mark is
+                # the crossing mark; fraction f is in outage iff that mark is >= f.
+                crossing = marks[np.count_nonzero(score <= gamma, axis=0), columns]
+                crossing.sort()
+                counts[ip, ig, :, j] = crossing.size - np.searchsorted(crossing, fracs)
     return counts
 
 
@@ -379,33 +354,67 @@ def _map_chunks(reduce, envelope, seed, n, frac_top, workers, held=None) -> list
         return list(pool.map(chunk, keys))
 
 
-def estimate_distribution(config: ScenarioConfig) -> dict[Placement, EmpiricalDistribution]:
-    """Estimate the connectivity CDF, one distribution per placement.
+def estimate_distribution(
+    city: CityModel,
+    r_max: float,
+    h_v: float,
+    lambda_values,
+    height_values,
+    gamma_values,
+    n_realizations: int,
+    seed: int,
+    placement_mode: PlacementMode = PlacementMode.MIXTURE,
+    lambda_cap: float | None = None,
+    d_cap: float | None = None,
+    workers: int = 1,
+    held: dict | None = None,
+) -> np.ndarray:
+    """Realizations in outage over a (gamma, density, altitude) grid: the one Monte Carlo counter.
 
-    Both placements are scored on the same constellations, so the two
-    distributions (and anything derived from both) are coupled draws.  The
-    scenario is checked and carved as one grid cell (see _scenario), so the
-    UAVs must fly above the vehicle.
+    Returns int64 counts shaped (placement, gamma, density, altitude), one
+    row per placement of placement_mode (a PlacementMode or its value,
+    "street-only"; the mixture's rows are intersection, then street).  A
+    realization is in outage at gamma when its connectivity
+    1 - prod(1 - p_LoS) is at or below gamma, so a count divided by
+    n_realizations is that placement's connectivity CDF at gamma, right
+    continuous.  Every cell and every placement is scored on the same
+    n_realizations envelope realizations, so comparisons across cells are
+    exact: more density or a nested ground disk can only add UAVs to a
+    realization.  The envelope's caps are lambda_cap (per m2) and d_cap (m),
+    by default the grid's top density and widest disk.  With every density 0
+    nothing is drawn, whatever the caps: every realization is in outage.
+
+    Without held, each chunk is drawn, scored and dropped in turn.  held is
+    a dict of chunk layouts that outlives the call, keyed by (envelope,
+    seed, realization range, top fraction) (see _map_chunks).  Each chunk is
+    laid out at the grid's top density fraction, as a fresh call lays it
+    out, so a held layout is the layout a fresh call draws and the counts
+    match a fresh call bit for bit.  Calls that share held, the envelope,
+    seed, n_realizations and top density draw each chunk once, in the first
+    call, whatever heights they score.
+
+    Every argument is checked before anything is drawn: the run by
+    check_run, each gamma by check_probability (an empty gamma axis raises
+    ValueError too), the scenario by _scenario, and held's bound of
+    MAX_HELD_POINTS UAVs on average by _map_chunks (ValueError).
     """
-    placements = PlacementMode.MIXTURE.placements
-    n = config.n_realizations
-    _, _, envelope = _scenario(config.r_max, config.h_v, [config.lambda_uav], [config.h_uav],
-                               config.lambda_cap, config.d_cap)
+    placements = PlacementMode(placement_mode).placements
+    check_run(n_realizations, seed, workers)
+    gammas = np.array([float(g) for g in gamma_values])
+    if gammas.size == 0:
+        raise ValueError("gamma_values cannot be empty")
+    for gamma in gammas:
+        check_probability("gamma_values", gamma)
+    lambda_values, height_values, envelope = _scenario(r_max, h_v, lambda_values, height_values,
+                                                       lambda_cap, d_cap)
     if envelope is None:
-        return {pl: EmpiricalDistribution(np.zeros(n)) for pl in placements}
-
-    def scores(layout):
-        survival = _chunk_scores(layout, config.city, config.r_max, config.h_v, [config.h_uav],
-                                 placements, last_only=True)
-        return np.stack([1.0 - last for _, _, last in survival])
-
-    chunks = _map_chunks(scores, envelope, config.seed, n, config.lambda_uav / envelope.lambda_cap,
-                         config.workers)
-    result = {}
-    for ip, pl in enumerate(placements):
-        samples = np.sort(np.concatenate([c[ip] for c in chunks]))
-        result[pl] = EmpiricalDistribution(samples)
-    return result
+        return np.full((len(placements), gammas.size, len(lambda_values), len(height_values)),
+                       n_realizations, dtype=np.int64)
+    fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
+    return sum(_map_chunks(
+        lambda layout: _chunk_outage_counts(layout, city, r_max, h_v, height_values,
+                                            placements, fracs, gammas),
+        envelope, seed, n_realizations, float(fracs.max()), workers, held))
 
 
 def mixture_cdf(f_intersection, f_street, city: CityModel):
@@ -432,42 +441,16 @@ def outage_grid(
 ) -> np.ndarray:
     """Outage probability over a (density, altitude) grid with shared draws.
 
-    Every cell is scored on the same n_realizations envelope realizations, so
-    comparisons across cells are exact: more density or a nested ground disk
-    can only add UAVs to a realization.  The envelope's caps are lambda_cap
-    (per m2) and d_cap (m), by default the grid's top density and widest disk.
-    Cell values equal the estimate_distribution pipeline's CDF at gamma_th
-    (blended by mixture_cdf for the mixture) for the same caps, seed and n.
-    With every density 0 nothing is drawn, whatever the caps: every
-    realization is in outage.
-
-    Without held, each chunk is drawn, scored and dropped in turn.  held is
-    a dict of chunk layouts that outlives the call, keyed by (envelope,
-    seed, realization range, top fraction) (see _map_chunks).  Each chunk is
-    laid out at the grid's top density fraction, as a fresh call lays it
-    out, so a held layout is the layout a fresh call draws and the cells
-    match a fresh call bit for bit.  Calls that share held, the envelope,
-    seed, n_realizations and top density draw each chunk once, in the first
-    call, whatever heights they score.  A call with held may hold at most
-    MAX_HELD_POINTS UAVs on average, checked before anything is drawn
-    (ValueError).  placement_mode may be a PlacementMode or its value
-    ("street-only").
+    estimate_distribution's counts at the one gamma gamma_th, divided by
+    n_realizations; the mixture blends its two placements with mixture_cdf.
+    Every argument but gamma_th means what it means there, and gamma_th must
+    lie in [0, 1] (ValueError).
     """
     placement_mode = PlacementMode(placement_mode)
-    check_run(n_realizations, seed, workers)
     check_probability("gamma_th", gamma_th)
-    lambda_values, height_values, envelope = _scenario(r_max, h_v, lambda_values, height_values,
-                                                       lambda_cap, d_cap)
-    placements = placement_mode.placements
-    if envelope is None:
-        totals = np.full((len(placements), len(lambda_values), len(height_values)), n_realizations)
-    else:
-        fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-        totals = sum(_map_chunks(
-            lambda layout: _chunk_outage_counts(layout, city, r_max, h_v, height_values,
-                                                placements, fracs, gamma_th),
-            envelope, seed, n_realizations, float(fracs.max()), workers, held))
-
+    totals = estimate_distribution(city, r_max, h_v, lambda_values, height_values, [gamma_th],
+                                   n_realizations, seed, placement_mode, lambda_cap, d_cap,
+                                   workers, held)[:, 0]
     n = n_realizations
     if placement_mode is PlacementMode.MIXTURE:
         return mixture_cdf(totals[0] / n, totals[1] / n, city)

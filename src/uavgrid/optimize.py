@@ -34,9 +34,14 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
 
     lo and an appended hi are returned as given; the points between them are
     rounded to 10 decimals, so grids built from decimal steps carry clean
-    coordinates instead of accumulated float noise.  A step that would
-    give more than MAX_GRID_POINTS points raises ValueError before any point
-    is built.  Each refusal names the step and the range it was given.
+    coordinates instead of accumulated float noise, and a point that rounding
+    puts past hi is hi.  A step near or below that rounding can round points
+    onto or below the ones before them: then the points between are
+    lo + k * step as computed, so the grid always ascends strictly inside
+    [lo, hi].  A step that would give more than MAX_GRID_POINTS points raises
+    ValueError before any point is built, and so does a step below the float
+    spacing of the range.  Each refusal names the step and the range it was
+    given.
     """
     grid = f"a step of {step:g} from {lo:g} to {hi:g}"
     if not 0.0 < step < math.inf:
@@ -50,7 +55,11 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     misses_hi = round(lo + n * step, 10) < hi - 1e-9 * max(1.0, abs(hi))
     if n + 1 + misses_hi > MAX_GRID_POINTS:
         raise ValueError(f"{grid} gives more than {MAX_GRID_POINTS} grid points")
-    vals = [lo] + [round(lo + k * step, 10) for k in range(1, n + 1)]
+    vals = [lo] + [min(round(lo + k * step, 10), hi) for k in range(1, n + 1)]
+    if not np.all(np.diff(vals) > 0.0):
+        vals = [lo] + [min(lo + k * step, hi) for k in range(1, n + 1)]
+        if not np.all(np.diff(vals) > 0.0):
+            raise ValueError(f"{grid}: the step is below the float spacing of the range")
     if misses_hi:
         vals.append(hi)
     return vals

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from uavgrid.connectivity import ScenarioConfig, estimate_distribution, mixture_cdf, outage_grid
+from uavgrid.connectivity import estimate_distribution, mixture_cdf, outage_grid
 from uavgrid.geometry import PRESETS
 from uavgrid.los import LinkGeometry, Placement
 from uavgrid.optimize import min_density_for_outage, sweep_contour
@@ -84,10 +84,8 @@ def test_acceptance_4_figure_orderings():
     checks = []
 
     # placement ordering of the connectivity CDFs
-    dists = estimate_distribution(ScenarioConfig(URBAN, 250.0, 10.0, 20e-6, 100.0,
-                                                 n_realizations=n, seed=1))
-    f_sec = dists[Placement.INTERSECTION].evaluate(gammas)
-    f_str = dists[Placement.STREET].evaluate(gammas)
+    f_sec, f_str = estimate_distribution(URBAN, 250.0, 10.0, [20e-6], [100.0], gammas, n,
+                                         seed=1)[:, :, 0, 0] / n
     f_mix = mixture_cdf(f_sec, f_str, URBAN)
     checks.append(("placement ordering", bool(np.all(f_sec <= f_mix + 1e-15) and np.all(f_mix <= f_str + 1e-15))))
 
@@ -97,10 +95,9 @@ def test_acceptance_4_figure_orderings():
     for name, city in PRESETS.items():
         curves = {}
         for r in (200.0, 300.0):
-            ds = estimate_distribution(ScenarioConfig(city, r, 10.0, 20e-6, 100.0, n_realizations=n,
-                                                      seed=2, lambda_cap=20e-6, d_cap=d_cap))
-            curves[r] = mixture_cdf(ds[Placement.INTERSECTION].evaluate(gammas),
-                                    ds[Placement.STREET].evaluate(gammas), city)
+            f = estimate_distribution(city, r, 10.0, [20e-6], [100.0], gammas, n, seed=2,
+                                      lambda_cap=20e-6, d_cap=d_cap)[:, :, 0, 0] / n
+            curves[r] = mixture_cdf(f[0], f[1], city)
         per_city[name] = curves
         checks.append((f"range ordering {name}", bool(np.all(curves[300.0] <= curves[200.0]))))
     # The city ordering holds wherever the curves are separated. In the far

@@ -12,9 +12,8 @@ import pytest
 import uavgrid.cli as cli
 import uavgrid.connectivity as connectivity
 from uavgrid.cli import main
-from uavgrid.connectivity import MAX_WORKERS, ScenarioConfig, estimate_distribution, mixture_cdf
+from uavgrid.connectivity import MAX_WORKERS, estimate_distribution, mixture_cdf
 from uavgrid.geometry import PRESETS, HeightDistribution
-from uavgrid.los import Placement
 from uavgrid.optimize import grid_points, optimize_height
 
 
@@ -22,6 +21,13 @@ def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _cdf(city, lambda_uav, gammas, n_realizations, seed):
+    """Each placement's connectivity CDF at the gammas, at h_uav 100 m, r_max 250 m, h_v 10 m."""
+    counts = estimate_distribution(city, 250.0, 10.0, [lambda_uav], [100.0], gammas,
+                                   n_realizations, seed)
+    return counts[:, :, 0, 0] / n_realizations
 
 
 def test_distribution_header_and_pipeline_agreement(capsys):
@@ -36,28 +42,23 @@ def test_distribution_header_and_pipeline_agreement(capsys):
     assert lines[-1].split(",")[0] == "1.0"
     assert float(lines[-1].split(",")[3]) == 1.0
     # the per-km2 flag and the per-m2 api hit the same numbers
-    cfg = ScenarioConfig(PRESETS["urban"], 250.0, 10.0, 20 * 1e-6, 100.0, n_realizations=1500,
-                         seed=3)
-    dists = estimate_distribution(cfg)
-    mix = mixture_cdf(dists[Placement.INTERSECTION].evaluate(0.8),
-                      dists[Placement.STREET].evaluate(0.8), PRESETS["urban"])
+    (f_int,), (f_street,) = _cdf(PRESETS["urban"], 20 * 1e-6, [0.8], 1500, 3)
+    mix = mixture_cdf(f_int, f_street, PRESETS["urban"])
     row08 = next(l for l in lines[1:] if l.startswith("0.8,"))
     assert float(row08.split(",")[3]) == mix
 
 
 def test_distribution_rows_are_one_scalar_evaluate_per_gamma(capsys):
-    """Each CDF is evaluated once over the whole gamma grid, bit for bit as per gamma."""
+    """Each CDF is counted once over the whole gamma grid, bit for bit as one gamma at a time."""
     city = PRESETS["urban"]
     for seed, lam, step in ((1, 20.0, 0.01), (2, 5.0, 0.003), (3, 60.0, 0.25)):
         code, out, _ = run_cli(
             ["distribution", "--preset", "urban", "--lambda-uav", str(lam), "--h-uav", "100",
              "--n-realizations", "700", "--seed", str(seed), "--gamma-step", str(step)], capsys)
         assert code == 0
-        dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, lam * 1e-6, 100.0,
-                                                     n_realizations=700, seed=seed))
 
         def row(g):
-            f = [dists[pl].evaluate(g) for pl in (Placement.INTERSECTION, Placement.STREET)]
+            f = _cdf(city, lam * 1e-6, [g], 700, seed)[:, 0]
             return ",".join(repr(float(v)) for v in [g, *f, mixture_cdf(*f, city)])
 
         assert out.strip().split("\n")[1:] == [row(g) for g in grid_points(0.0, 1.0, step)]
@@ -301,6 +302,22 @@ def test_optimize_matches_api(capsys):
     assert (h, o) == want
 
 
+def test_a_step_finer_than_the_rounding_stays_in_the_window(capsys):
+    """optimize's h* and contour's heights lie in [h_lo, h_hi] at a step of 1e-11 m."""
+    window = ["--h-lo", "50.00000000004", "--h-hi", "50.0000000001"]
+    run = ["--preset", "urban", "--n-realizations", "300", "--seed", "1"]
+    code, out, _ = run_cli(["optimize", "--lambda-uav", "30", *window, "--grid-step", "1e-11",
+                            *run], capsys)
+    assert code == 0
+    h_star = float(out.strip().split("\n")[1].split(",")[0])
+    assert 50.00000000004 <= h_star <= 50.0000000001
+    code, out, _ = run_cli(["contour", "--lambda-lo", "30", "--lambda-hi", "30", *window,
+                            "--h-step", "1e-11", *run], capsys)
+    assert code == 0
+    heights = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert heights == grid_points(50.00000000004, 50.0000000001, 1e-11) and len(heights) == 7
+
+
 def test_contour_output_and_target_report(capsys):
     code, out, err = run_cli(
         ["contour", "--preset", "urban", "--lambda-lo", "10", "--lambda-hi", "20",
@@ -535,9 +552,7 @@ def test_explicit_city_flags_reproduce_preset(capsys):
          "--n-realizations", "600", "--seed", "2"], capsys)
     assert code3 == 0 and out3 != out
     city = dataclasses.replace(PRESETS["urban"], w_v=20.0, heights=HeightDistribution(9.5, 40.0))
-    dists = estimate_distribution(ScenarioConfig(city, 250.0, 10.0, 20 * 1e-6, 100.0,
-                                                 n_realizations=600, seed=2))
-    f = [dists[pl].evaluate(0.8) for pl in (Placement.INTERSECTION, Placement.STREET)]
+    f = _cdf(city, 20 * 1e-6, [0.8], 600, 2)[:, 0]
     row08 = next(l for l in out3.strip().split("\n")[1:] if l.startswith("0.8,"))
     assert [float(v) for v in row08.split(",")[1:]] == [*f, mixture_cdf(*f, city)]
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +14,7 @@ import uavgrid.connectivity as connectivity
 import uavgrid.geometry as geometry
 from uavgrid.connectivity import (
     ChunkLayout,
-    EmpiricalDistribution,
     PlacementMode,
-    ScenarioConfig,
     _chunk_outage_counts,
     _chunk_scores,
     _lay_out,
@@ -40,13 +37,13 @@ from uavgrid.los import LinkGeometry, Placement, los_probability, los_probabilit
 from uavgrid.optimize import optimize_height, sweep_contour
 
 URBAN = PRESETS["urban"]
-SCENARIO = ScenarioConfig(city=URBAN, r_max=250.0, h_v=10.0, lambda_uav=20e-6, h_uav=100.0)
+SCENARIO = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "lambda_uav": 20e-6, "h_uav": 100.0}
 PLACEMENTS = (Placement.INTERSECTION, Placement.STREET)
 
 
 def _spec(height_values, placements=PLACEMENTS):
     """The chunk scorers' shared spec, by name, at SCENARIO's city, r_max and h_v."""
-    return {"city": SCENARIO.city, "r_max": SCENARIO.r_max, "h_v": SCENARIO.h_v,
+    return {"city": SCENARIO["city"], "r_max": SCENARIO["r_max"], "h_v": SCENARIO["h_v"],
             "height_values": height_values, "placements": placements}
 
 
@@ -59,8 +56,8 @@ def _layout(*rows):
 
 
 def _score_arrays(layout, city, r_max, h_v, height_values, placements):
-    """Scores 1 - prod(1 - p_LoS) per (placement, realization), as estimate_distribution reduces
-    a chunk at its one height."""
+    """Scores 1 - prod(1 - p_LoS) per (placement, realization): the last-rank scores
+    estimate_distribution counts when its grid has one density."""
     survival = _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only=True)
     return np.stack([1.0 - last for _, _, last in survival])
 
@@ -72,7 +69,7 @@ def _drawn(env, seed, n, frac_top):
 
 def _scores(*rows):
     """Connectivity 1 - prod(1 - p_LoS) of each row under SCENARIO, per placement in PLACEMENTS."""
-    return _score_arrays(_layout(*rows), **_spec([SCENARIO.h_uav]))
+    return _score_arrays(_layout(*rows), **_spec([SCENARIO["h_uav"]]))
 
 
 def _p(d, phi, placement):
@@ -82,6 +79,14 @@ def _p(d, phi, placement):
 def _caps(env):
     """An envelope's caps as the lambda_cap and d_cap arguments."""
     return {"lambda_cap": env.lambda_cap, "d_cap": env.d_cap}
+
+
+def _distribution(gammas, n_realizations, seed, **changes):
+    """estimate_distribution's counts per (placement, gamma) at SCENARIO's cell, with changes."""
+    cell = {**SCENARIO, **changes}
+    lam, h = cell.pop("lambda_uav"), cell.pop("h_uav")
+    return estimate_distribution(lambda_values=[lam], height_values=[h], gamma_values=gammas,
+                                 n_realizations=n_realizations, seed=seed, **cell)[:, :, 0, 0]
 
 
 def test_chunk_scores_empty_is_zero():
@@ -111,23 +116,27 @@ def test_adding_a_uav_never_hurts():
 
 
 def test_empirical_distribution_evaluate():
-    dist = EmpiricalDistribution(samples=np.array([0.2, 0.4, 0.4, 0.8]))
-    assert dist.n == 4
-    assert dist.evaluate(0.1) == 0.0
-    assert dist.evaluate(0.2) == 0.25
-    assert dist.evaluate(0.39999) == 0.25
-    assert dist.evaluate(0.4) == 0.75
-    assert dist.evaluate(1.0) == 1.0
-    np.testing.assert_allclose(dist.evaluate(np.array([0.2, 0.5])), [0.25, 0.75])
+    """Counts divided by n are the right-continuous empirical CDF of the scores, on both paths."""
+    rows = ([], [(150.0, 1.0)], [(150.0, 1.0)], [(150.0, 1.0), (90.0, 0.4)])
+    layout = _layout(*rows)
+    for ip, pl in enumerate(PLACEMENTS):
+        zero, low, same, high = _scores(*rows)[ip]
+        assert zero == 0.0 < low == same < high < 1.0
+        gammas = np.array([0.0, np.nextafter(low, 0.0), low, (low + high) / 2, high, 1.0])
+        spec = _spec([SCENARIO["h_uav"]], (pl,))
+        for fracs in ([1.0], [0.2, 1.0]):
+            counts = _chunk_outage_counts(layout, **spec, fracs=np.array(fracs), gammas=gammas)
+            assert (counts[0, :, -1, 0] / 4).tolist() == [0.25, 0.25, 0.75, 0.75, 1.0, 1.0]
 
 
 def test_scenario_config_validation():
+    """A scenario's run (n_realizations, seed, workers) is refused when no run can use it."""
     for bad in ({"n_realizations": 0}, {"workers": 0}, {"seed": -1}, {"seed": 2**64},
                 # a run parameter is an integer: 2.5 workers would reach the pool
                 {"workers": 2.5}, {"workers": 2.0}, {"n_realizations": 1000.0},
                 {"seed": 1.5}, {"seed": "0"}, {"workers": True}):
         with pytest.raises(ValueError):
-            replace(SCENARIO, **{"n_realizations": 10, **bad})
+            _distribution([0.8], **{"n_realizations": 10, "seed": 0, **bad})
 
 
 def _fresh_stream(seed, index):
@@ -143,34 +152,38 @@ def _fresh_points(envelope, seed, index):
     return envelope.d_cap * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1], u[:, 2]
 
 
-def test_estimate_matches_scalar_pipeline(monkeypatch):
+def test_estimate_matches_scalar_pipeline(monkeypatch, realization_scores):
     """The chunked batch estimator reproduces a per-realization loop."""
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 100)
     n = 256
-    d_max = ground_range(SCENARIO.r_max, SCENARIO.h_uav, SCENARIO.h_v)
-    tight = SamplingEnvelope(lambda_cap=SCENARIO.lambda_uav, d_cap=d_max)
+    lam, h_uav, r_max, h_v = (SCENARIO[k] for k in ("lambda_uav", "h_uav", "r_max", "h_v"))
+    d_max = ground_range(r_max, h_uav, h_v)
+    tight = SamplingEnvelope(lambda_cap=lam, d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
-    loose = SamplingEnvelope(lambda_cap=2.5 * SCENARIO.lambda_uav, d_cap=d_max + 20.0)
+    loose = SamplingEnvelope(lambda_cap=2.5 * lam, d_cap=d_max + 20.0)
+    gammas = [0.0, 0.3, 0.8, 1.0]
     for env in (tight, loose):
-        cfg = replace(SCENARIO, n_realizations=n, seed=42, **_caps(env))
-        dists = estimate_distribution(cfg)
+        got = realization_scores(**SCENARIO, n_realizations=n, seed=42, **_caps(env))
         scores = {pl: [] for pl in PLACEMENTS}
         for i in range(n):
             d, phi, mark = _fresh_points(env, 42, i)
-            keep = (mark < SCENARIO.lambda_uav / env.lambda_cap) & (d <= d_max)
+            keep = (mark < lam / env.lambda_cap) & (d <= d_max)
             # the layout row's order: by mark, equal marks in draw order
             order = np.argsort(mark[keep], kind="stable")
             d, phi = d[keep][order], phi[keep][order]
             for pl in scores:
                 p = los_probability_batch(d, np.abs(np.cos(phi)), np.abs(np.sin(phi)),
-                                          SCENARIO.h_uav, SCENARIO.h_v, URBAN, pl)
+                                          h_uav, h_v, URBAN, pl)
                 survival = 1.0
                 for f in 1.0 - p:
                     survival *= f
                 scores[pl].append(1.0 - survival)
-        for pl, dist in dists.items():
-            assert dist.n == n
-            assert np.array_equal(np.sort(scores[pl]), dist.samples)
+        # realization by realization, in realization order
+        assert np.array_equal(got, [scores[pl] for pl in PLACEMENTS])
+        # the counter counts the realizations whose score is at or below each gamma
+        counts = _distribution(gammas, n, 42, **_caps(env))
+        assert counts.tolist() == [[sum(x <= g for x in scores[pl]) for g in gammas]
+                                   for pl in PLACEMENTS]
 
 
 def test_layout_lists_points_by_distance_with_folded_cosines():
@@ -210,8 +223,9 @@ def test_layout_arrays_are_read_only():
     assert _score_arrays(layout, **spec).tobytes() == \
         _score_arrays(kept, **spec).tobytes()
     fracs = np.array([0.2, 0.6])
-    assert _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=0.8).tobytes() == \
-        _chunk_outage_counts(kept, **spec, fracs=fracs, gamma_th=0.8).tobytes()
+    gammas = np.array([0.8])
+    assert _chunk_outage_counts(layout, **spec, fracs=fracs, gammas=gammas).tobytes() == \
+        _chunk_outage_counts(kept, **spec, fracs=fracs, gammas=gammas).tobytes()
 
 
 def test_layout_ignores_the_draw_order_of_distinct_marks():
@@ -229,8 +243,8 @@ def test_layout_ignores_the_draw_order_of_distinct_marks():
 
 
 def test_height_prefix_is_the_disk_mask():
-    dz = SCENARIO.h_uav - SCENARIO.h_v
-    r_h = math.sqrt(SCENARIO.r_max * SCENARIO.r_max - dz * dz)  # as the scorer computes it
+    dz = SCENARIO["h_uav"] - SCENARIO["h_v"]
+    r_h = math.sqrt(SCENARIO["r_max"] * SCENARIO["r_max"] - dz * dz)  # as the scorer computes it
     past = float(np.nextafter(r_h, math.inf))
     # a link exactly on the disk edge, one just past it, and two at equal distance
     layout = _layout([(past, 0.3), (120.0, 1.0), (r_h, 0.3)], [(120.0, 2.0)], [(past, 0.3)], [(r_h, 0.3)])
@@ -251,7 +265,7 @@ def _stable_by_distance(layout):
 
 def test_equal_distances_may_be_listed_in_any_order():
     """Points at one distance, on a height's disk edge, count and score alike in any order."""
-    edge = ground_range(SCENARIO.r_max, 160.0, SCENARIO.h_v)
+    edge = ground_range(SCENARIO["r_max"], 160.0, SCENARIO["h_v"])
     assert edge == 200.0
     env = SamplingEnvelope(lambda_cap=60e-6, d_cap=240.0)
     d, phi, mark, counts = sample_envelope_points(env, 4, 0, 400)
@@ -264,9 +278,9 @@ def test_equal_distances_may_be_listed_in_any_order():
     fracs = np.array([0.0, 0.1, 0.3, 0.5, 0.7])
 
     def outputs(layout):
-        counts = [_chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=g)
-                  for g in (0.0, 0.8, 0.95)]
-        return [_score_arrays(layout, **spec)] + counts
+        gammas = np.array([0.0, 0.8, 0.95])
+        return [_score_arrays(layout, **spec),
+                _chunk_outage_counts(layout, **spec, fracs=fracs, gammas=gammas)]
 
     for layout in layouts:
         stable = _stable_by_distance(layout)
@@ -306,8 +320,9 @@ def _row_major_reduction(layout, city, r_max, h_v, height_values, placements, fr
 
 
 def test_reduction_matches_row_major_reference_bit_for_bit():
-    tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
+    tight = SamplingEnvelope(lambda_cap=30e-6, d_cap=ground_range(250.0, 50.0, 10.0))
     loose = SamplingEnvelope(lambda_cap=75e-6, d_cap=tight.d_cap + 20.0)
+    tops = [1.0, 0.4] * 3 + [1.0, 1.0]
     layouts = [_drawn(env, seed, 300, frac_top)
                for seed in (1, 2, 3) for env, frac_top in ((tight, 1.0), (loose, 0.4))]
     # width 1, realizations with no points, and no points at all
@@ -315,27 +330,31 @@ def test_reduction_matches_row_major_reference_bit_for_bit():
     assert layouts[-2].marks.shape == (2, 4) and layouts[-1].d.size == 0
     assert any(np.any(np.isinf(layout.marks[0])) for layout in layouts[:6])
     fracs = np.array([0.0, 0.05, 0.2, 0.4, 0.55, 1.0])
-    for layout in layouts:
+    gammas = np.array([0.0, 0.8, 1.0])
+    for layout, frac_top in zip(layouts, tops):
         assert np.all(np.isinf(layout.marks[-1]))
         # the last height's ground disk is narrower than the nearest point
         near = float(layout.d.min(initial=100.0))
-        dz = math.sqrt(SCENARIO.r_max * SCENARIO.r_max - 0.25 * near * near)
-        heights = [50.0, 100.0, 180.0, SCENARIO.h_v + dz]
-        assert ground_range(SCENARIO.r_max, heights[-1], SCENARIO.h_v) < near
+        dz = math.sqrt(SCENARIO["r_max"] * SCENARIO["r_max"] - 0.25 * near * near)
+        heights = [50.0, 100.0, 180.0, SCENARIO["h_v"] + dz]
+        assert ground_range(SCENARIO["r_max"], heights[-1], SCENARIO["h_v"]) < near
         spec = _spec(heights)
-        for gamma_th in (0.0, 0.8, 1.0):
+        got = _chunk_outage_counts(layout, **spec, fracs=fracs, gammas=gammas)
+        # one density, at the layout's own top fraction or at the cap: the last rank alone decides
+        one = {f: _chunk_outage_counts(layout, **spec, fracs=np.array([f]), gammas=gammas)
+               for f in (frac_top, 1.0)}
+        for ig, gamma_th in enumerate(gammas):
             counts, scores = _row_major_reduction(layout, **spec, fracs=fracs, gamma_th=gamma_th)
-            assert np.array_equal(
-                _chunk_outage_counts(layout, **spec, fracs=fracs, gamma_th=gamma_th), counts)
-            # every density at the cap: the last rank alone decides
-            at_cap = _chunk_outage_counts(layout, **spec, fracs=np.array([1.0]), gamma_th=gamma_th)
-            assert np.array_equal(at_cap, counts[:, -1:])
+            assert np.array_equal(got[:, ig], counts)
+            for f, last_rank in one.items():
+                column = int(np.flatnonzero(fracs == f)[0])
+                assert np.array_equal(last_rank[:, ig], counts[:, column:column + 1])
         assert np.array_equal(_score_arrays(layout, **spec), scores)
 
 
 def test_last_rank_reduction_is_the_rank_loop_bit_for_bit():
     """last_only's one multiply reduction gives the rank loop's last rank, bit for bit."""
-    env = SamplingEnvelope(lambda_cap=75e-6, d_cap=ground_range(SCENARIO.r_max, 50.0, SCENARIO.h_v))
+    env = SamplingEnvelope(lambda_cap=75e-6, d_cap=ground_range(250.0, 50.0, 10.0))
     # one realization and 300, drawn; width 1 by hand, one realization or four
     layouts = [_drawn(env, seed, m, 1.0) for seed in (1, 2) for m in (1, 300)]
     layouts += [_layout([(120.0, 0.3)]), _layout([], [(120.0, 0.3)], [], [(200.0, 1.1)])]
@@ -543,65 +562,53 @@ def test_an_empty_chunk_computes_no_block(monkeypatch):
 
 
 def test_zero_density_distribution_is_degenerate():
-    cfg = replace(SCENARIO, lambda_uav=0.0, n_realizations=50, seed=0)
-    for dist in estimate_distribution(cfg).values():
-        assert np.all(dist.samples == 0.0)
-        assert dist.evaluate(0.0) == 1.0
-        assert dist.evaluate(0.8) == 1.0
+    counts = _distribution([0.0, 0.8], 50, 0, lambda_uav=0.0)
+    assert counts.dtype == np.int64 and np.array_equal(counts, np.full((2, 2), 50))
 
 
-def test_chunking_and_workers_do_not_change_samples(monkeypatch):
-    a = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9))
-    c = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9, workers=2))
-    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 257)
-    b = estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=9))
-    for pl in a:
-        assert np.array_equal(a[pl].samples, b[pl].samples)
-        assert np.array_equal(a[pl].samples, c[pl].samples)
-
-
-def test_intersection_placement_dominates():
-    dists = estimate_distribution(replace(SCENARIO, n_realizations=2000, seed=17))
-    sec = dists[Placement.INTERSECTION].samples
-    street = dists[Placement.STREET].samples
-    # realizationwise dominance survives sorting
-    assert np.all(street <= sec)
+def test_chunking_and_workers_do_not_change_samples(monkeypatch, realization_scores):
+    run = {**SCENARIO, "n_realizations": 3000, "seed": 9}
     gammas = np.linspace(0.0, 1.0, 21)
-    assert np.all(dists[Placement.INTERSECTION].evaluate(gammas) <= dists[Placement.STREET].evaluate(gammas))
+    a = realization_scores(**run)
+    c = realization_scores(**run, workers=2)
+    counts = _distribution(gammas, 3000, 9, workers=2)
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 257)
+    b = realization_scores(**run)
+    assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert np.array_equal(_distribution(gammas, 3000, 9), counts)
 
 
-def test_nesting_in_density_and_range():
+def test_intersection_placement_dominates(realization_scores):
+    sec, street = realization_scores(**SCENARIO, n_realizations=2000, seed=17)
+    # realization by realization
+    assert np.all(street <= sec)
+    counts = _distribution(np.linspace(0.0, 1.0, 21), 2000, 17)
+    assert np.all(counts[0] <= counts[1])
+
+
+def test_nesting_in_density_and_range(realization_scores):
     """A shared envelope couples scenarios: more density or range only helps."""
-    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(SCENARIO.r_max, SCENARIO.h_uav,
-                                                                SCENARIO.h_v))
+    env = SamplingEnvelope(lambda_cap=40e-6, d_cap=ground_range(250.0, 100.0, 10.0))
     run = {"n_realizations": 1500, "seed": 23, **_caps(env)}
-    hi = ScenarioConfig(URBAN, 250.0, 10.0, 40e-6, 100.0, **run)
-    lo = ScenarioConfig(URBAN, 250.0, 10.0, 15e-6, 100.0, **run)
-    short = ScenarioConfig(URBAN, 200.0, 10.0, 40e-6, 100.0, **run)
-    d_hi = estimate_distribution(hi)
-    d_lo = estimate_distribution(lo)
-    d_short = estimate_distribution(short)
-    for pl in d_hi:
-        assert np.all(d_lo[pl].samples <= d_hi[pl].samples)
-        assert np.all(d_short[pl].samples <= d_hi[pl].samples)
+    hi = realization_scores(URBAN, 250.0, 10.0, 40e-6, 100.0, **run)
+    lo = realization_scores(URBAN, 250.0, 10.0, 15e-6, 100.0, **run)
+    short = realization_scores(URBAN, 200.0, 10.0, 40e-6, 100.0, **run)
+    assert np.all(lo <= hi) and np.all(short <= hi)
 
 
 def test_envelope_must_cover_scenario():
     """A scenario is carved out of its envelope, so both caps must cover it."""
     env = SamplingEnvelope(lambda_cap=10e-6, d_cap=200.0)
-    over_lambda = replace(SCENARIO, lambda_uav=20e-6, n_realizations=10, seed=0, **_caps(env))
-    over_range = replace(over_lambda, lambda_uav=10e-6)
-    assert ground_range(over_range.r_max, over_range.h_uav, over_range.h_v) > env.d_cap
-    for cfg in (over_lambda, over_range):
+    assert ground_range(250.0, 100.0, 10.0) > env.d_cap
+    # over the density cap, then over the disk cap alone
+    for lam in (20e-6, 10e-6):
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(cfg)
+            _distribution([0.8], 10, 0, lambda_uav=lam, **_caps(env))
         with pytest.raises(InvalidGeometryError):
-            outage_grid(URBAN, cfg.r_max, cfg.h_v, [cfg.lambda_uav], [cfg.h_uav], 0.8, 10, 0,
-                        **_caps(env))
+            outage_grid(URBAN, 250.0, 10.0, [lam], [100.0], 0.8, 10, 0, **_caps(env))
     # at the caps themselves the scenario is covered
-    at_caps = SamplingEnvelope(lambda_cap=10e-6,
-                               d_cap=ground_range(over_range.r_max, over_range.h_uav, over_range.h_v))
-    estimate_distribution(replace(over_range, **_caps(at_caps)))
+    at_caps = SamplingEnvelope(lambda_cap=10e-6, d_cap=ground_range(250.0, 100.0, 10.0))
+    _distribution([0.8], 10, 0, lambda_uav=10e-6, **_caps(at_caps))
     outage_grid(URBAN, 250.0, 10.0, [10e-6], [100.0], 0.8, 10, 0, **_caps(at_caps))
 
 
@@ -627,24 +634,21 @@ def test_zero_density_draws_nothing_but_checks_given_caps(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", no_draw)
     grid = outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 1000, 0, lambda_cap=10e-6)
     assert np.array_equal(grid, [[1.0]])
-    empty = replace(SCENARIO, lambda_uav=0.0, n_realizations=10, seed=0)
-    dists = estimate_distribution(replace(empty, n_realizations=1000, lambda_cap=10e-6,
-                                          d_cap=300.0))
-    for dist in dists.values():
-        assert np.array_equal(dist.samples, np.zeros(1000))
+    counts = _distribution([0.0, 0.8], 1000, 0, lambda_uav=0.0, lambda_cap=10e-6, d_cap=300.0)
+    assert np.array_equal(counts, np.full((2, 2), 1000))
     # given caps are still checked: a 50 m disk cap does not cover the 233 m disk
     for caps in ({"d_cap": 50.0}, {"lambda_cap": 0.0}, {"d_cap": math.nan}):
         with pytest.raises(InvalidGeometryError):
             outage_grid(URBAN, 250.0, 10.0, [0.0], [100.0], 0.8, 10, 0, **caps)
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(replace(empty, **caps))
+            _distribution([0.8], 10, 0, lambda_uav=0.0, **caps)
     # the UAVs must fly above the vehicle at every density
     with pytest.raises(InvalidGeometryError):
-        estimate_distribution(replace(empty, h_uav=10.0))
+        _distribution([0.8], 10, 0, lambda_uav=0.0, h_uav=10.0)
 
 
 def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
-    """Without caps both pipelines carve the same envelope, bit for bit."""
+    """Without caps a grid and a gamma axis at its cell carve the same envelope, bit for bit."""
     seen = []
 
     def record(envelope, *args):
@@ -655,57 +659,64 @@ def test_grid_and_distribution_draw_from_one_default_envelope(monkeypatch):
     monkeypatch.setattr(connectivity, "sample_envelope_points", record)
     h = 105.97  # (h - h_v) ** 2 and dz * dz round one ulp apart here
     outage_grid(URBAN, 250.0, 10.0, [20e-6], [h], 0.8, 10, 0)
-    estimate_distribution(replace(SCENARIO, h_uav=h, n_realizations=10, seed=0))
+    _distribution([0.0, 0.8], 10, 0, h_uav=h)
     assert len(seen) == 2 and seen[0] == seen[1]
     assert seen[0].d_cap == ground_range(250.0, h, 10.0)
 
 
 def test_mixture_weight_and_ordering():
-    dists = estimate_distribution(replace(SCENARIO, n_realizations=1000, seed=3))
-    f_int, f_str = dists[Placement.INTERSECTION], dists[Placement.STREET]
     w = intersection_weight(URBAN)
     assert w == pytest.approx(13.0 / 58.0)
-    g = 0.8
-    mix = mixture_cdf(f_int.evaluate(g), f_str.evaluate(g), URBAN)
-    assert mix == w * f_int.evaluate(g) + (1.0 - w) * f_str.evaluate(g)
-    assert f_int.evaluate(g) <= mix <= f_str.evaluate(g)
+    f_int, f_str = _distribution([0.8], 1000, 3)[:, 0] / 1000
+    mix = mixture_cdf(f_int, f_str, URBAN)
+    assert mix == w * f_int + (1.0 - w) * f_str
+    assert f_int <= mix <= f_str
     # over a gamma array the blend is the per-gamma scalar blend, bit for bit
-    gammas = np.linspace(0.0, 1.0, 101)
-    blended = mixture_cdf(f_int.evaluate(gammas), f_str.evaluate(gammas), URBAN)
-    assert blended.tolist() == [mixture_cdf(f_int.evaluate(x), f_str.evaluate(x), URBAN)
-                                for x in gammas]
+    f_int, f_str = _distribution(np.linspace(0.0, 1.0, 101), 1000, 3) / 1000
+    assert mixture_cdf(f_int, f_str, URBAN).tolist() == [mixture_cdf(a, b, URBAN)
+                                                         for a, b in zip(f_int, f_str)]
 
 
 def test_outage_threshold_validation():
-    # outage at gamma_th counts the scores <= gamma_th: a score at the threshold is in outage
-    dist = EmpiricalDistribution(samples=np.array([0.5]))
-    assert dist.evaluate(0.5) == 1.0
-    assert dist.evaluate(0.49) == 0.0
+    """A score at the threshold is in outage and one just above it is not, on both counting
+    paths: the connectivity CDF is right continuous."""
+    layout = _layout([(150.0, 1.0)])  # one link, at mark 0.5
+    for ip, pl in enumerate(PLACEMENTS):
+        score = float(_scores([(150.0, 1.0)])[ip, 0])
+        assert 0.0 < score < 1.0
+        gammas = np.array([score, np.nextafter(score, 0.0)])
+        spec = _spec([SCENARIO["h_uav"]], (pl,))
+        last_rank = _chunk_outage_counts(layout, **spec, fracs=np.array([1.0]), gammas=gammas)
+        assert last_rank[0, :, :, 0].tolist() == [[1], [0]]
+        # fraction 0.25 admits no link: in outage at every gamma
+        crossing = _chunk_outage_counts(layout, **spec, fracs=np.array([0.25, 1.0]), gammas=gammas)
+        assert crossing[0, :, :, 0].tolist() == [[1, 1], [1, 0]]
 
 
 def test_outage_grid_matches_distribution_pipeline():
+    """outage_grid divides the counter's counts at gamma_th by n and blends them; a gamma axis
+    counts as its gammas one by one, and a one-cell call as its cell of the grid."""
     n = 500
     heights = [100.0, 160.0]
-    d_max = ground_range(SCENARIO.r_max, SCENARIO.h_uav, SCENARIO.h_v)
-    tight = SamplingEnvelope(lambda_cap=SCENARIO.lambda_uav, d_cap=d_max)
+    d_max = ground_range(SCENARIO["r_max"], SCENARIO["h_uav"], SCENARIO["h_v"])
+    tight = SamplingEnvelope(lambda_cap=SCENARIO["lambda_uav"], d_cap=d_max)
     # lambda < lambda_cap and d_max < d_cap: both filters of the envelope act
-    loose = SamplingEnvelope(lambda_cap=2.5 * SCENARIO.lambda_uav, d_cap=d_max + 20.0)
+    loose = SamplingEnvelope(lambda_cap=2.5 * SCENARIO["lambda_uav"], d_cap=d_max + 20.0)
+    gammas = [0.0, 0.8, 1.0 - 2.0**-53, 1.0, float(np.random.default_rng(4).random())]
+    w = intersection_weight(URBAN)
     for env in (tight, loose):
-        # one scenario and run, splatted into both pipelines under the same names
+        # one scenario and run, splatted into both entries under the same names
         scenario = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "n_realizations": n, "seed": 6,
                     **_caps(env)}
         # zero, interior and the envelope's own cap: empty, partial and full mark prefixes
         lams = [0.0, 0.4 * env.lambda_cap, env.lambda_cap]
-        cells = {}
-        for i, lam in enumerate(lams):
-            for j, h in enumerate(heights):
-                cells[i, j] = estimate_distribution(ScenarioConfig(**scenario, lambda_uav=lam,
-                                                                   h_uav=h))
-        w = intersection_weight(URBAN)
-        for gamma_th in (0.0, 0.8, 1.0):
+        counts = estimate_distribution(**scenario, lambda_values=lams, height_values=heights,
+                                       gamma_values=gammas)
+        assert counts.shape == (2, len(gammas), len(lams), len(heights))
+        assert counts.dtype == np.int64
+        for ig, gamma_th in enumerate(gammas):
             grid = outage_grid(**scenario, lambda_values=lams, height_values=heights,
                                gamma_th=gamma_th)
-            assert grid.shape == (len(lams), len(heights))
             single = {mode.placements[0]: outage_grid(**scenario, lambda_values=lams,
                                                       height_values=heights, gamma_th=gamma_th,
                                                       placement_mode=mode)
@@ -713,19 +724,45 @@ def test_outage_grid_matches_distribution_pipeline():
             # the mixture blends the two single-placement grids with the same arithmetic
             assert np.array_equal(grid, w * single[Placement.INTERSECTION]
                                   + (1.0 - w) * single[Placement.STREET])
-            # each mixture cell is mixture_cdf of its two placement-only cells
-            assert np.array_equal(grid, mixture_cdf(single[Placement.INTERSECTION],
-                                                    single[Placement.STREET], URBAN))
-            for (i, j), dists in cells.items():
-                mix = mixture_cdf(dists[Placement.INTERSECTION].evaluate(gamma_th),
-                                  dists[Placement.STREET].evaluate(gamma_th), URBAN)
-                assert grid[i, j] == mix, (env, i, j, gamma_th)
-                # the distribution's own scenario, as a one-cell grid
-                cell = outage_grid(**scenario, lambda_values=[lams[i]], height_values=[heights[j]],
-                                   gamma_th=gamma_th)
-                assert cell[0, 0] == grid[i, j], (env, i, j, gamma_th)
-                for placement, values in single.items():
-                    assert values[i, j] == dists[placement].evaluate(gamma_th), (env, placement, i, j)
+            assert np.array_equal(grid, mixture_cdf(counts[0, ig] / n, counts[1, ig] / n, URBAN))
+            for ip, placement in enumerate(PLACEMENTS):
+                assert np.array_equal(single[placement], counts[ip, ig] / n), (env, gamma_th)
+        street = estimate_distribution(**scenario, lambda_values=lams, height_values=heights,
+                                       gamma_values=gammas, placement_mode="street-only")
+        assert np.array_equal(street, counts[1:])
+        # each cell as its own one-cell call, at every gamma at once
+        for i, lam in enumerate(lams):
+            for j, h in enumerate(heights):
+                cell = estimate_distribution(**scenario, lambda_values=[lam], height_values=[h],
+                                             gamma_values=gammas)
+                assert np.array_equal(cell[:, :, 0, 0], counts[:, :, i, j]), (env, i, j)
+
+
+def test_one_density_counts_as_the_top_row_of_two(monkeypatch):
+    """One density reads the last rank alone and counts as the top row of a two-density
+    grid on the same draws and caps, which finds crossing marks, bit for bit."""
+    last_only = []
+    scores = connectivity._chunk_scores
+
+    def spy(*args, **kwargs):
+        last_only.append(kwargs["last_only"])
+        return scores(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_chunk_scores", spy)
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 700)
+    gammas = [0.0, 1.0, 1.0 - 2.0**-53, 0.8, *np.random.default_rng(11).random(3)]
+    # below the envelope cap, then at it (the default cap is the top density)
+    for caps in ({"lambda_cap": 50e-6, "d_cap": 260.0}, {}):
+        run = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "height_values": [60.0, 100.0, 180.0],
+               "gamma_values": gammas, "n_realizations": 2000, "seed": 13, **caps}
+        last_only.clear()
+        one = estimate_distribution(lambda_values=[20e-6], **run)
+        assert len(last_only) == 3 and all(last_only)
+        last_only.clear()
+        two = estimate_distribution(lambda_values=[5e-6, 20e-6], **run)
+        assert len(last_only) == 3 and not any(last_only)
+        assert np.array_equal(one[:, :, 0], two[:, :, 1]), caps
+        assert 0 < one[:, 3].min() <= one[:, 3].max() < 2000
 
 
 def test_outage_grid_worker_invariance(monkeypatch):
@@ -972,7 +1009,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     assert _map_chunks(width, env, 5, 2500, 1.0, 64) == [1000, 1000, 500]
     # three chunks of 1000 realizations ask for three threads at most
     outage_grid(URBAN, 250.0, 10.0, [10e-6, 20e-6], [100.0], 0.8, 3000, 5, workers=64)
-    estimate_distribution(replace(SCENARIO, n_realizations=3000, seed=5, workers=2))
+    _distribution([0.8], 3000, 5, workers=2)
     assert sizes == [3, 3, 2]
     # a single chunk or a single worker never builds a pool
     assert _map_chunks(width, env, 5, 1000, 1.0, 64) == [1000]
@@ -983,8 +1020,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 # Each Monte Carlo entry point at one worker above the bound, over 20000
 # realizations (three chunks), so an unchecked run would open a pool.
 ABOVE_MAX_WORKERS = {
-    "ScenarioConfig": lambda w: estimate_distribution(
-        replace(SCENARIO, n_realizations=20000, workers=w)),
+    "estimate_distribution": lambda w: _distribution([0.8], 20000, 0, workers=w),
     "outage_grid": lambda w: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, 20000, 0,
                                          workers=w),
     "sweep_contour": lambda w: sweep_contour(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8,

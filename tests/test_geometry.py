@@ -1,10 +1,8 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from uavgrid.connectivity import ScenarioConfig, _lay_out, estimate_distribution
+from uavgrid.connectivity import _lay_out, estimate_distribution
 from uavgrid.geometry import (
     PRESETS,
     CityModel,
@@ -85,10 +83,9 @@ def test_intersection_weight_values():
 
 def test_scenario_validation():
     # estimate_distribution's scenario rule refuses a bad scenario before anything is drawn
-    def refuse(**scenario):
-        config = ScenarioConfig(city=PRESETS["urban"], **scenario, n_realizations=10)
+    def refuse(r_max, h_v, lambda_uav, h_uav):
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(config)
+            estimate_distribution(PRESETS["urban"], r_max, h_v, [lambda_uav], [h_uav], [0.8], 10, 0)
 
     refuse(r_max=250.0, h_uav=5.0, h_v=10.0, lambda_uav=0.0)
     refuse(r_max=80.0, h_uav=100.0, h_v=10.0, lambda_uav=0.0)
@@ -103,14 +100,14 @@ def test_scenario_validation():
 
 
 def test_ground_range_value(scenario):
-    assert ground_range(scenario.r_max, scenario.h_uav, scenario.h_v) == pytest.approx(
+    assert ground_range(scenario["r_max"], scenario["h_uav"], scenario["h_v"]) == pytest.approx(
         233.23807579381202, rel=1e-15)
 
 
 def _tight(scenario):
     # the envelope at the scenario's own caps keeps every point it draws
-    d_max = ground_range(scenario.r_max, scenario.h_uav, scenario.h_v)
-    return SamplingEnvelope(lambda_cap=scenario.lambda_uav, d_cap=d_max)
+    d_max = ground_range(scenario["r_max"], scenario["h_uav"], scenario["h_v"])
+    return SamplingEnvelope(lambda_cap=scenario["lambda_uav"], d_cap=d_max)
 
 
 def _caps(env):
@@ -127,7 +124,7 @@ def test_sample_realization_empty_at_zero_density():
 
 
 def test_sample_realization_properties(scenario):
-    d_max = ground_range(scenario.r_max, scenario.h_uav, scenario.h_v)
+    d_max = ground_range(scenario["r_max"], scenario["h_uav"], scenario["h_v"])
     env = _tight(scenario)
     d, phi, mark, counts = sample_envelope_points(env, 1234, 0, 20)
     stops = np.cumsum(counts)
@@ -193,13 +190,17 @@ def test_envelope_validation():
 def test_restrict_rejects_uncovered_scenarios(scenario):
     """A scenario is carved out of one envelope draw only where the envelope covers it."""
     env = _tight(scenario)
-    run = replace(scenario, n_realizations=10, seed=0)
-    denser = replace(run, lambda_uav=2.0 * scenario.lambda_uav)
-    short = SamplingEnvelope(lambda_cap=scenario.lambda_uav, d_cap=env.d_cap - 1.0)
-    for config, envelope in ((denser, env), (run, short)):
+    lam, h_uav = scenario["lambda_uav"], scenario["h_uav"]
+    short = SamplingEnvelope(lambda_cap=lam, d_cap=env.d_cap - 1.0)
+
+    def count(lambda_uav, envelope):
+        return estimate_distribution(scenario["city"], scenario["r_max"], scenario["h_v"],
+                                     [lambda_uav], [h_uav], [0.8], 10, 0, **_caps(envelope))
+
+    for lambda_uav, envelope in ((2.0 * lam, env), (lam, short)):
         with pytest.raises(InvalidGeometryError):
-            estimate_distribution(replace(config, **_caps(envelope)))
-    estimate_distribution(replace(run, **_caps(env)))
+            count(lambda_uav, envelope)
+    count(lam, env)
 
 
 def test_restrict_nesting():
@@ -215,13 +216,11 @@ def test_restrict_nesting():
     assert np.all(big.marks[ranks:] >= 0.25)
 
 
-def test_envelope_path_matches_direct_sampling(scenario):
+def test_envelope_path_matches_direct_sampling(scenario, realization_scores):
     # an envelope at the scenario's own caps draws the identical realizations
-    direct = estimate_distribution(replace(scenario, n_realizations=500, seed=42))
-    carved = estimate_distribution(replace(scenario, n_realizations=500, seed=42,
-                                           **_caps(_tight(scenario))))
-    for pl in direct:
-        assert np.array_equal(direct[pl].samples, carved[pl].samples)
+    direct = realization_scores(**scenario, n_realizations=500, seed=42)
+    carved = realization_scores(**scenario, n_realizations=500, seed=42, **_caps(_tight(scenario)))
+    assert np.array_equal(direct, carved)
 
 
 def test_same_seed_reproduces(scenario):

@@ -49,6 +49,23 @@ def test_grid_points_keeps_the_endpoints_it_is_given():
     assert 0.1 + 2 * 0.1 != 0.3 and grid_points(0.1, 1.0, 0.1)[2] == 0.3
 
 
+def test_grid_points_ascend_inside_the_range_at_any_step():
+    """A step near the 10-decimal rounding would round points onto, below or past their
+    neighbours; then the points are lo + k * step, strictly ascending inside [lo, hi]."""
+    fine = grid_points(50.00000000004, 50.0000000001, 1e-11)
+    assert fine == [50.00000000004 + k * 1e-11 for k in range(7)]
+    for lo, hi, step in ((50.00000000004, 50.0000000001, 1e-11),
+                         (50.00000000004, 50.00001, 1e-11),
+                         (260.00000000001, 260.000000000085, 7e-11),
+                         (0.0, 0.29999999999999993, 0.1)):
+        points = grid_points(lo, hi, step)
+        assert points[0] == lo and points[-1] <= hi and len(points) > 1
+        assert all(a < b for a, b in zip(points, points[1:])), (lo, hi, step)
+    # a step below the float spacing of the range has no grid
+    with pytest.raises(ValueError, match="^a step of 1e-11 from 1e[+]10 to 1e[+]10: the step is"):
+        grid_points(1e10, 1e10 + 1e-5, 1e-11)
+
+
 def test_grid_points_refuses_oversized_grids():
     assert len(grid_points(0.0, 999_998.5, 1.0)) == MAX_GRID_POINTS == 10**6  # hi appended
     # 10**6 + 1 points, without and with an appended hi; 2e9 points; overflowing spans
@@ -92,11 +109,12 @@ def test_infeasible_window():
     # a window just under the top: its endpoints are searched as given ...
     window = (URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000006, 260.000000000085)
     assert optimize_height(*window, n_realizations=100, seed=0)[0] == 260.00000000006
-    # ... but an interior grid point that rounds (to 10 decimals) above the top
-    # is named by the scenario check
-    with pytest.raises(InvalidGeometryError, match="altitude 260.0000000001 outside the feasible"):
-        optimize_height(URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000001, 260.000000000085,
-                        n_realizations=100, seed=0, grid_step=7e-11)
+    # ... and an interior grid point that rounds (to 10 decimals) past the window's
+    # top is the top, so the search stays inside the window
+    window = (URBAN, 250.00000000009, 10.0, 20e-6, 260.00000000001, 260.000000000085)
+    assert grid_points(*window[4:], 7e-11) == [260.00000000001, 260.000000000085]
+    h_star, _ = optimize_height(*window, n_realizations=100, seed=0, grid_step=7e-11)
+    assert 260.00000000001 <= h_star <= 260.000000000085
 
 
 def test_zero_density_returns_search_floor(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import uavgrid.connectivity as connectivity
-from uavgrid.connectivity import ScenarioConfig, _chunk_scores, _lay_out, estimate_distribution
+from uavgrid.connectivity import _chunk_scores, _lay_out
 from uavgrid.geometry import PRESETS, SamplingEnvelope, ground_range, sample_envelope_points
 from uavgrid.los import LinkGeometry, Placement, _geometry, los_probability
 
@@ -137,10 +137,8 @@ def test_poisson_count_statistic():
     assert abs(np.mean(counts) - mean) < 3.0 * math.sqrt(mean / n)
 
 
-def test_worker_invariance_is_byte_exact(monkeypatch):
-    scenario = {"city": URBAN, "r_max": 250.0, "h_v": 10.0, "lambda_uav": 20e-6, "h_uav": 100.0}
-    a = estimate_distribution(ScenarioConfig(**scenario, n_realizations=1500, seed=31))
+def test_worker_invariance_is_byte_exact(monkeypatch, scenario, realization_scores):
+    a = realization_scores(**scenario, n_realizations=1500, seed=31)
     monkeypatch.setattr(connectivity, "CHUNK_SIZE", 191)
-    b = estimate_distribution(ScenarioConfig(**scenario, n_realizations=1500, seed=31, workers=2))
-    for pl in a:
-        assert np.array_equal(a[pl].samples, b[pl].samples)
+    b = realization_scores(**scenario, n_realizations=1500, seed=31, workers=2)
+    assert a.tobytes() == b.tobytes()

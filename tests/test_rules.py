@@ -11,7 +11,7 @@ import pytest
 import uavgrid.connectivity as connectivity
 import uavgrid.geometry as geometry
 import uavgrid.oracle as oracle
-from uavgrid.connectivity import ScenarioConfig, _scenario, outage_grid
+from uavgrid.connectivity import _scenario, estimate_distribution, outage_grid
 from uavgrid.geometry import (
     MAX_KEY,
     PRESETS,
@@ -46,7 +46,8 @@ def _named(error: ValueError, names) -> list[str]:
 
 RUN_ENTRIES = {
     "outage_grid": lambda run: outage_grid(URBAN, 250.0, 10.0, [20e-6], [100.0], 0.8, **run),
-    "ScenarioConfig": lambda run: ScenarioConfig(URBAN, 250.0, 10.0, 20e-6, 100.0, **run),
+    "estimate_distribution": lambda run: estimate_distribution(URBAN, 250.0, 10.0, [20e-6],
+                                                               [100.0], [0.8], **run),
     "optimize_height": lambda run: optimize_height(URBAN, 250.0, 10.0, 20e-6, 60.0, 200.0, **run),
 }
 
@@ -62,6 +63,14 @@ def test_a_run_refusal_names_only_the_wrong_argument(entry, name, bad, no_draw):
     with pytest.raises(ValueError) as info:
         RUN_ENTRIES[entry](run)
     assert _named(info.value, ("n_realizations", "seed", "workers")) == [name]
+
+
+@pytest.mark.parametrize("gammas", [[math.nan], [0.8, -0.1], [1.5, 0.8], []])
+def test_a_gamma_axis_refusal_is_one_line(gammas, no_draw):
+    with pytest.raises(ValueError) as info:
+        estimate_distribution(URBAN, 250.0, 10.0, [20e-6], [100.0], gammas, 10, 1)
+    assert _named(info.value, ("gamma_values", "n_realizations", "seed", "workers")) == \
+        ["gamma_values"]
 
 
 @pytest.mark.parametrize("name, key", [
