@@ -16,8 +16,6 @@ import argparse
 import collections
 import dataclasses
 import functools
-import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -213,6 +211,9 @@ def _revision() -> str:
     file: git walks up from the package, so an untracked copy inside another
     repository (a virtualenv in its tree, say) would report that repository.
     """
+    # imported here, as json is in _emit: a CSV run loads neither
+    import subprocess
+
     here = Path(__file__)
     try:
         for cmd in (["git", "ls-files", "--error-unmatch", "--", here.name],
@@ -237,12 +238,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(columns: list[str], rows: list[list]) -> str:
+    """The CSV text: the header columns, then one line per row, every cell as _fmt writes it.
+
+    Cells are formatted a column at a time.  A column of exact Python floats
+    (what tolist() and the grid axes hold) is written by repr, _fmt's rule for
+    a float, with no call per cell; any other column goes through _fmt.
+    """
+    cells = [map(repr, col) if {*map(type, col)} == {float} else map(_fmt, col)
+             for col in zip(*rows)]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
 def _emit(args, columns: list[str], rows: list[list], metadata: dict) -> None:
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = _csv(columns, rows)
     else:
+        import json
+
         payload = {
             "tool": "uavgrid",
             "version": __version__,
@@ -296,11 +309,8 @@ def _cmd_contour(args, city):
         check_probability("--target-outage", args.target_outage)
     outage = sweep_contour(lambda_axis=[v * PER_KM2 for v in lambdas_km2], height_axis=heights,
                            **_run(args, city))
-    rows = [
-        [lam_km2, h, float(outage[i, j])]
-        for i, lam_km2 in enumerate(lambdas_km2)
-        for j, h in enumerate(heights)
-    ]
+    rows = [[lam_km2, h, v] for lam_km2, row in zip(lambdas_km2, outage.tolist())
+            for h, v in zip(heights, row)]
     metadata = {
         "gamma_th": args.gamma_th,
         "lambda_axis_per_km2": lambdas_km2,

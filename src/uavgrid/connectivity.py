@@ -27,12 +27,15 @@ fraction is laid out at that fraction, so every mark in the layout is below
 it and a realization is in outage exactly when it never crosses, that is,
 when its last rank is still at or below gamma: such a grid reads only the
 last rank's running products and counts its whole gamma axis from them, bit
-for bit the counts the crossing marks give.
+for bit the counts the crossing marks give.  No count forms a score: a score
+1 - P is at or below gamma exactly when P is at or above one survival bound
+per gamma (_survival_bounds), so every count compares running products with it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -275,38 +278,83 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
             yield ip, j, survival
 
 
+# The bit pattern of 1.0.  The non-negative doubles ascend with their int64
+# bit patterns, and [0.0, 1.0] holds fewer than 2**62 of them.
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+@functools.lru_cache(maxsize=64)
+def _survival_bounds(gammas: tuple) -> np.ndarray:
+    """s*(gamma) for each gamma of gammas: the least double s in [0, 1] with 1.0 - s <= gamma.
+
+    Rounding is monotone, so x -> fl(1.0 - x) never rises, and a survival x
+    in [0, 1] has a score 1.0 - x at or below gamma exactly when x >= s*.
+    1.0 - 1.0 is 0.0, so s* exists.  It is found by bisection over the bit
+    patterns of [0.0, 1.0], which ascend with the doubles they hold, so it
+    takes at most 62 halvings whatever gamma is (a walk by adjacent doubles
+    from 1 - gamma would take about 2**52 steps at gamma = 1 - 2**-53).  The
+    bisection starts from a bracket that holds s* by monotone rounding: the
+    double above fl(1 - gamma) lies above the real 1 - gamma, so it scores
+    at most gamma, and the double below fl(1 - next(gamma)) lies below the
+    real 1 - next(gamma), so it scores more than gamma.  Away from gamma
+    near 1 that bracket holds a few patterns.  The bounds depend only on
+    gammas, so each gamma axis is bisected once per process, and the array
+    is read-only.
+    """
+    gammas = np.array(gammas)
+    hi = np.minimum(np.nextafter(1.0 - gammas, 2.0).view(np.int64), _ONE_BITS)
+    below = np.nextafter(1.0 - np.nextafter(gammas, 2.0), -1.0)
+    lo = np.where(below >= 0.0, below.view(np.int64) + 1, 0)
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        in_outage = 1.0 - mid.view(np.float64) <= gammas
+        lo, hi = np.where(in_outage, lo, mid + 1), np.where(in_outage, mid, hi)
+    bounds = lo.view(np.float64)
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gammas):
     """Realizations in outage per (placement, gamma, density, height) cell.
 
     The layout is laid out at the top fraction fracs.max(), as _map_chunks
-    lays it out.  With several fractions, each (height, placement) finds
-    every realization's crossing mark at each gamma and counts every
-    fraction f with one sort and one searchsorted.  With one fraction every
-    mark in the layout is below it, so the only outage is a column that
-    never crosses: one whose last rank is at or below gamma.  Then one
-    count_nonzero counts a single gamma, and one sort of the last-rank
-    scores and one searchsorted count a longer gamma axis.
+    lays it out.  A realization is in outage at gamma where its survival is
+    at or above gamma's survival bound (_survival_bounds), which is where
+    its score is at or below gamma.  With several fractions, each (height,
+    placement) finds every realization's crossing mark at each gamma and
+    counts every fraction f with one sort and one searchsorted.  With one
+    fraction every mark in the layout is below it, so the only outage is a
+    column that never crosses: one whose last rank is at or above the bound.
+    Then one count_nonzero counts a single gamma, and one sort of the
+    last-rank survivals and one searchsorted count a longer gamma axis.
     """
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
+    bounds = _survival_bounds(tuple(gammas.tolist()))
     counts = np.zeros((len(placements), gammas.size, fracs.size, len(height_values)),
                       dtype=np.int64)
     one_fraction = fracs.min() == fracs.max()
+    if not one_fraction:
+        # one flag per ranked point, reused by every (height, placement, gamma)
+        above = np.empty((marks.shape[0] - 1, marks.shape[1]), dtype=bool)
+        # a crossing rank is at most the width: uint16 sums fastest where it holds one
+        rank_type = np.uint16 if above.shape[0] <= np.iinfo(np.uint16).max else np.intp
     scores = _chunk_scores(layout, city, r_max, h_v, height_values, placements,
                            last_only=one_fraction)
     for ip, j, survival in scores:
-        score = 1.0 - survival
         if one_fraction and gammas.size == 1:
-            counts[ip, 0, :, j] = np.count_nonzero(score <= gammas[0])
+            counts[ip, 0, :, j] = np.count_nonzero(survival >= bounds[0])
         elif one_fraction:
-            score.sort()
-            counts[ip, :, :, j] = np.searchsorted(score, gammas, side="right")[:, None]
+            survival.sort()
+            counts[ip, :, :, j] = (survival.size - np.searchsorted(survival, bounds))[:, None]
         else:
-            for ig, gamma in enumerate(gammas):
-                # 1 - survival never falls along a column, so the ranks still at
-                # or below gamma come first, and their count is the crossing
+            for ig, bound in enumerate(bounds):
+                # survival never rises along a column, so the ranks still at or
+                # above the bound come first, and their count is the crossing
                 # rank: the sentinel rank where it never crosses.  Its mark is
                 # the crossing mark; fraction f is in outage iff that mark is >= f.
-                crossing = marks[np.count_nonzero(score <= gamma, axis=0), columns]
+                np.greater_equal(survival, bound, out=above)
+                ranks = np.add.reduce(above.view(np.uint8), axis=0, dtype=rank_type)
+                crossing = marks[ranks, columns]
                 crossing.sort()
                 counts[ip, ig, :, j] = crossing.size - np.searchsorted(crossing, fracs)
     return counts

@@ -38,10 +38,13 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     puts past hi is hi.  A step near or below that rounding can round points
     onto or below the ones before them: then the points between are
     lo + k * step as computed, so the grid always ascends strictly inside
-    [lo, hi].  A step that would give more than MAX_GRID_POINTS points raises
-    ValueError before any point is built, and so does a step below the float
-    spacing of the range.  Each refusal names the step and the range it was
-    given.
+    [lo, hi].  The last point misses hi when it lies below hi by more than
+    a billionth of the step (or of the range, if that is shorter) plus the
+    float error of a decimal grid, a few units in the last place of the
+    range, however small the step.  A step that would give more than
+    MAX_GRID_POINTS points raises ValueError, after building at most that
+    many, and so does a step below the float spacing of the range.  Each
+    refusal names the step and the range it was given.
     """
     grid = f"a step of {step:g} from {lo:g} to {hi:g}"
     if not 0.0 < step < math.inf:
@@ -52,15 +55,21 @@ def grid_points(lo: float, hi: float, step: float) -> list[float]:
     # points lo + k * step for k = 0..n, then hi if they miss it; n is capped so
     # that a span too long to build, or infinite, is counted and refused below
     n = int(span) if span < MAX_GRID_POINTS else MAX_GRID_POINTS
-    misses_hi = round(lo + n * step, 10) < hi - 1e-9 * max(1.0, abs(hi))
-    if n + 1 + misses_hi > MAX_GRID_POINTS:
-        raise ValueError(f"{grid} gives more than {MAX_GRID_POINTS} grid points")
+    too_many = f"{grid} gives more than {MAX_GRID_POINTS} grid points"
+    if n + 1 > MAX_GRID_POINTS:
+        raise ValueError(too_many)
     vals = [lo] + [min(round(lo + k * step, 10), hi) for k in range(1, n + 1)]
     if not np.all(np.diff(vals) > 0.0):
         vals = [lo] + [min(lo + k * step, hi) for k in range(1, n + 1)]
         if not np.all(np.diff(vals) > 0.0):
             raise ValueError(f"{grid}: the step is below the float spacing of the range")
-    if misses_hi:
+    # a miss within the span's own slack (of a step, or of the range when the step
+    # is longer) plus the rounding error lo, hi, step and lo + n * step carry is
+    # the step landing on hi
+    slack = 1e-9 * min(step, hi - lo) + 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    if vals[-1] < hi - slack:
+        if n + 2 > MAX_GRID_POINTS:
+            raise ValueError(too_many)
         vals.append(hi)
     return vals
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -393,6 +394,47 @@ def test_numpy_scalars_print_as_plain_numbers(capsys, monkeypatch):
         "0.5", "true", "7", "0.25"]
 
 
+def test_csv_columns_print_as_each_cell_would():
+    """The CSV is written a column at a time, and its bytes are the per-cell _fmt rule:
+    a column of exact Python floats by repr, any other column through _fmt."""
+    mixed = [1, True, np.bool_(False), np.float64(0.1), np.float32(0.25), "street",
+             math.nan, math.inf, -math.inf, -0.0, 1e-300, np.int64(-3), 0.5]
+    floats = [0.1, 2.5, math.nan, math.inf, -math.inf, -0.0, 1e-300, 1.0, 3e20, 1e-5, 0.3,
+              7.0, 1 / 3]
+    numpy_floats = [np.float64(v) for v in floats]
+    ints = list(range(-6, 7))
+    bools = [k % 3 == 0 for k in range(13)]
+    rows = [list(row) for row in zip(mixed, floats, numpy_floats, ints, bools)]
+    header = ["mixed", "floats", "numpy_floats", "ints", "bools"]
+    want = "".join(",".join(line) + "\n" for line in
+                   [header, *([cli._fmt(v) for v in row] for row in rows)])
+    assert cli._csv(header, rows) == want
+    assert want.split("\n")[1:3] == ["1,0.1,0.1,-6,true", "true,2.5,2.5,-5,false"]
+    # no rows: the header alone
+    assert cli._csv(header, []) == ",".join(header) + "\n"
+
+
+def test_a_csv_run_never_loads_json_or_subprocess():
+    """Only structured output needs json, and only its revision needs subprocess."""
+    # a fresh interpreter, as this test process has loaded both already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = ["--preset", "urban", "--n-realizations", "200", "--output", os.devnull]
+    runs = [["contour", "--lambda-lo", "20", "--lambda-hi", "30", "--lambda-step", "5",
+             "--h-lo", "100", "--h-hi", "110", "--target-outage", "0.5", *run],
+            ["distribution", "--lambda-uav", "20", "--h-uav", "100", *run]]
+    code = ("import sys, uavgrid.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    print(uavgrid.cli.main(argv), 'json' in sys.modules, 'subprocess' in sys.modules)\n"
+            "uavgrid.cli.main(argv + ['--format', 'structured'])\n"
+            "print('json' in sys.modules, 'subprocess' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    # a structured run loads both, so the first two lines are not vacuous
+    assert out.stdout.split("\n") == ["0 False False", "0 False False", "True True", ""]
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -585,7 +627,7 @@ def test_structured_revision_survives_git_timeout(monkeypatch, capsys):
         calls.append(cmd)
         raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
-    monkeypatch.setattr(cli.subprocess, "run", hung_git)
+    monkeypatch.setattr(subprocess, "run", hung_git)
     cli._revision.cache_clear()
     args = ["distribution", "--preset", "urban", "--lambda-uav", "20", "--h-uav", "100",
             "--n-realizations", "50", "--format", "structured"]

@@ -693,6 +693,96 @@ def test_outage_threshold_validation():
         assert crossing[0, :, :, 0].tolist() == [[1, 1], [1, 0]]
 
 
+# 0 and 1, 2**-53 and 1 - 2**-53 next to them, a tiny 1e-300, 0.5 and 0.8, 20 drawn
+# at random, then the doubles beside 0.5, where 1.0 - x starts to round, and more
+# near 1, where the bisection's bracket is widest
+SURVIVAL_GAMMAS = (0.0, 2.0**-53, 1e-300, 0.5, 0.8, 1.0 - 2.0**-53, 1.0,
+                   *np.random.default_rng(37).uniform(0.0, 1.0, 20).tolist(),
+                   np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.99, 0.999999,
+                   1.0 - 3 * 2.0**-53, 1.0 - 2.0**-40)
+
+
+def _neighbours(x, k):
+    """The doubles of [0, 1] within k bit patterns of x, x among them."""
+    bits = int(np.float64(x).view(np.int64))
+    near = np.arange(max(bits - k, 0), bits + k + 1, dtype=np.int64).view(np.float64)
+    return near[near <= 1.0]
+
+
+def test_survival_bound_is_the_least_survival_in_outage():
+    """s*(gamma) is the least double in [0, 1] with 1.0 - s* <= gamma, and x >= s* is that
+    rule on the doubles around it."""
+    bounds = connectivity._survival_bounds(SURVIVAL_GAMMAS)
+    assert not bounds.flags.writeable
+    # 1.0 - 0.49999999999999994 is a tie between 0.5 and the double above it: it rounds to 0.5
+    assert bounds[:7].tolist() == [1.0, 1.0 - 2.0**-53, 1.0, np.nextafter(0.5, 0.0),
+                                   0.19999999999999990, np.nextafter(2.0**-54, 1.0), 0.0]
+    for gamma, bound in zip(SURVIVAL_GAMMAS, bounds.tolist()):
+        assert 0.0 <= bound <= 1.0 and 1.0 - bound <= gamma
+        if bound > 0.0:
+            assert not 1.0 - np.nextafter(bound, 0.0) <= gamma, gamma
+        near = _neighbours(bound, 50)
+        assert near.size >= 51
+        assert ((near >= bound) == (1.0 - near <= gamma)).all(), gamma
+
+
+def _reference_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gammas):
+    """The counts as scores give them: 1.0 - survival <= gamma on every path, without
+    the survival bound."""
+    marks, columns = layout.marks, np.arange(layout.marks.shape[1])
+    counts = np.zeros((len(placements), gammas.size, fracs.size, len(height_values)),
+                      dtype=np.int64)
+    one_fraction = fracs.min() == fracs.max()
+    for ip, j, survival in _chunk_scores(layout, city, r_max, h_v, height_values, placements,
+                                         last_only=one_fraction):
+        score = 1.0 - survival
+        if one_fraction and gammas.size == 1:
+            counts[ip, 0, :, j] = np.count_nonzero(score <= gammas[0])
+        elif one_fraction:
+            score.sort()
+            counts[ip, :, :, j] = np.searchsorted(score, gammas, side="right")[:, None]
+        else:
+            for ig, gamma in enumerate(gammas):
+                crossing = marks[np.count_nonzero(score <= gamma, axis=0), columns]
+                crossing.sort()
+                counts[ip, ig, :, j] = crossing.size - np.searchsorted(crossing, fracs)
+    return counts
+
+
+@pytest.mark.parametrize("mean", [0.5, 3.42, 9.57, 18.9, 57.0])
+def test_chunk_counts_on_the_survival_scale_equal_the_score_counts(mean):
+    """Counting survivals against s*(gamma) gives the counts of 1.0 - survival <= gamma bit
+    for bit on all three paths: one gamma at the last rank, a gamma axis at the last rank,
+    and crossing marks over several densities."""
+    d_cap = ground_range(250.0, 50.0, 10.0)
+    env = SamplingEnvelope(mean / (math.pi * d_cap**2), d_cap)
+    spec = _spec([50.0, 120.0, 230.0])
+    n = 300
+    # gammas at realizations' own scores and their neighbours, where a wrong bound shows
+    scores = _score_arrays(_drawn(env, 5, n, 1.0), **spec).ravel()
+    drawn = np.random.default_rng(int(mean * 100)).choice(scores, 6)
+    gammas = np.concatenate([SURVIVAL_GAMMAS, drawn, np.nextafter(drawn, 0.0),
+                             np.nextafter(drawn, 1.0)])
+    gammas = gammas[(0.0 <= gammas) & (gammas <= 1.0)]
+    for fracs in (np.array([1.0]), np.array([0.6]), np.array([0.1, 0.35, 0.7, 1.0])):
+        layout = _drawn(env, 5, n, float(fracs.max()))
+        for axis in (gammas[4:5], np.array([float(drawn[0])]), gammas):
+            got = _chunk_outage_counts(layout, **spec, fracs=fracs, gammas=axis)
+            want = _reference_outage_counts(layout, **spec, fracs=fracs, gammas=axis)
+            assert got.tobytes() == want.tobytes(), (fracs, axis)
+
+
+def test_crossing_ranks_past_the_uint16_range():
+    """A column wider than 65535 ranks counts its crossing ranks in a wider integer: 70000
+    UAVs outside every ground disk never cross, so every fraction is in outage."""
+    layout = _layout([(300.0, 0.5)] * 70_000)
+    assert layout.marks.shape == (70_001, 1)
+    spec = _spec([SCENARIO["h_uav"]])
+    fracs, gammas = np.array([0.5, 1.0]), np.array([0.0, 0.8])
+    counts = _chunk_outage_counts(layout, **spec, fracs=fracs, gammas=gammas)
+    assert counts.tolist() == [[[[1], [1]], [[1], [1]]]] * 2
+
+
 def test_outage_grid_matches_distribution_pipeline():
     """outage_grid divides the counter's counts at gamma_th by n and blends them; a gamma axis
     counts as its gammas one by one, and a one-cell call as its cell of the grid."""

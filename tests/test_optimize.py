@@ -66,6 +66,27 @@ def test_grid_points_ascend_inside_the_range_at_any_step():
         grid_points(1e10, 1e10 + 1e-5, 1e-11)
 
 
+def test_grid_points_append_hi_at_any_step():
+    """A step that misses hi gets hi appended however small the step, and a step that lands
+    on hi, up to the float error of its decimals, does not."""
+    assert grid_points(0.0, 5.5e-10, 1e-10) == [0.0, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 5.5e-10]
+    assert grid_points(50.0, 50.0000000005, 3e-10) == [50.0, 50.0000000003, 50.0000000005]
+    assert grid_points(0.0, 1.5e-300, 1e-300) == [0.0, 1e-300, 1.5e-300]
+    # a step longer than the range misses hi too
+    assert grid_points(0.0, 1.0, 1e308) == [0.0, 1.0]
+    # a step below the rounding keeps its points unrounded: the last, 9e-11, misses hi,
+    # though it would round to it
+    assert grid_points(0.0, 1e-10, 3e-11) == [0.0, 3e-11, 2 * 3e-11, 3 * 3e-11, 1e-10]
+    # lo + 6 * step is one unit in the last place below hi: the step lands on hi
+    assert 50.00000000004 + 6 * 1e-11 < 50.0000000001
+    assert len(grid_points(50.00000000004, 50.0000000001, 1e-11)) == 7
+    # the benchmark grids end on hi
+    for lo, hi, step, size in ((5.0, 50.0, 1.0, 46), (50.0, 250.0, 5.0, 41), (0.0, 1.0, 0.01, 101),
+                               (0.0, 1.0, 1e-4, 10001)):
+        points = grid_points(lo, hi, step)
+        assert len(points) == size and points[-1] == hi
+
+
 def test_grid_points_refuses_oversized_grids():
     assert len(grid_points(0.0, 999_998.5, 1.0)) == MAX_GRID_POINTS == 10**6  # hi appended
     # 10**6 + 1 points, without and with an appended hi; 2e9 points; overflowing spans
