@@ -132,9 +132,9 @@ def build_parser(command: str | None) -> tuple[_Parser, _Parser | None]:
 
 
 def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
-    """One --key=value token per key=value line of a config file."""
+    """One --key=value token per key=value line of a config file, read as UTF-8 (BOM ignored)."""
     tokens = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -35,7 +35,6 @@ per gamma (_survival_bounds), so every count compares running products with it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import NamedTuple
 
@@ -278,40 +277,24 @@ def _chunk_scores(layout, city, r_max, h_v, height_values, placements, last_only
             yield ip, j, survival
 
 
-# The bit pattern of 1.0.  The non-negative doubles ascend with their int64
-# bit patterns, and [0.0, 1.0] holds fewer than 2**62 of them.
-_ONE_BITS = int(np.float64(1.0).view(np.int64))
-
-
-@functools.lru_cache(maxsize=64)
-def _survival_bounds(gammas: tuple) -> np.ndarray:
-    """s*(gamma) for each gamma of gammas: the least double s in [0, 1] with 1.0 - s <= gamma.
+def _survival_bounds(gammas: np.ndarray) -> np.ndarray:
+    """s*(gamma) for each gamma of the float64 array gammas: the least double s in [0, 1]
+    with 1.0 - s <= gamma.
 
     Rounding is monotone, so x -> fl(1.0 - x) never rises, and a survival x
     in [0, 1] has a score 1.0 - x at or below gamma exactly when x >= s*.
-    1.0 - 1.0 is 0.0, so s* exists.  It is found by bisection over the bit
-    patterns of [0.0, 1.0], which ascend with the doubles they hold, so it
-    takes at most 62 halvings whatever gamma is (a walk by adjacent doubles
-    from 1 - gamma would take about 2**52 steps at gamma = 1 - 2**-53).  The
-    bisection starts from a bracket that holds s* by monotone rounding: the
-    double above fl(1 - gamma) lies above the real 1 - gamma, so it scores
-    at most gamma, and the double below fl(1 - next(gamma)) lies below the
-    real 1 - next(gamma), so it scores more than gamma.  Away from gamma
-    near 1 that bracket holds a few patterns.  The bounds depend only on
-    gammas, so each gamma axis is bisected once per process, and the array
-    is read-only.
+    s* has a closed form in two cases.  Below 0.5, s* is fl(1 - gamma) or
+    the double above it, where 1.0 - fl(1 - gamma) > gamma; both sides of
+    that test are exact (Sterbenz).  From 0.5 on, gamma lies on the 2**-53
+    grid and 1 - gamma is exact, so 1.0 - s rounds to gamma or below exactly
+    when s lies above the tie (1 - gamma) - 2**-54, or at it when gamma's
+    last mantissa bit is even (ties round to even).  At gamma = 1 the tie is
+    below 0, and s* is 0.0.
     """
-    gammas = np.array(gammas)
-    hi = np.minimum(np.nextafter(1.0 - gammas, 2.0).view(np.int64), _ONE_BITS)
-    below = np.nextafter(1.0 - np.nextafter(gammas, 2.0), -1.0)
-    lo = np.where(below >= 0.0, below.view(np.int64) + 1, 0)
-    while (lo < hi).any():
-        mid = (lo + hi) >> 1
-        in_outage = 1.0 - mid.view(np.float64) <= gammas
-        lo, hi = np.where(in_outage, lo, mid + 1), np.where(in_outage, mid, hi)
-    bounds = lo.view(np.float64)
-    bounds.flags.writeable = False
-    return bounds
+    exact, low = 1.0 - gammas, gammas < 0.5
+    tie = np.where(low, exact, exact - 2.0**-54)
+    up = np.where(low, 1.0 - exact > gammas, gammas.view(np.int64) & 1 == 1)
+    return np.maximum(np.where(up, np.nextafter(tie, 2.0), tie), 0.0)
 
 
 def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fracs, gammas):
@@ -329,7 +312,7 @@ def _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements, fr
     last-rank survivals and one searchsorted count a longer gamma axis.
     """
     marks, columns = layout.marks, np.arange(layout.marks.shape[1])
-    bounds = _survival_bounds(tuple(gammas.tolist()))
+    bounds = _survival_bounds(gammas)
     counts = np.zeros((len(placements), gammas.size, fracs.size, len(height_values)),
                       dtype=np.int64)
     one_fraction = fracs.min() == fracs.max()

@@ -795,6 +795,30 @@ def test_config_equals_form(tmp_path, capsys):
     assert out == out2
 
 
+def test_config_with_a_utf8_bom_reads_as_without_it(tmp_path, capsys):
+    """A byte order mark before the first key is not part of it."""
+    cfg = _base_config(tmp_path)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    code, out, _ = run_cli(["distribution", "--config", str(cfg)], capsys)
+    code2, out2, err2 = run_cli(["distribution", "--config", str(bom)], capsys)
+    assert code == 0 and code2 == 0 and err2 == ""
+    assert out2 == out
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 2.24 GiB"])
+def test_a_run_that_does_not_fit_in_memory_exits_2(message, capsys, monkeypatch):
+    """A MemoryError is one stderr line, its message or a plain one, and no output."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "estimate_distribution", no_memory)
+    code, out, err = run_cli(["distribution", "--preset", "urban", "--lambda-uav", "20",
+                              "--h-uav", "100", "--n-realizations", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message or 'the run does not fit in memory'}\n"
+
+
 @pytest.mark.parametrize("line", ["seed=abc", "preset=nowhere", "help=1"])
 def test_config_bad_line_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

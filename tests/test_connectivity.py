@@ -694,12 +694,14 @@ def test_outage_threshold_validation():
 
 
 # 0 and 1, 2**-53 and 1 - 2**-53 next to them, a tiny 1e-300, 0.5 and 0.8, 20 drawn
-# at random, then the doubles beside 0.5, where 1.0 - x starts to round, and more
-# near 1, where the bisection's bracket is widest
-SURVIVAL_GAMMAS = (0.0, 2.0**-53, 1e-300, 0.5, 0.8, 1.0 - 2.0**-53, 1.0,
-                   *np.random.default_rng(37).uniform(0.0, 1.0, 20).tolist(),
-                   np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.99, 0.999999,
-                   1.0 - 3 * 2.0**-53, 1.0 - 2.0**-40)
+# at random, then the doubles beside 0.5, where the closed form changes case, more
+# near 1, where gamma's last mantissa bit decides a tie, -0.0, the least subnormal,
+# 2**-54 and 1 - 2**-52
+SURVIVAL_GAMMAS = np.array([0.0, 2.0**-53, 1e-300, 0.5, 0.8, 1.0 - 2.0**-53, 1.0,
+                            *np.random.default_rng(37).uniform(0.0, 1.0, 20).tolist(),
+                            np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.99, 0.999999,
+                            1.0 - 3 * 2.0**-53, 1.0 - 2.0**-40, -0.0, 5e-324, 2.0**-54,
+                            1.0 - 2.0**-52])
 
 
 def _neighbours(x, k):
@@ -713,7 +715,6 @@ def test_survival_bound_is_the_least_survival_in_outage():
     """s*(gamma) is the least double in [0, 1] with 1.0 - s* <= gamma, and x >= s* is that
     rule on the doubles around it."""
     bounds = connectivity._survival_bounds(SURVIVAL_GAMMAS)
-    assert not bounds.flags.writeable
     # 1.0 - 0.49999999999999994 is a tie between 0.5 and the double above it: it rounds to 0.5
     assert bounds[:7].tolist() == [1.0, 1.0 - 2.0**-53, 1.0, np.nextafter(0.5, 0.0),
                                    0.19999999999999990, np.nextafter(2.0**-54, 1.0), 0.0]

@@ -115,7 +115,7 @@ def _caps(env):
     return {"lambda_cap": env.lambda_cap, "d_cap": env.d_cap}
 
 
-def test_sample_realization_empty_at_zero_density():
+def test_zero_density_lays_out_no_point():
     # zero density is mark fraction 0 of any envelope, which no mark is below
     env = SamplingEnvelope(lambda_cap=20e-6, d_cap=233.0)
     layout = _lay_out(*sample_envelope_points(env, 1234, 0, 50), 0.0)
@@ -123,7 +123,7 @@ def test_sample_realization_empty_at_zero_density():
     assert np.all(np.isinf(layout.marks))
 
 
-def test_sample_realization_properties(scenario):
+def test_envelope_points_are_the_philox_streams_uniforms(scenario):
     d_max = ground_range(scenario["r_max"], scenario["h_uav"], scenario["h_v"])
     env = _tight(scenario)
     d, phi, mark, counts = sample_envelope_points(env, 1234, 0, 20)
@@ -187,7 +187,7 @@ def test_envelope_validation():
             SamplingEnvelope(*bad)
 
 
-def test_restrict_rejects_uncovered_scenarios(scenario):
+def test_caps_that_do_not_cover_the_scenario_are_refused(scenario):
     """A scenario is carved out of one envelope draw only where the envelope covers it."""
     env = _tight(scenario)
     lam, h_uav = scenario["lambda_uav"], scenario["h_uav"]
@@ -203,7 +203,7 @@ def test_restrict_rejects_uncovered_scenarios(scenario):
     count(lam, env)
 
 
-def test_restrict_nesting():
+def test_a_lower_fraction_lays_out_a_prefix_of_each_column():
     """Carving a smaller density out of one envelope draw keeps a prefix of each row."""
     env = SamplingEnvelope(lambda_cap=4e-5, d_cap=200.0)
     big = _lay_out(*sample_envelope_points(env, 7, 0, 64), 1.0)

@@ -127,6 +127,16 @@ def test_two_uav_union_rule():
     assert _connectivity(pairs, (Placement.STREET,))[0] == pytest.approx(want, rel=1e-15)
 
 
+@given(gamma=st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True))
+@settings(max_examples=500, deadline=None)
+def test_survival_bound_is_the_least_survival_in_outage_at_any_gamma(gamma):
+    """s*(gamma) scores at most gamma, and the double below it scores more."""
+    bound = float(connectivity._survival_bounds(np.array([gamma]))[0])
+    assert 0.0 <= bound <= 1.0 and 1.0 - bound <= gamma
+    if bound > 0.0:
+        assert not 1.0 - np.nextafter(bound, 0.0) <= gamma
+
+
 def test_poisson_count_statistic():
     n = 20_000
     mean = 20e-6 * math.pi * ground_range(250.0, 100.0, 10.0) ** 2
