@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -141,9 +142,9 @@ def _scenario(r_max, h_v, lambda_values, height_values, lambda_cap=None, d_cap=N
             raise InvalidGeometryError(
                 f"altitude {h} outside the feasible range ({h_v}, {h_v + r_max})"
             )
-    for cap in (lambda_cap, d_cap):
+    for name, cap in (("lambda_cap", lambda_cap), ("d_cap", d_cap)):
         if cap is not None and not 0.0 < cap < math.inf:
-            raise InvalidGeometryError("envelope caps must be positive and finite")
+            raise InvalidGeometryError(f"envelope cap {name} must be positive and finite")
     lambda_top = max(lambda_values)
     d_top = ground_range(r_max, min(height_values), h_v)
     lambda_cap = lambda_top if lambda_cap is None else lambda_cap
@@ -425,27 +426,39 @@ def estimate_distribution(
     call, whatever heights they score.
 
     Every argument is checked before anything is drawn: the run by
-    check_run, each gamma by check_probability (an empty gamma axis raises
-    ValueError too), the scenario by _scenario, and held's bound of
-    MAX_HELD_POINTS UAVs on average by _map_chunks (ValueError).
+    check_run, the gamma axis by check_probability at its least and greatest
+    gamma (an empty gamma axis raises ValueError too), the scenario by
+    _scenario, and held's bound of MAX_HELD_POINTS UAVs on average by
+    _map_chunks (ValueError).  Each chunk's counts are added to one total as
+    the chunk finishes, so the counts take memory of the result's size
+    however many chunks the run makes.
     """
     placements = PlacementMode(placement_mode).placements
     check_run(n_realizations, seed, workers)
     gammas = np.array([float(g) for g in gamma_values])
     if gammas.size == 0:
         raise ValueError("gamma_values cannot be empty")
-    for gamma in gammas:
+    # check_probability bounds gamma by an interval, and min and max carry NaN
+    # through, so the axis passes exactly when its extremes do
+    for gamma in (gammas.min(), gammas.max()):
         check_probability("gamma_values", gamma)
     lambda_values, height_values, envelope = _scenario(r_max, h_v, lambda_values, height_values,
                                                        lambda_cap, d_cap)
+    shape = (len(placements), gammas.size, len(lambda_values), len(height_values))
     if envelope is None:
-        return np.full((len(placements), gammas.size, len(lambda_values), len(height_values)),
-                       n_realizations, dtype=np.int64)
+        return np.full(shape, n_realizations, dtype=np.int64)
     fracs = np.array([lam / envelope.lambda_cap for lam in lambda_values])
-    return sum(_map_chunks(
-        lambda layout: _chunk_outage_counts(layout, city, r_max, h_v, height_values,
-                                            placements, fracs, gammas),
-        envelope, seed, n_realizations, float(fracs.max()), workers, held))
+    # integer sums do not depend on the order the chunks finish in
+    total, lock = np.zeros(shape, dtype=np.int64), threading.Lock()
+
+    def add(layout):
+        counts = _chunk_outage_counts(layout, city, r_max, h_v, height_values, placements,
+                                      fracs, gammas)
+        with lock:
+            np.add(total, counts, out=total)
+
+    _map_chunks(add, envelope, seed, n_realizations, float(fracs.max()), workers, held)
+    return total
 
 
 def mixture_cdf(f_intersection, f_street, city: CityModel):

@@ -103,11 +103,11 @@ class CityModel:
     heights: HeightDistribution
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not all(0.0 < v < math.inf for v in (self.mu_s, self.mu_b)):
-            raise InvalidGeometryError("mu_s, mu_b must be positive and finite")
-        if not (0.0 <= self.w_v < math.inf and 0.0 <= self.w_h < math.inf):
-            raise InvalidGeometryError("street widths must be finite and non-negative")
+        # comparisons written so that NaN fails them; a street at the vehicle may have no width
+        for name in ("mu_s", "mu_b", "w_v", "w_h"):
+            value, least = getattr(self, name), "non-negative" if name[0] == "w" else "positive"
+            if not (0.0 < value < math.inf or least == "non-negative" and value == 0.0):
+                raise InvalidGeometryError(f"{name} must be {least} and finite")
 
     @property
     def lambda_s(self) -> float:
@@ -165,8 +165,9 @@ class SamplingEnvelope:
     d_cap: float
 
     def __post_init__(self):
-        if not (0.0 < self.lambda_cap < math.inf and 0.0 < self.d_cap < math.inf):
-            raise InvalidGeometryError("envelope caps must be positive and finite")
+        for name in ("lambda_cap", "d_cap"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidGeometryError(f"envelope cap {name} must be positive and finite")
 
     @property
     def mean_count(self) -> float:

@@ -56,15 +56,37 @@ class Placement(enum.Enum):
     STREET = "street"
 
 
+def _check_link(d, c, s, q, h_uav, h_v) -> None:
+    """The one link rule: finite d >= 0, a folded direction and h_uav above h_v.
+
+    c and s are the folded cosines |cos phi|, |sin phi| and q = c*c + s*s.
+    A direction needs both cosines in [0, 1] and q within DIRECTION_TOL of 1;
+    q - 1 is exact on [0.5, 2] (Sterbenz), so that test bounds q by the
+    interval [1 - DIRECTION_TOL, 1 + DIRECTION_TOL].  Each test bounds one
+    quantity by an interval, so los_probability_batch checks a whole array of
+    links by calling this on their minima and on their maxima.  h_v must pass
+    geometry.check_vehicle_height (InvalidGeometryError); every other
+    refusal is a ValueError.
+    """
+    # comparisons written so that NaN fails them
+    if not 0.0 <= d < math.inf:
+        raise ValueError("d must be finite and >= 0")
+    if not (0.0 <= c <= 1.0 and 0.0 <= s <= 1.0 and abs(q - 1.0) <= DIRECTION_TOL):
+        raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
+    check_vehicle_height(h_v)
+    if not h_v < h_uav < math.inf:
+        raise ValueError("need finite h_uav > h_v for links above the vehicle")
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     """One vehicle-to-UAV link.
 
     phi is stored folded into [0, pi/2]; cos_phi and sin_phi are the absolute
     trig values of the angle passed in, so any azimuth in [0, 2*pi) maps onto
-    its first-quadrant representative.  A link is checked once, here, by every
-    per-link test los_probability_batch makes, the direction test in the same
-    float operations, so los_probability scores it without checking again.
+    its first-quadrant representative.  A link is checked once, here, by the
+    one link rule los_probability_batch checks too (_check_link), so
+    los_probability scores it without checking again.
     """
 
     d: float
@@ -75,20 +97,10 @@ class LinkGeometry:
     sin_phi: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
-        if not 0.0 <= self.d < math.inf:
-            raise ValueError("d must be finite and >= 0")
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        check_vehicle_height(self.h_v)
-        if not self.h_v < self.h_uav < math.inf:
-            raise ValueError("need finite h_uav > h_v for a link above the vehicle")
-        c = abs(math.cos(self.phi))
-        s = abs(math.sin(self.phi))
-        # los_probability_batch's direction test: q = c*c + s*s rounds alike
-        if not (0.0 <= c <= 1.0 and 0.0 <= s <= 1.0
-                and 1.0 - DIRECTION_TOL <= c * c + s * s <= 1.0 + DIRECTION_TOL):
-            raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
+        c, s = abs(math.cos(self.phi)), abs(math.sin(self.phi))
+        _check_link(self.d, c, s, c * c + s * s, self.h_uav, self.h_v)
         object.__setattr__(self, "cos_phi", c)
         object.__setattr__(self, "sin_phi", s)
         object.__setattr__(self, "phi", math.atan2(s, c))
@@ -243,6 +255,13 @@ def los_probability(link: LinkGeometry, city: CityModel, placement: Placement) -
     return float(_los(*_one(link), city, placement)[0])
 
 
+@_IEEE_LIMITS
+def _square_norm(c, s):
+    """q = c*c + s*s over arrays of folded cosines: a cosine past 1, however large, gives inf."""
+    q = c * c
+    return np.add(q, s * s, out=q)
+
+
 def los_probability_batch(
     d: np.ndarray,
     cos_phi: np.ndarray,
@@ -256,27 +275,16 @@ def los_probability_batch(
 
     d is the ground distance and cos_phi, sin_phi the absolute cosine and
     sine of the azimuth, folded as LinkGeometry folds them, e.g.
-    np.abs(np.cos(phi)).  The arguments must pass LinkGeometry's checks:
-    finite d >= 0, both cosines in [0, 1] with cos_phi**2 + sin_phi**2
-    within DIRECTION_TOL of 1, finite h_v >= 0 (geometry.check_vehicle_height)
-    and finite h_uav > h_v (ValueError otherwise).
+    np.abs(np.cos(phi)), in arrays of any one shape.  Every link must pass
+    the link rule LinkGeometry checks (_check_link): finite d >= 0, both
+    cosines in [0, 1] with cos_phi**2 + sin_phi**2 within DIRECTION_TOL of 1,
+    finite h_v >= 0 (geometry.check_vehicle_height) and finite h_uav > h_v
+    (ValueError otherwise).  The rule is checked at the arrays' extremes.
     """
-    d = np.asarray(d, dtype=float)
-    c = np.asarray(cos_phi, dtype=float)
-    s = np.asarray(sin_phi, dtype=float)
-    # min and max carry NaN through, and comparisons written so that NaN fails them
-    if not (0.0 <= d.min(initial=0.0) and d.max(initial=0.0) < math.inf
-            and 0.0 <= c.min(initial=0.0) and c.max(initial=0.0) <= 1.0
-            and 0.0 <= s.min(initial=0.0) and s.max(initial=0.0) <= 1.0):
-        raise ValueError("links need finite d >= 0 and cos_phi, sin_phi in [0, 1]")
-    # q - 1 is exact on [0.5, 2], so the bounds on q refuse exactly what
-    # |q - 1| > DIRECTION_TOL refuses
-    q = c * c
-    q += s * s
-    if not (1.0 - DIRECTION_TOL <= q.min(initial=1.0)
-            and q.max(initial=1.0) <= 1.0 + DIRECTION_TOL):
-        raise ValueError("cos_phi, sin_phi must be the folded cosine and sine of one azimuth")
-    check_vehicle_height(h_v)
-    if not h_v < h_uav < math.inf:
-        raise ValueError("need finite h_uav > h_v for links above the vehicle")
+    d, c, s = (np.asarray(a, dtype=float) for a in (d, cos_phi, sin_phi))
+    q = _square_norm(c, s)
+    # min and max carry NaN through, so the links pass exactly when their extremes do
+    for extreme in (np.minimum.reduce, np.maximum.reduce):
+        _check_link(extreme(d, None, initial=0.0), extreme(c, None, initial=0.0),
+                    extreme(s, None, initial=0.0), extreme(q, None, initial=1.0), h_uav, h_v)
     return _los(d, c, s, h_uav - h_v, h_v, city, placement)

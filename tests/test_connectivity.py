@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1189,3 +1190,50 @@ def test_a_pooled_run_never_loads_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == ["0", "True", "False"]
+
+
+def test_the_counts_hold_one_total_whatever_the_chunk_count(monkeypatch):
+    """Each chunk's counts join one total as the chunk finishes, so memory does not grow with n.
+
+    One chunk's counts over 100001 gammas are 1.6 MB (two placements); 40
+    chunks held until the end would hold 64 MB of them.
+    """
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 16)
+    gammas = np.linspace(0.0, 1.0, 100001)
+
+    def peak(chunks, workers):
+        tracemalloc.start()
+        try:
+            counts = estimate_distribution(URBAN, 250.0, 10.0, [20e-6], [100.0], gammas,
+                                           16 * chunks, 1, workers=workers)
+            return counts, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, one = peak(1, 1)
+    serial, serial_peak = peak(40, 1)
+    pooled, pooled_peak = peak(40, 3)
+    assert serial_peak < one + 0.5e6
+    # at most three chunks at once, each with its own working memory
+    assert pooled_peak < 3 * one
+    assert serial.tobytes() == pooled.tobytes()
+
+
+def test_the_shared_total_loses_no_chunk_under_contention(monkeypatch):
+    """More worker threads than cores add one-realization chunks into the shared total.
+
+    A long gamma axis makes each addition a loop numpy runs without the GIL,
+    and a short switch interval interleaves the threads often, so an addition
+    made outside the lock would lose counts.
+    """
+    monkeypatch.setattr(connectivity, "CHUNK_SIZE", 1)
+    gammas = np.linspace(0.0, 1.0, 20001)
+    args = (URBAN, 250.0, 10.0, [20e-6], [100.0], gammas, 600, 3)
+    serial = estimate_distribution(*args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = estimate_distribution(*args, workers=2 * (os.cpu_count() or 1) + 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.tobytes() == serial.tobytes()

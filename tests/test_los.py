@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uavgrid.los as los
 from uavgrid.geometry import PRESETS, CityModel, HeightDistribution
@@ -556,3 +558,103 @@ def test_corner_is_the_guarded_arithmetic_bit_for_bit(monkeypatch):
                 # the subnormal city's za_y is 0 / 0 on a path along y, either way
                 for a, b in zip(geometry, want_geometry):
                     assert np.array_equal(a, b, equal_nan=True), (city, pl, h_uav)
+
+
+# one bad quantity per case, with the link (d, c, s, h_uav, h_v) = (80, 0.8, 0.6, 100, 10) around it
+ONE_BAD_QUANTITY = [
+    {"d": -1.0}, {"d": -1e-300}, {"d": math.nan}, {"d": math.inf},
+    {"c": 0.0, "s": 0.0}, {"c": 0.3, "s": 0.3}, {"c": 1.0 + 2.0**-52, "s": 0.0},
+    {"c": 1.0 - 2.0**-51 - 2.0**-53, "s": 0.0}, {"c": math.nan, "s": 1.0},
+    {"h_v": -1.0}, {"h_v": math.nan}, {"h_v": math.inf},
+    {"h_uav": 10.0}, {"h_uav": 5.0}, {"h_uav": math.nan}, {"h_uav": math.inf},
+]
+
+
+@pytest.mark.parametrize("bad", ONE_BAD_QUANTITY)
+def test_link_geometry_and_the_batch_refuse_a_link_alike(bad, monkeypatch):
+    """One link rule: both entries refuse one bad quantity with one type and one message."""
+    link = {"d": 80.0, "c": 0.8, "s": 0.6, "h_uav": 100.0, "h_v": 10.0, **bad}
+    refusals = set()
+    for placement in Placement:
+        with pytest.raises(ValueError) as info:
+            los_probability_batch([link["d"]], [link["c"]], [link["s"]], link["h_uav"],
+                                  link["h_v"], URBAN, placement)
+        refusals.add((type(info.value), str(info.value)))
+    # LinkGeometry folds its azimuth with math.cos and math.sin: patched, they
+    # hand it the cosines of the case
+    with monkeypatch.context() as patched:
+        patched.setattr("uavgrid.los.math.cos", lambda phi: link["c"])
+        patched.setattr("uavgrid.los.math.sin", lambda phi: link["s"])
+        with pytest.raises(ValueError) as info:
+            LinkGeometry(d=link["d"], phi=0.3, h_uav=link["h_uav"], h_v=link["h_v"])
+    refusals.add((type(info.value), str(info.value)))
+    assert len(refusals) == 1
+
+
+def _refusal(d, c, s):
+    """(type, message) of the batch's refusal of the links, None if it admits them.
+
+    Only the rule runs: the kernel is patched out, so an admitted link is not scored.
+    """
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(los, "_los", lambda *args: None)
+        try:
+            los_probability_batch(d, c, s, 100.0, 10.0, URBAN, Placement.INTERSECTION)
+        except ValueError as e:
+            return type(e), str(e)
+    return None
+
+
+def _link_passes(d, c, s):
+    """The link rule on one link, in plain float arithmetic."""
+    return (0.0 <= d < math.inf and 0.0 <= c <= 1.0 and 0.0 <= s <= 1.0
+            and abs(c * c + s * s - 1.0) <= DIRECTION_TOL)
+
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+          1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+# the q bounds of test_batch_refuses_cosines_of_no_azimuth and the pairs just past them
+_EDGE_DIRECTIONS = [(1.0, 2.0**-25), (1.0, math.sqrt(5.0 * 2.0**-52)), (1.0 - 2.0**-51, 0.0),
+                    (1.0 - 2.0**-51 - 2.0**-53, 0.0), (math.nextafter(1.0, 2.0), 0.0),
+                    (0.0, 0.0)]
+_link_value = st.one_of(st.sampled_from(_EDGES), st.floats())
+_direction = st.one_of(
+    st.sampled_from(_EDGE_DIRECTIONS + [(s, c) for c, s in _EDGE_DIRECTIONS]),
+    st.floats(0.0, 2.0 * math.pi).map(lambda phi: (abs(math.cos(phi)), abs(math.sin(phi)))),
+    st.tuples(_link_value, _link_value),
+)
+
+
+@given(links=st.lists(st.tuples(_link_value, _direction), max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_an_array_is_refused_exactly_when_one_of_its_links_is(links):
+    """The batch checks the rule at the arrays' extremes: exact, NaN and empty arrays too."""
+    d = [link[0] for link in links]
+    c, s = [link[1][0] for link in links], [link[1][1] for link in links]
+    alone = [_refusal([di], [ci], [si]) for di, ci, si in zip(d, c, s)]
+    for di, ci, si, refusal in zip(d, c, s, alone):
+        assert (refusal is None) == _link_passes(di, ci, si)
+    got = _refusal(d, c, s)
+    if all(refusal is None for refusal in alone):
+        assert got is None
+    else:
+        # the message of a link that fails the test the array fails
+        assert got in set(alone)
+
+
+def test_a_link_array_of_any_shape_scores_as_its_flat_copy():
+    rng = np.random.default_rng(11)
+    d = rng.uniform(0.0, 240.0, (2, 3))
+    phi = rng.uniform(0.0, 2.0 * math.pi, (2, 3))
+    c, s = np.abs(np.cos(phi)), np.abs(np.sin(phi))
+    for placement in Placement:
+        flat = los_probability_batch(d.ravel(), c.ravel(), s.ravel(), 100.0, 10.0, URBAN,
+                                     placement)
+        got = los_probability_batch(d, c, s, 100.0, 10.0, URBAN, placement)
+        assert got.shape == (2, 3) and got.tobytes() == flat.reshape(2, 3).tobytes()
+    # the rule holds at one bad link anywhere in the array
+    for i, j in np.ndindex(2, 3):
+        bad = c.copy()
+        bad[i, j] = 1.5
+        with pytest.raises(ValueError, match="azimuth"):
+            los_probability_batch(d, bad, s, 100.0, 10.0, URBAN, Placement.STREET)

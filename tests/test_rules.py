@@ -12,9 +12,11 @@ import uavgrid.connectivity as connectivity
 import uavgrid.geometry as geometry
 import uavgrid.oracle as oracle
 from uavgrid.connectivity import _scenario, estimate_distribution, outage_grid
+from uavgrid.cli import main
 from uavgrid.geometry import (
     MAX_KEY,
     PRESETS,
+    CityModel,
     InvalidGeometryError,
     SamplingEnvelope,
     sample_envelope_points,
@@ -99,3 +101,45 @@ def test_every_entry_refuses_a_vehicle_height_alike(h_v, no_draw):
             entry()
         refusals.add((type(info.value), str(info.value)))
     assert refusals == {(InvalidGeometryError, "vehicle height h_v must be finite and >= 0")}
+
+
+CITY_FIELDS = ("mu_s", "mu_b", "w_v", "w_h")
+
+
+@pytest.mark.parametrize("name", CITY_FIELDS)
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_a_city_refusal_names_only_the_wrong_field(name, bad):
+    fields = {"mu_s": 13.0, "mu_b": 45.0, "w_v": 13.0, "w_h": 13.0, name: bad}
+    if bad == 0.0 and name in ("w_v", "w_h"):
+        # a street at the vehicle may have no width
+        assert getattr(CityModel(**fields, heights=URBAN.heights), name) == 0.0
+        return
+    with pytest.raises(InvalidGeometryError) as info:
+        CityModel(**fields, heights=URBAN.heights)
+    assert _named(info.value, CITY_FIELDS) == [name]
+
+
+@pytest.mark.parametrize("name", ["lambda_cap", "d_cap"])
+@pytest.mark.parametrize("bad", [-5.0, 0.0, math.nan, math.inf])
+def test_a_cap_refusal_names_only_the_wrong_cap(name, bad, no_draw):
+    caps = {"lambda_cap": 20e-6, "d_cap": 300.0, name: bad}
+    entries = (
+        lambda: SamplingEnvelope(**caps),
+        lambda: _scenario(250.0, 10.0, [20e-6], [100.0], **caps),
+        # caps that are given are checked at density 0 too
+        lambda: estimate_distribution(URBAN, 250.0, 10.0, [0.0], [100.0], [0.8], 10, 1, **caps),
+    )
+    for entry in entries:
+        with pytest.raises(InvalidGeometryError) as info:
+            entry()
+        assert _named(info.value, ("lambda_cap", "d_cap")) == [name]
+
+
+@pytest.mark.parametrize("flag, name", [("--lambda-cap", "lambda_cap"), ("--d-cap", "d_cap")])
+def test_the_cli_names_the_wrong_cap(flag, name, capsys, no_draw):
+    argv = ["contour", "--preset", "urban", "--lambda-lo", "10", "--lambda-hi", "20",
+            "--h-lo", "50", "--h-hi", "60", flag, "-5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("\n")
+    assert _named(err[:-1], ("lambda_cap", "d_cap")) == [name]
